@@ -20,12 +20,12 @@
 
 use super::ra::{discrete_hs, round_inputs};
 use crate::gen::{self, ProgShape, RaShape};
-use crate::iter_count::{counted_run_fcf, counted_run_fin, counted_run_hs, CountedRun};
 use crate::ledger::{CheckCtx, CheckDef};
 use recdb_analyze::{analyze_full, CostEnv, CostVerdict};
 use recdb_core::{FiniteStructure, Fuel, Schema};
 use recdb_hsdb::FcfDatabase;
-use recdb_qlhs::{Dialect, FinInterp, HsInterp, Prog};
+use recdb_qlhs::iter_count::{run_counted, CountedRun};
+use recdb_qlhs::{Dialect, FcfInterp, FinInterp, HsInterp, Prog};
 use recdb_ra::{compile_program, eval_program, optimize_program, RaSchema};
 use std::collections::BTreeMap;
 
@@ -77,11 +77,14 @@ impl CostBackend {
     }
 
     fn counted_run(&self, p: &Prog) -> CountedRun {
-        let no_bounds = BTreeMap::new();
+        let (d, nb) = (self.dialect(), BTreeMap::new());
         match self {
-            CostBackend::Fin(st) => counted_run_fin(st, p, 200_000, 4096, &no_bounds),
-            CostBackend::Hs(st) => counted_run_hs(&discrete_hs(st), p, 60_000, 4096, &no_bounds),
-            CostBackend::Fcf(db) => counted_run_fcf(db, p, 60_000, 4096, &no_bounds),
+            CostBackend::Fin(st) => run_counted(&mut FinInterp::new(st), d, p, 200_000, 4096, &nb),
+            CostBackend::Hs(st) => {
+                let hs = discrete_hs(st);
+                run_counted(&mut HsInterp::new(&hs), d, p, 60_000, 4096, &nb)
+            }
+            CostBackend::Fcf(db) => run_counted(&mut FcfInterp::new(db), d, p, 60_000, 4096, &nb),
         }
     }
 }
@@ -176,7 +179,7 @@ fn cost_bounds_are_sound(ctx: &mut CheckCtx) -> Result<(), String> {
                     .run(&p, &mut Fuel::new(60_000))
                     .ok()
                     .map(|v| v.len() as u64),
-                CostBackend::Fcf(db) => recdb_qlhs::FcfInterp::new(db)
+                CostBackend::Fcf(db) => FcfInterp::new(db)
                     .run(&p, &mut Fuel::new(60_000))
                     .ok()
                     .map(|v| v.tuples.len() as u64),

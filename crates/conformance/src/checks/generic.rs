@@ -21,17 +21,17 @@
 //!   and the witness-transposed `π(B)`), while the transposition
 //!   moves the relation itself — `π(q(B)) ≠ q(π(B))` concretely.
 //! * **TERMINATE-BOUND** — every proved per-loop bound is enforced
-//!   during a counted replay ([`crate::iter_count`]); `Terminates`
+//!   during a counted replay ([`recdb_qlhs::iter_count`]); `Terminates`
 //!   programs respect their total-iteration claim and `Diverges`
 //!   programs must hit the iteration cap (or exhaust fuel) instead of
 //!   completing.
 
 use crate::gen::{self, ProgShape};
-use crate::iter_count::{counted_run_fcf, counted_run_fin, counted_run_hs, CountedEnd};
 use crate::ledger::CheckCtx;
 use recdb_analyze::{analyze_full, GenericityVerdict, LoopBound, TerminationVerdict, Verdict};
 use recdb_core::{CoFiniteRelation, FiniteRelation, FiniteStructure, Fuel, Schema, Tuple};
 use recdb_hsdb::{unary_cells, CellSize, FcfDatabase, FcfRel, HsDatabase};
+use recdb_qlhs::iter_count::{run_counted, CountedEnd};
 use recdb_qlhs::{
     Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Prog, RunError, Term, Val,
 };
@@ -447,10 +447,11 @@ pub fn termination_bounds_hold(ctx: &mut CheckCtx) -> Result<(), String> {
             })
             .collect();
         bounded_checks += bounds.len();
+        let (d, bs) = (dialect, &bounds);
         let counted = match &backend {
-            GBackend::Fin(st) => counted_run_fin(st, &p, 200_000, CAP, &bounds),
-            GBackend::Hs { hs, .. } => counted_run_hs(hs, &p, 60_000, CAP, &bounds),
-            GBackend::Fcf(db) => counted_run_fcf(db, &p, 60_000, CAP, &bounds),
+            GBackend::Fin(st) => run_counted(&mut FinInterp::new(st), d, &p, 200_000, CAP, bs),
+            GBackend::Hs { hs, .. } => run_counted(&mut HsInterp::new(hs), d, &p, 60_000, CAP, bs),
+            GBackend::Fcf(db) => run_counted(&mut FcfInterp::new(db), d, &p, 60_000, CAP, bs),
         };
         if let CountedEnd::BoundExceeded { path, bound } = &counted.end {
             return Err(format!(

@@ -59,7 +59,7 @@ fn p4_1_3(ctx: &mut CheckCtx) -> Result<(), String> {
         }
         // Props 4.2/4.3 (via Theorem 4.1's two views): QLf+ and QLhs
         // agree on the shared fragment, membership-wise.
-        let fcf_interp = FcfInterp::new(&fcf);
+        let mut fcf_interp = FcfInterp::new(&fcf);
         for src in SHARED_SOURCES {
             let prog = parse_program(src).map_err(|e| format!("{src}: {e:?}"))?;
             let fv = fcf_interp

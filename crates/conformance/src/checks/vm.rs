@@ -9,10 +9,11 @@
 //!   tree-walker *exactly* — completed values, runtime errors, and
 //!   fuel exhaustion alike — at several fuel budgets including 0.
 //!   The serve scheduling envelope is replayed too: `exec_scheduled`
-//!   versus the counted executor `run_scheduled` must agree on the
-//!   end event (the server's 200/408/422/500 decision), the iteration
-//!   count, the preemption response, and — for programs with no
-//!   elided stores — the observed work and the work-cap verdict.
+//!   versus the tree-walking `run_scheduled`, both under the budget
+//!   schedule, must agree on the end event (the server's
+//!   200/408/422/500 decision), the iteration count, the preemption
+//!   response, and — for programs with no elided stores — the
+//!   observed work and the work-cap verdict.
 //! * **VM-VERIFY** — seeded single-instruction corruptions of
 //!   verifier-accepted bytecode: every register bump, tick skew,
 //!   opcode swap, relation-index change, guard/loop retarget, and
@@ -28,12 +29,9 @@ use crate::ledger::{CheckCtx, CheckDef};
 use recdb_analyze::analyze_full;
 use recdb_core::{FiniteStructure, Fuel, Schema};
 use recdb_hsdb::FcfDatabase;
+use recdb_qlhs::exec::{run_scheduled, Backend, Budget, ExecEnd, GuardEval};
 use recdb_qlhs::{Dialect, FcfInterp, FinInterp, HsInterp, Prog};
-use recdb_serve::exec::{run_scheduled, Budget, ExecEnd, GuardEval};
-use recdb_vm::{
-    compile, exec_plain, exec_scheduled, verify, GuardKind, Inst, LowerOpts, VmBackend, VmBudget,
-    VmEnd, VmProg,
-};
+use recdb_vm::{compile, exec_plain, exec_scheduled, verify, GuardKind, Inst, LowerOpts, VmProg};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 
@@ -112,25 +110,6 @@ fn compile_verified(
     }
 }
 
-/// One scheduled-end comparison: the counted executor's event must be
-/// reproduced by the VM bit-for-bit (this is the server's status-code
-/// decision: Done→200, OutOfFuel/Preempted→408, Errored→422,
-/// Bound/Total/WorkExceeded→500).
-fn end_matches<V: PartialEq>(tree: &ExecEnd<V>, vm: &VmEnd<V>) -> bool {
-    match (tree, vm) {
-        (ExecEnd::Done(a), VmEnd::Done(b)) => a == b,
-        (ExecEnd::Errored(a), VmEnd::Errored(b)) => a == b,
-        (ExecEnd::OutOfFuel, VmEnd::OutOfFuel) | (ExecEnd::Preempted, VmEnd::Preempted) => true,
-        (
-            ExecEnd::BoundExceeded { path: a, bound: x },
-            VmEnd::BoundExceeded { path: b, bound: y },
-        ) => a == b && x == y,
-        (ExecEnd::TotalExceeded { cap: a }, VmEnd::TotalExceeded { cap: b })
-        | (ExecEnd::WorkExceeded { cap: a }, VmEnd::WorkExceeded { cap: b }) => a == b,
-        _ => false,
-    }
-}
-
 fn end_tag<V>(e: &ExecEnd<V>) -> &'static str {
     match e {
         ExecEnd::Done(_) => "done",
@@ -198,7 +177,7 @@ fn sched_diff<B>(
     round: usize,
 ) -> Result<&'static str, String>
 where
-    B: GuardEval + VmBackend<V = <B as GuardEval>::V>,
+    B: GuardEval + Backend<V = <B as GuardEval>::V>,
     <B as GuardEval>::V: PartialEq + std::fmt::Debug,
 {
     let no_bounds = BTreeMap::new();
@@ -214,15 +193,11 @@ where
     let preempt = AtomicBool::new(preempt_flag);
     let mut tree_b = mk();
     let tree = run_scheduled(&mut tree_b, dialect, p, &budget, &preempt);
-    let vb = VmBudget {
-        bounds: &no_bounds,
-        total_cap: u64::MAX,
-        fuel,
-        work_cap: cap,
-    };
     let mut vm_b = mk();
-    let got = exec_scheduled(&mut vm_b, vm, &vb, &preempt);
-    if !end_matches(&tree.end, &got.end) {
+    let got = exec_scheduled(&mut vm_b, vm, &budget, &preempt);
+    // The end event is the server's status-code decision: Done→200,
+    // OutOfFuel/Preempted→408, Errored→422, *Exceeded→500.
+    if tree.end != got.end {
         return Err(format!(
             "round {round}: scheduled end diverged at fuel {fuel} (work_cap {cap:?}, preempt {preempt_flag}):\n  tree: {:?}\n  vm:   {:?}\n{p}\n{vm}",
             tree.end, got.end

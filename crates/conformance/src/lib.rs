@@ -24,7 +24,6 @@
 pub mod checks;
 pub mod differential;
 pub mod gen;
-pub mod iter_count;
 pub mod json;
 pub mod ledger;
 pub mod metamorphic;

@@ -16,8 +16,8 @@
 //! runs: every interpreter's `run` entry point calls
 //! [`crate::dialect::Dialect::check`] as a mandatory pre-pass, so an
 //! illegal test anywhere in the program is rejected up-front with a
-//! [`crate::value::RunError::DialectViolation`]. (The interpreters
-//! keep their interpretation-time checks as defense in depth for
+//! [`crate::value::RunError::DialectViolation`]. (The backends'
+//! guards keep an interpretation-time check as defense in depth for
 //! callers driving `exec` directly.) The `recdb-analyze` crate builds
 //! its richer diagnostics — rank/arity inference, lints, spans — on
 //! the same AST.

@@ -248,6 +248,7 @@ pub fn compile_counter(cp: &CounterProgram, initial: &[u64]) -> Result<CompiledC
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::eval_term;
     use crate::hs_interp::HsInterp;
     use crate::value::Val;
     use recdb_core::Fuel;
@@ -268,12 +269,12 @@ mod tests {
         let hs = infinite_clique();
         let mut interp = HsInterp::new(&hs);
         let mut fuel = Fuel::new(100_000);
-        let t = interp.eval_term(&true_term(), &[], &mut fuel).unwrap();
+        let t = eval_term(&mut interp, &true_term(), &[], &mut fuel).unwrap();
         assert!(t.is_singleton() && t.rank == 0);
-        let f = interp.eval_term(&false_term(), &[], &mut fuel).unwrap();
+        let f = eval_term(&mut interp, &false_term(), &[], &mut fuel).unwrap();
         assert!(f.is_empty() && f.rank == 0);
         for n in 0..4 {
-            let v = interp.eval_term(&numeral(n), &[], &mut fuel).unwrap();
+            let v = eval_term(&mut interp, &numeral(n), &[], &mut fuel).unwrap();
             assert_eq!(v.rank, n);
             assert!(!v.is_empty());
         }

@@ -16,15 +16,18 @@
 //! their `run` entry points, so an illegal test anywhere in the
 //! program — even in a branch a given input never reaches — is
 //! rejected up-front instead of surfacing mid-run (or never). The
-//! interpreters keep their interpretation-time checks as defense in
-//! depth for callers that drive [`exec`](crate::HsInterp::exec)
-//! directly with a caller-built environment.
+//! interpreters' guards ([`crate::exec::GuardEval`]) keep an
+//! interpretation-time check, worded by [`Dialect::reject`], as
+//! defense in depth for callers that drive
+//! [`exec`](crate::HsInterp::exec) directly with a caller-built
+//! environment.
 //!
 //! The richer static analyzer (`recdb-analyze`) builds its dialect
 //! diagnostics on exactly this checker, so there is one source of
 //! truth for what each dialect admits.
 
 use crate::ast::{NodePath, Prog};
+use crate::value::RunError;
 use std::fmt;
 
 /// One of the three QL-family dialects.
@@ -59,6 +62,19 @@ impl Dialect {
     /// Does the dialect admit `while |Y|<∞`?
     pub fn admits_finiteness_test(self) -> bool {
         matches!(self, Dialect::QlfPlus)
+    }
+
+    /// The runtime error for a `test` this dialect lacks, worded as
+    /// [`Dialect::check`] words it.
+    pub fn reject(self, test: IllegalTest) -> RunError {
+        RunError::DialectViolation(
+            DialectViolation {
+                dialect: self,
+                test,
+                path: Vec::new(),
+            }
+            .message(),
+        )
     }
 
     /// Scans `p` for tests this dialect does not admit, returning the

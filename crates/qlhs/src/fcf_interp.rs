@@ -12,7 +12,9 @@
 //!   (Prop 4.2) — finite (`{()}`) for `n = 1`, co-finite otherwise;
 //! * `while |Y| < ∞` is true iff the value is finite.
 
-use crate::ast::{Prog, Term};
+use crate::ast::Prog;
+use crate::dialect::Dialect;
+use crate::exec::{run_with, Backend, FuelOnly};
 use crate::value::RunError;
 use recdb_core::{Elem, Fuel, Tuple};
 use recdb_hsdb::FcfDatabase;
@@ -67,13 +69,6 @@ pub struct FcfInterp<'a> {
     seminaive: bool,
 }
 
-impl crate::seminaive::DeltaBackend for &FcfInterp<'_> {
-    type V = FcfVal;
-    fn eval(&mut self, t: &Term, env: &[FcfVal], fuel: &mut Fuel) -> Result<FcfVal, RunError> {
-        self.eval_term(t, env, fuel)
-    }
-}
-
 impl<'a> FcfInterp<'a> {
     /// Binds the interpreter; computes `Df` once.
     pub fn new(db: &'a FcfDatabase) -> Self {
@@ -92,8 +87,35 @@ impl<'a> FcfInterp<'a> {
         self.seminaive = on;
     }
 
+    /// Runs a program; result is `Y₁`.
+    ///
+    /// The QLf+ dialect check runs first: a `while |Y|=1` anywhere in
+    /// the program — reachable or not — is rejected up-front.
+    pub fn run(&mut self, p: &Prog, fuel: &mut Fuel) -> Result<FcfVal, RunError> {
+        let seminaive = self.seminaive;
+        run_with(self, Dialect::QlfPlus, p, fuel, &mut FuelOnly { seminaive })
+    }
+
+    /// Runs a program in a caller-supplied environment.
+    pub fn exec(
+        &mut self,
+        p: &Prog,
+        env: &mut Vec<FcfVal>,
+        fuel: &mut Fuel,
+    ) -> Result<(), RunError> {
+        let seminaive = self.seminaive;
+        crate::exec::exec(self, p, env, fuel, seminaive)
+    }
+}
+
+impl Backend for FcfInterp<'_> {
+    type V = FcfVal;
+    fn unset(&self) -> FcfVal {
+        FcfVal::empty(0)
+    }
+
     /// `E = {(a,a) | a ∈ Df}` — always finite.
-    pub fn op_e(&self) -> FcfVal {
+    fn e(&mut self) -> FcfVal {
         FcfVal {
             rank: 2,
             finite: true,
@@ -102,7 +124,7 @@ impl<'a> FcfInterp<'a> {
     }
 
     /// Stored relation `Rᵢ` in its §4 representation, bounds-checked.
-    pub fn op_rel(&self, i: usize) -> Result<FcfVal, RunError> {
+    fn rel(&mut self, i: usize) -> Result<FcfVal, RunError> {
         let Some(rel) = self.db.relations().get(i) else {
             return Err(RunError::NoSuchRelation(i));
         };
@@ -113,8 +135,9 @@ impl<'a> FcfInterp<'a> {
         })
     }
 
-    /// The finite rank-1 singleton `{(a)}`.
-    pub fn op_const(&self, c: u64) -> FcfVal {
+    /// The finite rank-1 singleton `{(a)}`, whether or not `a ∈ Df`
+    /// (constants name domain elements, and the domain is all of ℕ).
+    fn constant(&mut self, c: u64) -> FcfVal {
         FcfVal {
             rank: 1,
             finite: true,
@@ -124,7 +147,7 @@ impl<'a> FcfInterp<'a> {
 
     /// Intersection by the four finite∕co-finite cases; ranks must
     /// agree.
-    pub fn op_and(x: &FcfVal, y: &FcfVal) -> Result<FcfVal, RunError> {
+    fn and(&mut self, x: &FcfVal, y: &FcfVal) -> Result<FcfVal, RunError> {
         if x.rank != y.rank {
             return Err(RunError::RankMismatch {
                 left: x.rank,
@@ -159,15 +182,15 @@ impl<'a> FcfInterp<'a> {
     }
 
     /// `¬x` flips the indicator (tick-free).
-    pub fn op_not(x: &FcfVal) -> FcfVal {
+    fn not(&mut self, x: &FcfVal, _fuel: &mut Fuel) -> Result<FcfVal, RunError> {
         let mut x = x.clone();
         x.finite = !x.finite;
-        x
+        Ok(x)
     }
 
     /// `x↑ = x × Df`, defined only for finite `x`; ticks once per
     /// output tuple.
-    pub fn op_up(&self, x: &FcfVal, fuel: &mut Fuel) -> Result<FcfVal, RunError> {
+    fn up(&mut self, x: &FcfVal, fuel: &mut Fuel) -> Result<FcfVal, RunError> {
         if !x.finite {
             return Err(RunError::UpOnInfinite);
         }
@@ -185,8 +208,8 @@ impl<'a> FcfInterp<'a> {
         })
     }
 
-    /// `x↓` with the Prop 4.2 co-finite cases.
-    pub fn op_down(x: &FcfVal) -> Result<FcfVal, RunError> {
+    /// `x↓` with the Prop 4.2 co-finite cases (tick-free).
+    fn down(&mut self, x: &FcfVal, _fuel: &mut Fuel) -> Result<FcfVal, RunError> {
         if x.rank == 0 {
             return Ok(FcfVal::empty(0));
         }
@@ -217,8 +240,8 @@ impl<'a> FcfInterp<'a> {
     }
 
     /// `x~` swaps the finite part, preserving the indicator (swapping
-    /// commutes with complementation).
-    pub fn op_swap(x: &FcfVal) -> Result<FcfVal, RunError> {
+    /// commutes with complementation; tick-free).
+    fn swap(&mut self, x: &FcfVal, _fuel: &mut Fuel) -> Result<FcfVal, RunError> {
         if x.rank < 2 {
             return Ok(x.clone());
         }
@@ -236,116 +259,21 @@ impl<'a> FcfInterp<'a> {
         })
     }
 
-    /// Evaluates a term. One fuel tick per term node at entry; the
-    /// per-op primitives above carry the data-dependent ticks and are
-    /// shared with the bytecode VM.
-    pub fn eval_term(&self, t: &Term, env: &[FcfVal], fuel: &mut Fuel) -> Result<FcfVal, RunError> {
-        fuel.tick()?;
-        Ok(match t {
-            Term::E => self.op_e(),
-            Term::Rel(i) => self.op_rel(*i)?,
-            Term::Var(v) => env.get(*v).cloned().unwrap_or_else(|| FcfVal::empty(0)),
-            // A constant is the finite rank-1 singleton `{(a)}`,
-            // whether or not `a ∈ Df` (constants name domain elements,
-            // and the domain is all of ℕ).
-            Term::Const(c) => self.op_const(*c),
-            Term::And(a, b) => {
-                let x = self.eval_term(a, env, fuel)?;
-                let y = self.eval_term(b, env, fuel)?;
-                Self::op_and(&x, &y)?
-            }
-            Term::Not(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                Self::op_not(&x)
-            }
-            Term::Up(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_up(&x, fuel)?
-            }
-            Term::Down(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                Self::op_down(&x)?
-            }
-            Term::Swap(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                Self::op_swap(&x)?
-            }
-        })
+    fn empty(x: &FcfVal) -> bool {
+        x.is_empty_relation()
     }
-
-    /// Runs a program; result is `Y₁`.
-    ///
-    /// The QLf+ dialect check runs first: a `while |Y|=1` anywhere in
-    /// the program — reachable or not — is rejected up-front.
-    pub fn run(&self, p: &Prog, fuel: &mut Fuel) -> Result<FcfVal, RunError> {
-        crate::dialect::Dialect::QlfPlus
-            .check(p)
-            .map_err(|v| RunError::DialectViolation(v.message()))?;
-        let nvars = p.max_var().map_or(1, |m| m + 1);
-        let mut env = vec![FcfVal::empty(0); nvars.max(1)];
-        self.exec(p, &mut env, fuel)?;
-        Ok(env[0].clone())
+    fn single(_: &FcfVal) -> bool {
+        false
     }
-
-    /// Runs a program in a caller-supplied environment.
-    pub fn exec(&self, p: &Prog, env: &mut Vec<FcfVal>, fuel: &mut Fuel) -> Result<(), RunError> {
-        fuel.tick()?;
-        match p {
-            Prog::Assign(v, e) => {
-                let val = self.eval_term(e, env, fuel)?;
-                if *v >= env.len() {
-                    env.resize(*v + 1, FcfVal::empty(0));
-                }
-                env[*v] = val;
-            }
-            Prog::Seq(ps) => {
-                for q in ps {
-                    self.exec(q, env, fuel)?;
-                }
-            }
-            Prog::WhileEmpty(v, body) => {
-                let done = self.seminaive
-                    && crate::seminaive::try_loop(
-                        &mut &*self,
-                        crate::seminaive::LoopKind::Empty,
-                        *v,
-                        body,
-                        env,
-                        fuel,
-                    );
-                if !done {
-                    while env.get(*v).is_none_or(FcfVal::is_empty_relation) {
-                        fuel.tick()?;
-                        self.exec(body, env, fuel)?;
-                    }
-                }
-            }
-            Prog::WhileFinite(v, body) => {
-                let done = self.seminaive
-                    && crate::seminaive::try_loop(
-                        &mut &*self,
-                        crate::seminaive::LoopKind::Finite,
-                        *v,
-                        body,
-                        env,
-                        fuel,
-                    );
-                if !done {
-                    while env.get(*v).is_none_or(|x| x.finite) {
-                        fuel.tick()?;
-                        self.exec(body, env, fuel)?;
-                    }
-                }
-            }
-            Prog::WhileSingleton(..) => {
-                return Err(RunError::DialectViolation(
-                    "while |Y|=1 is a QLhs primitive, not part of QLf+",
-                ))
-            }
-        }
-        Ok(())
+    fn finite(x: &FcfVal) -> bool {
+        x.finite
+    }
+    fn size(x: &FcfVal) -> u64 {
+        x.tuples.len() as u64
     }
 }
+
+crate::exec::guard_eval!(FcfInterp, FcfVal, Dialect::QlfPlus);
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,9 @@
 //! so admitting it as primitive here would blur the E13 ablation;
 //! this interpreter rejects it.
 
-use crate::ast::{Prog, Term};
+use crate::ast::Prog;
+use crate::dialect::Dialect;
+use crate::exec::{run_with, Backend, FuelOnly};
 use crate::value::{RunError, Val};
 use recdb_core::{Elem, FiniteStructure, Fuel, Tuple};
 use std::collections::BTreeSet;
@@ -18,13 +20,6 @@ use std::collections::BTreeSet;
 pub struct FinInterp<'a> {
     st: &'a FiniteStructure,
     seminaive: bool,
-}
-
-impl crate::seminaive::DeltaBackend for &FinInterp<'_> {
-    type V = Val;
-    fn eval(&mut self, t: &Term, env: &[Val], fuel: &mut Fuel) -> Result<Val, RunError> {
-        self.eval_term(t, env, fuel)
-    }
 }
 
 impl<'a> FinInterp<'a> {
@@ -48,112 +43,6 @@ impl<'a> FinInterp<'a> {
         self.st.universe()
     }
 
-    /// The diagonal `E = {(a,a) | a ∈ D}`.
-    pub fn op_e(&self) -> Val {
-        Val {
-            rank: 2,
-            tuples: self
-                .universe()
-                .iter()
-                .map(|&a| Tuple::from(vec![a, a]))
-                .collect(),
-        }
-    }
-
-    /// Stored relation `Rᵢ` (0-based), bounds-checked against the
-    /// schema.
-    pub fn op_rel(&self, i: usize) -> Result<Val, RunError> {
-        if i >= self.st.schema().len() {
-            return Err(RunError::NoSuchRelation(i));
-        }
-        Ok(Val {
-            rank: self.st.schema().arity(i),
-            tuples: self.st.relation(i).clone(),
-        })
-    }
-
-    /// The constant singleton `Cₐ = {(a)}`.
-    pub fn op_const(&self, c: u64) -> Val {
-        Val {
-            rank: 1,
-            tuples: [Tuple::from_values([c])].into_iter().collect(),
-        }
-    }
-
-    /// Intersection `x ∩ y`; ranks must agree.
-    pub fn op_and(x: &Val, y: &Val) -> Result<Val, RunError> {
-        if x.rank != y.rank {
-            return Err(RunError::RankMismatch {
-                left: x.rank,
-                right: y.rank,
-            });
-        }
-        Ok(Val {
-            rank: x.rank,
-            tuples: x.tuples.intersection(&y.tuples).cloned().collect(),
-        })
-    }
-
-    /// Complement `¬x = Dⁿ ∖ x`; ticks once per enumerated tuple.
-    pub fn op_not(&self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
-        let all = self.full(x.rank, fuel)?;
-        Ok(Val {
-            rank: x.rank,
-            tuples: all.difference(&x.tuples).cloned().collect(),
-        })
-    }
-
-    /// Cylindrification `x↑ = x × D`; ticks once per output tuple.
-    pub fn op_up(&self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
-        let mut out = BTreeSet::new();
-        for u in &x.tuples {
-            for &a in self.universe() {
-                fuel.tick()?;
-                out.insert(u.extend(a));
-            }
-        }
-        Ok(Val {
-            rank: x.rank + 1,
-            tuples: out,
-        })
-    }
-
-    /// Projection `x↓` drops the first coordinate.
-    pub fn op_down(x: &Val) -> Result<Val, RunError> {
-        if x.rank == 0 {
-            return Ok(Val::empty(0));
-        }
-        Ok(Val {
-            rank: x.rank - 1,
-            tuples: x
-                .tuples
-                .iter()
-                .map(|u| {
-                    u.drop_first()
-                        .ok_or(RunError::Internal("↓ on a tuple shorter than its rank"))
-                })
-                .collect::<Result<_, _>>()?,
-        })
-    }
-
-    /// `x~` swaps the two rightmost coordinates (identity below rank 2).
-    pub fn op_swap(x: &Val) -> Result<Val, RunError> {
-        if x.rank < 2 {
-            return Ok(x.clone());
-        }
-        Ok(Val {
-            rank: x.rank,
-            tuples: x
-                .tuples
-                .iter()
-                .map(|u| {
-                    u.swap_last_two()
-                        .ok_or(RunError::Internal("swap on a tuple shorter than its rank"))
-                })
-                .collect::<Result<_, _>>()?,
-        })
-    }
-
     /// All tuples of rank `n` over the universe — the complement base.
     fn full(&self, n: usize, fuel: &mut Fuel) -> Result<BTreeSet<Tuple>, RunError> {
         let mut out: BTreeSet<Tuple> = [Tuple::empty()].into_iter().collect();
@@ -170,107 +59,154 @@ impl<'a> FinInterp<'a> {
         Ok(out)
     }
 
-    /// Evaluates a term. One fuel tick per term node at entry; the
-    /// per-op primitives above carry the data-dependent ticks — the
-    /// bytecode VM calls the same primitives, so the two executors
-    /// share semantics by construction.
-    pub fn eval_term(&self, t: &Term, env: &[Val], fuel: &mut Fuel) -> Result<Val, RunError> {
-        fuel.tick()?;
-        Ok(match t {
-            Term::E => self.op_e(),
-            Term::Rel(i) => self.op_rel(*i)?,
-            Term::Var(v) => env.get(*v).cloned().unwrap_or_else(|| Val::empty(0)),
-            // `Cₐ = {(a)}` whether or not `a` lies in this structure's
-            // universe — constants name elements of the ambient domain,
-            // and structures are finite windows onto it. (`¬Cₐ` still
-            // complements within the universe.)
-            Term::Const(c) => self.op_const(*c),
-            Term::And(a, b) => {
-                let x = self.eval_term(a, env, fuel)?;
-                let y = self.eval_term(b, env, fuel)?;
-                Self::op_and(&x, &y)?
-            }
-            Term::Not(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_not(&x, fuel)?
-            }
-            Term::Up(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_up(&x, fuel)?
-            }
-            Term::Down(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                Self::op_down(&x)?
-            }
-            Term::Swap(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                Self::op_swap(&x)?
-            }
-        })
-    }
-
     /// Runs a program; result is `Y₁`.
     ///
     /// The QL dialect check runs first: a `while |Y|=1` or
     /// `while |Y|<∞` anywhere in the program — reachable or not — is
     /// rejected up-front.
-    pub fn run(&self, p: &Prog, fuel: &mut Fuel) -> Result<Val, RunError> {
-        crate::dialect::Dialect::Ql
-            .check(p)
-            .map_err(|v| RunError::DialectViolation(v.message()))?;
-        let nvars = p.max_var().map_or(1, |m| m + 1);
-        let mut env = vec![Val::empty(0); nvars.max(1)];
-        self.exec(p, &mut env, fuel)?;
-        Ok(env[0].clone())
+    pub fn run(&mut self, p: &Prog, fuel: &mut Fuel) -> Result<Val, RunError> {
+        let seminaive = self.seminaive;
+        run_with(self, Dialect::Ql, p, fuel, &mut FuelOnly { seminaive })
     }
 
     /// Runs a program in a caller-supplied environment.
-    pub fn exec(&self, p: &Prog, env: &mut Vec<Val>, fuel: &mut Fuel) -> Result<(), RunError> {
-        fuel.tick()?;
-        match p {
-            Prog::Assign(v, e) => {
-                let val = self.eval_term(e, env, fuel)?;
-                if *v >= env.len() {
-                    env.resize(*v + 1, Val::empty(0));
-                }
-                env[*v] = val;
-            }
-            Prog::Seq(ps) => {
-                for q in ps {
-                    self.exec(q, env, fuel)?;
-                }
-            }
-            Prog::WhileEmpty(v, body) => {
-                let done = self.seminaive
-                    && crate::seminaive::try_loop(
-                        &mut &*self,
-                        crate::seminaive::LoopKind::Empty,
-                        *v,
-                        body,
-                        env,
-                        fuel,
-                    );
-                if !done {
-                    while env.get(*v).is_none_or(Val::is_empty) {
-                        fuel.tick()?;
-                        self.exec(body, env, fuel)?;
-                    }
-                }
-            }
-            Prog::WhileSingleton(..) => {
-                return Err(RunError::DialectViolation(
-                    "while |Y|=1 is a QLhs primitive; in finitary QL it is only definable",
-                ))
-            }
-            Prog::WhileFinite(..) => {
-                return Err(RunError::DialectViolation(
-                    "while |Y|<∞ is a QLf+ construct",
-                ))
-            }
-        }
-        Ok(())
+    pub fn exec(&mut self, p: &Prog, env: &mut Vec<Val>, fuel: &mut Fuel) -> Result<(), RunError> {
+        let seminaive = self.seminaive;
+        crate::exec::exec(self, p, env, fuel, seminaive)
     }
 }
+
+impl Backend for FinInterp<'_> {
+    type V = Val;
+    fn unset(&self) -> Val {
+        Val::empty(0)
+    }
+
+    /// The diagonal `E = {(a,a) | a ∈ D}`.
+    fn e(&mut self) -> Val {
+        Val {
+            rank: 2,
+            tuples: self
+                .universe()
+                .iter()
+                .map(|&a| Tuple::from(vec![a, a]))
+                .collect(),
+        }
+    }
+
+    /// Stored relation `Rᵢ` (0-based), bounds-checked against the
+    /// schema.
+    fn rel(&mut self, i: usize) -> Result<Val, RunError> {
+        if i >= self.st.schema().len() {
+            return Err(RunError::NoSuchRelation(i));
+        }
+        Ok(Val {
+            rank: self.st.schema().arity(i),
+            tuples: self.st.relation(i).clone(),
+        })
+    }
+
+    /// `Cₐ = {(a)}` whether or not `a` lies in this structure's
+    /// universe — constants name elements of the ambient domain, and
+    /// structures are finite windows onto it. (`¬Cₐ` still complements
+    /// within the universe.)
+    fn constant(&mut self, c: u64) -> Val {
+        Val {
+            rank: 1,
+            tuples: [Tuple::from_values([c])].into_iter().collect(),
+        }
+    }
+
+    /// Intersection `x ∩ y`; ranks must agree.
+    fn and(&mut self, x: &Val, y: &Val) -> Result<Val, RunError> {
+        if x.rank != y.rank {
+            return Err(RunError::RankMismatch {
+                left: x.rank,
+                right: y.rank,
+            });
+        }
+        Ok(Val {
+            rank: x.rank,
+            tuples: x.tuples.intersection(&y.tuples).cloned().collect(),
+        })
+    }
+
+    /// Complement `¬x = Dⁿ ∖ x`; ticks once per enumerated tuple.
+    fn not(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
+        let all = self.full(x.rank, fuel)?;
+        Ok(Val {
+            rank: x.rank,
+            tuples: all.difference(&x.tuples).cloned().collect(),
+        })
+    }
+
+    /// Cylindrification `x↑ = x × D`; ticks once per output tuple.
+    fn up(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
+        let mut out = BTreeSet::new();
+        for u in &x.tuples {
+            for &a in self.universe() {
+                fuel.tick()?;
+                out.insert(u.extend(a));
+            }
+        }
+        Ok(Val {
+            rank: x.rank + 1,
+            tuples: out,
+        })
+    }
+
+    /// Projection `x↓` drops the first coordinate (tick-free).
+    fn down(&mut self, x: &Val, _fuel: &mut Fuel) -> Result<Val, RunError> {
+        if x.rank == 0 {
+            return Ok(Val::empty(0));
+        }
+        Ok(Val {
+            rank: x.rank - 1,
+            tuples: x
+                .tuples
+                .iter()
+                .map(|u| {
+                    u.drop_first()
+                        .ok_or(RunError::Internal("↓ on a tuple shorter than its rank"))
+                })
+                .collect::<Result<_, _>>()?,
+        })
+    }
+
+    /// `x~` swaps the two rightmost coordinates (identity below rank
+    /// 2; tick-free).
+    fn swap(&mut self, x: &Val, _fuel: &mut Fuel) -> Result<Val, RunError> {
+        if x.rank < 2 {
+            return Ok(x.clone());
+        }
+        Ok(Val {
+            rank: x.rank,
+            tuples: x
+                .tuples
+                .iter()
+                .map(|u| {
+                    u.swap_last_two()
+                        .ok_or(RunError::Internal("swap on a tuple shorter than its rank"))
+                })
+                .collect::<Result<_, _>>()?,
+        })
+    }
+
+    fn empty(x: &Val) -> bool {
+        x.is_empty()
+    }
+    fn single(x: &Val) -> bool {
+        x.is_singleton()
+    }
+    fn finite(_: &Val) -> bool {
+        true
+    }
+    fn size(x: &Val) -> u64 {
+        x.len() as u64
+    }
+}
+
+crate::exec::guard_eval!(FinInterp, Val, Dialect::Ql);
 
 #[cfg(test)]
 mod tests {

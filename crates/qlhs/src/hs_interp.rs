@@ -7,7 +7,9 @@
 //! the highly recursive tree for `E`/`↑`/`¬` and the `≅_B` oracle for
 //! `↓`/`~`, exactly as the Theorem 3.1 soundness argument describes.
 
-use crate::ast::{Prog, Term};
+use crate::ast::Prog;
+use crate::dialect::Dialect;
+use crate::exec::{run_with, Backend, FuelOnly};
 use crate::value::{RunError, Val};
 use recdb_core::{Fuel, Tuple, TupleId, TupleInterner};
 use recdb_hsdb::HsDatabase;
@@ -24,13 +26,6 @@ pub struct HsInterp<'a> {
     /// Cache of canonical representatives, keyed by interned id.
     canon: HashMap<TupleId, Tuple>,
     seminaive: bool,
-}
-
-impl crate::seminaive::DeltaBackend for HsInterp<'_> {
-    type V = Val;
-    fn eval(&mut self, t: &Term, env: &[Val], fuel: &mut Fuel) -> Result<Val, RunError> {
-        self.eval_term(t, env, fuel)
-    }
 }
 
 impl<'a> HsInterp<'a> {
@@ -74,8 +69,32 @@ impl<'a> HsInterp<'a> {
         c
     }
 
+    /// Runs a program; the result is the final value of `Y₁`
+    /// (variable 0), as in §3.3.
+    ///
+    /// The QLhs dialect check runs first: a `while |Y|<∞` anywhere in
+    /// the program — reachable or not — is rejected up-front.
+    pub fn run(&mut self, p: &Prog, fuel: &mut Fuel) -> Result<Val, RunError> {
+        let seminaive = self.seminaive;
+        run_with(self, Dialect::Qlhs, p, fuel, &mut FuelOnly { seminaive })
+    }
+
+    /// Runs a program in a caller-supplied environment (for staged
+    /// computations that pre-load inputs into variables).
+    pub fn exec(&mut self, p: &Prog, env: &mut Vec<Val>, fuel: &mut Fuel) -> Result<(), RunError> {
+        let seminaive = self.seminaive;
+        crate::exec::exec(self, p, env, fuel, seminaive)
+    }
+}
+
+impl Backend for HsInterp<'_> {
+    type V = Val;
+    fn unset(&self) -> Val {
+        Val::empty(0)
+    }
+
     /// The diagonal classes of `T²`.
-    pub fn op_e(&mut self) -> Val {
+    fn e(&mut self) -> Val {
         let diag: BTreeSet<Tuple> = self
             .level(2)
             .to_vec()
@@ -89,7 +108,7 @@ impl<'a> HsInterp<'a> {
     }
 
     /// Stored relation `Rᵢ`'s representatives, bounds-checked.
-    pub fn op_rel(&self, i: usize) -> Result<Val, RunError> {
+    fn rel(&mut self, i: usize) -> Result<Val, RunError> {
         if i >= self.hs.schema().len() {
             return Err(RunError::NoSuchRelation(i));
         }
@@ -99,9 +118,10 @@ impl<'a> HsInterp<'a> {
         })
     }
 
-    /// `Cₐ` as the whole `≅_B`-class of `a` — the canonical rep of
-    /// `(a)` in `T¹` (values are unions of classes, never elements).
-    pub fn op_const(&mut self, c: u64) -> Val {
+    /// Over a `C_B` representation a constant cannot name a single
+    /// element — values are unions of `≅_B`-classes — so `Cₐ` denotes
+    /// the whole class of `a`: the canonical rep of `(a)` in `T¹`.
+    fn constant(&mut self, c: u64) -> Val {
         let rep = self.canonical(&Tuple::from_values([c]));
         Val {
             rank: 1,
@@ -110,7 +130,7 @@ impl<'a> HsInterp<'a> {
     }
 
     /// Intersection `x ∩ y`; ranks must agree.
-    pub fn op_and(x: &Val, y: &Val) -> Result<Val, RunError> {
+    fn and(&mut self, x: &Val, y: &Val) -> Result<Val, RunError> {
         if x.rank != y.rank {
             return Err(RunError::RankMismatch {
                 left: x.rank,
@@ -125,16 +145,16 @@ impl<'a> HsInterp<'a> {
 
     /// Complement within the `Tⁿ` level (tick-free: the level cache
     /// makes it a set difference).
-    pub fn op_not(&mut self, x: &Val) -> Val {
+    fn not(&mut self, x: &Val, _fuel: &mut Fuel) -> Result<Val, RunError> {
         let all: BTreeSet<Tuple> = self.level(x.rank).iter().cloned().collect();
-        Val {
+        Ok(Val {
             rank: x.rank,
             tuples: all.difference(&x.tuples).cloned().collect(),
-        }
+        })
     }
 
     /// `x↑` collects tree offspring; ticks once per child.
-    pub fn op_up(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
+    fn up(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
         let mut out = BTreeSet::new();
         for u in &x.tuples {
             for a in self.hs.tree().offspring(u) {
@@ -149,7 +169,7 @@ impl<'a> HsInterp<'a> {
     }
 
     /// `x↓` via the `≅_B` oracle; ticks once per tuple.
-    pub fn op_down(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
+    fn down(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
         if x.rank == 0 {
             // Convention: ↓ below rank 0 is the empty rank-0 relation
             // (this is what makes "test e↓ for emptiness" a zero-test
@@ -172,7 +192,7 @@ impl<'a> HsInterp<'a> {
 
     /// `x~` via the `≅_B` oracle; ticks once per tuple (identity below
     /// rank 2).
-    pub fn op_swap(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
+    fn swap(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
         if x.rank < 2 {
             return Ok(x.clone()); // nothing to exchange
         }
@@ -190,119 +210,21 @@ impl<'a> HsInterp<'a> {
         })
     }
 
-    /// Evaluates a term in an environment. One fuel tick per term node
-    /// at entry; the per-op primitives above carry the data-dependent
-    /// ticks and are shared with the bytecode VM.
-    pub fn eval_term(&mut self, t: &Term, env: &[Val], fuel: &mut Fuel) -> Result<Val, RunError> {
-        fuel.tick()?;
-        Ok(match t {
-            Term::E => self.op_e(),
-            Term::Rel(i) => self.op_rel(*i)?,
-            Term::Var(v) => env.get(*v).cloned().unwrap_or_else(|| Val::empty(0)),
-            // Over a `C_B` representation a constant cannot name a
-            // single element — values are unions of `≅_B`-classes — so
-            // `Cₐ` denotes the whole class of `a`, i.e. the canonical
-            // representative of `(a)` in `T¹`.
-            Term::Const(c) => self.op_const(*c),
-            Term::And(a, b) => {
-                let x = self.eval_term(a, env, fuel)?;
-                let y = self.eval_term(b, env, fuel)?;
-                Self::op_and(&x, &y)?
-            }
-            Term::Not(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_not(&x)
-            }
-            Term::Up(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_up(&x, fuel)?
-            }
-            Term::Down(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_down(&x, fuel)?
-            }
-            Term::Swap(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_swap(&x, fuel)?
-            }
-        })
+    fn empty(x: &Val) -> bool {
+        x.is_empty()
     }
-
-    /// Runs a program; the result is the final value of `Y₁`
-    /// (variable 0), as in §3.3.
-    ///
-    /// The QLhs dialect check runs first: a `while |Y|<∞` anywhere in
-    /// the program — reachable or not — is rejected up-front.
-    pub fn run(&mut self, p: &Prog, fuel: &mut Fuel) -> Result<Val, RunError> {
-        crate::dialect::Dialect::Qlhs
-            .check(p)
-            .map_err(|v| RunError::DialectViolation(v.message()))?;
-        let nvars = p.max_var().map_or(1, |m| m + 1);
-        let mut env = vec![Val::empty(0); nvars.max(1)];
-        self.exec(p, &mut env, fuel)?;
-        Ok(env[0].clone())
+    fn single(x: &Val) -> bool {
+        x.is_singleton()
     }
-
-    /// Runs a program in a caller-supplied environment (for staged
-    /// computations that pre-load inputs into variables).
-    pub fn exec(&mut self, p: &Prog, env: &mut Vec<Val>, fuel: &mut Fuel) -> Result<(), RunError> {
-        fuel.tick()?;
-        match p {
-            Prog::Assign(v, e) => {
-                let val = self.eval_term(e, env, fuel)?;
-                if *v >= env.len() {
-                    env.resize(*v + 1, Val::empty(0));
-                }
-                env[*v] = val;
-            }
-            Prog::Seq(ps) => {
-                for q in ps {
-                    self.exec(q, env, fuel)?;
-                }
-            }
-            Prog::WhileEmpty(v, body) => {
-                let done = self.seminaive
-                    && crate::seminaive::try_loop(
-                        self,
-                        crate::seminaive::LoopKind::Empty,
-                        *v,
-                        body,
-                        env,
-                        fuel,
-                    );
-                if !done {
-                    while env.get(*v).is_none_or(Val::is_empty) {
-                        fuel.tick()?;
-                        self.exec(body, env, fuel)?;
-                    }
-                }
-            }
-            Prog::WhileSingleton(v, body) => {
-                let done = self.seminaive
-                    && crate::seminaive::try_loop(
-                        self,
-                        crate::seminaive::LoopKind::Singleton,
-                        *v,
-                        body,
-                        env,
-                        fuel,
-                    );
-                if !done {
-                    while env.get(*v).is_some_and(Val::is_singleton) {
-                        fuel.tick()?;
-                        self.exec(body, env, fuel)?;
-                    }
-                }
-            }
-            Prog::WhileFinite(_, _) => {
-                return Err(RunError::DialectViolation(
-                    "while |Y|<∞ is a QLf+ construct; QLhs values are always finite sets of representatives",
-                ))
-            }
-        }
-        Ok(())
+    fn finite(_: &Val) -> bool {
+        true
+    }
+    fn size(x: &Val) -> u64 {
+        x.len() as u64
     }
 }
+
+crate::exec::guard_eval!(HsInterp, Val, Dialect::Qlhs);
 
 #[cfg(test)]
 mod tests {

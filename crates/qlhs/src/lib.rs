@@ -10,6 +10,10 @@
 //! * **QLf+** ([`FcfInterp`]) — the finite∕co-finite variant with
 //!   `while |Y|<∞` (§4, Prop 4.3).
 //!
+//! All three run on one statement layer, [`exec`]: a term walker over
+//! the op-level [`exec::Backend`] and one schedule-driven statement
+//! executor.
+//!
 //! [`derived`] supplies the programmability toolkit the completeness
 //! proof leans on: rank-0 booleans, branching combinators, and a
 //! compiler from counter machines to QL programs ("this gives QL the
@@ -21,9 +25,11 @@ pub mod ast;
 pub mod completeness;
 pub mod derived;
 pub mod dialect;
+pub mod exec;
 pub mod fcf_interp;
 pub mod fin_interp;
 pub mod hs_interp;
+pub mod iter_count;
 pub mod optimize;
 pub mod parser;
 pub mod permute;

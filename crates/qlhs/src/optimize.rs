@@ -167,6 +167,7 @@ pub fn term_size(t: &Term) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::eval_term;
     use crate::hs_interp::HsInterp;
     use recdb_core::Fuel;
     use recdb_hsdb::{infinite_clique, paper_example_graph};
@@ -252,8 +253,8 @@ mod tests {
                 for s in [simplify_term(t), simplify_term_with(t, &binary)] {
                     let mut i1 = HsInterp::new(&hs);
                     let mut i2 = HsInterp::new(&hs);
-                    let v1 = i1.eval_term(t, &[], &mut Fuel::new(1_000_000)).unwrap();
-                    let v2 = i2.eval_term(&s, &[], &mut Fuel::new(1_000_000)).unwrap();
+                    let v1 = eval_term(&mut i1, t, &[], &mut Fuel::new(1_000_000)).unwrap();
+                    let v2 = eval_term(&mut i2, &s, &[], &mut Fuel::new(1_000_000)).unwrap();
                     assert_eq!(v1, v2, "simplification changed semantics of {t}");
                 }
             }
@@ -266,8 +267,8 @@ mod tests {
         let t = Term::E.and(Term::E.down()).not().not();
         let s = simplify_term(&t);
         let hs = infinite_clique();
-        let r1 = HsInterp::new(&hs).eval_term(&t, &[], &mut Fuel::new(10_000));
-        let r2 = HsInterp::new(&hs).eval_term(&s, &[], &mut Fuel::new(10_000));
+        let r1 = eval_term(&mut HsInterp::new(&hs), &t, &[], &mut Fuel::new(10_000));
+        let r2 = eval_term(&mut HsInterp::new(&hs), &s, &[], &mut Fuel::new(10_000));
         assert!(r1.is_err() && r2.is_err());
     }
 

@@ -31,11 +31,17 @@
 //!
 //! # The fallback contract
 //!
+//! Only the fuel-only schedule of the statement executor
+//! ([`crate::exec::FuelOnly`], behind the interpreters' `run`/`exec`)
+//! calls [`try_loop`], once per `while` entry, when the interpreter's
+//! semi-naive switch is on. The server's budget schedule never does:
+//! its iteration counts are reported in responses.
+//!
 //! [`try_loop`] never mutates the environment until the loop has run
 //! to successful completion. On *any* obstruction — ineligible body,
 //! non-finite values, a rank mismatch, an evaluation error, fuel
 //! exhaustion — it abandons its private state and returns `false`, and
-//! the interpreter re-runs the untouched from-scratch loop, which
+//! the executor runs the untouched from-scratch loop, which
 //! reproduces the exact from-scratch outcome (including which error is
 //! reported). The from-scratch path thus stays live as the
 //! differential oracle, exactly like `partition_by_local_iso_pairwise`
@@ -48,7 +54,7 @@
 //! `FuelError` the from-scratch loop would.
 
 use crate::ast::{Prog, Term, VarId};
-use crate::value::RunError;
+use crate::exec::GuardEval;
 use recdb_core::{DeltaVar, Fuel, Tuple, TupleInterner};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -215,34 +221,21 @@ pub fn classify_loop(body: &Prog) -> Result<LoopPlan, IneligibleLoop> {
     })
 }
 
-/// The value operations the delta engine needs from a backend's value
-/// type. `Val` (Fin/Hs) is always finite; `FcfVal` exposes its
-/// indicator.
+/// The value operations the delta engine needs beyond
+/// [`GuardEval`]'s. `Val` (Fin/Hs) is always finite; `FcfVal` exposes
+/// its indicator.
 pub trait DeltaValue: Clone {
     /// The value's rank.
     fn rank(&self) -> usize;
-    /// Tuple count of the finite part (the guard cardinality for
-    /// finite values).
-    fn count(&self) -> usize;
-    /// Is the relation finite (the `|Y| < ∞` guard)?
-    fn is_finite(&self) -> bool;
     /// The tuples, if the relation is finite.
     fn finite_tuples(&self) -> Option<&BTreeSet<Tuple>>;
     /// Builds a finite value.
     fn from_tuples(rank: usize, tuples: BTreeSet<Tuple>) -> Self;
-    /// The default for unbound variables: the empty rank-0 relation.
-    fn empty0() -> Self;
 }
 
 impl DeltaValue for crate::value::Val {
     fn rank(&self) -> usize {
         self.rank
-    }
-    fn count(&self) -> usize {
-        self.tuples.len()
-    }
-    fn is_finite(&self) -> bool {
-        true
     }
     fn finite_tuples(&self) -> Option<&BTreeSet<Tuple>> {
         Some(&self.tuples)
@@ -250,20 +243,11 @@ impl DeltaValue for crate::value::Val {
     fn from_tuples(rank: usize, tuples: BTreeSet<Tuple>) -> Self {
         crate::value::Val { rank, tuples }
     }
-    fn empty0() -> Self {
-        crate::value::Val::empty(0)
-    }
 }
 
 impl DeltaValue for crate::fcf_interp::FcfVal {
     fn rank(&self) -> usize {
         self.rank
-    }
-    fn count(&self) -> usize {
-        self.tuples.len()
-    }
-    fn is_finite(&self) -> bool {
-        self.finite
     }
     fn finite_tuples(&self) -> Option<&BTreeSet<Tuple>> {
         self.finite.then_some(&self.tuples)
@@ -275,19 +259,6 @@ impl DeltaValue for crate::fcf_interp::FcfVal {
             tuples,
         }
     }
-    fn empty0() -> Self {
-        crate::fcf_interp::FcfVal::empty(0)
-    }
-}
-
-/// A term evaluator the delta engine can drive — implemented by the
-/// three interpreters, so every `↑`/`↓`/`~`/canonicalization step runs
-/// through the backend's own (already tested) semantics.
-pub trait DeltaBackend {
-    /// The backend's value type.
-    type V: DeltaValue;
-    /// Evaluates a term in an environment.
-    fn eval(&mut self, t: &Term, env: &[Self::V], fuel: &mut Fuel) -> Result<Self::V, RunError>;
 }
 
 /// Which `while` guard the loop uses.
@@ -315,7 +286,7 @@ fn fallback(reason: &'static str) -> bool {
 /// loop instead: the body is outside the provable fragment, a value
 /// was not a finite relation, ranks disagreed with the union shape, an
 /// evaluation error occurred, or fuel ran out.
-pub fn try_loop<B: DeltaBackend>(
+pub fn try_loop<B: GuardEval>(
     backend: &mut B,
     kind: LoopKind,
     guard: VarId,
@@ -333,7 +304,7 @@ pub fn try_loop<B: DeltaBackend>(
     let mut dvs: BTreeMap<VarId, DeltaVar> = BTreeMap::new();
     let mut ranks: BTreeMap<VarId, usize> = BTreeMap::new();
     for &w in &plan.writes {
-        let entry = env.get(w).cloned().unwrap_or_else(B::V::empty0);
+        let entry = env.get(w).cloned().unwrap_or_else(B::unset);
         let Some(tuples) = entry.finite_tuples() else {
             return fallback("co-finite loop variable");
         };
@@ -344,16 +315,16 @@ pub fn try_loop<B: DeltaBackend>(
         ranks.insert(w, entry.rank());
         dvs.insert(w, dv);
     }
-    let guard_size = |dvs: &BTreeMap<VarId, DeltaVar>, env: &[B::V]| -> usize {
+    let guard_size = |dvs: &BTreeMap<VarId, DeltaVar>, env: &[B::V]| -> u64 {
         match dvs.get(&guard) {
-            Some(dv) => dv.len(),
-            None => env.get(guard).map_or(0, DeltaValue::count),
+            Some(dv) => dv.len() as u64,
+            None => env.get(guard).map_or(0, B::size),
         }
     };
     let guard_finite = |dvs: &BTreeMap<VarId, DeltaVar>, env: &[B::V]| -> bool {
         match dvs.get(&guard) {
             Some(_) => true, // loop variables stay finite by construction
-            None => env.get(guard).is_none_or(DeltaValue::is_finite),
+            None => env.get(guard).is_none_or(|v| v.finite_tuples().is_some()),
         }
     };
     let continues = |dvs: &BTreeMap<VarId, DeltaVar>, env: &[B::V]| -> bool {
@@ -366,7 +337,7 @@ pub fn try_loop<B: DeltaBackend>(
     // Scratch environment: entry values (K-subterms are W-free, so
     // these never go stale) plus the delta staging slot.
     let mut scratch_env: Vec<B::V> = (0..=plan.scratch)
-        .map(|v| env.get(v).cloned().unwrap_or_else(B::V::empty0))
+        .map(|v| env.get(v).cloned().unwrap_or_else(B::unset))
         .collect();
     let mut cursors = vec![0usize; plan.stmts.len()];
     let mut rounds: u64 = 0;
@@ -405,7 +376,7 @@ pub fn try_loop<B: DeltaBackend>(
                     if rounds > 1 {
                         continue; // constant source: contributed on round 1
                     }
-                    B::V::empty0()
+                    B::unset()
                 }
             };
             scratch_env[plan.scratch] = delta;
@@ -448,7 +419,7 @@ pub fn try_loop<B: DeltaBackend>(
             let tuples: BTreeSet<Tuple> =
                 dv.iter().map(|id| interner.resolve(id).clone()).collect();
             if w >= env.len() {
-                env.resize(w + 1, B::V::empty0());
+                env.resize(w + 1, B::unset());
             }
             env[w] = B::V::from_tuples(ranks[&w], tuples);
         }
@@ -463,7 +434,7 @@ mod tests {
     use super::*;
     use crate::ast::{Prog, Term};
     use crate::fin_interp::FinInterp;
-    use crate::value::Val;
+    use crate::value::{RunError, Val};
     use recdb_core::FiniteStructure;
 
     fn union_assign(v: VarId, s: Term) -> Prog {
@@ -545,7 +516,7 @@ mod tests {
     fn seminaive_matches_from_scratch_on_reachability() {
         let st = path(8);
         let p = reach_prog(7);
-        let on = FinInterp::new(&st);
+        let mut on = FinInterp::new(&st);
         let mut off = FinInterp::new(&st);
         off.set_seminaive(false);
         let a = on.run(&p, &mut Fuel::new(1_000_000));
@@ -560,7 +531,7 @@ mod tests {
         let st = path(6);
         // Surface Y2 (the frontier) as the program result.
         let p = Prog::seq([reach_prog(5), Prog::assign(0, Term::Var(1))]);
-        let interp = FinInterp::new(&st);
+        let mut interp = FinInterp::new(&st);
         let v = interp.run(&p, &mut Fuel::new(1_000_000)).expect("runs");
         assert_eq!(v.rank, 1);
         assert_eq!(v.len(), 6, "every path node reached");
@@ -575,7 +546,7 @@ mod tests {
             Prog::assign(1, Term::Const(0)),
             Prog::WhileEmpty(2, Box::new(body)),
         ]);
-        let interp = FinInterp::new(&st);
+        let mut interp = FinInterp::new(&st);
         let mut env = vec![Val::empty(0); 3];
         let mut fuel = Fuel::new(50_000);
         let r = interp.exec(&p, &mut env, &mut fuel);
@@ -589,7 +560,7 @@ mod tests {
         // Y2 entry rank 0 (uninitialized), source rank 1: the union's
         // ∩ mismatches on iteration 1 in both engines.
         let p = Prog::WhileEmpty(1, Box::new(union_assign(1, Term::Const(0))));
-        let interp = FinInterp::new(&st);
+        let mut interp = FinInterp::new(&st);
         let mut env = vec![Val::empty(0); 2];
         let r = interp.exec(&p, &mut env, &mut Fuel::new(10_000));
         assert!(matches!(r, Err(RunError::RankMismatch { .. })), "{r:?}");

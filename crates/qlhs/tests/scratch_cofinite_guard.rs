@@ -31,7 +31,7 @@ fn cofinite_guard_matches_from_scratch() {
     scratch.set_seminaive(false);
     let a = scratch.run(&p, &mut Fuel::new(60_000));
 
-    let delta = FcfInterp::new(&db); // semi-naive on by default
+    let mut delta = FcfInterp::new(&db); // semi-naive on by default
     let b = delta.run(&p, &mut Fuel::new(60_000));
 
     assert_eq!(a, b, "from-scratch: {a:?}, semi-naive: {b:?}");

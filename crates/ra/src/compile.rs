@@ -334,7 +334,7 @@ mod tests {
         let compiled = compile_program(p, &schema).unwrap();
         let dom: Vec<Elem> = st.universe().to_vec();
         let direct = eval_program(p, &schema, &st, &dom).unwrap();
-        let interp = FinInterp::new(&st);
+        let mut interp = FinInterp::new(&st);
         let got = interp
             .run(&compiled.prog, &mut Fuel::new(1_000_000))
             .unwrap();

@@ -22,8 +22,9 @@
 //!
 //! Module map: [`json`] (parser/renderer) → [`http`] (wire framing) →
 //! [`proto`] (typed requests, validation, deterministic result
-//! rendering) → [`admit`] (analysis → plan) → [`exec`] (the counted,
-//! preemptible statement executor) → [`cache`] (canonicalization +
+//! rendering) → [`admit`] (analysis → plan) → [`exec`] (the statement
+//! layer's budget schedule, re-exported from `recdb-qlhs`: bounded,
+//! preemptible execution) → [`cache`] (canonicalization +
 //! sharded result cache) → [`server`] (accept loop, worker pool,
 //! routing) → [`client`] (the test/loadgen client).
 
@@ -32,11 +33,13 @@
 pub mod admit;
 pub mod cache;
 pub mod client;
-pub mod exec;
 pub mod http;
 pub mod json;
 pub mod proto;
 pub mod server;
 
 pub use client::{post_once, ClientError, Conn, Response};
+/// The statement layer admitted programs run under, re-exported at
+/// the path downstream code has always imported it from.
+pub use recdb_qlhs::exec;
 pub use server::{ServeConfig, Server};

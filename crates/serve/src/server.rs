@@ -11,7 +11,6 @@
 
 use crate::admit::{admit, Admission, AdmitLimits, AdmitOutcome, Plan};
 use crate::cache::{canonicalize_finite, CachedResult, ResultCache};
-use crate::exec::{run_scheduled, Budget, ExecEnd, GuardEval};
 use crate::http::{read_request, write_response, HttpError, ReadOutcome, Request};
 use crate::json::{esc, parse, Json};
 use crate::proto::{
@@ -21,8 +20,9 @@ use recdb_analyze::{analyze_formula, CostEnv, Diagnostic};
 use recdb_core::{Elem, QueryOutcome};
 use recdb_hsdb::HsDatabase;
 use recdb_logic::{finite_as_db, LMinusQuery};
+use recdb_qlhs::exec::{run_scheduled, Backend, Budget, ExecEnd, ExecResult, GuardEval};
 use recdb_qlhs::{Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Val};
-use recdb_vm::{compile, exec_scheduled, verify, LowerOpts, VmBackend, VmBudget, VmEnd, VmProg};
+use recdb_vm::{compile, exec_scheduled, verify, LowerOpts, VmProg};
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -441,12 +441,11 @@ fn execute_query(req: &QueryRequest, shared: &Shared, ws: &mut WorkerState) -> (
     match &req.db {
         DbSpec::Finite(st) => {
             let mut interp = FinInterp::new(st);
-            interp.set_seminaive(true);
-            serve_rel(&mut interp, dialect, &adm, vm_prog, shared, &mode, work_cap)
+            serve(&mut interp, dialect, &adm, vm_prog, shared, &mode, work_cap)
         }
         DbSpec::Family(_) | DbSpec::Cells(_) => match worker_hs_interp(ws, &req.db) {
             Some(descr) => match ws.hs.get_mut(&descr) {
-                Some(interp) => serve_rel(interp, dialect, &adm, vm_prog, shared, &mode, work_cap),
+                Some(interp) => serve(interp, dialect, &adm, vm_prog, shared, &mode, work_cap),
                 None => internal("worker shard lookup failed"),
             },
             None => {
@@ -454,8 +453,7 @@ fn execute_query(req: &QueryRequest, shared: &Shared, ws: &mut WorkerState) -> (
                 match build_hs(&req.db) {
                     Some(hs) => {
                         let mut interp = HsInterp::new(&hs);
-                        interp.set_seminaive(true);
-                        serve_rel(&mut interp, dialect, &adm, vm_prog, shared, &mode, work_cap)
+                        serve(&mut interp, dialect, &adm, vm_prog, shared, &mode, work_cap)
                     }
                     None => internal("family resolution failed after admission"),
                 }
@@ -463,8 +461,7 @@ fn execute_query(req: &QueryRequest, shared: &Shared, ws: &mut WorkerState) -> (
         },
         DbSpec::Fcf(db) => {
             let mut interp = FcfInterp::new(db);
-            interp.set_seminaive(true);
-            serve_fcf(&mut interp, dialect, &adm, vm_prog, shared, &mode, work_cap)
+            serve(&mut interp, dialect, &adm, vm_prog, shared, &mode, work_cap)
         }
     }
 }
@@ -662,9 +659,9 @@ fn predicted_work(adm: &Admission, db: &DbSpec) -> Option<u64> {
 
 /// Runs an admitted program: on the register VM when a
 /// verifier-accepted compilation is in hand, on the tree-walking
-/// counted executor otherwise. The two paths are event-for-event
-/// equivalent (same guards, same fuel ticks, same scheduling ends), so
-/// callers never observe which one ran.
+/// statement executor otherwise. Both run under the same budget
+/// schedule, event for event (same guards, same fuel ticks, same
+/// scheduling ends), so callers never observe which one ran.
 fn run_admitted<B>(
     b: &mut B,
     dialect: Dialect,
@@ -672,53 +669,73 @@ fn run_admitted<B>(
     vm: Option<&VmProg>,
     budget: &Budget<'_>,
     preempt: &AtomicBool,
-) -> crate::exec::ExecResult<<B as GuardEval>::V>
+) -> ExecResult<<B as GuardEval>::V>
 where
-    B: GuardEval + VmBackend<V = <B as GuardEval>::V>,
+    B: GuardEval + Backend<V = <B as GuardEval>::V>,
 {
     let Some(prog) = vm else {
         return run_scheduled(b, dialect, &adm.prog, budget, preempt);
     };
     recdb_obs::count("serve.vm.runs", 1);
-    let vb = VmBudget {
-        bounds: budget.bounds,
-        total_cap: budget.total_cap,
-        fuel: budget.fuel,
-        work_cap: budget.work_cap,
-    };
-    let r = exec_scheduled(b, prog, &vb, preempt);
-    let end = match r.end {
-        VmEnd::Done(v) => ExecEnd::Done(v),
-        VmEnd::Errored(e) => ExecEnd::Errored(e),
-        VmEnd::OutOfFuel => ExecEnd::OutOfFuel,
-        VmEnd::Preempted => ExecEnd::Preempted,
-        VmEnd::BoundExceeded { path, bound } => ExecEnd::BoundExceeded { path, bound },
-        VmEnd::TotalExceeded { cap } => ExecEnd::TotalExceeded { cap },
-        VmEnd::WorkExceeded { cap } => ExecEnd::WorkExceeded { cap },
-    };
-    crate::exec::ExecResult {
-        end,
-        iterations: r.iterations,
-        work: r.work,
+    exec_scheduled(b, prog, budget, preempt)
+}
+
+/// What serving needs from a backend's value type: its cache slot,
+/// its transport through a permutation `π`, and its JSON rendering.
+trait Served: Clone {
+    fn cached(entry: &CachedResult) -> Option<&Self>;
+    fn into_cached(self) -> CachedResult;
+    /// `π` (forward) or `π⁻¹` applied to every element. Descriptor-keyed
+    /// slices (fcf) never carry a transport, so identity is the default.
+    fn transport(&self, _p: &Permutation, _forward: bool) -> Self {
+        self.clone()
+    }
+    fn render(&self) -> String;
+}
+
+impl Served for Val {
+    fn cached(entry: &CachedResult) -> Option<&Val> {
+        match entry {
+            CachedResult::Rel(v) => Some(v),
+            CachedResult::Fcf(_) => None,
+        }
+    }
+    fn into_cached(self) -> CachedResult {
+        CachedResult::Rel(self)
+    }
+    fn transport(&self, p: &Permutation, forward: bool) -> Val {
+        Val {
+            rank: self.rank,
+            tuples: self
+                .tuples
+                .iter()
+                .map(|t| t.map(|e: Elem| if forward { p.apply(e) } else { p.apply_inv(e) }))
+                .collect(),
+        }
+    }
+    fn render(&self) -> String {
+        result_json(self)
     }
 }
 
-/// Transports a relation value through `π` (forward) or `π⁻¹`.
-fn transport_val(v: &Val, p: &Permutation, forward: bool) -> Val {
-    Val {
-        rank: v.rank,
-        tuples: v
-            .tuples
-            .iter()
-            .map(|t| t.map(|e: Elem| if forward { p.apply(e) } else { p.apply_inv(e) }))
-            .collect(),
+impl Served for FcfVal {
+    fn cached(entry: &CachedResult) -> Option<&FcfVal> {
+        match entry {
+            CachedResult::Fcf(v) => Some(v),
+            CachedResult::Rel(_) => None,
+        }
+    }
+    fn into_cached(self) -> CachedResult {
+        CachedResult::Fcf(self)
+    }
+    fn render(&self) -> String {
+        fcf_result_json(self)
     }
 }
 
-/// The shared post-execution path for relation-valued backends
-/// (`FinInterp`/`HsInterp`): cache lookup, execution, cache fill, and
-/// response rendering.
-fn serve_rel<B: GuardEval<V = Val> + VmBackend<V = Val>>(
+/// The post-admission path every backend shares: cache lookup,
+/// execution, cache fill, and response rendering.
+fn serve<V, B>(
     b: &mut B,
     dialect: Dialect,
     adm: &Admission,
@@ -726,21 +743,25 @@ fn serve_rel<B: GuardEval<V = Val> + VmBackend<V = Val>>(
     shared: &Shared,
     mode: &CacheMode<'_>,
     work_cap: Option<u64>,
-) -> (u16, String) {
+) -> (u16, String)
+where
+    V: Served,
+    B: GuardEval<V = V> + Backend<V = V>,
+{
     if let CacheMode::Keyed { key, transport } = mode {
         if let Some(entry) = shared.cache.get(key) {
-            if let CachedResult::Rel(qk) = &*entry {
+            if let Some(qk) = V::cached(&entry) {
                 recdb_obs::count("serve.cache.hits", 1);
                 let answer = match transport {
-                    Some(p) => transport_val(qk, p, false),
+                    Some(p) => qk.transport(p, false),
                     None => qk.clone(),
                 };
-                let rendered = result_json(&answer);
+                let rendered = answer.render();
                 if shared.cfg.verify_hits {
                     let budget = budget_for(&adm.plan, shared.cfg.fuel_max, work_cap);
                     let fresh = run_admitted(b, dialect, adm, vm, &budget, &shared.preempt);
                     match fresh.end {
-                        ExecEnd::Done(v) if result_json(&v) == rendered => {
+                        ExecEnd::Done(v) if v.render() == rendered => {
                             recdb_obs::count("serve.cache.verified", 1);
                         }
                         _ => {
@@ -765,86 +786,20 @@ fn serve_rel<B: GuardEval<V = Val> + VmBackend<V = Val>>(
     match r.end {
         ExecEnd::Done(v) => {
             recdb_obs::observe("serve.iterations", r.iterations);
+            let rendered = v.render();
             if let CacheMode::Keyed { key, transport } = mode {
                 let canonical = match transport {
-                    Some(p) => transport_val(&v, p, true),
-                    None => v.clone(),
+                    Some(p) => v.transport(p, true),
+                    None => v,
                 };
-                shared.cache.put(key, CachedResult::Rel(canonical));
+                shared.cache.put(key, canonical.into_cached());
             }
             (
                 200,
-                ok_body(
-                    mode.label(false),
-                    r.iterations,
-                    adm.plan.mode(),
-                    &result_json(&v),
-                ),
+                ok_body(mode.label(false), r.iterations, adm.plan.mode(), &rendered),
             )
         }
         end => error_response(&end, r.iterations, &adm.plan),
-    }
-}
-
-/// The fcf twin of [`serve_rel`] (identity transport only — fcf slices
-/// are descriptor-keyed).
-fn serve_fcf(
-    b: &mut FcfInterp<'_>,
-    dialect: Dialect,
-    adm: &Admission,
-    vm: Option<&VmProg>,
-    shared: &Shared,
-    mode: &CacheMode<'_>,
-    work_cap: Option<u64>,
-) -> (u16, String) {
-    if let CacheMode::Keyed { key, .. } = mode {
-        if let Some(entry) = shared.cache.get(key) {
-            if let CachedResult::Fcf(qk) = &*entry {
-                recdb_obs::count("serve.cache.hits", 1);
-                let rendered = fcf_result_json(qk);
-                if shared.cfg.verify_hits {
-                    let budget = budget_for(&adm.plan, shared.cfg.fuel_max, work_cap);
-                    let fresh = run_admitted(b, dialect, adm, vm, &budget, &shared.preempt);
-                    match fresh.end {
-                        ExecEnd::Done(v) if fcf_result_json(&v) == rendered => {
-                            recdb_obs::count("serve.cache.verified", 1);
-                        }
-                        _ => {
-                            recdb_obs::count("serve.soundness_violations", 1);
-                            shared.cache.evict(key);
-                            return (
-                                500,
-                                "{\"error\":\"cache hit failed differential verification\",\
-                                 \"status\":\"error\",\"violation\":\"cache-differential\"}"
-                                    .to_string(),
-                            );
-                        }
-                    }
-                }
-                return (200, ok_body("hit", 0, adm.plan.mode(), &rendered));
-            }
-        }
-        recdb_obs::count("serve.cache.misses", 1);
-    }
-    let budget = budget_for(&adm.plan, shared.cfg.fuel_max, work_cap);
-    let r = run_admitted(b, dialect, adm, vm, &budget, &shared.preempt);
-    match r.end {
-        ExecEnd::Done(v) => {
-            recdb_obs::observe("serve.iterations", r.iterations);
-            if let CacheMode::Keyed { key, .. } = mode {
-                shared.cache.put(key, CachedResult::Fcf(v.clone()));
-            }
-            (
-                200,
-                ok_body(
-                    mode.label(false),
-                    r.iterations,
-                    adm.plan.mode(),
-                    &fcf_result_json(&v),
-                ),
-            )
-        }
-        end => error_response::<FcfVal>(&end, r.iterations, &adm.plan),
     }
 }
 
@@ -956,9 +911,7 @@ fn worker_hs_interp(ws: &mut WorkerState, db: &DbSpec) -> Option<String> {
         }
     };
     let hs = leaked?;
-    let mut interp = HsInterp::new(hs);
-    interp.set_seminaive(true);
-    ws.hs.insert(descr.clone(), interp);
+    ws.hs.insert(descr.clone(), HsInterp::new(hs));
     Some(descr)
 }
 

@@ -149,9 +149,9 @@ pub enum Inst {
     },
     /// Loop head: evaluate the guard on `var`'s home register
     /// (fuel-free, as in the tree-walkers); jump to `exit` when the
-    /// guard says stop. In scheduled mode the fall-through path also
-    /// checks preemption, the proved per-loop bound, and the total
-    /// iteration budget — in exactly the counted executor's order.
+    /// guard says stop. The fall-through path is one iteration event
+    /// for the run's schedule (under the budget schedule: preemption,
+    /// the proved per-loop bound, and the total iteration budget).
     Guard {
         /// Index into [`VmProg::loops`].
         loop_id: usize,

@@ -1,197 +1,42 @@
-//! The register VM: plain (fuel-only) and scheduled executors over a
-//! verifier-accepted [`VmProg`].
+//! The register VM's one dispatch loop over a verifier-accepted
+//! [`VmProg`], driven by the statement layer's schedules.
 //!
-//! Value semantics are the interpreters' own: [`VmBackend`] is
-//! implemented by `FinInterp`/`HsInterp`/`FcfInterp` by delegating to
-//! the same `op_*` primitives their `eval_term` drivers dispatch to,
-//! so the VM and the tree-walkers share semantics by construction.
-//! What the VM removes from the hot loop is everything *around* the
-//! ops: per-node recursion, per-node fuel ticks (pre-summed into each
-//! instruction's `ticks` field), per-request dialect re-checks, and
-//! env option-handling — all discharged statically by the compiler
-//! and re-proved by the verifier.
-//!
-//! [`exec_scheduled`] mirrors the serve counted executor event by
-//! event: guard evaluation is fuel-free; on a passing guard the order
-//! is preempt check, per-entry counter, total counter, proved-bound
-//! check, total-budget check, then the iteration tick (carried by the
-//! next instruction); work is committed after each assignment.
+//! The loop calls the same [`Backend`] ops as the tree walker
+//! ([`recdb_qlhs::exec::eval_term`]), so the two share value
+//! semantics by construction. What the VM removes is everything
+//! *around* the ops: recursion, per-node fuel ticks (pre-summed into
+//! each instruction's `ticks`), dialect re-checks, and env
+//! option-handling — discharged by the compiler, re-proved by the
+//! verifier. It calls the [`Schedule`] where the tree-walking executor
+//! does: a passing guard is an iteration event (its tick rides on the
+//! next instruction), a failing guard a loop exit, each `Commit` an
+//! assignment. [`exec_plain`] runs it under the fuel-only schedule,
+//! [`exec_scheduled`] under the budget schedule; both monomorphize.
 
 use crate::bytecode::{GuardKind, Inst, VmProg};
 use recdb_core::Fuel;
-use recdb_qlhs::{FcfInterp, FcfVal, FinInterp, HsInterp, RunError, Val};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use recdb_qlhs::exec::{Backend, Budget, Budgeted, ExecEnd, ExecResult, FuelOnly, Schedule};
+use recdb_qlhs::RunError;
+use std::sync::atomic::AtomicBool;
 
-/// One backend's value operations, as the VM needs them. The `op_*`
-/// methods must match the tree-walking interpreter's semantics and
-/// internal (data-dependent) fuel exactly; entry ticks are the VM's
-/// job.
-pub trait VmBackend {
-    /// The value type the backend computes with.
-    type V: Clone;
-    /// The value an unassigned variable holds.
-    fn unset(&self) -> Self::V;
-    /// The diagonal `E` (infallible on every backend).
-    fn e(&mut self) -> Self::V;
-    /// Schema relation `i` (0-based).
-    fn rel(&mut self, i: usize) -> Result<Self::V, RunError>;
-    /// The singleton `{(c)}`.
-    fn constant(&mut self, c: u64) -> Self::V;
-    /// Intersection.
-    fn and(&mut self, a: &Self::V, b: &Self::V) -> Result<Self::V, RunError>;
-    /// Complement (charges its data-dependent fuel itself).
-    fn not(&mut self, x: &Self::V, fuel: &mut Fuel) -> Result<Self::V, RunError>;
-    /// Rank raise (charges its data-dependent fuel itself).
-    fn up(&mut self, x: &Self::V, fuel: &mut Fuel) -> Result<Self::V, RunError>;
-    /// Rank lower (charges its data-dependent fuel itself).
-    fn down(&mut self, x: &Self::V, fuel: &mut Fuel) -> Result<Self::V, RunError>;
-    /// First-two-coordinate swap (charges its data-dependent fuel
-    /// itself).
-    fn swap(&mut self, x: &Self::V, fuel: &mut Fuel) -> Result<Self::V, RunError>;
-    /// The `while |Y|=0` predicate.
-    fn empty(x: &Self::V) -> bool;
-    /// The `while |Y|=1` predicate (only compiled for QLhs).
-    fn single(x: &Self::V) -> bool;
-    /// The `while |Y|<∞` predicate (only compiled for QLf⁺).
-    fn finite(x: &Self::V) -> bool;
-    /// Stored size — the counted executor's work unit.
-    fn size(x: &Self::V) -> u64;
-}
+/// The op-level backend trait, under the name VM callers have always
+/// imported (kept so downstream code compiles unchanged).
+pub use recdb_qlhs::exec::Backend as VmBackend;
 
-impl VmBackend for FinInterp<'_> {
-    type V = Val;
-    fn unset(&self) -> Val {
-        Val::empty(0)
-    }
-    fn e(&mut self) -> Val {
-        self.op_e()
-    }
-    fn rel(&mut self, i: usize) -> Result<Val, RunError> {
-        self.op_rel(i)
-    }
-    fn constant(&mut self, c: u64) -> Val {
-        self.op_const(c)
-    }
-    fn and(&mut self, a: &Val, b: &Val) -> Result<Val, RunError> {
-        FinInterp::op_and(a, b)
-    }
-    fn not(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
-        self.op_not(x, fuel)
-    }
-    fn up(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
-        self.op_up(x, fuel)
-    }
-    fn down(&mut self, x: &Val, _fuel: &mut Fuel) -> Result<Val, RunError> {
-        FinInterp::op_down(x)
-    }
-    fn swap(&mut self, x: &Val, _fuel: &mut Fuel) -> Result<Val, RunError> {
-        FinInterp::op_swap(x)
-    }
-    fn empty(x: &Val) -> bool {
-        x.is_empty()
-    }
-    fn single(x: &Val) -> bool {
-        x.is_singleton()
-    }
-    fn finite(_: &Val) -> bool {
-        true
-    }
-    fn size(x: &Val) -> u64 {
-        x.len() as u64
-    }
-}
-
-impl VmBackend for HsInterp<'_> {
-    type V = Val;
-    fn unset(&self) -> Val {
-        Val::empty(0)
-    }
-    fn e(&mut self) -> Val {
-        self.op_e()
-    }
-    fn rel(&mut self, i: usize) -> Result<Val, RunError> {
-        self.op_rel(i)
-    }
-    fn constant(&mut self, c: u64) -> Val {
-        self.op_const(c)
-    }
-    fn and(&mut self, a: &Val, b: &Val) -> Result<Val, RunError> {
-        HsInterp::op_and(a, b)
-    }
-    fn not(&mut self, x: &Val, _fuel: &mut Fuel) -> Result<Val, RunError> {
-        Ok(self.op_not(x))
-    }
-    fn up(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
-        self.op_up(x, fuel)
-    }
-    fn down(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
-        self.op_down(x, fuel)
-    }
-    fn swap(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
-        self.op_swap(x, fuel)
-    }
-    fn empty(x: &Val) -> bool {
-        x.is_empty()
-    }
-    fn single(x: &Val) -> bool {
-        x.is_singleton()
-    }
-    fn finite(_: &Val) -> bool {
-        true
-    }
-    fn size(x: &Val) -> u64 {
-        x.len() as u64
-    }
-}
-
-impl VmBackend for FcfInterp<'_> {
-    type V = FcfVal;
-    fn unset(&self) -> FcfVal {
-        FcfVal::empty(0)
-    }
-    fn e(&mut self) -> FcfVal {
-        self.op_e()
-    }
-    fn rel(&mut self, i: usize) -> Result<FcfVal, RunError> {
-        self.op_rel(i)
-    }
-    fn constant(&mut self, c: u64) -> FcfVal {
-        self.op_const(c)
-    }
-    fn and(&mut self, a: &FcfVal, b: &FcfVal) -> Result<FcfVal, RunError> {
-        FcfInterp::op_and(a, b)
-    }
-    fn not(&mut self, x: &FcfVal, _fuel: &mut Fuel) -> Result<FcfVal, RunError> {
-        Ok(FcfInterp::op_not(x))
-    }
-    fn up(&mut self, x: &FcfVal, fuel: &mut Fuel) -> Result<FcfVal, RunError> {
-        self.op_up(x, fuel)
-    }
-    fn down(&mut self, x: &FcfVal, _fuel: &mut Fuel) -> Result<FcfVal, RunError> {
-        FcfInterp::op_down(x)
-    }
-    fn swap(&mut self, x: &FcfVal, _fuel: &mut Fuel) -> Result<FcfVal, RunError> {
-        FcfInterp::op_swap(x)
-    }
-    fn empty(x: &FcfVal) -> bool {
-        x.is_empty_relation()
-    }
-    fn single(_: &FcfVal) -> bool {
-        false
-    }
-    fn finite(x: &FcfVal) -> bool {
-        x.finite
-    }
-    fn size(x: &FcfVal) -> u64 {
-        x.tuples.len() as u64
-    }
-}
+/// The scheduling envelope of a VM run — the statement layer's
+/// [`Budget`] (alias kept so downstream code compiles unchanged).
+pub type VmBudget<'a> = Budget<'a>;
+/// How a scheduled VM run ended — the statement layer's [`ExecEnd`]
+/// (alias kept so downstream code compiles unchanged).
+pub type VmEnd<V> = ExecEnd<V>;
+/// A scheduled VM outcome — the statement layer's [`ExecResult`]
+/// (alias kept so downstream code compiles unchanged).
+pub type VmRun<V> = ExecResult<V>;
 
 const TRAP_MSG: &str = "vm: loop ran past its statically proved bound";
 const PC_MSG: &str = "vm: fell off the instruction stream";
 
-fn guard_go<B: VmBackend>(kind: GuardKind, v: &B::V) -> bool {
+fn guard_go<B: Backend>(kind: GuardKind, v: &B::V) -> bool {
     match kind {
         GuardKind::Empty => B::empty(v),
         GuardKind::Single => B::single(v),
@@ -199,33 +44,38 @@ fn guard_go<B: VmBackend>(kind: GuardKind, v: &B::V) -> bool {
     }
 }
 
-/// Runs a verifier-accepted program under a plain fuel budget — the
-/// VM analogue of the interpreters' from-scratch `run` entry points
-/// (semi-naive evaluation off), with identical observable fuel.
-pub fn exec_plain<B: VmBackend>(
+fn burn(fuel: &mut Fuel, ticks: u32) -> Result<(), RunError> {
+    Ok(fuel.consume(u64::from(ticks))?)
+}
+
+/// The dispatch loop: runs `prog` to `Halt` under schedule `s`; the
+/// result is `Y1`.
+fn run<B: Backend, S: Schedule>(
     b: &mut B,
     prog: &VmProg,
     fuel: &mut Fuel,
-) -> Result<B::V, RunError> {
+    s: &mut S,
+) -> Result<B::V, S::Stop> {
     let mut frame: Vec<B::V> = vec![b.unset(); prog.frame.max(1)];
+    let mut here: Vec<u64> = vec![0; prog.loops.len()];
     let mut pc = 0usize;
     loop {
         let inst = prog.code.get(pc).ok_or(RunError::Internal(PC_MSG))?;
         match inst {
             Inst::E { dst, ticks } => {
-                fuel.consume(u64::from(*ticks))?;
+                burn(fuel, *ticks)?;
                 frame[*dst] = b.e();
             }
             Inst::Rel { dst, rel, ticks } => {
-                fuel.consume(u64::from(*ticks))?;
+                burn(fuel, *ticks)?;
                 frame[*dst] = b.rel(*rel)?;
             }
             Inst::Const { dst, val, ticks } => {
-                fuel.consume(u64::from(*ticks))?;
+                burn(fuel, *ticks)?;
                 frame[*dst] = b.constant(*val);
             }
             Inst::Copy { dst, src, ticks } => {
-                fuel.consume(u64::from(*ticks))?;
+                burn(fuel, *ticks)?;
                 frame[*dst] = frame[*src].clone();
             }
             Inst::And {
@@ -234,215 +84,29 @@ pub fn exec_plain<B: VmBackend>(
                 b: rb,
                 ticks,
             } => {
-                fuel.consume(u64::from(*ticks))?;
+                burn(fuel, *ticks)?;
                 frame[*dst] = b.and(&frame[*a], &frame[*rb])?;
             }
             Inst::Not { dst, src, ticks } => {
-                fuel.consume(u64::from(*ticks))?;
-                let v = b.not(&frame[*src], fuel)?;
-                frame[*dst] = v;
+                burn(fuel, *ticks)?;
+                frame[*dst] = b.not(&frame[*src], fuel)?;
             }
             Inst::Up { dst, src, ticks } => {
-                fuel.consume(u64::from(*ticks))?;
-                let v = b.up(&frame[*src], fuel)?;
-                frame[*dst] = v;
+                burn(fuel, *ticks)?;
+                frame[*dst] = b.up(&frame[*src], fuel)?;
             }
             Inst::Down { dst, src, ticks } => {
-                fuel.consume(u64::from(*ticks))?;
-                let v = b.down(&frame[*src], fuel)?;
-                frame[*dst] = v;
+                burn(fuel, *ticks)?;
+                frame[*dst] = b.down(&frame[*src], fuel)?;
             }
             Inst::Swap { dst, src, ticks } => {
-                fuel.consume(u64::from(*ticks))?;
-                let v = b.swap(&frame[*src], fuel)?;
-                frame[*dst] = v;
+                burn(fuel, *ticks)?;
+                frame[*dst] = b.swap(&frame[*src], fuel)?;
             }
-            Inst::Commit { .. } => {}
-            Inst::Nop { ticks } | Inst::Enter { ticks, .. } => {
-                fuel.consume(u64::from(*ticks))?;
-            }
-            Inst::Guard {
-                var, kind, exit, ..
-            } => {
-                if !guard_go::<B>(*kind, &frame[*var]) {
-                    pc = *exit;
-                    continue;
-                }
-            }
-            Inst::Back { to, ticks } => {
-                fuel.consume(u64::from(*ticks))?;
-                pc = *to;
-                continue;
-            }
-            Inst::Trap { .. } => return Err(RunError::Internal(TRAP_MSG)),
-            Inst::Halt { ticks } => {
-                fuel.consume(u64::from(*ticks))?;
-                return Ok(frame.swap_remove(0));
-            }
-        }
-        pc += 1;
-    }
-}
-
-/// The scheduling envelope a VM run executes under — field-for-field
-/// the serve counted executor's budget (the crates cannot share the
-/// type without inverting the dependency; serve converts).
-#[derive(Clone, Debug)]
-pub struct VmBudget<'a> {
-    /// Proved per-entry bounds by loop tree path (empty in fuel mode).
-    pub bounds: &'a BTreeMap<Vec<u32>, u64>,
-    /// Whole-program iteration cap.
-    pub total_cap: u64,
-    /// The fuel budget.
-    pub fuel: u64,
-    /// Statically predicted total work, when derived.
-    pub work_cap: Option<u64>,
-}
-
-/// How a scheduled VM run ended — the counted executor's `ExecEnd`,
-/// mirrored.
-#[derive(Debug)]
-pub enum VmEnd<V> {
-    /// Completed; the payload is `Y1`.
-    Done(V),
-    /// A runtime error other than fuel exhaustion.
-    Errored(RunError),
-    /// Fuel ran out.
-    OutOfFuel,
-    /// The cooperative-preemption flag was raised at a loop head.
-    Preempted,
-    /// A proved per-loop bound was exceeded.
-    BoundExceeded {
-        /// The loop's tree path.
-        path: Vec<u32>,
-        /// The bound it was proved to respect.
-        bound: u64,
-    },
-    /// The proved whole-program budget was exceeded.
-    TotalExceeded {
-        /// The proved whole-program budget.
-        cap: u64,
-    },
-    /// The statically predicted work bound was exceeded.
-    WorkExceeded {
-        /// The predicted work bound.
-        cap: u64,
-    },
-}
-
-/// A scheduled VM outcome plus its accounting.
-#[derive(Debug)]
-pub struct VmRun<V> {
-    /// How the run ended.
-    pub end: VmEnd<V>,
-    /// Total loop iterations executed.
-    pub iterations: u64,
-    /// Total tuples materialized by committed assignments.
-    pub work: u64,
-}
-
-/// Runs a verifier-accepted program under the serve scheduling
-/// envelope. The caller is responsible for having dialect-checked the
-/// program (compilation obstructs on dialect violations, so a
-/// verifier-accepted program is dialect-legal by construction).
-pub fn exec_scheduled<B: VmBackend>(
-    b: &mut B,
-    prog: &VmProg,
-    budget: &VmBudget<'_>,
-    preempt: &AtomicBool,
-) -> VmRun<B::V> {
-    let mut fuel = Fuel::new(budget.fuel);
-    let mut frame: Vec<B::V> = vec![b.unset(); prog.frame.max(1)];
-    let mut here: Vec<u64> = vec![0; prog.loops.len()];
-    let mut total = 0u64;
-    let mut work = 0u64;
-    let mut pc = 0usize;
-    macro_rules! done {
-        ($end:expr) => {
-            return VmRun {
-                end: $end,
-                iterations: total,
-                work,
-            }
-        };
-    }
-    macro_rules! burn {
-        ($t:expr) => {
-            if fuel.consume(u64::from($t)).is_err() {
-                done!(VmEnd::OutOfFuel);
-            }
-        };
-    }
-    macro_rules! op {
-        ($e:expr) => {
-            match $e {
-                Ok(v) => v,
-                Err(RunError::Fuel(_)) => done!(VmEnd::OutOfFuel),
-                Err(other) => done!(VmEnd::Errored(other)),
-            }
-        };
-    }
-    loop {
-        let Some(inst) = prog.code.get(pc) else {
-            done!(VmEnd::Errored(RunError::Internal(PC_MSG)));
-        };
-        match inst {
-            Inst::E { dst, ticks } => {
-                burn!(*ticks);
-                frame[*dst] = b.e();
-            }
-            Inst::Rel { dst, rel, ticks } => {
-                burn!(*ticks);
-                frame[*dst] = op!(b.rel(*rel));
-            }
-            Inst::Const { dst, val, ticks } => {
-                burn!(*ticks);
-                frame[*dst] = b.constant(*val);
-            }
-            Inst::Copy { dst, src, ticks } => {
-                burn!(*ticks);
-                frame[*dst] = frame[*src].clone();
-            }
-            Inst::And {
-                dst,
-                a,
-                b: rb,
-                ticks,
-            } => {
-                burn!(*ticks);
-                frame[*dst] = op!(b.and(&frame[*a], &frame[*rb]));
-            }
-            Inst::Not { dst, src, ticks } => {
-                burn!(*ticks);
-                let v = op!(b.not(&frame[*src], &mut fuel));
-                frame[*dst] = v;
-            }
-            Inst::Up { dst, src, ticks } => {
-                burn!(*ticks);
-                let v = op!(b.up(&frame[*src], &mut fuel));
-                frame[*dst] = v;
-            }
-            Inst::Down { dst, src, ticks } => {
-                burn!(*ticks);
-                let v = op!(b.down(&frame[*src], &mut fuel));
-                frame[*dst] = v;
-            }
-            Inst::Swap { dst, src, ticks } => {
-                burn!(*ticks);
-                let v = op!(b.swap(&frame[*src], &mut fuel));
-                frame[*dst] = v;
-            }
-            Inst::Commit { src } => {
-                work = work.saturating_add(B::size(&frame[*src]));
-                if budget.work_cap.is_some_and(|cap| work > cap) {
-                    done!(VmEnd::WorkExceeded {
-                        cap: budget.work_cap.unwrap_or(0),
-                    });
-                }
-            }
-            Inst::Nop { ticks } => burn!(*ticks),
+            Inst::Commit { src } => s.assigned(&[], B::size(&frame[*src]))?,
+            Inst::Nop { ticks } => burn(fuel, *ticks)?,
             Inst::Enter { loop_id, ticks } => {
-                burn!(*ticks);
+                burn(fuel, *ticks)?;
                 here[*loop_id] = 0;
             }
             Inst::Guard {
@@ -452,40 +116,46 @@ pub fn exec_scheduled<B: VmBackend>(
                 exit,
             } => {
                 if !guard_go::<B>(*kind, &frame[*var]) {
+                    s.loop_exit(&prog.loops[*loop_id].path, here[*loop_id]);
                     pc = *exit;
                     continue;
                 }
-                if preempt.load(Ordering::Relaxed) {
-                    done!(VmEnd::Preempted);
-                }
                 here[*loop_id] += 1;
-                total += 1;
-                let path = &prog.loops[*loop_id].path;
-                if let Some(&bound) = budget.bounds.get(path.as_slice()) {
-                    if here[*loop_id] > bound {
-                        done!(VmEnd::BoundExceeded {
-                            path: path.clone(),
-                            bound,
-                        });
-                    }
-                }
-                if total > budget.total_cap {
-                    done!(VmEnd::TotalExceeded {
-                        cap: budget.total_cap,
-                    });
-                }
+                s.iteration(&prog.loops[*loop_id].path, here[*loop_id])?;
             }
             Inst::Back { to, ticks } => {
-                burn!(*ticks);
+                burn(fuel, *ticks)?;
                 pc = *to;
                 continue;
             }
-            Inst::Trap { .. } => done!(VmEnd::Errored(RunError::Internal(TRAP_MSG))),
+            Inst::Trap { .. } => return Err(RunError::Internal(TRAP_MSG).into()),
             Inst::Halt { ticks } => {
-                burn!(*ticks);
-                done!(VmEnd::Done(frame.swap_remove(0)));
+                burn(fuel, *ticks)?;
+                return Ok(frame.swap_remove(0));
             }
         }
         pc += 1;
     }
+}
+
+/// Runs a verifier-accepted program under a plain fuel budget — the
+/// VM analogue of the interpreters' from-scratch `run` entry points
+/// (semi-naive evaluation off), with identical observable fuel.
+pub fn exec_plain<B: Backend>(b: &mut B, prog: &VmProg, fuel: &mut Fuel) -> Result<B::V, RunError> {
+    run(b, prog, fuel, &mut FuelOnly { seminaive: false })
+}
+
+/// Runs a verifier-accepted program under the server's budget
+/// schedule. The caller is responsible for having dialect-checked the
+/// program (compilation obstructs on dialect violations, so a
+/// verifier-accepted program is dialect-legal by construction).
+pub fn exec_scheduled<B: Backend>(
+    b: &mut B,
+    prog: &VmProg,
+    budget: &Budget<'_>,
+    preempt: &AtomicBool,
+) -> ExecResult<B::V> {
+    let mut s = Budgeted::new(budget, preempt);
+    let r = run(b, prog, &mut Fuel::new(budget.fuel), &mut s);
+    s.finish(r)
 }

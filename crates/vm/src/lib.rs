@@ -16,10 +16,12 @@
 //!    loop certificates, and the §11 cost obligation. Programs execute
 //!    only if the verifier accepts.
 //! 3. [`exec::exec_plain`] and [`exec::exec_scheduled`] run accepted
-//!    programs over any [`exec::VmBackend`] (the three interpreters'
-//!    value domains), reproducing the tree-walkers' results, fuel
-//!    accounting, and scheduling events exactly — on any obstruction
-//!    or rejection the caller falls back to the tree-walker and the
+//!    programs through one dispatch loop over any
+//!    [`recdb_qlhs::exec::Backend`] (the three interpreters' value
+//!    domains), driven by the statement layer's fuel-only and budget
+//!    schedules — so results, fuel accounting, and scheduling events
+//!    match the tree walker's exactly, and on any obstruction or
+//!    rejection the caller falls back to the tree walker and the
 //!    difference is unobservable.
 
 #![warn(missing_docs)]

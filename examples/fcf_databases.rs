@@ -53,7 +53,7 @@ fn main() {
 
     // QLf+ queries. "Flagged users who may still message someone":
     // finite ∩ projection of a co-finite = finite.
-    let interp = FcfInterp::new(&db);
+    let mut interp = FcfInterp::new(&db);
     let prog = parse_program(
         "
         Y2 := down(swap(R2));  // users that can be messaged by someone… projected

@@ -5,6 +5,7 @@
 
 use recdb_core::Fuel;
 use recdb_hsdb::{infinite_clique, paper_example_graph};
+use recdb_qlhs::exec::eval_term;
 use recdb_qlhs::{compile_counter, numeral, parse_program, theorem_3_1_pipeline, HsInterp, Val};
 use recdb_turing::{Asm, Instr};
 
@@ -35,9 +36,7 @@ fn main() {
     let clique = infinite_clique();
     let mut interp = HsInterp::new(&clique);
     for n in 0..4 {
-        let val = interp
-            .eval_term(&numeral(n), &[], &mut Fuel::new(100_000))
-            .unwrap();
+        let val = eval_term(&mut interp, &numeral(n), &[], &mut Fuel::new(100_000)).unwrap();
         println!(
             "numeral({n}): rank {} with {} representatives",
             val.rank,

@@ -33,7 +33,7 @@ fn qlfplus_and_qlhs_agree_on_shared_programs() {
     // same relation — check membership agreement tuple-by-tuple.
     let fcf = sample();
     let hs = fcf.clone().into_hsdb();
-    let fcf_interp = FcfInterp::new(&fcf);
+    let mut fcf_interp = FcfInterp::new(&fcf);
     // Note: `E` itself is NOT in the shared fragment — QLf+'s `E` is
     // the Df-diagonal while QLhs's is the full diagonal class (see the
     // dedicated test below).
@@ -106,7 +106,7 @@ fn finiteness_test_drives_control_flow() {
         ",
     )
     .unwrap();
-    let interp = FcfInterp::new(&fcf);
+    let mut interp = FcfInterp::new(&fcf);
     let mut env = Vec::new();
     interp
         .exec(&prog, &mut env, &mut Fuel::new(100_000))
