@@ -45,9 +45,11 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// Connects.
+    /// Connects, with Nagle's algorithm off: a request waits on no ACK
+    /// from the server (DESIGN.md §9).
     pub fn connect(addr: SocketAddr) -> Result<Conn, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Conn {
             writer: stream,
@@ -64,13 +66,7 @@ impl Conn {
         body: &str,
         close: bool,
     ) -> Result<Response, ClientError> {
-        let conn = if close { "connection: close\r\n" } else { "" };
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\ncontent-type: application/json\r\ncontent-length: {}\r\n{conn}\r\n{body}",
-            body.len(),
-        )?;
-        self.writer.flush()?;
+        write_request(&mut self.writer, method, path, body, close)?;
         self.read_response()
     }
 
@@ -140,8 +136,43 @@ impl Conn {
     }
 }
 
+/// Writes one request as a single `write_all`, like the server's
+/// [`write_response`](crate::http::write_response).
+fn write_request(
+    w: &mut impl Write,
+    method: &str,
+    path: &str,
+    body: &str,
+    close: bool,
+) -> std::io::Result<()> {
+    let conn = if close { "connection: close\r\n" } else { "" };
+    let msg = format!(
+        "{method} {path} HTTP/1.1\r\ncontent-type: application/json\r\ncontent-length: {}\r\n{conn}\r\n{body}",
+        body.len(),
+    );
+    w.write_all(msg.as_bytes())?;
+    w.flush()
+}
+
 /// One-shot `POST` over a fresh `Connection: close` connection — the
 /// load generator's request shape.
 pub fn post_once(addr: SocketAddr, path: &str, body: &str) -> Result<Response, ClientError> {
     Conn::connect(addr)?.request("POST", path, body, true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::tests::CountingWriter;
+
+    #[test]
+    fn each_request_is_one_write() {
+        let big = format!("\"{}\"", "x".repeat(20 * 1024));
+        for (body, close) in [("", false), ("{}", true), (big.as_str(), false)] {
+            let mut w = CountingWriter::default();
+            write_request(&mut w, "POST", "/v1/query", body, close).unwrap();
+            assert_eq!(w.writes, 1, "body of {} bytes", body.len());
+            assert!(w.bytes.ends_with(body.as_bytes()));
+        }
+    }
 }

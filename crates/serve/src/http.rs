@@ -76,6 +76,21 @@ pub enum ReadOutcome {
     Closed,
 }
 
+/// Blocks until the first byte of the next request is buffered in `r`
+/// and leaves it unread. `false` means none is coming: the peer closed,
+/// the idle connection hit its read timeout, or the transport failed.
+/// A span opened after this returns `true` times the request's own
+/// transfer, not the keep-alive idle time before it.
+pub fn await_request(r: &mut impl BufRead) -> bool {
+    loop {
+        match r.fill_buf() {
+            Ok(buf) => return !buf.is_empty(),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+}
+
 /// Reads one request. `max_head` bounds the request line + headers;
 /// `max_body` bounds the declared `Content-Length`.
 pub fn read_request(
@@ -216,7 +231,12 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one `application/json` response.
+/// Writes one `application/json` response as a single `write_all`.
+///
+/// The whole message is formatted into one buffer first: a message
+/// split over several writes on a Nagle-enabled socket holds its tail
+/// until the peer ACKs the head, which a delayed-ACK peer does only
+/// after ≈40 ms (DESIGN.md §9).
 pub fn write_response(
     w: &mut impl Write,
     status: u16,
@@ -224,17 +244,17 @@ pub fn write_response(
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let conn = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        w,
+    let msg = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {conn}\r\n\r\n{body}",
         reason(status),
         body.len(),
-    )?;
+    );
+    w.write_all(msg.as_bytes())?;
     w.flush()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::BufReader;
 
@@ -313,5 +333,47 @@ mod tests {
         assert!(text.contains("content-length: 7\r\n"));
         assert!(text.contains("connection: keep-alive\r\n"));
         assert!(text.ends_with("{\"a\":1}"));
+    }
+
+    /// A `Write` that counts `write` calls; each call takes the whole
+    /// buffer, as a socket with room for the message does.
+    #[derive(Default)]
+    pub(crate) struct CountingWriter {
+        pub(crate) bytes: Vec<u8>,
+        pub(crate) writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_is_one_write() {
+        let big = format!("\"{}\"", "x".repeat(20 * 1024));
+        for body in ["{}", big.as_str()] {
+            let mut w = CountingWriter::default();
+            write_response(&mut w, 200, body, true).unwrap();
+            assert_eq!(w.writes, 1, "body of {} bytes", body.len());
+            assert!(w.bytes.ends_with(body.as_bytes()));
+        }
+    }
+
+    #[test]
+    fn await_request_leaves_the_first_byte_unread() {
+        assert!(!await_request(&mut BufReader::new(&b""[..])));
+        let mut r = BufReader::new(&b"GET /v1/health HTTP/1.1\r\n\r\n"[..]);
+        assert!(await_request(&mut r));
+        match read_request(&mut r, 4096, 0).unwrap() {
+            ReadOutcome::Request(req) => assert_eq!(req.method, "GET"),
+            other => panic!("{other:?}"),
+        }
     }
 }

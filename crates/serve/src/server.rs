@@ -11,7 +11,7 @@
 
 use crate::admit::{admit, Admission, AdmitLimits, AdmitOutcome, Plan};
 use crate::cache::{canonicalize_finite, CachedResult, ResultCache};
-use crate::http::{read_request, write_response, HttpError, ReadOutcome, Request};
+use crate::http::{await_request, read_request, write_response, HttpError, ReadOutcome, Request};
 use crate::json::{esc, parse, Json};
 use crate::proto::{
     build_hs, fcf_result_json, result_json, DbSpec, FormulaRequest, QueryRequest, RaRequest,
@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -107,7 +107,7 @@ impl Server {
             cfg,
         });
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) = channel();
+        let (tx, rx): (Sender<Accepted>, Receiver<Accepted>) = channel();
         let rx = Arc::new(Mutex::new(rx));
         let mut threads = Vec::new();
         for _ in 0..shared.cfg.workers.max(1) {
@@ -165,19 +165,28 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, tx: &Sender<TcpStream>, stop: &AtomicBool, shared: &Shared) {
+/// An accepted connection and when it was accepted (the start of its
+/// `serve.stage.queue.ns` span).
+type Accepted = (TcpStream, Instant);
+
+fn accept_loop(listener: &TcpListener, tx: &Sender<Accepted>, stop: &AtomicBool, shared: &Shared) {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
+                let accepted = Instant::now();
                 if stop.load(Ordering::SeqCst) {
                     return; // tx drops here; workers drain and exit
                 }
                 recdb_obs::count("serve.connections", 1);
+                // Each response is one write; with Nagle on, one longer
+                // than a segment would still hold its tail until the
+                // client's delayed ACK, ≈40 ms later (DESIGN.md §9).
+                let _ = stream.set_nodelay(true);
                 if shared.cfg.read_timeout_ms > 0 {
                     let _ = stream
                         .set_read_timeout(Some(Duration::from_millis(shared.cfg.read_timeout_ms)));
                 }
-                if tx.send(stream).is_err() {
+                if tx.send((stream, accepted)).is_err() {
                     return;
                 }
             }
@@ -197,7 +206,7 @@ struct WorkerState {
     hs: HashMap<String, HsInterp<'static>>,
 }
 
-fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &Arc<Shared>) {
+fn worker_loop(rx: &Arc<Mutex<Receiver<Accepted>>>, shared: &Arc<Shared>) {
     let mut ws = WorkerState { hs: HashMap::new() };
     loop {
         let stream = {
@@ -208,7 +217,10 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &Arc<Shared>) {
             guard.recv()
         };
         match stream {
-            Ok(s) => handle_connection(s, shared, &mut ws),
+            Ok((s, accepted)) => {
+                recdb_obs::observe_since("serve.stage.queue.ns", accepted);
+                handle_connection(s, shared, &mut ws);
+            }
             Err(_) => return, // sender dropped: shutting down
         }
     }
@@ -221,7 +233,14 @@ fn handle_connection(stream: TcpStream, shared: &Shared, ws: &mut WorkerState) {
     });
     let mut writer = stream;
     loop {
-        let req = match read_request(&mut reader, shared.cfg.max_head, shared.cfg.max_body) {
+        if !await_request(&mut reader) {
+            return;
+        }
+        let read = {
+            let _t = recdb_obs::span("serve.stage.read.ns");
+            read_request(&mut reader, shared.cfg.max_head, shared.cfg.max_body)
+        };
+        let req = match read {
             Ok(ReadOutcome::Request(r)) => r,
             Ok(ReadOutcome::Closed) => return,
             Err(HttpError::Disconnected) => {
@@ -258,7 +277,11 @@ fn handle_connection(stream: TcpStream, shared: &Shared, ws: &mut WorkerState) {
             }
         };
         drop(_t);
-        if write_response(&mut writer, status, &body, keep).is_err() || !keep {
+        let written = {
+            let _t = recdb_obs::span("serve.stage.write.ns");
+            write_response(&mut writer, status, &body, keep)
+        };
+        if written.is_err() || !keep {
             return;
         }
     }
@@ -410,25 +433,33 @@ fn execute_query(req: &QueryRequest, shared: &Shared, ws: &mut WorkerState) -> (
     // unobservable from outside).
     let vm_prog = if shared.cfg.vm {
         let _t = recdb_obs::span("serve.stage.vm.ns");
-        compile(
+        match compile(
             &adm.prog,
             &schema,
             dialect,
             &adm.analysis.termination,
             &LowerOpts::default(),
-        )
-        .ok()
-        .filter(|vm| {
-            verify(
-                vm,
-                &adm.prog,
-                &schema,
-                dialect,
-                &adm.analysis.termination,
-                Some(&adm.analysis.cost.verdict),
-            )
-            .is_ok()
-        })
+        ) {
+            Err(_) => {
+                recdb_obs::count("serve.vm.fallbacks.compile", 1);
+                None
+            }
+            Ok(vm)
+                if verify(
+                    &vm,
+                    &adm.prog,
+                    &schema,
+                    dialect,
+                    &adm.analysis.termination,
+                    Some(&adm.analysis.cost.verdict),
+                )
+                .is_err() =>
+            {
+                recdb_obs::count("serve.vm.fallbacks.verify", 1);
+                None
+            }
+            Ok(vm) => Some(vm),
+        }
     } else {
         None
     };

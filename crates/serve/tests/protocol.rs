@@ -352,6 +352,30 @@ fn keep_alive_and_connection_close_are_honored() {
 }
 
 #[test]
+fn keep_alive_round_trips_do_not_stall() {
+    // A message split over several writes on a Nagle-enabled socket
+    // waits ≈40–44 ms for the peer's delayed ACK, so 200 stalled round
+    // trips take ≥ 8.8 s; unstalled they take milliseconds.
+    let s = server();
+    let mut c = conn(&s);
+    let body = finite_query("Y1 := R1;", "[0,1],[1,2]", "");
+    let start = std::time::Instant::now();
+    for i in 0..200 {
+        let r = if i % 2 == 0 {
+            c.post("/v1/query", &body).unwrap()
+        } else {
+            c.get("/v1/health").unwrap()
+        };
+        assert_eq!(r.status, 200, "{}", r.body);
+    }
+    let took = start.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(2),
+        "200 keep-alive round trips took {took:?}"
+    );
+}
+
+#[test]
 fn formula_endpoint_evaluates_lminus() {
     let s = server();
     let mut c = conn(&s);

@@ -340,6 +340,23 @@ fn serve_metric_key_sets_match_across_worker_shards() {
             0,
             "burst must stay violation-free ({workers} workers)"
         );
+        assert_eq!(
+            rec.counter_value("serve.vm.fallbacks"),
+            rec.counter_value("serve.vm.fallbacks.compile")
+                + rec.counter_value("serve.vm.fallbacks.verify"),
+            "every VM fallback carries exactly one reason ({workers} workers)"
+        );
+        let spans = |name: &str| rec.histogram(name).map_or(0, |h| h.count);
+        assert_eq!(
+            spans("serve.stage.queue.ns"),
+            rec.counter_value("serve.connections"),
+            "one queue span per accepted connection ({workers} workers)"
+        );
+        assert_eq!(
+            spans("serve.stage.write.ns"),
+            rec.counter_value("serve.requests"),
+            "one write span per routed request ({workers} workers)"
+        );
         rec.snapshot().keys()
     };
     assert_eq!(
