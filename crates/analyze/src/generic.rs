@@ -159,15 +159,7 @@ type GEnv = Vec<GVar>;
 
 /// Renders a constant relation for diagnostics, e.g. `{(3), (7)}`.
 fn fmt_val(v: &Val) -> String {
-    let ts: Vec<String> = v
-        .tuples
-        .iter()
-        .map(|t| {
-            let es: Vec<String> = t.elems().iter().map(|e| e.value().to_string()).collect();
-            format!("({})", es.join(","))
-        })
-        .collect();
-    format!("{{{}}}", ts.join(", "))
+    format!("{:?}", v.tuples)
 }
 
 fn join_env(a: &GEnv, b: &GEnv) -> GEnv {
@@ -193,10 +185,10 @@ fn eval_term(t: &Term, env: &GEnv) -> GVar {
         Term::And(a, b) => {
             let (x, y) = (eval_term(a, env), eval_term(b, env));
             let exact = match (&x.exact, &y.exact) {
-                (Some(va), Some(vb)) if va.rank == vb.rank => Some(Val::new(
-                    va.rank,
-                    va.tuples.intersection(&vb.tuples).cloned(),
-                )),
+                (Some(va), Some(vb)) if va.rank == vb.rank => Some(Val {
+                    rank: va.rank,
+                    tuples: va.tuples.intersection(&vb.tuples),
+                }),
                 _ => None,
             };
             GVar {
@@ -211,16 +203,12 @@ fn eval_term(t: &Term, env: &GEnv) -> GVar {
         },
         Term::Down(e) => {
             let x = eval_term(e, env);
-            let exact = x.exact.and_then(|v| {
-                if v.rank == 0 {
-                    Some(Val::empty(0))
-                } else {
-                    v.tuples
-                        .iter()
-                        .map(Tuple::drop_first)
-                        .collect::<Option<BTreeSet<_>>>()
-                        .map(|ts| Val::new(v.rank - 1, ts))
-                }
+            let exact = x.exact.map(|v| match v.rank {
+                0 => Val::empty(0),
+                n => Val {
+                    rank: n - 1,
+                    tuples: v.tuples.drop_first(),
+                },
             });
             GVar {
                 taint: x.taint,
@@ -229,16 +217,9 @@ fn eval_term(t: &Term, env: &GEnv) -> GVar {
         }
         Term::Swap(e) => {
             let x = eval_term(e, env);
-            let exact = x.exact.and_then(|v| {
-                if v.rank < 2 {
-                    Some(v)
-                } else {
-                    v.tuples
-                        .iter()
-                        .map(Tuple::swap_last_two)
-                        .collect::<Option<BTreeSet<_>>>()
-                        .map(|ts| Val::new(v.rank, ts))
-                }
+            let exact = x.exact.map(|v| Val {
+                rank: v.rank,
+                tuples: v.tuples.swap_last_two(),
             });
             GVar {
                 taint: x.taint,

@@ -182,7 +182,7 @@ impl Bencher {
             return;
         }
         let mut sorted = self.samples_ns.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite sample times"));
+        sorted.sort_by(f64::total_cmp);
         let median = sorted[sorted.len() / 2];
         let label = if group.is_empty() {
             id.to_string()

@@ -261,7 +261,7 @@ fn ra_rewrites_preserve_semantics(ctx: &mut CheckCtx) -> Result<(), String> {
         let fin = FinInterp::new(&st)
             .run(&compiled.prog, &mut Fuel::new(2_000_000))
             .map_err(|e| format!("seed {:#x}: FinInterp error {e:?}\n{p}", ctx.seed))?;
-        if fin.tuples != direct.tuples {
+        if fin.tuples != direct.tuples.iter().cloned().collect() {
             return Err(format!(
                 "seed {:#x}: optimized plan ≠ original semantics (FinInterp)\n{p}\n=> {}\n\
                  fin: {:?}\ndirect: {:?}",

@@ -29,13 +29,13 @@
 use crate::gen::{self, ProgShape};
 use crate::ledger::CheckCtx;
 use recdb_analyze::{analyze_full, GenericityVerdict, LoopBound, TerminationVerdict, Verdict};
-use recdb_core::{CoFiniteRelation, FiniteRelation, FiniteStructure, Fuel, Schema, Tuple};
+use recdb_core::{CoFiniteRelation, FiniteRelation, FiniteStructure, Fuel, Schema};
 use recdb_hsdb::{unary_cells, CellSize, FcfDatabase, FcfRel, HsDatabase};
 use recdb_qlhs::iter_count::{run_counted, CountedEnd};
 use recdb_qlhs::{
-    Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Prog, RunError, Term, Val,
+    Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Prog, Rows, RunError, Term, Val,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::mem::discriminant;
 
 /// Constants are drawn from `0..CONSTS` — a strict subwindow of
@@ -208,10 +208,10 @@ fn agree(
         (GBackend::Hs { hs, .. }, Ok(GOut::Val(v1)), Ok(GOut::Val(v2))) => {
             // Transport class-wise: the class of π(u) in π(B),
             // canonicalized in π(B)'s representation.
-            let transported: BTreeSet<Tuple> = v1
+            let transported: Rows = v1
                 .tuples
                 .iter()
-                .map(|u| hs.canonical_rep(&perm.apply_tuple(u)))
+                .map(|u| hs.canonical_rep(&perm.apply_tuple(&u)))
                 .collect();
             if v1.rank != v2.rank || transported != v2.tuples {
                 return Err(format!(
@@ -221,8 +221,7 @@ fn agree(
             }
         }
         (GBackend::Fcf(_), Ok(GOut::Fcf(f1)), Ok(GOut::Fcf(f2))) => {
-            let transported: BTreeSet<Tuple> =
-                f1.tuples.iter().map(|t| perm.apply_tuple(t)).collect();
+            let transported: Rows = f1.tuples.iter().map(|t| perm.apply_tuple(&t)).collect();
             if f1.finite != f2.finite || f1.rank != f2.rank || transported != f2.tuples {
                 return Err(format!(
                     "π(q(B)) = (finite: {}, rank {}, {transported:?}) but q(π(B)) = {f2:?}",

@@ -163,7 +163,7 @@ fn ra_three_way_differential(ctx: &mut CheckCtx) -> Result<(), String> {
                 compiled.attrs.len()
             ));
         }
-        if fin.tuples != direct.tuples {
+        if fin.tuples != direct.tuples.iter().cloned().collect() {
             return Err(format!(
                 "seed {:#x}: FinInterp ≠ direct evaluator\n{p}\ncompiled: {}\nfin: {:?}\ndirect: {:?}",
                 ctx.seed, compiled.prog, fin.tuples, direct.tuples

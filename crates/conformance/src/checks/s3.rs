@@ -9,7 +9,7 @@ use recdb_hsdb::{
     catalog, count_rank1_classes, deep_catalog, find_r0, infinite_clique, infinite_star,
     line_equiv, paper_example_graph, rado_graph, FnEquiv, TreeGame,
 };
-use recdb_qlhs::{parse_program, theorem_3_1_pipeline, HsInterp};
+use recdb_qlhs::{parse_program, theorem_3_1_pipeline, HsInterp, Rows};
 
 fn p3_1(ctx: &mut CheckCtx) -> Result<(), String> {
     // Coloring dichotomy (Prop 3.1's stretching): marking one element
@@ -173,7 +173,7 @@ fn t3_1(ctx: &mut CheckCtx) -> Result<(), String> {
     let via_qlhs = HsInterp::new(&hs)
         .run(&prog, &mut recdb_core::Fuel::new(1_000_000))
         .map_err(|e| format!("{e:?}"))?;
-    if via_pipeline != via_qlhs.tuples {
+    if via_pipeline.into_iter().collect::<Rows>() != via_qlhs.tuples {
         return Err("pipeline swap ≠ QLhs swap(R1) on paper-example".into());
     }
     Ok(())

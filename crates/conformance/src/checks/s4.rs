@@ -84,7 +84,10 @@ fn p4_1_3(ctx: &mut CheckCtx) -> Result<(), String> {
                 .collect();
             for t in probes {
                 let in_fcf = fv.contains(&t);
-                let in_hs = hv.tuples.iter().any(|rep| hs.equivalent(rep, &t));
+                let in_hs = hv
+                    .tuples
+                    .iter()
+                    .any(|rep| hs.equivalent(&rep.to_tuple(), &t));
                 if in_fcf != in_hs {
                     return Err(format!(
                         "fcf-{round}: {src} disagrees at {t:?} \

@@ -16,7 +16,7 @@ fn qlhs_tuples(
     let v = HsInterp::new(hs)
         .run(&prog, &mut Fuel::new(5_000_000))
         .map_err(|e| format!("{src}: {e:?}"))?;
-    Ok(v.tuples)
+    Ok(v.tuples.iter().map(|t| t.to_tuple()).collect())
 }
 
 fn t5_1(ctx: &mut CheckCtx) -> Result<(), String> {

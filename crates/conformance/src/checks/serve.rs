@@ -358,7 +358,7 @@ fn serve_cache_generic(ctx: &mut CheckCtx) -> Result<(), String> {
         }
         let transported = Val {
             rank: q_of_b.rank,
-            tuples: q_of_b.tuples.iter().map(|t| perm.apply_tuple(t)).collect(),
+            tuples: q_of_b.tuples.iter().map(|t| perm.apply_tuple(&t)).collect(),
         };
         let want = format!("\"result\":{}", result_json(&transported));
         if !hit.body.contains(&want) {

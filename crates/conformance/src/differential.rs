@@ -113,7 +113,10 @@ pub fn fininterp_vs_hsinterp(ctx: &mut CheckCtx) -> Result<(), String> {
                         })
                     })
                     .collect();
-                let in_hs = vh.tuples.iter().any(|rep| hs.equivalent(rep, &enc));
+                let in_hs = vh
+                    .tuples
+                    .iter()
+                    .any(|rep| hs.equivalent(&rep.to_tuple(), &enc));
                 if in_fin != in_hs {
                     return Err(format!(
                         "QL vs QLhs disagree for {src} at {t:?} \

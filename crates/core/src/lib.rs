@@ -36,7 +36,6 @@
 
 pub mod combinators;
 mod database;
-mod delta;
 mod domain;
 mod elem;
 mod fin;
@@ -54,7 +53,6 @@ mod types;
 
 pub use combinators::{complement, intersect, mapped, product, shared, union};
 pub use database::{Database, DatabaseBuilder};
-pub use delta::DeltaVar;
 pub use domain::Domain;
 pub use elem::{Elem, Tuple};
 pub use fin::FiniteStructure;

@@ -109,6 +109,9 @@ mod tests {
             .run(&prog, &mut Fuel::new(10_000_000))
             .unwrap()
             .tuples
+            .iter()
+            .map(|t| t.to_tuple())
+            .collect()
     }
 
     #[test]

@@ -15,10 +15,9 @@
 use crate::ast::Prog;
 use crate::dialect::Dialect;
 use crate::exec::{run_with, Backend, FuelOnly};
-use crate::value::RunError;
+use crate::value::{Rows, RunError};
 use recdb_core::{Elem, Fuel, Tuple};
 use recdb_hsdb::FcfDatabase;
-use std::collections::BTreeSet;
 
 /// A QLf+ value: a finite∕co-finite relation of some rank.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -29,7 +28,7 @@ pub struct FcfVal {
     /// complement (the relation is co-finite).
     pub finite: bool,
     /// The finite part (relation or complement).
-    pub tuples: BTreeSet<Tuple>,
+    pub tuples: Rows,
 }
 
 impl FcfVal {
@@ -38,7 +37,7 @@ impl FcfVal {
         FcfVal {
             rank,
             finite: true,
-            tuples: BTreeSet::new(),
+            tuples: Rows::new(),
         }
     }
 
@@ -47,7 +46,7 @@ impl FcfVal {
         FcfVal {
             rank,
             finite: false,
-            tuples: BTreeSet::new(),
+            tuples: Rows::new(),
         }
     }
 
@@ -65,7 +64,10 @@ impl FcfVal {
 /// A QLf+ interpreter over one fcf-r-db.
 pub struct FcfInterp<'a> {
     db: &'a FcfDatabase,
+    /// `Df`, sorted.
     df: Vec<Elem>,
+    /// The stored relations' finite parts, flattened once.
+    rels: Vec<Rows>,
     seminaive: bool,
 }
 
@@ -75,6 +77,11 @@ impl<'a> FcfInterp<'a> {
         FcfInterp {
             db,
             df: db.df().into_iter().collect(),
+            rels: db
+                .relations()
+                .iter()
+                .map(|r| r.finite_part().iter().cloned().collect())
+                .collect(),
             seminaive: true,
         }
     }
@@ -119,19 +126,23 @@ impl Backend for FcfInterp<'_> {
         FcfVal {
             rank: 2,
             finite: true,
-            tuples: self.df.iter().map(|&a| Tuple::from(vec![a, a])).collect(),
+            tuples: Rows::from_unsorted(
+                2,
+                self.df.len(),
+                self.df.iter().flat_map(|&a| [a, a]).collect(),
+            ),
         }
     }
 
     /// Stored relation `Rᵢ` in its §4 representation, bounds-checked.
     fn rel(&mut self, i: usize) -> Result<FcfVal, RunError> {
-        let Some(rel) = self.db.relations().get(i) else {
+        let (Some(rel), Some(rows)) = (self.db.relations().get(i), self.rels.get(i)) else {
             return Err(RunError::NoSuchRelation(i));
         };
         Ok(FcfVal {
             rank: rel.arity(),
             finite: matches!(rel, recdb_hsdb::FcfRel::Finite(_)),
-            tuples: rel.finite_part().clone(),
+            tuples: rows.clone(),
         })
     }
 
@@ -141,7 +152,7 @@ impl Backend for FcfInterp<'_> {
         FcfVal {
             rank: 1,
             finite: true,
-            tuples: [Tuple::from_values([c])].into_iter().collect(),
+            tuples: Rows::from_unsorted(1, 1, vec![Elem(c)]),
         }
     }
 
@@ -158,25 +169,25 @@ impl Backend for FcfInterp<'_> {
             (true, true) => FcfVal {
                 rank: x.rank,
                 finite: true,
-                tuples: x.tuples.intersection(&y.tuples).cloned().collect(),
+                tuples: x.tuples.intersection(&y.tuples),
             },
             // Finite ∩ co-finite: remove the complement's tuples from
             // the finite side (the paper's e ∖ (¬f) computation).
             (true, false) => FcfVal {
                 rank: x.rank,
                 finite: true,
-                tuples: x.tuples.difference(&y.tuples).cloned().collect(),
+                tuples: x.tuples.difference(&y.tuples),
             },
             (false, true) => FcfVal {
                 rank: x.rank,
                 finite: true,
-                tuples: y.tuples.difference(&x.tuples).cloned().collect(),
+                tuples: y.tuples.difference(&x.tuples),
             },
             // Co-finite ∩ co-finite: complement is the union.
             (false, false) => FcfVal {
                 rank: x.rank,
                 finite: false,
-                tuples: x.tuples.union(&y.tuples).cloned().collect(),
+                tuples: x.tuples.union(&y.tuples),
             },
         })
     }
@@ -188,23 +199,17 @@ impl Backend for FcfInterp<'_> {
         Ok(x)
     }
 
-    /// `x↑ = x × Df`, defined only for finite `x`; ticks once per
-    /// output tuple.
+    /// `x↑ = x × Df`, defined only for finite `x`; charges one step
+    /// per output tuple, `|x|·|Df|`, before building it.
     fn up(&mut self, x: &FcfVal, fuel: &mut Fuel) -> Result<FcfVal, RunError> {
         if !x.finite {
             return Err(RunError::UpOnInfinite);
         }
-        let mut out = BTreeSet::new();
-        for u in &x.tuples {
-            for &d in &self.df {
-                fuel.tick()?;
-                out.insert(u.extend(d));
-            }
-        }
+        fuel.consume((x.tuples.len() as u64).saturating_mul(self.df.len() as u64))?;
         Ok(FcfVal {
             rank: x.rank + 1,
             finite: true,
-            tuples: out,
+            tuples: x.tuples.times(&self.df),
         })
     }
 
@@ -217,21 +222,14 @@ impl Backend for FcfInterp<'_> {
             Ok(FcfVal {
                 rank: x.rank - 1,
                 finite: true,
-                tuples: x
-                    .tuples
-                    .iter()
-                    .map(|u| {
-                        u.drop_first()
-                            .ok_or(RunError::Internal("↓ on a tuple shorter than its rank"))
-                    })
-                    .collect::<Result<_, _>>()?,
+                tuples: x.tuples.drop_first(),
             })
         } else if x.rank == 1 {
             // Prop 4.2: co-finite R ⊆ D¹ projects to D⁰ = {()}.
             Ok(FcfVal {
                 rank: 0,
                 finite: true,
-                tuples: [Tuple::empty()].into_iter().collect(),
+                tuples: Rows::unit(),
             })
         } else {
             // Prop 4.2: R↓ = Dⁿ⁻¹, co-finite with empty complement.
@@ -248,14 +246,7 @@ impl Backend for FcfInterp<'_> {
         Ok(FcfVal {
             rank: x.rank,
             finite: x.finite,
-            tuples: x
-                .tuples
-                .iter()
-                .map(|u| {
-                    u.swap_last_two()
-                        .ok_or(RunError::Internal("swap on a tuple shorter than its rank"))
-                })
-                .collect::<Result<_, _>>()?,
+            tuples: x.tuples.swap_last_two(),
         })
     }
 

@@ -12,13 +12,14 @@
 use crate::ast::Prog;
 use crate::dialect::Dialect;
 use crate::exec::{run_with, Backend, FuelOnly};
-use crate::value::{RunError, Val};
-use recdb_core::{Elem, FiniteStructure, Fuel, Tuple};
-use std::collections::BTreeSet;
+use crate::value::{Rows, RunError, Val};
+use recdb_core::{Elem, FiniteStructure, Fuel};
 
 /// A finitary QL interpreter over one finite structure.
 pub struct FinInterp<'a> {
     st: &'a FiniteStructure,
+    /// The stored relations, flattened once so `Rᵢ` is one copy.
+    rels: Vec<Rows>,
     seminaive: bool,
 }
 
@@ -27,6 +28,9 @@ impl<'a> FinInterp<'a> {
     pub fn new(st: &'a FiniteStructure) -> Self {
         FinInterp {
             st,
+            rels: (0..st.schema().len())
+                .map(|i| st.relation(i).iter().cloned().collect())
+                .collect(),
             seminaive: true,
         }
     }
@@ -39,24 +43,9 @@ impl<'a> FinInterp<'a> {
         self.seminaive = on;
     }
 
+    /// The sorted, duplicate-free universe `D`.
     fn universe(&self) -> &[Elem] {
         self.st.universe()
-    }
-
-    /// All tuples of rank `n` over the universe — the complement base.
-    fn full(&self, n: usize, fuel: &mut Fuel) -> Result<BTreeSet<Tuple>, RunError> {
-        let mut out: BTreeSet<Tuple> = [Tuple::empty()].into_iter().collect();
-        for _ in 0..n {
-            let mut next = BTreeSet::new();
-            for t in &out {
-                for &a in self.universe() {
-                    fuel.tick()?;
-                    next.insert(t.extend(a));
-                }
-            }
-            out = next;
-        }
-        Ok(out)
     }
 
     /// Runs a program; result is `Y₁`.
@@ -76,6 +65,18 @@ impl<'a> FinInterp<'a> {
     }
 }
 
+/// `Σᵢ₌₁ⁿ dⁱ` — the tuples a level-by-level enumeration of `Dⁿ` visits
+/// (`d = |D|`), saturating at `u64::MAX`.
+fn complement_cost(d: u64, n: usize) -> u64 {
+    let mut level: u64 = 1;
+    let mut total: u64 = 0;
+    for _ in 0..n {
+        level = level.saturating_mul(d);
+        total = total.saturating_add(level);
+    }
+    total
+}
+
 impl Backend for FinInterp<'_> {
     type V = Val;
     fn unset(&self) -> Val {
@@ -84,25 +85,22 @@ impl Backend for FinInterp<'_> {
 
     /// The diagonal `E = {(a,a) | a ∈ D}`.
     fn e(&mut self) -> Val {
+        let data = self.universe().iter().flat_map(|&a| [a, a]).collect();
         Val {
             rank: 2,
-            tuples: self
-                .universe()
-                .iter()
-                .map(|&a| Tuple::from(vec![a, a]))
-                .collect(),
+            tuples: Rows::from_unsorted(2, self.universe().len(), data),
         }
     }
 
     /// Stored relation `Rᵢ` (0-based), bounds-checked against the
     /// schema.
     fn rel(&mut self, i: usize) -> Result<Val, RunError> {
-        if i >= self.st.schema().len() {
+        let Some(rows) = self.rels.get(i) else {
             return Err(RunError::NoSuchRelation(i));
-        }
+        };
         Ok(Val {
             rank: self.st.schema().arity(i),
-            tuples: self.st.relation(i).clone(),
+            tuples: rows.clone(),
         })
     }
 
@@ -113,7 +111,7 @@ impl Backend for FinInterp<'_> {
     fn constant(&mut self, c: u64) -> Val {
         Val {
             rank: 1,
-            tuples: [Tuple::from_values([c])].into_iter().collect(),
+            tuples: Rows::from_unsorted(1, 1, vec![Elem(c)]),
         }
     }
 
@@ -127,31 +125,28 @@ impl Backend for FinInterp<'_> {
         }
         Ok(Val {
             rank: x.rank,
-            tuples: x.tuples.intersection(&y.tuples).cloned().collect(),
+            tuples: x.tuples.intersection(&y.tuples),
         })
     }
 
-    /// Complement `¬x = Dⁿ ∖ x`; ticks once per enumerated tuple.
+    /// Complement `¬x = Dⁿ ∖ x`. Charges `Σᵢ₌₁ⁿ |D|ⁱ` up front — one
+    /// step per tuple of the level-by-level enumeration of `Dⁿ` — and
+    /// only then materializes the result.
     fn not(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
-        let all = self.full(x.rank, fuel)?;
+        fuel.consume(complement_cost(self.universe().len() as u64, x.rank))?;
         Ok(Val {
             rank: x.rank,
-            tuples: all.difference(&x.tuples).cloned().collect(),
+            tuples: x.tuples.complement(x.rank, self.universe()),
         })
     }
 
-    /// Cylindrification `x↑ = x × D`; ticks once per output tuple.
+    /// Cylindrification `x↑ = x × D`. Charges one step per output
+    /// tuple, `|x|·|D|`, before building it.
     fn up(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
-        let mut out = BTreeSet::new();
-        for u in &x.tuples {
-            for &a in self.universe() {
-                fuel.tick()?;
-                out.insert(u.extend(a));
-            }
-        }
+        fuel.consume((x.len() as u64).saturating_mul(self.universe().len() as u64))?;
         Ok(Val {
             rank: x.rank + 1,
-            tuples: out,
+            tuples: x.tuples.times(self.universe()),
         })
     }
 
@@ -162,33 +157,16 @@ impl Backend for FinInterp<'_> {
         }
         Ok(Val {
             rank: x.rank - 1,
-            tuples: x
-                .tuples
-                .iter()
-                .map(|u| {
-                    u.drop_first()
-                        .ok_or(RunError::Internal("↓ on a tuple shorter than its rank"))
-                })
-                .collect::<Result<_, _>>()?,
+            tuples: x.tuples.drop_first(),
         })
     }
 
     /// `x~` swaps the two rightmost coordinates (identity below rank
     /// 2; tick-free).
     fn swap(&mut self, x: &Val, _fuel: &mut Fuel) -> Result<Val, RunError> {
-        if x.rank < 2 {
-            return Ok(x.clone());
-        }
         Ok(Val {
             rank: x.rank,
-            tuples: x
-                .tuples
-                .iter()
-                .map(|u| {
-                    u.swap_last_two()
-                        .ok_or(RunError::Internal("swap on a tuple shorter than its rank"))
-                })
-                .collect::<Result<_, _>>()?,
+            tuples: x.tuples.swap_last_two(),
         })
     }
 

@@ -10,16 +10,18 @@
 use crate::ast::Prog;
 use crate::dialect::Dialect;
 use crate::exec::{run_with, Backend, FuelOnly};
-use crate::value::{RunError, Val};
-use recdb_core::{Fuel, Tuple, TupleId, TupleInterner};
+use crate::value::{Rows, RunError, Val};
+use recdb_core::{Elem, Fuel, Tuple, TupleId, TupleInterner};
 use recdb_hsdb::HsDatabase;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// A QLhs interpreter bound to one hs-r-db representation.
 pub struct HsInterp<'a> {
     hs: &'a HsDatabase,
     /// Cache of `Tⁿ` levels (the tree is deterministic).
-    levels: HashMap<usize, Vec<Tuple>>,
+    levels: HashMap<usize, Rows>,
+    /// The stored relations' representatives, flattened once.
+    rels: Vec<Rows>,
     /// Dense ids for every tuple the interpreter has canonicalized —
     /// memo keys are `u32`s instead of cloned tuples.
     interner: TupleInterner,
@@ -34,6 +36,9 @@ impl<'a> HsInterp<'a> {
         HsInterp {
             hs,
             levels: HashMap::new(),
+            rels: (0..hs.schema().len())
+                .map(|i| hs.reps(i).iter().cloned().collect())
+                .collect(),
             interner: TupleInterner::new(),
             canon: HashMap::new(),
             seminaive: true,
@@ -49,8 +54,10 @@ impl<'a> HsInterp<'a> {
         self.seminaive = on;
     }
 
-    fn level(&mut self, n: usize) -> &[Tuple] {
-        self.levels.entry(n).or_insert_with(|| self.hs.t_n(n))
+    fn level(&mut self, n: usize) -> &Rows {
+        self.levels
+            .entry(n)
+            .or_insert_with(|| self.hs.t_n(n).into_iter().collect())
     }
 
     fn canonical(&mut self, u: &Tuple) -> Tuple {
@@ -67,6 +74,29 @@ impl<'a> HsInterp<'a> {
         let cid = self.interner.intern(&c);
         self.canon.entry(cid).or_insert_with(|| c.clone());
         c
+    }
+
+    /// Maps every row of `x` through `f` and canonicalizes the image,
+    /// ticking once per row before its `canonical` call — the order the
+    /// `canon_hits`/`canon_misses` counters and the fuel error depend
+    /// on.
+    fn canonical_map(
+        &mut self,
+        x: &Val,
+        rank: usize,
+        fuel: &mut Fuel,
+        f: impl Fn(&Tuple) -> Result<Tuple, RunError>,
+    ) -> Result<Val, RunError> {
+        let mut data: Vec<Elem> = Vec::with_capacity(x.len() * rank);
+        for u in &x.tuples {
+            fuel.tick()?;
+            let image = f(&u.to_tuple())?;
+            data.extend_from_slice(self.canonical(&image).elems());
+        }
+        Ok(Val {
+            rank,
+            tuples: Rows::from_unsorted(rank, x.len(), data),
+        })
     }
 
     /// Runs a program; the result is the final value of `Y₁`
@@ -95,26 +125,26 @@ impl Backend for HsInterp<'_> {
 
     /// The diagonal classes of `T²`.
     fn e(&mut self) -> Val {
-        let diag: BTreeSet<Tuple> = self
+        let data: Vec<Elem> = self
             .level(2)
-            .to_vec()
-            .into_iter()
+            .iter()
             .filter(|t| t[0] == t[1])
+            .flat_map(|t| t.elems().iter().copied())
             .collect();
         Val {
             rank: 2,
-            tuples: diag,
+            tuples: Rows::from_unsorted(2, data.len() / 2, data),
         }
     }
 
     /// Stored relation `Rᵢ`'s representatives, bounds-checked.
     fn rel(&mut self, i: usize) -> Result<Val, RunError> {
-        if i >= self.hs.schema().len() {
+        let Some(rows) = self.rels.get(i) else {
             return Err(RunError::NoSuchRelation(i));
-        }
+        };
         Ok(Val {
             rank: self.hs.schema().arity(i),
-            tuples: self.hs.reps(i).clone(),
+            tuples: rows.clone(),
         })
     }
 
@@ -139,36 +169,40 @@ impl Backend for HsInterp<'_> {
         }
         Ok(Val {
             rank: x.rank,
-            tuples: x.tuples.intersection(&y.tuples).cloned().collect(),
+            tuples: x.tuples.intersection(&y.tuples),
         })
     }
 
     /// Complement within the `Tⁿ` level (tick-free: the level cache
-    /// makes it a set difference).
+    /// makes it a merge difference).
     fn not(&mut self, x: &Val, _fuel: &mut Fuel) -> Result<Val, RunError> {
-        let all: BTreeSet<Tuple> = self.level(x.rank).iter().cloned().collect();
         Ok(Val {
             rank: x.rank,
-            tuples: all.difference(&x.tuples).cloned().collect(),
+            tuples: self.level(x.rank).difference(&x.tuples),
         })
     }
 
     /// `x↑` collects tree offspring; ticks once per child.
     fn up(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
-        let mut out = BTreeSet::new();
+        let mut data: Vec<Elem> = Vec::new();
+        let mut len = 0;
         for u in &x.tuples {
-            for a in self.hs.tree().offspring(u) {
+            let u = u.to_tuple();
+            for a in self.hs.tree().offspring(&u) {
                 fuel.tick()?;
-                out.insert(u.extend(a));
+                data.extend_from_slice(u.elems());
+                data.push(a);
+                len += 1;
             }
         }
         Ok(Val {
             rank: x.rank + 1,
-            tuples: out,
+            tuples: Rows::from_unsorted(x.rank + 1, len, data),
         })
     }
 
-    /// `x↓` via the `≅_B` oracle; ticks once per tuple.
+    /// `x↓` via the `≅_B` oracle; ticks once per tuple, canonicalizing
+    /// between ticks in row order.
     fn down(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
         if x.rank == 0 {
             // Convention: ↓ below rank 0 is the empty rank-0 relation
@@ -176,17 +210,9 @@ impl Backend for HsInterp<'_> {
             // for rank-counters).
             return Ok(Val::empty(0));
         }
-        let mut out = BTreeSet::new();
-        for u in &x.tuples {
-            fuel.tick()?;
-            let dropped = u
-                .drop_first()
-                .ok_or(RunError::Internal("↓ on a tuple shorter than its rank"))?;
-            out.insert(self.canonical(&dropped));
-        }
-        Ok(Val {
-            rank: x.rank - 1,
-            tuples: out,
+        self.canonical_map(x, x.rank - 1, fuel, |u| {
+            u.drop_first()
+                .ok_or(RunError::Internal("↓ on a tuple shorter than its rank"))
         })
     }
 
@@ -196,17 +222,9 @@ impl Backend for HsInterp<'_> {
         if x.rank < 2 {
             return Ok(x.clone()); // nothing to exchange
         }
-        let mut out = BTreeSet::new();
-        for u in &x.tuples {
-            fuel.tick()?;
-            let swapped = u
-                .swap_last_two()
-                .ok_or(RunError::Internal("swap on a tuple shorter than its rank"))?;
-            out.insert(self.canonical(&swapped));
-        }
-        Ok(Val {
-            rank: x.rank,
-            tuples: out,
+        self.canonical_map(x, x.rank, fuel, |u| {
+            u.swap_last_two()
+                .ok_or(RunError::Internal("swap on a tuple shorter than its rank"))
         })
     }
 
@@ -245,7 +263,7 @@ mod tests {
         let v = run_on(&hs, &Prog::assign(0, Term::E)).unwrap();
         assert_eq!(v.rank, 2);
         assert_eq!(
-            v.tuples.iter().cloned().collect::<Vec<_>>(),
+            v.tuples.iter().map(|t| t.to_tuple()).collect::<Vec<_>>(),
             vec![tuple![0, 0]]
         );
     }
@@ -256,7 +274,7 @@ mod tests {
         let v = run_on(&hs, &Prog::assign(0, Term::Rel(0))).unwrap();
         assert_eq!(v.rank, 2);
         assert_eq!(
-            v.tuples.iter().cloned().collect::<Vec<_>>(),
+            v.tuples.iter().map(|t| t.to_tuple()).collect::<Vec<_>>(),
             vec![tuple![0, 1]],
             "the clique's single edge class"
         );
@@ -268,7 +286,7 @@ mod tests {
         let hs = infinite_clique();
         let v = run_on(&hs, &Prog::assign(0, Term::Rel(0).not())).unwrap();
         assert_eq!(
-            v.tuples.iter().cloned().collect::<Vec<_>>(),
+            v.tuples.iter().map(|t| t.to_tuple()).collect::<Vec<_>>(),
             vec![tuple![0, 0]]
         );
     }
@@ -289,7 +307,7 @@ mod tests {
         let v = run_on(&hs, &Prog::assign(0, Term::Rel(0).down())).unwrap();
         assert_eq!(v.rank, 1);
         assert_eq!(
-            v.tuples.iter().cloned().collect::<Vec<_>>(),
+            v.tuples.iter().map(|t| t.to_tuple()).collect::<Vec<_>>(),
             vec![tuple![0]]
         );
     }
@@ -397,7 +415,7 @@ mod tests {
         let p = Prog::assign(0, Term::Rel(0).union(Term::E).not());
         let v = run_on(&hs, &p).unwrap();
         assert_eq!(v.len(), 1);
-        let rep = v.tuples.first().unwrap();
+        let rep = v.tuples.iter().next().unwrap();
         assert_ne!(rep[0], rep[1]);
         assert!(!hs.database().query(0, rep.elems()));
     }

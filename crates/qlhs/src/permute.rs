@@ -117,8 +117,8 @@ impl Permutation {
     }
 
     /// `π` applied elementwise to a tuple.
-    pub fn apply_tuple(&self, t: &Tuple) -> Tuple {
-        t.map(|e| self.apply(e))
+    pub fn apply_tuple(&self, t: &[Elem]) -> Tuple {
+        t.iter().map(|&e| self.apply(e)).collect()
     }
 
     /// `π` applied pointwise to a QL value: `π({u₁,…}) = {π(u₁),…}`,
@@ -127,7 +127,7 @@ impl Permutation {
     pub fn apply_val(&self, v: &Val) -> Val {
         Val {
             rank: v.rank,
-            tuples: v.tuples.iter().map(|t| self.apply_tuple(t)).collect(),
+            tuples: v.tuples.iter().map(|t| self.apply_tuple(&t)).collect(),
         }
     }
 

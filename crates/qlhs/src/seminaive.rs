@@ -4,9 +4,9 @@
 //! full variable values every iteration — `O(program × structure)` per
 //! round. When the body is *provably inflationary and monotone* in the
 //! variables it writes, the classic datafrog discipline applies: keep
-//! each written variable as a growing log ([`recdb_core::DeltaVar`]),
-//! and per round feed each statement only the tuples its source
-//! variable gained since that statement last ran.
+//! each written variable as a growing log (a sorted [`Rows`] plus an
+//! admission-ordered copy), and per round feed each statement only the
+//! tuples its source variable gained since that statement last ran.
 //!
 //! # The provable fragment
 //!
@@ -55,7 +55,8 @@
 
 use crate::ast::{Prog, Term, VarId};
 use crate::exec::GuardEval;
-use recdb_core::{DeltaVar, Fuel, Tuple, TupleInterner};
+use crate::value::Rows;
+use recdb_core::{Elem, Fuel};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Why a loop body is outside the provable semi-naive fragment.
@@ -228,19 +229,19 @@ pub trait DeltaValue: Clone {
     /// The value's rank.
     fn rank(&self) -> usize;
     /// The tuples, if the relation is finite.
-    fn finite_tuples(&self) -> Option<&BTreeSet<Tuple>>;
+    fn finite_tuples(&self) -> Option<&Rows>;
     /// Builds a finite value.
-    fn from_tuples(rank: usize, tuples: BTreeSet<Tuple>) -> Self;
+    fn from_tuples(rank: usize, tuples: Rows) -> Self;
 }
 
 impl DeltaValue for crate::value::Val {
     fn rank(&self) -> usize {
         self.rank
     }
-    fn finite_tuples(&self) -> Option<&BTreeSet<Tuple>> {
+    fn finite_tuples(&self) -> Option<&Rows> {
         Some(&self.tuples)
     }
-    fn from_tuples(rank: usize, tuples: BTreeSet<Tuple>) -> Self {
+    fn from_tuples(rank: usize, tuples: Rows) -> Self {
         crate::value::Val { rank, tuples }
     }
 }
@@ -249,10 +250,10 @@ impl DeltaValue for crate::fcf_interp::FcfVal {
     fn rank(&self) -> usize {
         self.rank
     }
-    fn finite_tuples(&self) -> Option<&BTreeSet<Tuple>> {
+    fn finite_tuples(&self) -> Option<&Rows> {
         self.finite.then_some(&self.tuples)
     }
-    fn from_tuples(rank: usize, tuples: BTreeSet<Tuple>) -> Self {
+    fn from_tuples(rank: usize, tuples: Rows) -> Self {
         crate::fcf_interp::FcfVal {
             rank,
             finite: true,
@@ -272,10 +273,109 @@ pub enum LoopKind {
     Finite,
 }
 
-fn fallback(reason: &'static str) -> bool {
+macro_rules! fallbacks {
+    ($($(#[doc = $doc:literal])* $variant:ident = $code:literal,)*) => {
+        /// Why [`try_loop`] handed a loop back to the from-scratch
+        /// executor. Each reason has its own counter,
+        /// `fixpoint.seminaive.fallbacks.<code>`, next to the total
+        /// `fixpoint.seminaive.fallbacks`.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum Fallback {
+            $($(#[doc = $doc])* $variant,)*
+        }
+
+        impl Fallback {
+            /// The reason's slug, e.g. `"ineligible_body"`.
+            pub fn code(self) -> &'static str {
+                match self { $(Fallback::$variant => $code,)* }
+            }
+
+            /// The reason's counter name.
+            fn metric(self) -> &'static str {
+                match self {
+                    $(Fallback::$variant => concat!("fixpoint.seminaive.fallbacks.", $code),)*
+                }
+            }
+        }
+    };
+}
+
+fallbacks! {
+    /// The body is outside the provable fragment ([`classify_loop`]).
+    IneligibleBody = "ineligible_body",
+    /// A loop-written variable held a co-finite value on entry.
+    CofiniteVar = "cofinite_var",
+    /// Fuel ran out mid-loop.
+    Fuel = "fuel",
+    /// A body term raised a runtime error.
+    EvalError = "eval_error",
+    /// A body term produced a co-finite contribution.
+    CofiniteContribution = "cofinite_contribution",
+    /// A contribution's rank differs from its target's.
+    RankMismatch = "rank_mismatch",
+    /// A statement targets a variable without a log (unreachable:
+    /// targets are the loop's writes).
+    UnseededTarget = "unseeded_target",
+    /// The logs reached a fixpoint with the guard still true.
+    Divergent = "divergent",
+}
+
+fn fallback(reason: Fallback) -> bool {
     recdb_obs::count("fixpoint.seminaive.fallbacks", 1);
-    let _ = reason;
+    recdb_obs::count(reason.metric(), 1);
     false
+}
+
+/// One loop-written variable's growing value: the sorted set of rows
+/// admitted so far plus the same rows in admission order, so a
+/// statement's cursor into the log yields exactly the rows admitted
+/// since it last ran (the datafrog per-reader delta).
+struct Log {
+    rank: usize,
+    all: Rows,
+    /// Admitted rows end to end, in admission order.
+    order: Vec<Elem>,
+    /// Rows in `order` (kept apart: rank-0 rows have no elements).
+    count: usize,
+    /// `count` at the last round boundary.
+    rotated: usize,
+}
+
+impl Log {
+    fn new(rank: usize, entry: &Rows) -> Self {
+        Log {
+            rank,
+            all: entry.clone(),
+            order: entry.as_flat().to_vec(),
+            count: entry.len(),
+            rotated: 0,
+        }
+    }
+
+    /// Admits `rows` (sorted, of this log's rank); true if any was new.
+    fn admit(&mut self, rows: &Rows) -> bool {
+        let fresh = rows.difference(&self.all);
+        if fresh.is_empty() {
+            return false;
+        }
+        self.all.absorb(&fresh);
+        self.order.extend_from_slice(fresh.as_flat());
+        self.count += fresh.len();
+        true
+    }
+
+    /// The rows admitted at or after log position `cursor`.
+    fn since(&self, cursor: usize) -> Rows {
+        let data = self.order[cursor * self.rank..].to_vec();
+        Rows::from_unsorted(self.rank, self.count - cursor, data)
+    }
+
+    /// Closes a round, observing the rows it admitted as
+    /// `fixpoint.delta.recent`.
+    fn rotate(&mut self) {
+        recdb_obs::observe("fixpoint.delta.recent", (self.count - self.rotated) as u64);
+        self.rotated = self.count;
+    }
 }
 
 /// Attempts to run `while <kind>(Y_guard) do body` semi-naively.
@@ -283,9 +383,7 @@ fn fallback(reason: &'static str) -> bool {
 /// Returns `true` when the loop ran to completion (the environment now
 /// holds the exact from-scratch result). Returns `false` — with the
 /// environment untouched — when the caller must run the from-scratch
-/// loop instead: the body is outside the provable fragment, a value
-/// was not a finite relation, ranks disagreed with the union shape, an
-/// evaluation error occurred, or fuel ran out.
+/// loop instead; the [`Fallback`] reason is counted.
 pub fn try_loop<B: GuardEval>(
     backend: &mut B,
     kind: LoopKind,
@@ -295,43 +393,36 @@ pub fn try_loop<B: GuardEval>(
     fuel: &mut Fuel,
 ) -> bool {
     let Ok(plan) = classify_loop(body) else {
-        return fallback("ineligible body");
+        return fallback(Fallback::IneligibleBody);
     };
-    // Entry snapshot: one DeltaVar per written variable, seeded with
-    // the entry value so the first round's per-statement delta is the
-    // full entry value — round 1 then reproduces iteration 1 exactly.
-    let mut interner = TupleInterner::new();
-    let mut dvs: BTreeMap<VarId, DeltaVar> = BTreeMap::new();
-    let mut ranks: BTreeMap<VarId, usize> = BTreeMap::new();
+    // Entry snapshot: one log per written variable, seeded with the
+    // entry value so the first round's per-statement delta is the full
+    // entry value — round 1 then reproduces iteration 1 exactly.
+    let mut logs: BTreeMap<VarId, Log> = BTreeMap::new();
     for &w in &plan.writes {
         let entry = env.get(w).cloned().unwrap_or_else(B::unset);
         let Some(tuples) = entry.finite_tuples() else {
-            return fallback("co-finite loop variable");
+            return fallback(Fallback::CofiniteVar);
         };
-        let mut dv = DeltaVar::new();
-        for t in tuples {
-            dv.insert(interner.intern(t));
-        }
-        ranks.insert(w, entry.rank());
-        dvs.insert(w, dv);
+        logs.insert(w, Log::new(entry.rank(), tuples));
     }
-    let guard_size = |dvs: &BTreeMap<VarId, DeltaVar>, env: &[B::V]| -> u64 {
-        match dvs.get(&guard) {
-            Some(dv) => dv.len() as u64,
+    let guard_size = |logs: &BTreeMap<VarId, Log>, env: &[B::V]| -> u64 {
+        match logs.get(&guard) {
+            Some(log) => log.count as u64,
             None => env.get(guard).map_or(0, B::size),
         }
     };
-    let guard_finite = |dvs: &BTreeMap<VarId, DeltaVar>, env: &[B::V]| -> bool {
-        match dvs.get(&guard) {
+    let guard_finite = |logs: &BTreeMap<VarId, Log>, env: &[B::V]| -> bool {
+        match logs.get(&guard) {
             Some(_) => true, // loop variables stay finite by construction
             None => env.get(guard).is_none_or(|v| v.finite_tuples().is_some()),
         }
     };
-    let continues = |dvs: &BTreeMap<VarId, DeltaVar>, env: &[B::V]| -> bool {
+    let continues = |logs: &BTreeMap<VarId, Log>, env: &[B::V]| -> bool {
         match kind {
-            LoopKind::Empty => guard_size(dvs, env) == 0,
-            LoopKind::Singleton => guard_size(dvs, env) == 1,
-            LoopKind::Finite => guard_finite(dvs, env),
+            LoopKind::Empty => guard_size(logs, env) == 0,
+            LoopKind::Singleton => guard_size(logs, env) == 1,
+            LoopKind::Finite => guard_finite(logs, env),
         }
     };
     // Scratch environment: entry values (K-subterms are W-free, so
@@ -342,35 +433,30 @@ pub fn try_loop<B: GuardEval>(
     let mut cursors = vec![0usize; plan.stmts.len()];
     let mut rounds: u64 = 0;
     loop {
-        if !continues(&dvs, env) {
+        if !continues(&logs, env) {
             break;
         }
         if fuel.tick().is_err() {
             // The from-scratch loop's next tick fails identically.
-            return fallback("fuel exhausted");
+            return fallback(Fallback::Fuel);
         }
         rounds += 1;
         let mut progress = false;
         for (i, stmt) in plan.stmts.iter().enumerate() {
             if fuel.tick().is_err() {
-                return fallback("fuel exhausted");
+                return fallback(Fallback::Fuel);
             }
             let delta: B::V = match stmt.source {
                 Some(src) => {
-                    let dv = &dvs[&src];
+                    let log = &logs[&src];
                     let cur = cursors[i];
-                    cursors[i] = dv.len();
-                    if cur == dv.len() && rounds > 1 {
+                    cursors[i] = log.count;
+                    if cur == log.count && rounds > 1 {
                         // Linear monotone s: s(∅) = ∅. Round 1 always
                         // evaluates, so static errors still surface.
                         continue;
                     }
-                    let tuples: BTreeSet<Tuple> = dv
-                        .added_since(cur)
-                        .iter()
-                        .map(|&id| interner.resolve(id).clone())
-                        .collect();
-                    B::V::from_tuples(ranks[&src], tuples)
+                    B::V::from_tuples(log.rank, log.since(cur))
                 }
                 None => {
                     if rounds > 1 {
@@ -382,46 +468,39 @@ pub fn try_loop<B: GuardEval>(
             scratch_env[plan.scratch] = delta;
             let contribution = match backend.eval(&stmt.rewritten, &scratch_env, fuel) {
                 Ok(v) => v,
-                Err(_) => return fallback("evaluation error"),
+                Err(_) => return fallback(Fallback::EvalError),
             };
             let Some(tuples) = contribution.finite_tuples() else {
-                return fallback("co-finite contribution");
+                return fallback(Fallback::CofiniteContribution);
             };
-            if contribution.rank() != ranks[&stmt.target] {
+            let Some(log) = logs.get_mut(&stmt.target) else {
+                return fallback(Fallback::UnseededTarget); // unreachable: targets ⊆ writes
+            };
+            if contribution.rank() != log.rank {
                 // The from-scratch union ¬(¬v ∩ ¬s) raises the same
                 // mismatch on its first iteration.
-                return fallback("union rank mismatch");
+                return fallback(Fallback::RankMismatch);
             }
             recdb_obs::observe("fixpoint.delta.size", tuples.len() as u64);
-            let ids: Vec<_> = tuples.iter().map(|t| interner.intern(t)).collect();
-            let Some(dv) = dvs.get_mut(&stmt.target) else {
-                return fallback("unseeded target"); // unreachable: targets ⊆ writes
-            };
-            for id in ids {
-                if dv.insert(id) {
-                    progress = true;
-                }
-            }
+            progress |= log.admit(tuples);
         }
-        for dv in dvs.values_mut() {
-            dv.changed();
+        for log in logs.values_mut() {
+            log.rotate();
         }
-        if !progress && continues(&dvs, env) {
+        if !progress && continues(&logs, env) {
             // Fixpoint reached with the guard still true: the
             // from-scratch loop diverges. Burn the budget so the
             // fallback reports the same FuelError immediately.
             while fuel.tick().is_ok() {}
-            return fallback("divergent loop");
+            return fallback(Fallback::Divergent);
         }
     }
     if rounds > 0 {
-        for (&w, dv) in &dvs {
-            let tuples: BTreeSet<Tuple> =
-                dv.iter().map(|id| interner.resolve(id).clone()).collect();
+        for (w, log) in logs {
             if w >= env.len() {
                 env.resize(w + 1, B::unset());
             }
-            env[w] = B::V::from_tuples(ranks[&w], tuples);
+            env[w] = B::V::from_tuples(log.rank, log.all);
         }
     }
     recdb_obs::count("fixpoint.seminaive.loops", 1);

@@ -1,8 +1,611 @@
 //! Runtime values and errors for the QL interpreters.
+//!
+//! Every relation value is a [`Rows`]: one flat `Vec<Elem>` holding the
+//! rows end to end, `stride` elements each, strictly increasing in
+//! lexicographic order. That is exactly the order of a
+//! `BTreeSet<Tuple>` over tuples of one rank, so anything rendered by
+//! iterating a value (result JSON, cache keys, canonical forms) has the
+//! bytes a `BTreeSet<Tuple>` would give. The set operations are merges
+//! over the two sorted buffers that gallop over runs.
 
-use recdb_core::{FuelError, Tuple};
-use std::collections::BTreeSet;
+use recdb_core::{Elem, FuelError, Tuple};
+use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Deref;
+
+/// A finite relation of one rank in flat, sorted, deduplicated form.
+///
+/// Invariants: `data.len() == len * stride`; row `i` is
+/// `data[i*stride..(i+1)*stride]`; rows are strictly increasing. The
+/// rank-0 relations are `len` 0 (`{}`) and 1 (`{()}`). An empty value
+/// carries `stride` 0 whatever its rank, so equality does not depend on
+/// how the empty value was produced — the rank lives with the owner
+/// ([`Val::rank`], `FcfVal::rank`).
+#[derive(Clone, PartialEq, Eq, Default)]
+pub struct Rows {
+    stride: usize,
+    len: usize,
+    data: Vec<Elem>,
+}
+
+impl Rows {
+    /// The empty relation.
+    pub fn new() -> Self {
+        Rows::default()
+    }
+
+    /// The rank-0 relation `{()}`.
+    pub fn unit() -> Self {
+        Rows {
+            stride: 0,
+            len: 1,
+            data: Vec::new(),
+        }
+    }
+
+    fn normalized(stride: usize, len: usize, data: Vec<Elem>) -> Self {
+        if len == 0 {
+            Rows::new()
+        } else {
+            Rows { stride, len, data }
+        }
+    }
+
+    /// Rows of width `stride` in any order, possibly repeated: sorts
+    /// and deduplicates once (`len` is the row count, which `stride` 0
+    /// cannot recover from `data`).
+    pub(crate) fn from_unsorted(stride: usize, len: usize, data: Vec<Elem>) -> Self {
+        debug_assert_eq!(data.len(), len * stride);
+        if stride == 0 {
+            return if len == 0 { Rows::new() } else { Rows::unit() };
+        }
+        if is_strictly_sorted(stride, &data) {
+            return Rows::normalized(stride, len, data);
+        }
+        let data = sort_mapped(&data, stride, stride, 0, |row, out| {
+            out.copy_from_slice(row)
+        });
+        Rows::normalized(stride, data.len() / stride, data)
+    }
+
+    /// Elements per row (0 for rank 0 and for the empty relation).
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Is the relation empty?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// All rows laid end to end.
+    pub(crate) fn as_flat(&self) -> &[Elem] {
+        &self.data
+    }
+
+    /// Row `i` (`i < len`).
+    fn row(&self, i: usize) -> Row<'_> {
+        Row(&self.data[i * self.stride..(i + 1) * self.stride])
+    }
+
+    /// The rows in increasing order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            rows: self,
+            next: 0,
+        }
+    }
+
+    /// Membership, by binary search.
+    pub fn contains(&self, t: &[Elem]) -> bool {
+        if self.len == 0 || t.len() != self.stride {
+            return false;
+        }
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.row(mid).0.cmp(t) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+
+    /// The stride two operands share (0 only when both are empty or
+    /// rank 0).
+    fn common_stride(&self, other: &Rows) -> usize {
+        debug_assert!(self.is_empty() || other.is_empty() || self.stride == other.stride);
+        self.stride.max(other.stride)
+    }
+
+    /// The merge behind `∩`/`∖`/`∪` (both operands nonempty), run on
+    /// fixed-width arrays for ranks 1–4 so each row comparison is
+    /// inline.
+    fn merge(&self, other: &Rows, keep: Keep) -> Rows {
+        let s = self.common_stride(other);
+        let data = match s {
+            // Both are `{()}`.
+            0 => return if keep.both { Rows::unit() } else { Rows::new() },
+            1 => merge_n::<1>(&self.data, &other.data, keep),
+            2 => merge_n::<2>(&self.data, &other.data, keep),
+            3 => merge_n::<3>(&self.data, &other.data, keep),
+            4 => merge_n::<4>(&self.data, &other.data, keep),
+            _ => {
+                let a: Vec<&[Elem]> = self.data.chunks_exact(s).collect();
+                let b: Vec<&[Elem]> = other.data.chunks_exact(s).collect();
+                merge_sorted(&a, &b, keep).concat()
+            }
+        };
+        Rows::normalized(s, data.len() / s, data)
+    }
+
+    /// `self ∩ other` (same rank).
+    pub fn intersection(&self, other: &Rows) -> Rows {
+        if self.is_empty() || other.is_empty() {
+            return Rows::new();
+        }
+        self.merge(other, Keep::INTERSECTION)
+    }
+
+    /// `self ∖ other` (same rank).
+    pub fn difference(&self, other: &Rows) -> Rows {
+        if self.is_empty() || other.is_empty() {
+            return self.clone();
+        }
+        self.merge(other, Keep::DIFFERENCE)
+    }
+
+    /// `self ∪ other` (same rank).
+    pub fn union(&self, other: &Rows) -> Rows {
+        if other.is_empty() {
+            return self.clone();
+        }
+        if self.is_empty() {
+            return other.clone();
+        }
+        self.merge(other, Keep::UNION)
+    }
+
+    /// Adds `fresh`, whose rows are all absent from `self`, in place:
+    /// a backward merge that moves only the rows above the least fresh
+    /// one, and allocates only when the buffer grows.
+    pub fn absorb(&mut self, fresh: &Rows) {
+        if fresh.is_empty() {
+            return;
+        }
+        if self.is_empty() {
+            *self = fresh.clone();
+            return;
+        }
+        let s = self.common_stride(fresh);
+        let (mut i, mut j) = (self.len, fresh.len);
+        self.data.resize((i + j) * s, Elem(0));
+        while j > 0 {
+            let k = i + j - 1;
+            if i > 0 && self.data[(i - 1) * s..i * s] > *fresh.row(j - 1).0 {
+                self.data.copy_within((i - 1) * s..i * s, k * s);
+                i -= 1;
+            } else {
+                self.data[k * s..(k + 1) * s].copy_from_slice(fresh.row(j - 1).0);
+                j -= 1;
+            }
+        }
+        self.len += fresh.len;
+    }
+
+    /// Each row with its first element dropped, re-sorted (`stride` ≥ 1).
+    pub fn drop_first(&self) -> Rows {
+        match self.stride {
+            0 => Rows::new(),
+            1 => Rows::unit(),
+            s => {
+                let data = sort_mapped(&self.data, s, s - 1, 0, |row, out| {
+                    out.copy_from_slice(&row[1..]);
+                });
+                Rows::normalized(s - 1, data.len() / (s - 1), data)
+            }
+        }
+    }
+
+    /// Each row with its two rightmost elements exchanged, re-sorted
+    /// (`stride` ≥ 2).
+    pub fn swap_last_two(&self) -> Rows {
+        let s = self.stride;
+        if s < 2 {
+            return self.clone();
+        }
+        // The untouched prefix keeps the rows grouped.
+        let data = sort_mapped(&self.data, s, s, s - 2, |row, out| {
+            out.copy_from_slice(row);
+            out.swap(s - 2, s - 1);
+        });
+        Rows::normalized(s, self.len, data)
+    }
+
+    /// Each row extended by every element of `dom`, which must be
+    /// strictly increasing: the product `self × dom`, already sorted.
+    pub(crate) fn times(&self, dom: &[Elem]) -> Rows {
+        debug_assert!(dom.windows(2).all(|w| w[0] < w[1]));
+        let (s, len) = (self.stride, self.len * dom.len());
+        if s == 0 {
+            // {()} × D = D; {} × D = {}.
+            let data = if self.len == 0 {
+                Vec::new()
+            } else {
+                dom.to_vec()
+            };
+            return Rows::normalized(1, data.len(), data);
+        }
+        if len == 0 {
+            return Rows::new();
+        }
+        let data = match s {
+            1 => times_n::<1, 2>(&self.data, dom),
+            2 => times_n::<2, 3>(&self.data, dom),
+            3 => times_n::<3, 4>(&self.data, dom),
+            _ => {
+                let mut data = Vec::with_capacity(len * (s + 1));
+                for row in self.data.chunks_exact(s) {
+                    for &a in dom {
+                        data.extend_from_slice(row);
+                        data.push(a);
+                    }
+                }
+                data
+            }
+        };
+        Rows::normalized(s + 1, len, data)
+    }
+
+    /// `domⁿ ∖ self` for a rank-`n` relation (strictly increasing
+    /// `dom`): an odometer walks the prefixes in `domⁿ⁻¹` in order, and
+    /// for each one `dom` is merged against the last coordinates of
+    /// `self`'s rows under that prefix.
+    pub(crate) fn complement(&self, n: usize, dom: &[Elem]) -> Rows {
+        debug_assert!(self.is_empty() || self.stride == n);
+        if n == 0 {
+            return if self.is_empty() {
+                Rows::unit()
+            } else {
+                Rows::new()
+            };
+        }
+        if dom.is_empty() {
+            return Rows::new();
+        }
+        let total = u32::try_from(n)
+            .ok()
+            .and_then(|n| dom.len().checked_pow(n))
+            .unwrap_or(0);
+        let mut data = Vec::with_capacity(total.saturating_sub(self.len).saturating_mul(n));
+        let mut len = 0;
+        let p = n - 1;
+        let mut idx = vec![0usize; p];
+        // The row being emitted: the current prefix, then a slot for
+        // each element of `dom` in turn.
+        let mut cur: Vec<Elem> = vec![dom[0]; n];
+        let mut j = 0;
+        loop {
+            // Rows below this prefix lie outside `domⁿ`: skip them.
+            while j < self.len && self.row(j).0[..p] < cur[..p] {
+                j += 1;
+            }
+            let start = j;
+            while j < self.len && self.row(j).0[..p] == cur[..p] {
+                j += 1;
+            }
+            let mut taken = (start..j).map(|r| self.data[r * n + p]).peekable();
+            for &a in dom {
+                while taken.next_if(|&b| b < a).is_some() {}
+                if taken.next_if_eq(&a).is_some() {
+                    continue;
+                }
+                cur[p] = a;
+                data.extend_from_slice(&cur);
+                len += 1;
+            }
+            // Advance the prefix odometer; its last coordinate is
+            // fastest.
+            let mut k = p;
+            loop {
+                if k == 0 {
+                    return Rows::normalized(n, len, data);
+                }
+                k -= 1;
+                idx[k] += 1;
+                if idx[k] < dom.len() {
+                    cur[k] = dom[idx[k]];
+                    break;
+                }
+                idx[k] = 0;
+                cur[k] = dom[0];
+            }
+        }
+    }
+}
+
+/// Which rows a merge keeps: those only in the left operand, only in
+/// the right one, or in both.
+#[derive(Clone, Copy)]
+struct Keep {
+    only_self: bool,
+    only_other: bool,
+    both: bool,
+}
+
+impl Keep {
+    const INTERSECTION: Keep = Keep {
+        only_self: false,
+        only_other: false,
+        both: true,
+    };
+    const DIFFERENCE: Keep = Keep {
+        only_self: true,
+        only_other: false,
+        both: false,
+    };
+    const UNION: Keep = Keep {
+        only_self: true,
+        only_other: true,
+        both: true,
+    };
+}
+
+/// [`merge_sorted`] over the width-`N` rows of two flat buffers.
+fn merge_n<const N: usize>(a: &[Elem], b: &[Elem], keep: Keep) -> Vec<Elem> {
+    merge_sorted(a.as_chunks::<N>().0, b.as_chunks::<N>().0, keep).into_flattened()
+}
+
+/// Merges two strictly increasing row sequences. When one side runs
+/// ahead, [`seek`] gallops to the end of the run and the run is copied
+/// (or skipped) in one piece.
+fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T], keep: Keep) -> Vec<T> {
+    let (mut i, mut j) = (0, 0);
+    let mut out = Vec::new();
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => {
+                let end = seek(a, i + 1, &b[j]);
+                if keep.only_self {
+                    out.extend_from_slice(&a[i..end]);
+                }
+                i = end;
+            }
+            Ordering::Greater => {
+                let end = seek(b, j + 1, &a[i]);
+                if keep.only_other {
+                    out.extend_from_slice(&b[j..end]);
+                }
+                j = end;
+            }
+            Ordering::Equal => {
+                if keep.both {
+                    out.push(a[i]);
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    if keep.only_self {
+        out.extend_from_slice(&a[i..]);
+    }
+    if keep.only_other {
+        out.extend_from_slice(&b[j..]);
+    }
+    out
+}
+
+/// The first index `≥ lo` whose row is `≥ target`, by galloping: one
+/// comparison when row `lo` already qualifies, and logarithmic in the
+/// distance skipped otherwise (datafrog's `gallop`).
+fn seek<T: Ord>(rows: &[T], lo: usize, target: &T) -> usize {
+    if lo >= rows.len() || rows[lo] >= *target {
+        return lo;
+    }
+    // Row `base` is below the target; probe 1, 2, 4, … past it.
+    let (mut base, mut step) = (lo, 1);
+    while base + step < rows.len() && rows[base + step] < *target {
+        base += step;
+        step <<= 1;
+    }
+    let (mut lo, mut hi) = (base + 1, (base + step).min(rows.len()));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if rows[mid] < *target {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// `src × dom` for rows of width `N`, built as `M = N + 1`-element
+/// arrays: each output row is assembled in registers and the buffer is
+/// written once, with no zero-fill.
+fn times_n<const N: usize, const M: usize>(src: &[Elem], dom: &[Elem]) -> Vec<Elem> {
+    debug_assert_eq!(M, N + 1);
+    let mut rows: Vec<[Elem; M]> = Vec::with_capacity(src.len() / N * dom.len());
+    for row in src.chunks_exact(N) {
+        rows.extend(dom.iter().map(|&a| {
+            let mut out = [Elem(0); M];
+            out[..N].copy_from_slice(row);
+            out[N] = a;
+            out
+        }));
+    }
+    rows.into_flattened()
+}
+
+/// Are the width-`stride` rows of `data` strictly increasing?
+fn is_strictly_sorted(stride: usize, data: &[Elem]) -> bool {
+    let mut rows = data.chunks_exact(stride);
+    let Some(mut prev) = rows.next() else {
+        return true;
+    };
+    rows.all(|r| std::mem::replace(&mut prev, r) < r)
+}
+
+/// Rows of width `out` built by `f` from each width-`stride` row of
+/// `src`, then sorted and deduplicated. Rows sharing their first
+/// `prefix` elements are already contiguous and in order, so each such
+/// run is sorted on its own. The sort is a stable merge sort, which
+/// finds runs that are already in order — `↓` leaves one per dropped
+/// value. Widths 1–4 are built and sorted as arrays.
+fn sort_mapped(
+    src: &[Elem],
+    stride: usize,
+    out: usize,
+    prefix: usize,
+    f: impl Fn(&[Elem], &mut [Elem]),
+) -> Vec<Elem> {
+    match out {
+        1 => sort_mapped_n::<1>(src, stride, prefix, f),
+        2 => sort_mapped_n::<2>(src, stride, prefix, f),
+        3 => sort_mapped_n::<3>(src, stride, prefix, f),
+        4 => sort_mapped_n::<4>(src, stride, prefix, f),
+        _ => {
+            let mut data = vec![Elem(0); src.len() / stride * out];
+            for (row, o) in src.chunks_exact(stride).zip(data.chunks_exact_mut(out)) {
+                f(row, o);
+            }
+            let mut rows: Vec<&[Elem]> = data.chunks_exact(out).collect();
+            for run in rows.chunk_by_mut(|a, b| a[..prefix] == b[..prefix]) {
+                run.sort();
+            }
+            rows.dedup();
+            rows.concat()
+        }
+    }
+}
+
+fn sort_mapped_n<const N: usize>(
+    src: &[Elem],
+    stride: usize,
+    prefix: usize,
+    f: impl Fn(&[Elem], &mut [Elem]),
+) -> Vec<Elem> {
+    let mut rows: Vec<[Elem; N]> = src
+        .chunks_exact(stride)
+        .map(|row| {
+            let mut a = [Elem(0); N];
+            f(row, &mut a);
+            a
+        })
+        .collect();
+    for run in rows.chunk_by_mut(|a, b| a[..prefix] == b[..prefix]) {
+        run.sort();
+    }
+    rows.dedup();
+    rows.into_flattened()
+}
+
+impl FromIterator<Tuple> for Rows {
+    /// Collects tuples of one rank (any order, repeats allowed).
+    ///
+    /// # Panics
+    /// Panics if two tuples differ in rank.
+    fn from_iter<I: IntoIterator<Item = Tuple>>(iter: I) -> Self {
+        let mut stride = None;
+        let mut len = 0;
+        let mut data = Vec::new();
+        for t in iter {
+            let s = *stride.get_or_insert(t.rank());
+            assert_eq!(t.rank(), s, "value tuples must share the rank");
+            data.extend_from_slice(t.elems());
+            len += 1;
+        }
+        Rows::from_unsorted(stride.unwrap_or(0), len, data)
+    }
+}
+
+impl<'a> IntoIterator for &'a Rows {
+    type Item = Row<'a>;
+    type IntoIter = Iter<'a>;
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Rows {
+    /// Formats like the equivalent `BTreeSet<Tuple>`: `{(0,1), (1,0)}`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// The rows of a [`Rows`], in increasing order.
+#[derive(Clone)]
+pub struct Iter<'a> {
+    rows: &'a Rows,
+    next: usize,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = Row<'a>;
+    fn next(&mut self) -> Option<Row<'a>> {
+        (self.next < self.rows.len).then(|| {
+            self.next += 1;
+            self.rows.row(self.next - 1)
+        })
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.rows.len - self.next;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+/// A borrowed row of a [`Rows`]: a tuple view ordered and printed like
+/// [`Tuple`].
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Row<'a>(&'a [Elem]);
+
+impl<'a> Row<'a> {
+    /// The elements.
+    pub fn elems(self) -> &'a [Elem] {
+        self.0
+    }
+
+    /// An owned copy.
+    pub fn to_tuple(self) -> Tuple {
+        Tuple::from(self.0)
+    }
+
+    /// Applies a function to every element, producing a new tuple.
+    pub fn map(self, f: impl FnMut(Elem) -> Elem) -> Tuple {
+        self.0.iter().copied().map(f).collect()
+    }
+}
+
+impl Deref for Row<'_> {
+    type Target = [Elem];
+    fn deref(&self) -> &[Elem] {
+        self.0
+    }
+}
+
+impl fmt::Debug for Row<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "(")?;
+        for (i, e) in self.0.iter().enumerate() {
+            if i > 0 {
+                write!(f, ",")?;
+            }
+            write!(f, "{}", e.0)?;
+        }
+        write!(f, ")")
+    }
+}
 
 /// A term value: a finite set of tuples of a common rank. For QLhs the
 /// tuples are class representatives from `T_B`; for finitary QL they
@@ -12,7 +615,7 @@ pub struct Val {
     /// The common rank.
     pub rank: usize,
     /// The tuples.
-    pub tuples: BTreeSet<Tuple>,
+    pub tuples: Rows,
 }
 
 impl Val {
@@ -20,7 +623,7 @@ impl Val {
     pub fn empty(rank: usize) -> Self {
         Val {
             rank,
-            tuples: BTreeSet::new(),
+            tuples: Rows::new(),
         }
     }
 
@@ -29,10 +632,11 @@ impl Val {
     /// # Panics
     /// Panics if a tuple's rank differs.
     pub fn new(rank: usize, tuples: impl IntoIterator<Item = Tuple>) -> Self {
-        let tuples: BTreeSet<Tuple> = tuples.into_iter().collect();
-        for t in &tuples {
-            assert_eq!(t.rank(), rank, "value tuples must share the rank");
-        }
+        let tuples: Rows = tuples.into_iter().collect();
+        assert!(
+            tuples.is_empty() || tuples.stride() == rank,
+            "value tuples must share the rank"
+        );
         Val { rank, tuples }
     }
 

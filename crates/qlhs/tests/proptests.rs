@@ -63,7 +63,10 @@ fn rank2_terms_stay_in_t2() {
             assert_eq!(v.rank, 2);
             let t2: std::collections::BTreeSet<_> = hs.t_n(2).into_iter().collect();
             for rep in &v.tuples {
-                assert!(t2.contains(rep), "values are representative sets");
+                assert!(
+                    t2.contains(&rep.to_tuple()),
+                    "values are representative sets"
+                );
             }
         }
     }

@@ -339,7 +339,11 @@ mod tests {
             .run(&compiled.prog, &mut Fuel::new(1_000_000))
             .unwrap();
         assert_eq!(got.rank, direct.attrs.len(), "rank for {p}");
-        assert_eq!(got.tuples, direct.tuples, "tuples for {p}");
+        assert_eq!(
+            got.tuples,
+            direct.tuples.iter().cloned().collect(),
+            "tuples for {p}"
+        );
         assert_eq!(compiled.attrs, direct.attrs);
     }
 

@@ -314,10 +314,7 @@ mod tests {
     fn cache_round_trips_and_evicts() {
         let cache = ResultCache::new(4);
         assert!(cache.is_empty());
-        let v = CachedResult::Rel(Val {
-            rank: 2,
-            tuples: BTreeSet::new(),
-        });
+        let v = CachedResult::Rel(Val::empty(2));
         cache.put("k1", v.clone());
         assert_eq!(cache.get("k1").as_deref(), Some(&v));
         assert!(cache.get("k2").is_none());

@@ -399,14 +399,15 @@ pub fn build_hs(db: &DbSpec) -> Option<HsDatabase> {
 }
 
 /// Renders a finite-relation value deterministically:
-/// `{"rank":r,"tuples":[[…],…]}` (tuples in `BTreeSet` order).
+/// `{"rank":r,"tuples":[[…],…]}` (tuples in lexicographic order,
+/// the order a `BTreeSet<Tuple>` iterates in).
 pub fn result_json(v: &Val) -> String {
     let mut s = format!("{{\"rank\":{},\"tuples\":[", v.rank);
     for (i, t) in v.tuples.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        push_tuple_json(&mut s, t);
+        push_tuple_json(&mut s, &t);
     }
     s.push_str("]}");
     s
@@ -420,15 +421,15 @@ pub fn fcf_result_json(v: &FcfVal) -> String {
         if i > 0 {
             s.push(',');
         }
-        push_tuple_json(&mut s, t);
+        push_tuple_json(&mut s, &t);
     }
     s.push_str("]}");
     s
 }
 
-fn push_tuple_json(s: &mut String, t: &Tuple) {
+fn push_tuple_json(s: &mut String, t: &[Elem]) {
     s.push('[');
-    for (i, e) in t.elems().iter().enumerate() {
+    for (i, e) in t.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
@@ -603,6 +604,31 @@ mod tests {
                 .collect(),
         };
         assert_eq!(result_json(&v), r#"{"rank":2,"tuples":[[0,1],[1,0]]}"#);
+    }
+
+    /// Golden bytes: rows render in `BTreeSet<Tuple>` order whatever
+    /// order and repeats the value was built from.
+    #[test]
+    fn result_json_golden_bytes() {
+        let rows = [
+            [2u64, 0, 1],
+            [0, 1, 2],
+            [0, 1, 1],
+            [10, 2, 3],
+            [2, 0, 1],
+            [0, 10, 0],
+            [7, 7, 7],
+        ];
+        let v = Val::new(3, rows.map(Tuple::from_values));
+        assert_eq!(
+            result_json(&v),
+            r#"{"rank":3,"tuples":[[0,1,1],[0,1,2],[0,10,0],[2,0,1],[7,7,7],[10,2,3]]}"#
+        );
+        assert_eq!(
+            result_json(&Val::new(0, [Tuple::empty()])),
+            r#"{"rank":0,"tuples":[[]]}"#
+        );
+        assert_eq!(result_json(&Val::empty(0)), r#"{"rank":0,"tuples":[]}"#);
     }
 
     #[test]

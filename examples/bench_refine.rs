@@ -9,7 +9,8 @@
 //! the paper's example graph, the semi-naive delta engine against
 //! from-scratch loop evaluation (`E7/fixpoint`), and incremental
 //! partition maintenance against full recomputation under single-tuple
-//! insertion (`E7/incr_vnr`). Emits the `BENCH_refine.json` schema on
+//! insertion (`E7/incr_vnr`), and the per-op cost of the QL value
+//! layer (`E7/ops`). Emits the `BENCH_refine.json` schema on
 //! stdout:
 //!
 //! ```text
@@ -28,7 +29,8 @@ use recdb_hsdb::{
     paper_example_graph, partition_by_local_iso, partition_by_local_iso_pairwise, v_n_r,
     IncrementalPartition,
 };
-use recdb_qlhs::{Dialect, FinInterp, Prog, Term};
+use recdb_qlhs::exec::Backend;
+use recdb_qlhs::{Dialect, FinInterp, Prog, Term, Val};
 use recdb_vm::{compile, exec_plain, verify, LowerOpts};
 use std::time::Instant;
 
@@ -196,6 +198,32 @@ fn main() {
         });
     }
 
+    // Per-op cost of the flat value layer (`E7/ops`): each QL operator
+    // on half-dense random relations of rank 2–4 over |D| = 10, the
+    // shape of the serve benchmark's value-heavy joins. `size` is the
+    // operand rank; `and` intersects two independent draws.
+    let st = FiniteStructure::undirected_graph(0..10, []);
+    for rank in [2usize, 3, 4] {
+        let half = 10usize.pow(rank as u32) / 2;
+        let x = Val::new(rank, random_tuples(half, rank, 10, 7));
+        let y = Val::new(rank, random_tuples(half, rank, 10, 8));
+        let mut fin = FinInterp::new(&st);
+        let mut op = |bench: &str, f: &mut dyn FnMut(&mut FinInterp) -> Val| {
+            points.push(Point {
+                group: "E7/ops",
+                bench: bench.into(),
+                size: rank,
+                median_ns: median_ns(21, || f(&mut fin).len()),
+            });
+        };
+        let fuel = || Fuel::new(1 << 40);
+        op("and", &mut |i| i.and(&x, &y).expect("ranks agree"));
+        op("not", &mut |i| i.not(&x, &mut fuel()).expect("fuel"));
+        op("up", &mut |i| i.up(&x, &mut fuel()).expect("fuel"));
+        op("down", &mut |i| i.down(&x, &mut fuel()).expect("fuel"));
+        op("swap", &mut |i| i.swap(&x, &mut fuel()).expect("fuel"));
+    }
+
     // Verified bytecode vs tree-walking the same admitted program
     // (`E7/vm`): compilation and verification happen once per
     // admission in the serving layer, so the timed region is execution
@@ -355,6 +383,13 @@ fn main() {
                 r as f64 / i as f64
             );
         }
+    }
+    for rank in [2usize, 3, 4] {
+        let line: Vec<String> = ["and", "not", "up", "down", "swap"]
+            .iter()
+            .map(|op| format!("{op} {} ns", ns("E7/ops", op, rank)))
+            .collect();
+        eprintln!("ops      rank {rank}: {}", line.join(", "));
     }
     for size in [64usize, 256, 1024] {
         let (v, a) = (ns("E7/vm", "vm", size), ns("E7/vm", "ast", size));

@@ -10,7 +10,7 @@
 //!
 //! Run with `cargo run --example fcf_databases`.
 
-use recdb_core::{tuple, CoFiniteRelation, FiniteRelation, Fuel, Tuple};
+use recdb_core::{tuple, CoFiniteRelation, FiniteRelation, Fuel};
 use recdb_hsdb::{df_from_tree, FcfDatabase, FcfRel};
 use recdb_qlhs::{parse_program, FcfInterp};
 
@@ -101,6 +101,5 @@ fn main() {
         "\nR2↓ is co-finite with empty complement (= D¹): finite={}, complement={:?}",
         v.finite, v.tuples
     );
-    let empty: std::collections::BTreeSet<Tuple> = Default::default();
-    assert_eq!(v.tuples, empty);
+    assert!(v.tuples.is_empty());
 }

@@ -91,6 +91,6 @@ fn main() {
         .unwrap();
     println!(
         "\npipeline(reverse) == QLhs swap(R1): {}",
-        reversed == native.tuples
+        native.tuples == reversed.iter().cloned().collect()
     );
 }

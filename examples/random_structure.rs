@@ -62,6 +62,6 @@ fn main() {
     println!(
         "the represented relation is infinite: e.g. (40,41) non-adjacent? {}",
         !hs.database().query(0, &[Elem(40), Elem(41)])
-            && hs.equivalent(rep, &Tuple::from_values([40, 41]))
+            && hs.equivalent(&rep.to_tuple(), &Tuple::from_values([40, 41]))
     );
 }

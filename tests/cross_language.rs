@@ -68,7 +68,9 @@ fn finitary_ql_on_component_matches_qlhs_on_replication() {
             })
             .collect();
         assert!(
-            vh.tuples.iter().any(|rep| hs.equivalent(rep, &enc)),
+            vh.tuples
+                .iter()
+                .any(|rep| hs.equivalent(&rep.to_tuple(), &enc)),
             "finite answer {t:?} not covered by a QLhs class"
         );
     }

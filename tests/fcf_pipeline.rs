@@ -65,7 +65,10 @@ fn qlfplus_and_qlhs_agree_on_shared_programs() {
             // QLf+ answers membership directly…
             let in_fcf = fv.contains(t);
             // …QLhs answers via class representatives.
-            let in_hs = hv.tuples.iter().any(|rep| hs.equivalent(rep, t));
+            let in_hs = hv
+                .tuples
+                .iter()
+                .any(|rep| hs.equivalent(&rep.to_tuple(), t));
             assert_eq!(in_fcf, in_hs, "{src} disagrees at {t:?}");
         }
     }
@@ -88,7 +91,10 @@ fn qlfplus_e_restricted_to_df_vs_qlhs_e() {
     // (7,7): non-Df diagonal — in QLhs's E, not in QLf+'s.
     let t = tuple![7, 7];
     assert!(!fv.contains(&t));
-    assert!(hv.tuples.iter().any(|rep| hs.equivalent(rep, &t)));
+    assert!(hv
+        .tuples
+        .iter()
+        .any(|rep| hs.equivalent(&rep.to_tuple(), &t)));
 }
 
 #[test]

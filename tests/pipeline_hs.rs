@@ -9,7 +9,7 @@ use recdb_core::{Fuel, Tuple};
 use recdb_gm::{GmAction, GmBuilder};
 use recdb_hsdb::{paper_example_graph, rado_graph, random_digraph, HsDatabase};
 use recdb_logic::ast::{Formula, Var};
-use recdb_qlhs::{parse_program, HsInterp, Prog, Term};
+use recdb_qlhs::{parse_program, HsInterp, Prog, Rows, Term};
 
 fn run_qlhs(hs: &HsDatabase, src: &str) -> recdb_qlhs::Val {
     let prog = parse_program(src).expect("parses");
@@ -69,7 +69,11 @@ fn gm_copy_agrees_with_qlhs_identity() {
     let out = gm.run(&hs, &mut Fuel::new(1_000_000)).expect("halts");
     // QLhs: Y1 := R1.
     let v = run_qlhs(&hs, "Y1 := R1;");
-    assert_eq!(out.store[1], v.tuples, "GMhs and QLhs compute the same C₁");
+    assert_eq!(
+        out.store[1].iter().cloned().collect::<Rows>(),
+        v.tuples,
+        "GMhs and QLhs compute the same C₁"
+    );
 }
 
 #[test]
@@ -89,7 +93,11 @@ fn gm_offspring_matches_qlhs_up() {
     let gm = b.build(2);
     let out = gm.run(&hs, &mut Fuel::new(5_000_000)).expect("halts");
     let v = run_qlhs(&hs, "Y1 := up(R1);");
-    assert_eq!(out.store[1], v.tuples, "offspring load ≡ QLhs ↑");
+    assert_eq!(
+        out.store[1].iter().cloned().collect::<Rows>(),
+        v.tuples,
+        "offspring load ≡ QLhs ↑"
+    );
 }
 
 #[test]
