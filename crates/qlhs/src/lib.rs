@@ -52,5 +52,5 @@ pub use optimize::{
 };
 pub use parser::{parse_program, parse_program_with_spans, ProgParseError, Span, SpanTable};
 pub use permute::Permutation;
-pub use seminaive::{classify_loop, Fallback, IneligibleLoop, LoopPlan};
+pub use seminaive::{classify_loop, IneligibleLoop, LoopPlan};
 pub use value::{Row, Rows, RunError, Val};

@@ -4,9 +4,10 @@
 //! full variable values every iteration — `O(program × structure)` per
 //! round. When the body is *provably inflationary and monotone* in the
 //! variables it writes, the classic datafrog discipline applies: keep
-//! each written variable as a growing log (a sorted [`Rows`] plus an
-//! admission-ordered copy), and per round feed each statement only the
-//! tuples its source variable gained since that statement last ran.
+//! each written variable as a growing log (a sorted [`Rows`] plus the
+//! sorted batch each admission added), and per round feed each
+//! statement only the tuples its source variable gained since that
+//! statement last ran.
 //!
 //! # The provable fragment
 //!
@@ -56,7 +57,7 @@
 use crate::ast::{Prog, Term, VarId};
 use crate::exec::GuardEval;
 use crate::value::Rows;
-use recdb_core::{Elem, Fuel};
+use recdb_core::Fuel;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Why a loop body is outside the provable semi-naive fragment.
@@ -273,71 +274,61 @@ pub enum LoopKind {
     Finite,
 }
 
-macro_rules! fallbacks {
-    ($($(#[doc = $doc:literal])* $variant:ident = $code:literal,)*) => {
-        /// Why [`try_loop`] handed a loop back to the from-scratch
-        /// executor. Each reason has its own counter,
-        /// `fixpoint.seminaive.fallbacks.<code>`, next to the total
-        /// `fixpoint.seminaive.fallbacks`.
-        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-        pub enum Fallback {
-            $($(#[doc = $doc])* $variant,)*
-        }
-
-        impl Fallback {
-            /// The reason's slug, e.g. `"ineligible_body"`.
-            pub fn code(self) -> &'static str {
-                match self { $(Fallback::$variant => $code,)* }
-            }
-
-            /// The reason's counter name.
-            fn metric(self) -> &'static str {
-                match self {
-                    $(Fallback::$variant => concat!("fixpoint.seminaive.fallbacks.", $code),)*
-                }
-            }
-        }
-    };
-}
-
-fallbacks! {
+/// Why [`try_loop`] handed a loop back to the from-scratch executor.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Fallback {
     /// The body is outside the provable fragment ([`classify_loop`]).
-    IneligibleBody = "ineligible_body",
+    IneligibleBody,
     /// A loop-written variable held a co-finite value on entry.
-    CofiniteVar = "cofinite_var",
+    CofiniteVar,
     /// Fuel ran out mid-loop.
-    Fuel = "fuel",
+    Fuel,
     /// A body term raised a runtime error.
-    EvalError = "eval_error",
+    EvalError,
     /// A body term produced a co-finite contribution.
-    CofiniteContribution = "cofinite_contribution",
+    CofiniteContribution,
     /// A contribution's rank differs from its target's.
-    RankMismatch = "rank_mismatch",
+    RankMismatch,
     /// A statement targets a variable without a log (unreachable:
     /// targets are the loop's writes).
-    UnseededTarget = "unseeded_target",
+    UnseededTarget,
     /// The logs reached a fixpoint with the guard still true.
-    Divergent = "divergent",
+    Divergent,
 }
 
+/// Counts a fallback in the total `fixpoint.seminaive.fallbacks` and
+/// in its reason's own counter; returns `false` for [`try_loop`].
 fn fallback(reason: Fallback) -> bool {
     recdb_obs::count("fixpoint.seminaive.fallbacks", 1);
-    recdb_obs::count(reason.metric(), 1);
+    match reason {
+        Fallback::IneligibleBody => {
+            recdb_obs::count("fixpoint.seminaive.fallbacks.ineligible_body", 1)
+        }
+        Fallback::CofiniteVar => recdb_obs::count("fixpoint.seminaive.fallbacks.cofinite_var", 1),
+        Fallback::Fuel => recdb_obs::count("fixpoint.seminaive.fallbacks.fuel", 1),
+        Fallback::EvalError => recdb_obs::count("fixpoint.seminaive.fallbacks.eval_error", 1),
+        Fallback::CofiniteContribution => {
+            recdb_obs::count("fixpoint.seminaive.fallbacks.cofinite_contribution", 1)
+        }
+        Fallback::RankMismatch => recdb_obs::count("fixpoint.seminaive.fallbacks.rank_mismatch", 1),
+        Fallback::UnseededTarget => {
+            recdb_obs::count("fixpoint.seminaive.fallbacks.unseeded_target", 1)
+        }
+        Fallback::Divergent => recdb_obs::count("fixpoint.seminaive.fallbacks.divergent", 1),
+    }
     false
 }
 
 /// One loop-written variable's growing value: the sorted set of rows
-/// admitted so far plus the same rows in admission order, so a
-/// statement's cursor into the log yields exactly the rows admitted
-/// since it last ran (the datafrog per-reader delta).
+/// admitted so far plus the same rows as one sorted batch per
+/// admission, so a statement's cursor into the batches yields exactly
+/// the rows admitted since it last ran (the datafrog per-reader delta).
 struct Log {
     rank: usize,
     all: Rows,
-    /// Admitted rows end to end, in admission order.
-    order: Vec<Elem>,
-    /// Rows in `order` (kept apart: rank-0 rows have no elements).
-    count: usize,
-    /// `count` at the last round boundary.
+    /// The entry value, then the new rows of each admission.
+    batches: Vec<Rows>,
+    /// `all.len()` at the last round boundary.
     rotated: usize,
 }
 
@@ -346,8 +337,7 @@ impl Log {
         Log {
             rank,
             all: entry.clone(),
-            order: entry.as_flat().to_vec(),
-            count: entry.len(),
+            batches: vec![entry.clone()],
             rotated: 0,
         }
     }
@@ -358,23 +348,25 @@ impl Log {
         if fresh.is_empty() {
             return false;
         }
-        self.all.absorb(&fresh);
-        self.order.extend_from_slice(fresh.as_flat());
-        self.count += fresh.len();
+        self.all = self.all.union(&fresh);
+        self.batches.push(fresh);
         true
     }
 
-    /// The rows admitted at or after log position `cursor`.
+    /// The rows of the batches from `cursor` on.
     fn since(&self, cursor: usize) -> Rows {
-        let data = self.order[cursor * self.rank..].to_vec();
-        Rows::from_unsorted(self.rank, self.count - cursor, data)
+        match &self.batches[cursor..] {
+            [one] => one.clone(),
+            batches => batches.iter().fold(Rows::new(), |acc, b| acc.union(b)),
+        }
     }
 
     /// Closes a round, observing the rows it admitted as
     /// `fixpoint.delta.recent`.
     fn rotate(&mut self) {
-        recdb_obs::observe("fixpoint.delta.recent", (self.count - self.rotated) as u64);
-        self.rotated = self.count;
+        let count = self.all.len();
+        recdb_obs::observe("fixpoint.delta.recent", (count - self.rotated) as u64);
+        self.rotated = count;
     }
 }
 
@@ -408,7 +400,7 @@ pub fn try_loop<B: GuardEval>(
     }
     let guard_size = |logs: &BTreeMap<VarId, Log>, env: &[B::V]| -> u64 {
         match logs.get(&guard) {
-            Some(log) => log.count as u64,
+            Some(log) => log.all.len() as u64,
             None => env.get(guard).map_or(0, B::size),
         }
     };
@@ -450,8 +442,8 @@ pub fn try_loop<B: GuardEval>(
                 Some(src) => {
                     let log = &logs[&src];
                     let cur = cursors[i];
-                    cursors[i] = log.count;
-                    if cur == log.count && rounds > 1 {
+                    cursors[i] = log.batches.len();
+                    if cur == log.batches.len() && rounds > 1 {
                         // Linear monotone s: s(∅) = ∅. Round 1 always
                         // evaluates, so static errors still surface.
                         continue;

@@ -5,8 +5,9 @@
 //! lexicographic order. That is exactly the order of a
 //! `BTreeSet<Tuple>` over tuples of one rank, so anything rendered by
 //! iterating a value (result JSON, cache keys, canonical forms) has the
-//! bytes a `BTreeSet<Tuple>` would give. The set operations are merges
-//! over the two sorted buffers that gallop over runs.
+//! bytes a `BTreeSet<Tuple>` would give. The set operations are linear
+//! merges over the two sorted buffers; everything that reorders rows
+//! goes through one sort + dedup over row slices.
 
 use recdb_core::{Elem, FuelError, Tuple};
 use std::cmp::Ordering;
@@ -53,19 +54,17 @@ impl Rows {
 
     /// Rows of width `stride` in any order, possibly repeated: sorts
     /// and deduplicates once (`len` is the row count, which `stride` 0
-    /// cannot recover from `data`).
+    /// cannot recover from `data`). The sort is the stable merge sort,
+    /// which finds the ascending runs `↓` and `~` leave and merges them.
     pub(crate) fn from_unsorted(stride: usize, len: usize, data: Vec<Elem>) -> Self {
         debug_assert_eq!(data.len(), len * stride);
         if stride == 0 {
             return if len == 0 { Rows::new() } else { Rows::unit() };
         }
-        if is_strictly_sorted(stride, &data) {
-            return Rows::normalized(stride, len, data);
-        }
-        let data = sort_mapped(&data, stride, stride, 0, |row, out| {
-            out.copy_from_slice(row)
-        });
-        Rows::normalized(stride, data.len() / stride, data)
+        let mut rows: Vec<&[Elem]> = data.chunks_exact(stride).collect();
+        rows.sort();
+        rows.dedup();
+        Rows::normalized(stride, rows.len(), rows.concat())
     }
 
     /// Elements per row (0 for rank 0 and for the empty relation).
@@ -81,11 +80,6 @@ impl Rows {
     /// Is the relation empty?
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// All rows laid end to end.
-    pub(crate) fn as_flat(&self) -> &[Elem] {
-        &self.data
     }
 
     /// Row `i` (`i < len`).
@@ -125,24 +119,47 @@ impl Rows {
         self.stride.max(other.stride)
     }
 
-    /// The merge behind `∩`/`∖`/`∪` (both operands nonempty), run on
-    /// fixed-width arrays for ranks 1–4 so each row comparison is
-    /// inline.
+    /// The merge behind `∩`/`∖`/`∪` (both operands nonempty): one pass
+    /// over the two sorted buffers, a row at a time.
     fn merge(&self, other: &Rows, keep: Keep) -> Rows {
         let s = self.common_stride(other);
-        let data = match s {
+        if s == 0 {
             // Both are `{()}`.
-            0 => return if keep.both { Rows::unit() } else { Rows::new() },
-            1 => merge_n::<1>(&self.data, &other.data, keep),
-            2 => merge_n::<2>(&self.data, &other.data, keep),
-            3 => merge_n::<3>(&self.data, &other.data, keep),
-            4 => merge_n::<4>(&self.data, &other.data, keep),
-            _ => {
-                let a: Vec<&[Elem]> = self.data.chunks_exact(s).collect();
-                let b: Vec<&[Elem]> = other.data.chunks_exact(s).collect();
-                merge_sorted(&a, &b, keep).concat()
+            return if keep.both { Rows::unit() } else { Rows::new() };
+        }
+        let (a, b) = (&self.data, &other.data);
+        let (mut i, mut j) = (0, 0);
+        let mut data = Vec::new();
+        while i < a.len() && j < b.len() {
+            let (x, y) = (&a[i..i + s], &b[j..j + s]);
+            match x.cmp(y) {
+                Ordering::Less => {
+                    if keep.only_self {
+                        data.extend_from_slice(x);
+                    }
+                    i += s;
+                }
+                Ordering::Greater => {
+                    if keep.only_other {
+                        data.extend_from_slice(y);
+                    }
+                    j += s;
+                }
+                Ordering::Equal => {
+                    if keep.both {
+                        data.extend_from_slice(x);
+                    }
+                    i += s;
+                    j += s;
+                }
             }
-        };
+        }
+        if keep.only_self {
+            data.extend_from_slice(&a[i..]);
+        }
+        if keep.only_other {
+            data.extend_from_slice(&b[j..]);
+        }
         Rows::normalized(s, data.len() / s, data)
     }
 
@@ -173,43 +190,14 @@ impl Rows {
         self.merge(other, Keep::UNION)
     }
 
-    /// Adds `fresh`, whose rows are all absent from `self`, in place:
-    /// a backward merge that moves only the rows above the least fresh
-    /// one, and allocates only when the buffer grows.
-    pub fn absorb(&mut self, fresh: &Rows) {
-        if fresh.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            *self = fresh.clone();
-            return;
-        }
-        let s = self.common_stride(fresh);
-        let (mut i, mut j) = (self.len, fresh.len);
-        self.data.resize((i + j) * s, Elem(0));
-        while j > 0 {
-            let k = i + j - 1;
-            if i > 0 && self.data[(i - 1) * s..i * s] > *fresh.row(j - 1).0 {
-                self.data.copy_within((i - 1) * s..i * s, k * s);
-                i -= 1;
-            } else {
-                self.data[k * s..(k + 1) * s].copy_from_slice(fresh.row(j - 1).0);
-                j -= 1;
-            }
-        }
-        self.len += fresh.len;
-    }
-
     /// Each row with its first element dropped, re-sorted (`stride` ≥ 1).
     pub fn drop_first(&self) -> Rows {
         match self.stride {
             0 => Rows::new(),
             1 => Rows::unit(),
             s => {
-                let data = sort_mapped(&self.data, s, s - 1, 0, |row, out| {
-                    out.copy_from_slice(&row[1..]);
-                });
-                Rows::normalized(s - 1, data.len() / (s - 1), data)
+                let data = self.data.chunks_exact(s).flat_map(|row| &row[1..]);
+                Rows::from_unsorted(s - 1, self.len, data.copied().collect())
             }
         }
     }
@@ -221,12 +209,11 @@ impl Rows {
         if s < 2 {
             return self.clone();
         }
-        // The untouched prefix keeps the rows grouped.
-        let data = sort_mapped(&self.data, s, s, s - 2, |row, out| {
-            out.copy_from_slice(row);
-            out.swap(s - 2, s - 1);
-        });
-        Rows::normalized(s, self.len, data)
+        let mut data = self.data.clone();
+        for row in data.chunks_exact_mut(s) {
+            row.swap(s - 2, s - 1);
+        }
+        Rows::from_unsorted(s, self.len, data)
     }
 
     /// Each row extended by every element of `dom`, which must be
@@ -246,21 +233,13 @@ impl Rows {
         if len == 0 {
             return Rows::new();
         }
-        let data = match s {
-            1 => times_n::<1, 2>(&self.data, dom),
-            2 => times_n::<2, 3>(&self.data, dom),
-            3 => times_n::<3, 4>(&self.data, dom),
-            _ => {
-                let mut data = Vec::with_capacity(len * (s + 1));
-                for row in self.data.chunks_exact(s) {
-                    for &a in dom {
-                        data.extend_from_slice(row);
-                        data.push(a);
-                    }
-                }
-                data
+        let mut data = Vec::with_capacity(len * (s + 1));
+        for row in self.data.chunks_exact(s) {
+            for &a in dom {
+                data.extend_from_slice(row);
+                data.push(a);
             }
-        };
+        }
         Rows::normalized(s + 1, len, data)
     }
 
@@ -356,156 +335,6 @@ impl Keep {
         only_other: true,
         both: true,
     };
-}
-
-/// [`merge_sorted`] over the width-`N` rows of two flat buffers.
-fn merge_n<const N: usize>(a: &[Elem], b: &[Elem], keep: Keep) -> Vec<Elem> {
-    merge_sorted(a.as_chunks::<N>().0, b.as_chunks::<N>().0, keep).into_flattened()
-}
-
-/// Merges two strictly increasing row sequences. When one side runs
-/// ahead, [`seek`] gallops to the end of the run and the run is copied
-/// (or skipped) in one piece.
-fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T], keep: Keep) -> Vec<T> {
-    let (mut i, mut j) = (0, 0);
-    let mut out = Vec::new();
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            Ordering::Less => {
-                let end = seek(a, i + 1, &b[j]);
-                if keep.only_self {
-                    out.extend_from_slice(&a[i..end]);
-                }
-                i = end;
-            }
-            Ordering::Greater => {
-                let end = seek(b, j + 1, &a[i]);
-                if keep.only_other {
-                    out.extend_from_slice(&b[j..end]);
-                }
-                j = end;
-            }
-            Ordering::Equal => {
-                if keep.both {
-                    out.push(a[i]);
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    if keep.only_self {
-        out.extend_from_slice(&a[i..]);
-    }
-    if keep.only_other {
-        out.extend_from_slice(&b[j..]);
-    }
-    out
-}
-
-/// The first index `≥ lo` whose row is `≥ target`, by galloping: one
-/// comparison when row `lo` already qualifies, and logarithmic in the
-/// distance skipped otherwise (datafrog's `gallop`).
-fn seek<T: Ord>(rows: &[T], lo: usize, target: &T) -> usize {
-    if lo >= rows.len() || rows[lo] >= *target {
-        return lo;
-    }
-    // Row `base` is below the target; probe 1, 2, 4, … past it.
-    let (mut base, mut step) = (lo, 1);
-    while base + step < rows.len() && rows[base + step] < *target {
-        base += step;
-        step <<= 1;
-    }
-    let (mut lo, mut hi) = (base + 1, (base + step).min(rows.len()));
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if rows[mid] < *target {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-/// `src × dom` for rows of width `N`, built as `M = N + 1`-element
-/// arrays: each output row is assembled in registers and the buffer is
-/// written once, with no zero-fill.
-fn times_n<const N: usize, const M: usize>(src: &[Elem], dom: &[Elem]) -> Vec<Elem> {
-    debug_assert_eq!(M, N + 1);
-    let mut rows: Vec<[Elem; M]> = Vec::with_capacity(src.len() / N * dom.len());
-    for row in src.chunks_exact(N) {
-        rows.extend(dom.iter().map(|&a| {
-            let mut out = [Elem(0); M];
-            out[..N].copy_from_slice(row);
-            out[N] = a;
-            out
-        }));
-    }
-    rows.into_flattened()
-}
-
-/// Are the width-`stride` rows of `data` strictly increasing?
-fn is_strictly_sorted(stride: usize, data: &[Elem]) -> bool {
-    let mut rows = data.chunks_exact(stride);
-    let Some(mut prev) = rows.next() else {
-        return true;
-    };
-    rows.all(|r| std::mem::replace(&mut prev, r) < r)
-}
-
-/// Rows of width `out` built by `f` from each width-`stride` row of
-/// `src`, then sorted and deduplicated. Rows sharing their first
-/// `prefix` elements are already contiguous and in order, so each such
-/// run is sorted on its own. The sort is a stable merge sort, which
-/// finds runs that are already in order — `↓` leaves one per dropped
-/// value. Widths 1–4 are built and sorted as arrays.
-fn sort_mapped(
-    src: &[Elem],
-    stride: usize,
-    out: usize,
-    prefix: usize,
-    f: impl Fn(&[Elem], &mut [Elem]),
-) -> Vec<Elem> {
-    match out {
-        1 => sort_mapped_n::<1>(src, stride, prefix, f),
-        2 => sort_mapped_n::<2>(src, stride, prefix, f),
-        3 => sort_mapped_n::<3>(src, stride, prefix, f),
-        4 => sort_mapped_n::<4>(src, stride, prefix, f),
-        _ => {
-            let mut data = vec![Elem(0); src.len() / stride * out];
-            for (row, o) in src.chunks_exact(stride).zip(data.chunks_exact_mut(out)) {
-                f(row, o);
-            }
-            let mut rows: Vec<&[Elem]> = data.chunks_exact(out).collect();
-            for run in rows.chunk_by_mut(|a, b| a[..prefix] == b[..prefix]) {
-                run.sort();
-            }
-            rows.dedup();
-            rows.concat()
-        }
-    }
-}
-
-fn sort_mapped_n<const N: usize>(
-    src: &[Elem],
-    stride: usize,
-    prefix: usize,
-    f: impl Fn(&[Elem], &mut [Elem]),
-) -> Vec<Elem> {
-    let mut rows: Vec<[Elem; N]> = src
-        .chunks_exact(stride)
-        .map(|row| {
-            let mut a = [Elem(0); N];
-            f(row, &mut a);
-            a
-        })
-        .collect();
-    for run in rows.chunk_by_mut(|a, b| a[..prefix] == b[..prefix]) {
-        run.sort();
-    }
-    rows.dedup();
-    rows.into_flattened()
 }
 
 impl FromIterator<Tuple> for Rows {

@@ -6,7 +6,7 @@
 use recdb_core::{tuple, CoFiniteRelation, FiniteRelation, FiniteStructure, Fuel};
 use recdb_hsdb::{FcfDatabase, FcfRel};
 use recdb_obs::InMemoryRecorder;
-use recdb_qlhs::{Fallback, FcfInterp, FinInterp, Prog, Term, Val};
+use recdb_qlhs::{FcfInterp, FinInterp, Prog, Term, Val};
 
 fn union_assign(v: usize, s: Term) -> Prog {
     Prog::assign(v, Term::Var(v).union(s))
@@ -61,17 +61,16 @@ fn each_fallback_is_counted_under_its_reason() {
     let _ = FcfInterp::new(&fcf).run(&p, &mut Fuel::new(1_000));
     recdb_obs::uninstall();
 
-    let expected = [
-        (Fallback::IneligibleBody, 1),
-        (Fallback::RankMismatch, 1),
-        (Fallback::Divergent, 1),
-        (Fallback::Fuel, 1),
-        (Fallback::EvalError, 1),
-        (Fallback::CofiniteVar, 1),
-    ];
-    for (reason, n) in expected {
-        let name = format!("fixpoint.seminaive.fallbacks.{}", reason.code());
-        assert_eq!(rec.counter_value(&name), n, "{name}");
+    for code in [
+        "ineligible_body",
+        "rank_mismatch",
+        "divergent",
+        "fuel",
+        "eval_error",
+        "cofinite_var",
+    ] {
+        let name = format!("fixpoint.seminaive.fallbacks.{code}");
+        assert_eq!(rec.counter_value(&name), 1, "{name}");
     }
     assert_eq!(rec.counter_value("fixpoint.seminaive.fallbacks"), 6);
 }

@@ -6,7 +6,8 @@
 //! tick-free `∩`/`↓`/`~`. Every op of [`FinInterp`] must return the
 //! same relation, the same error, and leave the same
 //! [`Fuel::remaining`] at every budget from 0 up to the op's full cost —
-//! the arithmetic charge is exact, including on exhaustion.
+//! the arithmetic charge is exact, including on exhaustion. Ranks run
+//! from 0 to 6.
 
 use recdb_core::{fnv1a, Elem, FiniteStructure, Fuel, FuelError, SplitMix64, Tuple};
 use recdb_qlhs::exec::Backend;
@@ -142,9 +143,9 @@ fn ops_match_the_btreeset_reference_at_every_budget() {
     let mut rng = rng_for("ops_match_the_btreeset_reference_at_every_budget");
     for case in 0..CASES {
         // Rank 4 over |D| = 6 makes ¬'s sweep 1554 budgets long, each
-        // rerunning the reference: cap D at 5 there.
-        let rank = rng.gen_usize(5);
-        let st = random_structure(&mut rng, if rank == 4 { 5 } else { 6 });
+        // rerunning the reference: cap D lower as the rank grows.
+        let rank = rng.gen_usize(7);
+        let st = random_structure(&mut rng, [6, 6, 6, 6, 5, 3, 2][rank]);
         let dom = st.universe().to_vec();
         let xs = random_set(&mut rng, rank, &dom);
         let ys = if rng.gen_bool() {
@@ -201,7 +202,7 @@ fn rows_set_ops_match_btreeset() {
     let mut rng = rng_for("rows_set_ops_match_btreeset");
     for _ in 0..CASES {
         let dom: Vec<Elem> = (0..rng.gen_usize(7) as u64).map(Elem).collect();
-        let rank = rng.gen_usize(5);
+        let rank = rng.gen_usize(7);
         let (xs, ys) = (
             random_set(&mut rng, rank, &dom),
             random_set(&mut rng, rank, &dom),
@@ -223,9 +224,6 @@ fn rows_set_ops_match_btreeset() {
             rows(&xs.difference(&ys).cloned().collect())
         );
         assert_eq!(x.union(&y), rows(&xs.union(&ys).cloned().collect()));
-        let mut grown = x.clone();
-        grown.absorb(&y.difference(&x));
-        assert_eq!(grown, x.union(&y), "absorb of the new rows is a union");
         for t in xs.iter().chain(&ys) {
             assert_eq!(x.contains(t), xs.contains(t));
         }
