@@ -23,24 +23,27 @@ use recdb_qlhs::{compile_counter, parse_program, FcfInterp, HsInterp, Val};
 use recdb_turing::{encode_program, projection_search, Asm, CounterProgram, Instr};
 use std::time::Instant;
 
+/// What an experiment returns: an error ends the run with its message.
+type Res = Result<(), Box<dyn std::error::Error>>;
+
 fn header(id: &str, title: &str) {
     println!("\n================================================================");
     println!("{id}: {title}");
     println!("================================================================");
 }
 
-fn parse_metrics_out() -> Option<String> {
+fn parse_metrics_out() -> Result<Option<String>, &'static str> {
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         if arg == "--metrics-out" {
-            return Some(it.next().expect("--metrics-out needs a path"));
+            return it.next().map(Some).ok_or("--metrics-out needs a path");
         }
     }
-    None
+    Ok(None)
 }
 
-fn main() {
-    let metrics_out = parse_metrics_out();
+fn main() -> Res {
+    let metrics_out = parse_metrics_out()?;
     let recorder = metrics_out.as_ref().map(|_| {
         let r = recdb_obs::InMemoryRecorder::shared();
         recdb_obs::install(r.clone());
@@ -49,24 +52,25 @@ fn main() {
     e1_class_counts();
     e2_lminus_roundtrip();
     e3_lociso_cost();
-    e4_nonclosure_and_genericity();
+    e4_nonclosure_and_genericity()?;
     e5_symmetricity();
     e6_random_structures();
-    e7_refinement();
+    e7_refinement()?;
     e8_elementary_equivalence();
-    e9_qlhs_programs();
-    e10_fcf();
-    e11_gm();
-    e12_bp();
-    e13_ablation();
+    e9_qlhs_programs()?;
+    e10_fcf()?;
+    e11_gm()?;
+    e12_bp()?;
+    e13_ablation()?;
     if let (Some(path), Some(rec)) = (&metrics_out, recorder) {
         recdb_obs::uninstall();
         let mut metrics = rec.snapshot();
         metrics.parallel = cfg!(feature = "parallel");
-        metrics.write_json(path).expect("write metrics report");
+        metrics.write_json(path)?;
         eprintln!("wrote {path}");
     }
     println!("\nall experiments completed.");
+    Ok(())
 }
 
 /// E1 — §2 example: |Cⁿ| for the schema zoo; closed form vs
@@ -160,7 +164,7 @@ fn e3_lociso_cost() {
 
 /// E4 — §1–§2 counterexamples: non-closure under projection, and the
 /// generic-but-not-locally-generic query.
-fn e4_nonclosure_and_genericity() {
+fn e4_nonclosure_and_genericity() -> Res {
     header(
         "E4",
         "non-closure & genericity counterexamples (§1, Prop 2.5)",
@@ -176,11 +180,11 @@ fn e4_nonclosure_and_genericity() {
             .instr(Instr::Halt(true))
             .assemble(),
     )
-    .unwrap();
+    .ok_or("the halting machine encodes")?;
     let diverging = encode_program(&CounterProgram {
         code: vec![Instr::Jmp(0)],
     })
-    .unwrap();
+    .ok_or("the diverging machine encodes")?;
     println!("R(x,y,z) = \"machine y halts on z within x steps\" (recursive):");
     println!(
         "  projection search, halting machine y={halting}: found at x = {:?}",
@@ -216,6 +220,7 @@ fn e4_nonclosure_and_genericity() {
         viol.is_some()
     );
     println!("✓ both counterexamples behave exactly as the paper argues");
+    Ok(())
 }
 
 /// E5 — §3.1: symmetricity verdicts and the coloring technique.
@@ -282,7 +287,7 @@ fn e6_random_structures() {
 }
 
 /// E7 — the Vⁿᵣ refinement and r₀ (Props 3.5–3.7).
-fn e7_refinement() {
+fn e7_refinement() -> Res {
     header("E7", "Vⁿᵣ refinement to the automorphism partition (§3.2)");
     println!(
         "{:<14} {:>4} {:>16} {:>6}",
@@ -291,7 +296,7 @@ fn e7_refinement() {
     for (name, hs) in hs_zoo() {
         if name == "rado" {
             // Depth-limited tree: only n=1, r≤1 is practical.
-            let (r0, counts) = find_r0(&hs, 1, 1).expect("tree covers all levels");
+            let (r0, counts) = find_r0(&hs, 1, 1)?;
             println!(
                 "{name:<14} {:>4} {:>16} {:>6}",
                 1,
@@ -301,7 +306,7 @@ fn e7_refinement() {
             continue;
         }
         for n in 1..=2 {
-            let (r0, counts) = find_r0(&hs, n, 3).expect("tree covers all levels");
+            let (r0, counts) = find_r0(&hs, n, 3)?;
             println!(
                 "{name:<14} {n:>4} {:>16} {:>6}",
                 format!("{counts:?}"),
@@ -312,12 +317,13 @@ fn e7_refinement() {
     }
     // Prop 3.7 cross-check on the paper example.
     let hs = paper_example_graph();
-    let v11 = v_n_r(&hs, 1, 1).expect("tree covers all levels");
+    let v11 = v_n_r(&hs, 1, 1)?;
     println!(
         "\npaper example V¹₁ block sizes: {:?}",
         v11.iter().map(Vec::len).collect::<Vec<_>>()
     );
     println!("✓ every hs database refines to singletons at a finite r₀ (Prop 3.6)");
+    Ok(())
 }
 
 fn fmt_r0(r: Option<usize>) -> String {
@@ -355,7 +361,7 @@ fn e8_elementary_equivalence() {
 }
 
 /// E9 — QLhs programs (Theorem 3.1), including the counter simulation.
-fn e9_qlhs_programs() {
+fn e9_qlhs_programs() -> Res {
     header(
         "E9",
         "QLhs interpreter & the counter-machine power (Theorem 3.1)",
@@ -375,7 +381,7 @@ fn e9_qlhs_programs() {
     for (name, hs) in hs_zoo() {
         print!("{name:<14}");
         for (_, src) in &programs {
-            let prog = parse_program(src).unwrap();
+            let prog = parse_program(src)?;
             let out = HsInterp::new(&hs).run(&prog, &mut Fuel::new(10_000_000));
             print!(
                 " {:>10}",
@@ -397,12 +403,10 @@ fn e9_qlhs_programs() {
     println!("\ncompiled counter machine (a+b as output rank), on the clique:");
     let hs = recdb_hsdb::infinite_clique();
     for (a, b) in [(1u64, 2u64), (2, 3), (4, 3)] {
-        let cc = compile_counter(&add, &[a, b]).unwrap();
+        let cc = compile_counter(&add, &[a, b])?;
         let t0 = Instant::now();
         let mut env: Vec<Val> = Vec::new();
-        HsInterp::new(&hs)
-            .exec(&cc.prog, &mut env, &mut Fuel::new(50_000_000))
-            .unwrap();
+        HsInterp::new(&hs).exec(&cc.prog, &mut env, &mut Fuel::new(50_000_000))?;
         println!(
             "  {a}+{b} = {} (rank), {:.1?}",
             env[cc.reg_var(0)].rank,
@@ -412,10 +416,11 @@ fn e9_qlhs_programs() {
     }
     println!("  (err = rank mismatch: R1 is unary on cells-2inf, E is rank 2 — a type error, not a failure)");
     println!("✓ QLhs runs set algebra on representatives and simulates counters");
+    Ok(())
 }
 
 /// E10 — §4: Df extraction and QLf+.
-fn e10_fcf() {
+fn e10_fcf() -> Res {
     header("E10", "finite/co-finite databases (§4)");
     println!(
         "{:<8} {:>8} {:>14} {:>10}",
@@ -433,21 +438,18 @@ fn e10_fcf() {
     }
     // Prop 4.2 in QLf+: ↓ of a co-finite relation is full.
     let fcf = fcf_of_size(3);
-    let v = FcfInterp::new(&fcf)
-        .run(
-            &parse_program("Y1 := !down(R2);").unwrap(),
-            &mut Fuel::new(100_000),
-        )
-        .unwrap();
+    let v =
+        FcfInterp::new(&fcf).run(&parse_program("Y1 := !down(R2);")?, &mut Fuel::new(100_000))?;
     println!(
         "\nQLf+ ¬(R2↓) is empty (Prop 4.2): {}",
         v.finite && v.tuples.is_empty()
     );
     println!("✓ Df recoverable from the tree; QLf+ keeps values finite/co-finite");
+    Ok(())
 }
 
 /// E11 — §5: generic machine spawn/collapse scaling.
-fn e11_gm() {
+fn e11_gm() -> Res {
     header("E11", "generic machines: spawn & collapse (Theorem 5.1)");
     let mut b = GmBuilder::new();
     let s0 = b.fresh();
@@ -474,7 +476,7 @@ fn e11_gm() {
             .collect();
         let hs = recdb_hsdb::ComponentGraph::new(comps).into_hsdb();
         let classes = hs.reps(0).len();
-        let out = gm.run(&hs, &mut Fuel::new(50_000_000)).unwrap();
+        let out = gm.run(&hs, &mut Fuel::new(50_000_000))?;
         println!(
             "{classes:<10} {:>8} {:>10} {:>8}",
             out.peak_units,
@@ -488,10 +490,11 @@ fn e11_gm() {
         );
     }
     println!("✓ peak units = |C₁|² under a double load; collapse reunites them");
+    Ok(())
 }
 
 /// E12 — §6: the BP landscape.
-fn e12_bp() {
+fn e12_bp() -> Res {
     header("E12", "BP-completeness (§6)");
     fn cyc(n: u64) -> FiniteStructure {
         FiniteStructure::undirected_graph(0..n, (0..n).map(|i| (i, (i + 1) % n)))
@@ -523,7 +526,7 @@ fn e12_bp() {
     let hs = paper_example_graph();
     let db = hs.database().clone();
     let has_out = move |t: &Tuple| (0..64).map(Elem).any(|y| db.query(0, &[t[0], y]));
-    let phi = express_hs_relation(&hs, 1, &has_out, 3).unwrap();
+    let phi = express_hs_relation(&hs, 1, &has_out, 3).ok_or("the relation is expressible")?;
     let mut agree = true;
     for t in hs.t_n(1) {
         agree &= fo_member(&hs, &phi, &t) == has_out(&t);
@@ -531,19 +534,18 @@ fn e12_bp() {
     println!("\nTheorem 6.3 synthesis on the §3.1 example: formula ≡ oracle: {agree}");
     assert!(agree);
     println!("✓ gadget separates exactly the non-isomorphic pairs; FO expresses BP relations over hs-r-dbs");
+    Ok(())
 }
 
 /// E13 — footnote 8: the |Y|=1 test.
-fn e13_ablation() {
+fn e13_ablation() -> Res {
     header("E13", "the |Y|=1 primitive (footnote 8 ablation)");
     let hs = recdb_hsdb::infinite_clique();
     let dynamic = parse_program(
         "Y2 := down(E); Y3 := down(down(E)); while single(Y2) { Y2 := up(Y2); Y3 := up(Y3); } Y1 := Y3;",
     )
-    .unwrap();
-    let v = HsInterp::new(&hs)
-        .run(&dynamic, &mut Fuel::new(1_000_000))
-        .unwrap();
+    ?;
+    let v = HsInterp::new(&hs).run(&dynamic, &mut Fuel::new(1_000_000))?;
     println!(
         "singleton-driven growth on the clique stops at rank {}",
         v.rank
@@ -551,9 +553,7 @@ fn e13_ablation() {
     // On the paper example the diagonal splits immediately: different
     // stopping depth, same program — data-dependent control.
     let hs2 = paper_example_graph();
-    let v2 = HsInterp::new(&hs2)
-        .run(&dynamic, &mut Fuel::new(1_000_000))
-        .unwrap();
+    let v2 = HsInterp::new(&hs2).run(&dynamic, &mut Fuel::new(1_000_000))?;
     println!(
         "the same program on the §3.1 example stops at rank {}",
         v2.rank
@@ -562,4 +562,5 @@ fn e13_ablation() {
         "✓ |Y|=1 gives data-dependent stopping ({} vs {}); in finitary QL it is\n  definable via perm(D) — which has no finite rank over infinite domains",
         v.rank, v2.rank
     );
+    Ok(())
 }

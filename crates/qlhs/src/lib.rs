@@ -50,7 +50,10 @@ pub use optimize::{
     simplify_prog, simplify_prog_with, simplify_term, simplify_term_with, term_size, ClosedRanks,
     RankOracle,
 };
-pub use parser::{parse_program, parse_program_with_spans, ProgParseError, Span, SpanTable};
+pub use parser::{
+    parse_program, parse_program_with_spans, ProgParseError, Span, SpanTable, DEPTH_CODE,
+    MAX_DEPTH, PARSE_CODE,
+};
 pub use permute::Permutation;
 pub use seminaive::{classify_loop, IneligibleLoop, LoopPlan};
 pub use value::{Row, Rows, RunError, Val};

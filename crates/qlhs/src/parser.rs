@@ -15,6 +15,15 @@
 //! (intersection), `!` (complement), `up(·)`, `down(·)`, `swap(·)`,
 //! parentheses. Statements: assignment `Yk := term;` and the three
 //! while-forms. `//` comments run to end of line.
+//!
+//! Nesting is bounded by [`MAX_DEPTH`]: every `while` block, `!`,
+//! parenthesis, `up`/`down`/`swap` operand and `&` node counts one
+//! level, and a statement's levels plus its term's height may not
+//! exceed the limit. Everything downstream of the parser (analysis,
+//! lowering, evaluation, printing, dropping) recurses over the tree, so
+//! the limit is what keeps a hostile program from overflowing a
+//! worker's stack; a deeper program is a [`ProgParseError`] with code
+//! [`DEPTH_CODE`].
 
 use crate::ast::{NodePath, Prog, Term};
 use std::collections::BTreeMap;
@@ -89,6 +98,18 @@ impl SpanTable {
     }
 }
 
+/// The deepest nesting a program may have (see the module docs).
+/// Hand-written programs nest a few levels; the deepest programs the
+/// conformance ledger and the serve benchmark's pools parse are RA
+/// queries lowered to QL, at about 200 levels.
+pub const MAX_DEPTH: usize = 1024;
+
+/// The diagnostic code of a syntax error.
+pub const PARSE_CODE: &str = "PARSE";
+
+/// The diagnostic code of a program nested deeper than [`MAX_DEPTH`].
+pub const DEPTH_CODE: &str = "DEPTH";
+
 /// A parse error with byte offset.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProgParseError {
@@ -96,6 +117,8 @@ pub struct ProgParseError {
     pub at: usize,
     /// Message.
     pub msg: String,
+    /// Diagnostic code: [`PARSE_CODE`] or [`DEPTH_CODE`].
+    pub code: &'static str,
 }
 
 impl fmt::Display for ProgParseError {
@@ -113,14 +136,41 @@ struct P<'a> {
     path: NodePath,
     /// Statement spans recorded as parsing proceeds.
     spans: SpanTable,
+    /// Nesting levels open around the current position.
+    depth: usize,
+}
+
+/// A syntax error at byte `at`.
+fn syntax(at: usize, msg: impl Into<String>) -> ProgParseError {
+    ProgParseError {
+        at,
+        msg: msg.into(),
+        code: PARSE_CODE,
+    }
 }
 
 impl<'a> P<'a> {
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ProgParseError> {
-        Err(ProgParseError {
-            at: self.pos,
-            msg: msg.into(),
-        })
+        Err(syntax(self.pos, msg))
+    }
+
+    /// Fails once `levels` more would pass [`MAX_DEPTH`].
+    fn check_depth(&self, levels: usize) -> Result<(), ProgParseError> {
+        if self.depth + levels > MAX_DEPTH {
+            return Err(ProgParseError {
+                at: self.pos,
+                msg: format!("nested more than {MAX_DEPTH} levels deep"),
+                code: DEPTH_CODE,
+            });
+        }
+        Ok(())
+    }
+
+    /// Opens one nesting level.
+    fn enter(&mut self) -> Result<(), ProgParseError> {
+        self.check_depth(1)?;
+        self.depth += 1;
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -177,85 +227,78 @@ impl<'a> P<'a> {
                 .parse::<usize>()
                 .ok()
                 .and_then(|k| k.checked_sub(1))
-                .ok_or(ProgParseError {
-                    at,
-                    msg: format!("bad variable {id:?} (expected Y1, Y2, …)"),
-                }),
-            other => Err(ProgParseError {
-                at,
-                msg: format!("expected a variable, got {other:?}"),
-            }),
+                .ok_or_else(|| syntax(at, format!("bad variable {id:?} (expected Y1, Y2, …)"))),
+            other => Err(syntax(at, format!("expected a variable, got {other:?}"))),
         }
     }
 
-    fn term(&mut self) -> Result<Term, ProgParseError> {
-        let mut lhs = self.term_unary()?;
+    /// A term and its height (the `&`, `!` and operator nodes on its
+    /// longest path).
+    fn term(&mut self) -> Result<(Term, usize), ProgParseError> {
+        let (mut lhs, mut height) = self.term_unary()?;
         while self.eat("&") {
-            let rhs = self.term_unary()?;
+            let (rhs, h) = self.term_unary()?;
+            height = height.max(h) + 1;
+            self.check_depth(height)?;
             lhs = lhs.and(rhs);
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn term_unary(&mut self) -> Result<Term, ProgParseError> {
+    fn term_unary(&mut self) -> Result<(Term, usize), ProgParseError> {
         self.skip_ws();
         if self.eat("!") {
-            return Ok(self.term_unary()?.not());
+            self.enter()?;
+            let (t, h) = self.term_unary()?;
+            self.depth -= 1;
+            return Ok((t.not(), h + 1));
         }
         if self.eat("(") {
+            self.enter()?;
             let t = self.term()?;
             self.require(")")?;
+            self.depth -= 1;
             return Ok(t);
         }
         let at = self.pos;
         let Some(id) = self.ident() else {
             return self.err("expected a term");
         };
-        match id.as_str() {
+        let leaf = match id.as_str() {
             "E" => Ok(Term::E),
             "up" | "down" | "swap" => {
                 self.require("(")?;
-                let inner = self.term()?;
+                self.enter()?;
+                let (inner, h) = self.term()?;
                 self.require(")")?;
-                Ok(match id.as_str() {
+                self.depth -= 1;
+                let t = match id.as_str() {
                     "up" => inner.up(),
                     "down" => inner.down(),
                     _ => inner.swap(),
-                })
+                };
+                return Ok((t, h + 1));
             }
             s if s.starts_with('R') => s[1..]
                 .parse::<usize>()
                 .ok()
                 .and_then(|k| k.checked_sub(1))
                 .map(Term::Rel)
-                .ok_or(ProgParseError {
-                    at,
-                    msg: format!("bad relation {s:?} (expected R1, R2, …)"),
-                }),
+                .ok_or_else(|| syntax(at, format!("bad relation {s:?} (expected R1, R2, …)"))),
             s if s.starts_with('Y') => s[1..]
                 .parse::<usize>()
                 .ok()
                 .and_then(|k| k.checked_sub(1))
                 .map(Term::Var)
-                .ok_or(ProgParseError {
-                    at,
-                    msg: format!("bad variable {s:?}"),
-                }),
-            s if s.starts_with('C') => {
-                s[1..]
-                    .parse::<u64>()
-                    .ok()
-                    .map(Term::Const)
-                    .ok_or(ProgParseError {
-                        at,
-                        msg: format!("bad constant {s:?} (expected C0, C1, …)"),
-                    })
-            }
-            other => Err(ProgParseError {
-                at,
-                msg: format!("unknown term head {other:?}"),
-            }),
-        }
+                .ok_or_else(|| syntax(at, format!("bad variable {s:?}"))),
+            s if s.starts_with('C') => s[1..]
+                .parse::<u64>()
+                .ok()
+                .map(Term::Const)
+                .ok_or_else(|| syntax(at, format!("bad constant {s:?} (expected C0, C1, …)"))),
+            other => Err(syntax(at, format!("unknown term head {other:?}"))),
+        };
+        leaf.map(|t| (t, 0))
     }
 
     fn block(&mut self) -> Result<Prog, ProgParseError> {
@@ -301,20 +344,19 @@ impl<'a> P<'a> {
             self.require("(")?;
             let v = self.var_id()?;
             self.require(")")?;
+            self.enter()?;
             let body = Box::new(self.block()?);
+            self.depth -= 1;
             return match kind.as_str() {
                 "empty" => Ok(Prog::WhileEmpty(v, body)),
                 "single" => Ok(Prog::WhileSingleton(v, body)),
                 "finite" => Ok(Prog::WhileFinite(v, body)),
-                other => Err(ProgParseError {
-                    at,
-                    msg: format!("unknown while-test {other:?}"),
-                }),
+                other => Err(syntax(at, format!("unknown while-test {other:?}"))),
             };
         }
         let v = self.var_id()?;
         self.require(":=")?;
-        let t = self.term()?;
+        let (t, _) = self.term()?;
         self.require(";")?;
         Ok(Prog::Assign(v, t))
     }
@@ -335,6 +377,7 @@ pub fn parse_program_with_spans(src: &str) -> Result<(Prog, SpanTable), ProgPars
         pos: 0,
         path: Vec::new(),
         spans: SpanTable::default(),
+        depth: 0,
     };
     let mut stmts = Vec::new();
     loop {
@@ -460,6 +503,46 @@ mod tests {
         assert_eq!(spans.enclosing(&[1, 0, 0, 7]), Some(inner));
         assert_eq!(spans.len(), 3);
         assert!(!spans.is_empty());
+    }
+
+    /// Parses on a thread with the stack a serve worker has: at the
+    /// limit, parsing and dropping a tree recurse 1024 levels deep,
+    /// which needs more than a test thread's default in a debug build.
+    fn depth_of(src: String) -> Result<(), &'static str> {
+        std::thread::Builder::new()
+            .stack_size(32 << 20)
+            .spawn(move || parse_program(&src).map(drop).map_err(|e| e.code))
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        for n in [MAX_DEPTH, MAX_DEPTH + 1] {
+            let want = if n <= MAX_DEPTH {
+                Ok(())
+            } else {
+                Err(DEPTH_CODE)
+            };
+            let k = |open: &str, close: &str, k: usize| (open.repeat(k), close.repeat(k));
+            let (po, pc) = k("(", ")", n - 1);
+            let (wo, wc) = k("while empty(Y1) { ", "}", n - 1);
+            let (uo, uc) = k("up(", ")", n - 1);
+            for src in [
+                format!("Y1 := {}E;", "!".repeat(n)),
+                format!("Y1 := E{};", " & E".repeat(n)),
+                format!("Y1 := {po}E & E{pc};"),
+                // The chain's height counts on top of the open levels.
+                format!("{wo}Y1 := E & E;{wc}"),
+                format!("Y1 := {uo}E & E{uc};"),
+                format!("Y1 := {}E & E;", "!".repeat(n - 1)),
+            ] {
+                assert_eq!(depth_of(src.clone()), want, "{}", &src[..src.len().min(60)]);
+            }
+        }
+        // Syntax errors keep their code.
+        assert_eq!(depth_of("Y1 := ;".into()), Err(PARSE_CODE));
     }
 
     #[test]

@@ -6,8 +6,15 @@
 //! `BTreeSet<Tuple>` over tuples of one rank, so anything rendered by
 //! iterating a value (result JSON, cache keys, canonical forms) has the
 //! bytes a `BTreeSet<Tuple>` would give. The set operations are linear
-//! merges over the two sorted buffers; everything that reorders rows
-//! goes through one sort + dedup over row slices.
+//! merges over the two sorted buffers, all on one slice-level merge
+//! kernel. The two operators that reorder rows keep the order their
+//! operand already has: `↓` splits it into runs that share a first
+//! element, each still sorted and distinct once that element is gone,
+//! and merges the runs on the same kernel; `~` re-sorts only the
+//! `(last, second-last)` pairs within each group of rows that agree
+//! on everything else, and needs no dedup because swapping never
+//! makes two distinct rows equal. Only values built from tuples in
+//! arbitrary order go through a general sort + dedup.
 
 use recdb_core::{Elem, FuelError, Tuple};
 use std::cmp::Ordering;
@@ -45,6 +52,11 @@ impl Rows {
     }
 
     fn normalized(stride: usize, len: usize, data: Vec<Elem>) -> Self {
+        debug_assert_eq!(data.len(), len * stride);
+        debug_assert!(
+            stride == 0 || data.chunks_exact(stride).is_sorted_by(|a, b| a < b),
+            "rows must be strictly increasing"
+        );
         if len == 0 {
             Rows::new()
         } else {
@@ -54,8 +66,7 @@ impl Rows {
 
     /// Rows of width `stride` in any order, possibly repeated: sorts
     /// and deduplicates once (`len` is the row count, which `stride` 0
-    /// cannot recover from `data`). The sort is the stable merge sort,
-    /// which finds the ascending runs `↓` and `~` leave and merges them.
+    /// cannot recover from `data`).
     pub(crate) fn from_unsorted(stride: usize, len: usize, data: Vec<Elem>) -> Self {
         debug_assert_eq!(data.len(), len * stride);
         if stride == 0 {
@@ -119,47 +130,15 @@ impl Rows {
         self.stride.max(other.stride)
     }
 
-    /// The merge behind `∩`/`∖`/`∪` (both operands nonempty): one pass
-    /// over the two sorted buffers, a row at a time.
+    /// The merge behind `∩`/`∖`/`∪` (both operands nonempty).
     fn merge(&self, other: &Rows, keep: Keep) -> Rows {
         let s = self.common_stride(other);
         if s == 0 {
             // Both are `{()}`.
             return if keep.both { Rows::unit() } else { Rows::new() };
         }
-        let (a, b) = (&self.data, &other.data);
-        let (mut i, mut j) = (0, 0);
         let mut data = Vec::new();
-        while i < a.len() && j < b.len() {
-            let (x, y) = (&a[i..i + s], &b[j..j + s]);
-            match x.cmp(y) {
-                Ordering::Less => {
-                    if keep.only_self {
-                        data.extend_from_slice(x);
-                    }
-                    i += s;
-                }
-                Ordering::Greater => {
-                    if keep.only_other {
-                        data.extend_from_slice(y);
-                    }
-                    j += s;
-                }
-                Ordering::Equal => {
-                    if keep.both {
-                        data.extend_from_slice(x);
-                    }
-                    i += s;
-                    j += s;
-                }
-            }
-        }
-        if keep.only_self {
-            data.extend_from_slice(&a[i..]);
-        }
-        if keep.only_other {
-            data.extend_from_slice(&b[j..]);
-        }
+        merge_into(&mut data, &self.data, &other.data, s, keep);
         Rows::normalized(s, data.len() / s, data)
     }
 
@@ -190,30 +169,107 @@ impl Rows {
         self.merge(other, Keep::UNION)
     }
 
-    /// Each row with its first element dropped, re-sorted (`stride` ≥ 1).
+    /// Each row with its first element dropped (`stride` ≥ 1).
+    ///
+    /// The rows that share a first element stay sorted and distinct once
+    /// it is dropped, so the result is a union of sorted runs, each a
+    /// maximal stretch of rows whose tails strictly ascend (a whole
+    /// first-element group or more; a tail equal to the run's last one
+    /// is dropped on the spot). The runs are merged bottom-up in pairs
+    /// like a binary counter: after the `c`-th run arrives, the top two
+    /// pending runs are merged `c.trailing_zeros()` times, so each row
+    /// takes part in about `log₂(runs)` merges. The merges drop the
+    /// tails two runs share.
     pub fn drop_first(&self) -> Rows {
-        match self.stride {
-            0 => Rows::new(),
-            1 => Rows::unit(),
-            s => {
-                let data = self.data.chunks_exact(s).flat_map(|row| &row[1..]);
-                Rows::from_unsorted(s - 1, self.len, data.copied().collect())
+        let s = self.stride;
+        match s {
+            0 => return Rows::new(),
+            1 => return Rows::unit(),
+            _ => {}
+        }
+        let (w, data) = (s - 1, &self.data[..]);
+        let tail = |r: usize| &data[r * s + 1..(r + 1) * s];
+        // The pending runs lie end to end in `buf`; `ends[..depth]` are
+        // their end offsets. A merge writes to `scratch`, and one that
+        // covers all of `buf` just trades the two buffers.
+        let mut buf = Vec::with_capacity(self.len * w);
+        let mut scratch = Vec::with_capacity(self.len * w);
+        let mut ends = [0usize; usize::BITS as usize];
+        let (mut depth, mut runs, mut r) = (0, 0usize, 0);
+        while r < self.len || depth > 1 {
+            let mut merges = 1;
+            if r < self.len {
+                buf.extend_from_slice(tail(r));
+                r += 1;
+                depth += 1;
+                runs += 1;
+                merges = runs.trailing_zeros();
+                // Rows of one group ascend; at a group boundary the run
+                // goes on if the tails still ascend, and a repeat of the
+                // run's last row is dropped.
+                while r < self.len {
+                    if data[r * s] == data[(r - 1) * s] {
+                        buf.extend_from_slice(tail(r));
+                    } else {
+                        match tail(r).cmp(&buf[buf.len() - w..]) {
+                            Ordering::Greater => buf.extend_from_slice(tail(r)),
+                            Ordering::Equal => {}
+                            Ordering::Less => break,
+                        }
+                    }
+                    r += 1;
+                }
+                ends[depth - 1] = buf.len();
+            }
+            for _ in 0..merges {
+                let lo = if depth > 2 { ends[depth - 3] } else { 0 };
+                let mid = ends[depth - 2];
+                merge_into(&mut scratch, &buf[lo..mid], &buf[mid..], w, Keep::UNION);
+                if lo == 0 {
+                    std::mem::swap(&mut buf, &mut scratch);
+                    scratch.clear();
+                } else {
+                    buf.truncate(lo);
+                    buf.append(&mut scratch);
+                }
+                depth -= 1;
+                ends[depth - 1] = buf.len();
             }
         }
+        Rows::normalized(w, buf.len() / w, buf)
     }
 
-    /// Each row with its two rightmost elements exchanged, re-sorted
-    /// (`stride` ≥ 2).
+    /// Each row with its two rightmost elements exchanged (`stride`
+    /// ≥ 2). The rows that agree on everything but their last two
+    /// elements are contiguous, and the swap keeps them distinct, so
+    /// only each such group's `(last, second-last)` pairs are sorted;
+    /// nothing needs deduplicating.
     pub fn swap_last_two(&self) -> Rows {
         let s = self.stride;
         if s < 2 {
             return self.clone();
         }
         let mut data = self.data.clone();
-        for row in data.chunks_exact_mut(s) {
-            row.swap(s - 2, s - 1);
+        // A pair packed into one `u128`, `last` in the high half, sorts
+        // in `(last, second-last)` order with one comparison.
+        let key = |row: &[Elem]| u128::from(row[s - 1].0) << 64 | u128::from(row[s - 2].0);
+        let mut pairs = Vec::new();
+        let mut i = 0;
+        while i < data.len() {
+            let prefix = &self.data[i..i + s - 2];
+            let mut j = i + s;
+            while j < data.len() && &self.data[j..j + s - 2] == prefix {
+                j += s;
+            }
+            pairs.extend(self.data[i..j].chunks_exact(s).map(key));
+            pairs.sort_unstable();
+            for (row, k) in data[i..j].chunks_exact_mut(s).zip(pairs.drain(..)) {
+                row[s - 2] = Elem((k >> 64) as u64);
+                row[s - 1] = Elem(k as u64);
+            }
+            i = j;
         }
-        Rows::from_unsorted(s, self.len, data)
+        Rows::normalized(s, self.len, data)
     }
 
     /// Each row extended by every element of `dom`, which must be
@@ -307,6 +363,43 @@ impl Rows {
                 cur[k] = dom[0];
             }
         }
+    }
+}
+
+/// The one merge loop behind every set operation and `↓`'s run
+/// union: appends to `out` the rows of width `width` (≥ 1) of the
+/// sorted buffers `a` and `b` that `keep` selects, in order.
+fn merge_into(out: &mut Vec<Elem>, a: &[Elem], b: &[Elem], width: usize, keep: Keep) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (&a[i..i + width], &b[j..j + width]);
+        match x.cmp(y) {
+            Ordering::Less => {
+                if keep.only_self {
+                    out.extend_from_slice(x);
+                }
+                i += width;
+            }
+            Ordering::Greater => {
+                if keep.only_other {
+                    out.extend_from_slice(y);
+                }
+                j += width;
+            }
+            Ordering::Equal => {
+                if keep.both {
+                    out.extend_from_slice(x);
+                }
+                i += width;
+                j += width;
+            }
+        }
+    }
+    if keep.only_self {
+        out.extend_from_slice(&a[i..]);
+    }
+    if keep.only_other {
+        out.extend_from_slice(&b[j..]);
     }
 }
 

@@ -8,6 +8,13 @@
 //! [`Fuel::remaining`] at every budget from 0 up to the op's full cost —
 //! the arithmetic charge is exact, including on exhaustion. Ranks run
 //! from 0 to 6.
+//!
+//! `↓` and `~` reuse their operand's order (`↓` merges the runs of rows
+//! that share a first element, `~` re-sorts pairs within each group of
+//! rows that agree on all but the last two elements), so they also get
+//! operands shaped to stress that order: `↑` outputs, heavily
+//! overlapping runs, a single run, one row per run, the empty prefix
+//! of rank 2, and ranks up to 6.
 
 use recdb_core::{fnv1a, Elem, FiniteStructure, Fuel, FuelError, SplitMix64, Tuple};
 use recdb_qlhs::exec::Backend;
@@ -270,4 +277,90 @@ fn rank_zero_unit_and_empty() {
             .collect::<Rows>(),
         Rows::unit()
     );
+}
+
+/// `x↓` and `x~` through [`FinInterp`] and directly on [`Rows`], against
+/// the reference sets, with `Debug` bytes compared too.
+fn check_down_and_swap(what: &str, fin: &mut FinInterp, rank: usize, xs: &Set) {
+    let x = val(rank, xs);
+    let mut fuel = Fuel::new(0);
+    for (op, got, want) in [
+        ("down", fin.down(&x, &mut fuel), ref_down(xs, rank)),
+        ("swap", fin.swap(&x, &mut fuel), ref_swap(xs, rank)),
+    ] {
+        let got = got.unwrap_or_else(|e| panic!("{what}: {op}: {e}"));
+        assert_eq!(as_set(&got), want, "{what}: {op} rank {rank}");
+        assert_eq!(
+            format!("{:?}", got.tuples),
+            format!("{want:?}"),
+            "{what}: {op} Debug"
+        );
+    }
+    let rows: Rows = xs.iter().cloned().collect();
+    if rank >= 1 {
+        let down: Rows = ref_down(xs, rank).into_iter().collect();
+        assert_eq!(rows.drop_first(), down, "{what}: Rows::drop_first");
+    }
+    let swap: Rows = ref_swap(xs, rank).into_iter().collect();
+    assert_eq!(rows.swap_last_two(), swap, "{what}: Rows::swap_last_two");
+}
+
+#[test]
+fn down_and_swap_on_order_stressing_operands() {
+    let mut rng = rng_for("down_and_swap_on_order_stressing_operands");
+    for case in 0..CASES {
+        let rank = 1 + rng.gen_usize(6);
+        let st = random_structure(&mut rng, [0, 6, 6, 5, 4, 3, 3][rank]);
+        let dom = st.universe().to_vec();
+        let mut fin = FinInterp::new(&st);
+        let tag = |shape: &str| format!("case {case}: {shape} rank {rank} |D| {}", dom.len());
+        let tails = random_set(&mut rng, rank - 1, &dom);
+        let firsts: Vec<Elem> = dom.iter().copied().filter(|_| rng.gen_bool()).collect();
+        let prefixed = |firsts: &[Elem]| -> Set {
+            firsts
+                .iter()
+                .flat_map(|&a| {
+                    tails
+                        .iter()
+                        .map(move |t| Tuple::from_values([a.0]).concat(t))
+                })
+                .collect()
+        };
+
+        // `↑` outputs, fed to `~` (and `↓`): every row ends in all of D.
+        let below = random_set(&mut rng, rank - 1, &dom);
+        let up = fin
+            .up(&val(rank - 1, &below), &mut Fuel::new(u64::MAX))
+            .expect("fuel");
+        check_down_and_swap(&tag("up(x)"), &mut fin, rank, &as_set(&up));
+        // F × S for a few first elements F: the runs `↓` merges are
+        // identical, so nearly every row is a duplicate.
+        check_down_and_swap(&tag("F × S"), &mut fin, rank, &prefixed(&firsts));
+        check_down_and_swap(&tag("D × S"), &mut fin, rank, &prefixed(&dom));
+        // A single run: one first element.
+        check_down_and_swap(
+            &tag("single run"),
+            &mut fin,
+            rank,
+            &prefixed(&dom[..dom.len().min(1)]),
+        );
+        // One row per run: distinct first elements, random tails.
+        let one_per_run: Set = dom
+            .iter()
+            .map(|&a| {
+                let t = random_set(&mut rng, rank - 1, &dom).into_iter().next();
+                Tuple::from_values([a.0]).concat(&t.unwrap_or_else(Tuple::empty))
+            })
+            .filter(|t| t.rank() == rank)
+            .collect();
+        check_down_and_swap(&tag("one row per run"), &mut fin, rank, &one_per_run);
+        // Random operands, which at rank 2 have the empty prefix: `~`
+        // re-sorts the whole relation as one group.
+        check_down_and_swap(
+            &tag("random"),
+            &mut fin,
+            rank,
+            &random_set(&mut rng, rank, &dom),
+        );
+    }
 }

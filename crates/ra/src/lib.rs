@@ -38,7 +38,7 @@ pub use ast::{rel, Pred, RaExpr, RaProgram};
 pub use compile::{compile_program, CompiledRa};
 pub use diag::RaError;
 pub use eval::{eval_program, RaValue};
-pub use parser::{parse_ra, parse_ra_with_spans, RaParseError};
+pub use parser::{parse_ra, parse_ra_with_spans, RaParseError, MAX_DEPTH};
 pub use rewrite::{optimize_program, RewriteReport};
 pub use safety::validate;
 pub use schema::{typecheck, RaSchema};

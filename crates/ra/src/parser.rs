@@ -24,11 +24,26 @@
 //! [`RaExpr::children`] — in the same [`SpanTable`] type the QL
 //! parser uses, so `RA0x` diagnostics resolve to `line:col` through
 //! identical plumbing.
+//!
+//! Nesting is bounded by [`MAX_DEPTH`]: every parenthesis, operator
+//! operand and `join`/`union`/`diff` node counts one level, and the
+//! levels open around an expression plus its height may not exceed the
+//! limit. Typing, safety, rewriting and lowering all recurse over the
+//! tree, so a deeper program is rejected here, as a [`RaParseError`]
+//! with code [`DEPTH_CODE`].
 
 use crate::ast::{Pred, RaExpr, RaProgram};
 use recdb_qlhs::ast::NodePath;
-use recdb_qlhs::{Span, SpanTable};
+use recdb_qlhs::{Span, SpanTable, DEPTH_CODE, PARSE_CODE};
 use std::fmt;
+
+/// The deepest nesting an RA program may have (see the module docs).
+/// The serve benchmark's generated RA queries nest up to about 12
+/// levels. Each RA node lowers to many QL nodes (about 17 levels per RA
+/// level there), so this sits far below the QL parser's
+/// [`recdb_qlhs::MAX_DEPTH`]; a lowered program that still nests deeper
+/// than that is rejected when it is re-parsed as QL.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parse error with byte offset.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,6 +52,18 @@ pub struct RaParseError {
     pub at: usize,
     /// Message.
     pub msg: String,
+    /// Diagnostic code: `PARSE`, or [`DEPTH_CODE`] for a program nested
+    /// deeper than [`MAX_DEPTH`].
+    pub code: &'static str,
+}
+
+/// A syntax error at byte `at`.
+fn syntax(at: usize, msg: impl Into<String>) -> RaParseError {
+    RaParseError {
+        at,
+        msg: msg.into(),
+        code: PARSE_CODE,
+    }
 }
 
 impl fmt::Display for RaParseError {
@@ -52,10 +79,11 @@ const KEYWORDS: &[&str] = &[
 ];
 
 /// Span tree mirroring the expression tree; flattened onto node paths
-/// once parsing is done.
+/// once parsing is done. `height` is the expression's height.
 struct Sp {
     span: Span,
     children: Vec<Sp>,
+    height: usize,
 }
 
 impl Sp {
@@ -63,6 +91,7 @@ impl Sp {
         Sp {
             span,
             children: Vec::new(),
+            height: 0,
         }
     }
 
@@ -83,14 +112,25 @@ struct P<'a> {
     /// failed lookahead (which skips whitespace and comments) never
     /// bloats a span.
     last: usize,
+    /// Nesting levels open around the current position.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, RaParseError> {
-        Err(RaParseError {
-            at: self.pos,
-            msg: msg.into(),
-        })
+        Err(syntax(self.pos, msg))
+    }
+
+    /// Fails once `levels` more would pass [`MAX_DEPTH`].
+    fn check_depth(&self, levels: usize) -> Result<(), RaParseError> {
+        if self.depth + levels > MAX_DEPTH {
+            return Err(RaParseError {
+                at: self.pos,
+                msg: format!("nested more than {MAX_DEPTH} levels deep"),
+                code: DEPTH_CODE,
+            });
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -173,10 +213,7 @@ impl<'a> P<'a> {
         self.last = self.pos;
         String::from_utf8_lossy(&self.src[start..self.pos])
             .parse()
-            .map_err(|_| RaParseError {
-                at: start,
-                msg: "number out of range".into(),
-            })
+            .map_err(|_| syntax(start, "number out of range"))
     }
 
     /// `#name` — no whitespace allowed after the `#`.
@@ -213,19 +250,12 @@ impl<'a> P<'a> {
                 break;
             };
             let (rhs, rsp) = self.expr_join()?;
-            let span = Span {
-                start,
-                end: self.last,
-            };
             lhs = if is_union {
                 lhs.union(rhs)
             } else {
                 lhs.diff(rhs)
             };
-            lsp = Sp {
-                span,
-                children: vec![lsp, rsp],
-            };
+            lsp = self.node(start, vec![lsp, rsp])?;
         }
         Ok((lhs, lsp))
     }
@@ -236,15 +266,8 @@ impl<'a> P<'a> {
         let (mut lhs, mut lsp) = self.factor()?;
         while self.keyword("join") {
             let (rhs, rsp) = self.factor()?;
-            let span = Span {
-                start,
-                end: self.last,
-            };
             lhs = lhs.join(rhs);
-            lsp = Sp {
-                span,
-                children: vec![lsp, rsp],
-            };
+            lsp = self.node(start, vec![lsp, rsp])?;
         }
         Ok((lhs, lsp))
     }
@@ -264,7 +287,7 @@ impl<'a> P<'a> {
             let (inner, isp) = self.parenthesized()?;
             return Ok((
                 RaExpr::Select(pred, Box::new(inner)),
-                self.node(start, vec![isp]),
+                self.node(start, vec![isp])?,
             ));
         }
         if self.keyword("project") {
@@ -280,7 +303,7 @@ impl<'a> P<'a> {
             let (inner, isp) = self.parenthesized()?;
             return Ok((
                 RaExpr::Project(attrs, Box::new(inner)),
-                self.node(start, vec![isp]),
+                self.node(start, vec![isp])?,
             ));
         }
         if self.keyword("rename") {
@@ -297,17 +320,15 @@ impl<'a> P<'a> {
             let (inner, isp) = self.parenthesized()?;
             return Ok((
                 RaExpr::Rename(pairs, Box::new(inner)),
-                self.node(start, vec![isp]),
+                self.node(start, vec![isp])?,
             ));
         }
         if self.keyword("not") {
             let (inner, isp) = self.parenthesized()?;
-            return Ok((RaExpr::Not(Box::new(inner)), self.node(start, vec![isp])));
+            return Ok((RaExpr::Not(Box::new(inner)), self.node(start, vec![isp])?));
         }
         if self.eat("(") {
-            let r = self.expr()?;
-            self.require(")")?;
-            return Ok(r);
+            return self.nested(")");
         }
         let at = self.pos;
         match self.peek_ident() {
@@ -316,28 +337,38 @@ impl<'a> P<'a> {
                 self.last = end;
                 Ok((RaExpr::Name(id), Sp::leaf(Span { start: at, end })))
             }
-            _ => Err(RaParseError {
-                at,
-                msg: "expected an expression".into(),
-            }),
+            _ => Err(syntax(at, "expected an expression")),
         }
     }
 
     fn parenthesized(&mut self) -> Result<(RaExpr, Sp), RaParseError> {
         self.require("(")?;
+        self.nested(")")
+    }
+
+    /// An expression one nesting level in, then `close`.
+    fn nested(&mut self, close: &str) -> Result<(RaExpr, Sp), RaParseError> {
+        self.check_depth(1)?;
+        self.depth += 1;
         let r = self.expr()?;
-        self.require(")")?;
+        self.require(close)?;
+        self.depth -= 1;
         Ok(r)
     }
 
-    fn node(&self, start: usize, children: Vec<Sp>) -> Sp {
-        Sp {
+    /// The span-tree node of an expression starting at `start`, one
+    /// level above its highest child.
+    fn node(&self, start: usize, children: Vec<Sp>) -> Result<Sp, RaParseError> {
+        let height = 1 + children.iter().map(|c| c.height).max().unwrap_or(0);
+        self.check_depth(height)?;
+        Ok(Sp {
             span: Span {
                 start,
                 end: self.last,
             },
             children,
-        }
+            height,
+        })
     }
 }
 
@@ -353,6 +384,7 @@ pub fn parse_ra_with_spans(src: &str) -> Result<(RaProgram, SpanTable), RaParseE
         src: src.as_bytes(),
         pos: 0,
         last: 0,
+        depth: 0,
     };
     let mut spans = SpanTable::default();
     let mut views: Vec<(String, RaExpr)> = Vec::new();
@@ -468,6 +500,33 @@ mod tests {
         assert!(parse_ra("rename #a (R)").is_err(), "rename needs ->");
         assert!(parse_ra("(R join S").is_err(), "unclosed paren");
         assert!(parse_ra("select # a = #b (R)").is_err(), "space after #");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let code = |src: String| parse_ra(&src).map(drop).map_err(|e| e.code);
+        for n in [MAX_DEPTH, MAX_DEPTH + 1] {
+            let want = if n <= MAX_DEPTH {
+                Ok(())
+            } else {
+                Err(DEPTH_CODE)
+            };
+            let k = |open: &str, close: &str, k: usize| (open.repeat(k), close.repeat(k));
+            let (no, nc) = k("not (", ")", n);
+            let (po, pc) = k("(", ")", n - 1);
+            let (so, sc) = k("select #a = 1 (", ")", n - 1);
+            for src in [
+                format!("{no}R{nc}"),
+                format!("R{}", " join R".repeat(n)),
+                format!("R{}", " union R".repeat(n)),
+                format!("{po}R diff R{pc}"),
+                // A view's body counts on its own.
+                format!("V := {so}R join R{sc}; V"),
+            ] {
+                assert_eq!(code(src.clone()), want, "{}", &src[..src.len().min(60)]);
+            }
+        }
+        assert_eq!(code("R join".into()), Err(PARSE_CODE));
     }
 
     #[test]

@@ -147,8 +147,9 @@ pub fn admit(
             return AdmitOutcome::Rejected {
                 reasons: vec!["parse-error"],
                 diagnostics_json: format!(
-                    "[{{\"code\":\"PARSE\",\"severity\":\"error\",\"message\":\"{}\",\
+                    "[{{\"code\":\"{}\",\"severity\":\"error\",\"message\":\"{}\",\
                      \"line\":{line},\"col\":{col}}}]",
+                    e.code,
                     esc(&e.msg)
                 ),
             };

@@ -81,6 +81,20 @@ impl Default for ServeConfig {
     }
 }
 
+/// Stack size of each worker thread. Admission, lowering, evaluation
+/// and rendering recurse over the program tree, whose nesting the
+/// parser caps at [`recdb_qlhs::MAX_DEPTH`]; a program at that cap
+/// needs under 1 MiB of stack in an optimized build, so workers keep
+/// the platform's usual 2 MiB. Unoptimized frames are about ten times
+/// larger, so a debug build gives its workers 32 MiB. (A 32 MiB stack
+/// in the optimized server measurably slowed admission-heavy
+/// workloads.)
+pub const WORKER_STACK: usize = if cfg!(debug_assertions) {
+    32 << 20
+} else {
+    2 << 20
+};
+
 struct Shared {
     cfg: ServeConfig,
     cache: ResultCache,
@@ -113,7 +127,11 @@ impl Server {
         for _ in 0..shared.cfg.workers.max(1) {
             let rx = Arc::clone(&rx);
             let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || worker_loop(&rx, &shared)));
+            threads.push(
+                std::thread::Builder::new()
+                    .stack_size(WORKER_STACK)
+                    .spawn(move || worker_loop(&rx, &shared))?,
+            );
         }
         {
             let stop = Arc::clone(&stop);
@@ -563,9 +581,10 @@ fn handle_ra(body: &[u8], shared: &Shared, ws: &mut WorkerState) -> (u16, String
             return (
                 422,
                 format!(
-                    "{{\"diagnostics\":[{{\"code\":\"PARSE\",\"severity\":\"error\",\
+                    "{{\"diagnostics\":[{{\"code\":\"{}\",\"severity\":\"error\",\
                      \"message\":\"{}\",\"line\":{line},\"col\":{col}}}],\
                      \"reasons\":[\"parse-error\"],\"status\":\"rejected\"}}",
+                    e.code,
                     esc(&e.msg)
                 ),
             );

@@ -55,6 +55,10 @@ fn current_counts(root: &Path) -> Counts {
 fn render_baseline(counts: &Counts) -> String {
     let mut s = String::from("{\n  \"schema\": \"LINT_RATCHET/v1\",\n");
     s.push_str("  \"patterns\": [\"panic!\", \".unwrap()\", \".expect(\"],\n");
+    if counts.is_empty() {
+        s.push_str("  \"files\": {}\n}\n");
+        return s;
+    }
     s.push_str("  \"files\": {\n");
     let rows: Vec<String> = counts
         .iter()

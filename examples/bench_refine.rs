@@ -10,8 +10,8 @@
 //! from-scratch loop evaluation (`E7/fixpoint`), and incremental
 //! partition maintenance against full recomputation under single-tuple
 //! insertion (`E7/incr_vnr`), and the per-op cost of the QL value
-//! layer (`E7/ops`). Emits the `BENCH_refine.json` schema on
-//! stdout:
+//! layer on mid-sized and tiny values (`E7/ops`, `E7/ops_tiny`).
+//! Emits the `BENCH_refine.json` schema on stdout:
 //!
 //! ```text
 //! cargo run --release --example bench_refine > BENCH_refine.json
@@ -224,6 +224,32 @@ fn main() {
         op("swap", &mut |i| i.swap(&x, &mut fuel()).expect("fuel"));
     }
 
+    // The same ops on a tiny value (`E7/ops_tiny`): the shape of the
+    // serve benchmark's `fuel_loop` relation, 4 undirected edges over
+    // |D| = 5 (8 rows of rank 2), where `const_and` runs `down(swap(R1))`
+    // thousands of times a request. One call is too fast for the timer,
+    // so each sample times a batch and `median_ns` is per call; `size`
+    // is the row count; `and` intersects `R1` with its swap.
+    const TINY_BATCH: usize = 1000;
+    let st = FiniteStructure::undirected_graph(0..5, [(0, 1), (1, 2), (1, 3), (3, 4)]);
+    let x = Val::new(2, st.relation(0).iter().cloned());
+    let mut fin = FinInterp::new(&st);
+    let swapped = fin.swap(&x, &mut Fuel::new(0)).expect("tick-free");
+    let mut op = |bench: &str, f: &mut dyn FnMut(&mut FinInterp) -> Val| {
+        points.push(Point {
+            group: "E7/ops_tiny",
+            bench: bench.into(),
+            size: x.len(),
+            median_ns: median_ns(21, || (0..TINY_BATCH).map(|_| f(&mut fin).len()).sum())
+                / TINY_BATCH as u128,
+        });
+    };
+    let fuel = || Fuel::new(1 << 40);
+    op("and", &mut |i| i.and(&x, &swapped).expect("ranks agree"));
+    op("up", &mut |i| i.up(&x, &mut fuel()).expect("fuel"));
+    op("down", &mut |i| i.down(&x, &mut fuel()).expect("fuel"));
+    op("swap", &mut |i| i.swap(&x, &mut fuel()).expect("fuel"));
+
     // Verified bytecode vs tree-walking the same admitted program
     // (`E7/vm`): compilation and verification happen once per
     // admission in the serving layer, so the timed region is execution
@@ -391,6 +417,11 @@ fn main() {
             .collect();
         eprintln!("ops      rank {rank}: {}", line.join(", "));
     }
+    let line: Vec<String> = ["and", "up", "down", "swap"]
+        .iter()
+        .map(|op| format!("{op} {} ns", ns("E7/ops_tiny", op, 8)))
+        .collect();
+    eprintln!("ops_tiny 8 rows: {}", line.join(", "));
     for size in [64usize, 256, 1024] {
         let (v, a) = (ns("E7/vm", "vm", size), ns("E7/vm", "ast", size));
         if v > 0 {
