@@ -23,6 +23,13 @@
 //! `recdb_analyze::analyze_full` proves them Safe, terminating in 0
 //! iterations, and generic — which is exactly what the serve cache
 //! needs (DESIGN.md §9).
+//!
+//! A permutation costs about `3k` QL levels per adjacent transposition
+//! at rank `k`, so a short RA query over wide relations can lower to a
+//! very deep term. Lowering tracks the QL parser's nesting count as it
+//! builds and stops at [`recdb_qlhs::MAX_DEPTH`], so every compiled
+//! program prints as QL the parser accepts, and nothing downstream
+//! recurses over a deeper tree.
 
 use crate::ast::{Pred, RaExpr, RaProgram};
 use crate::diag::RaError;
@@ -42,7 +49,10 @@ pub struct CompiledRa {
 /// Typechecks, validates, and lowers a program.
 ///
 /// # Errors
-/// Typing errors `RA01`–`RA04`, safety rejections `RA05`.
+/// Typing errors `RA01`–`RA04`, safety rejections `RA05`, and
+/// [`recdb_qlhs::DEPTH_CODE`] for a view or query whose lowered term
+/// would nest deeper than [`recdb_qlhs::MAX_DEPTH`], so that every
+/// compiled program prints as QL the parser accepts.
 pub fn compile_program(p: &RaProgram, schema: &RaSchema) -> Result<CompiledRa, RaError> {
     let typed = typecheck(p, schema)?;
     crate::safety::validate(p, schema)?;
@@ -53,7 +63,7 @@ pub fn compile_program(p: &RaProgram, schema: &RaSchema) -> Result<CompiledRa, R
         let term = lower(body, schema, &view_attrs, &view_vars, &[i as u32])?;
         // Views live in Y2, Y3, …; Y1 is the query result.
         let var = i + 1;
-        stmts.push(Prog::assign(var, term));
+        stmts.push(Prog::assign(var, term.term));
         let attrs = attrs_of(body, schema, &view_attrs, &[i as u32])?;
         view_vars.insert(name.clone(), var);
         view_attrs.insert(name.clone(), attrs);
@@ -65,7 +75,7 @@ pub fn compile_program(p: &RaProgram, schema: &RaSchema) -> Result<CompiledRa, R
         &view_vars,
         &[p.views.len() as u32],
     )?;
-    stmts.push(Prog::assign(0, query));
+    stmts.push(Prog::assign(0, query.term));
     let prog = Prog::Seq(stmts);
     recdb_obs::count("ra.compile.programs", 1);
     recdb_obs::observe("ra.compile.term_nodes", prog_nodes(&prog));
@@ -75,10 +85,100 @@ pub fn compile_program(p: &RaProgram, schema: &RaSchema) -> Result<CompiledRa, R
     })
 }
 
+/// A term under construction, with the two measures of its nesting:
+/// `height`, the operator nodes on its longest root-to-leaf path, and
+/// `depth`, the nesting levels the QL parser counts when it re-reads
+/// the printed term (see [`recdb_qlhs::MAX_DEPTH`]). Lowering builds
+/// bottom-up and keeps both current, so it refuses a term the parser
+/// would refuse before anything recurses over it.
+struct Lowered {
+    term: Term,
+    height: usize,
+    depth: usize,
+}
+
+impl Lowered {
+    fn leaf(term: Term) -> Lowered {
+        Lowered {
+            term,
+            height: 0,
+            depth: 0,
+        }
+    }
+
+    /// `!e`, `up(e)`, `down(e)` and `swap(e)` each open one level.
+    fn unary(self, op: fn(Term) -> Term) -> Lowered {
+        Lowered {
+            term: op(self.term),
+            height: self.height + 1,
+            depth: self.depth + 1,
+        }
+    }
+
+    fn not(self) -> Lowered {
+        self.unary(Term::not)
+    }
+
+    fn up(self) -> Lowered {
+        self.unary(Term::up)
+    }
+
+    fn down(self) -> Lowered {
+        self.unary(Term::down)
+    }
+
+    fn swap(self) -> Lowered {
+        self.unary(Term::swap)
+    }
+
+    fn up_n(self, k: usize) -> Lowered {
+        (0..k).fold(self, |t, _| t.up())
+    }
+
+    fn down_n(self, k: usize) -> Lowered {
+        (0..k).fold(self, |t, _| t.down())
+    }
+
+    /// `(e & f)` prints in parentheses, one level, inside which the
+    /// parser checks the `&` node's height.
+    fn and(self, other: Lowered) -> Lowered {
+        let height = 1 + self.height.max(other.height);
+        Lowered {
+            term: self.term.and(other.term),
+            height,
+            depth: 1 + self.depth.max(other.depth).max(height),
+        }
+    }
+
+    fn minus(self, other: Lowered) -> Lowered {
+        self.and(other.not())
+    }
+
+    fn union(self, other: Lowered) -> Lowered {
+        self.not().and(other.not()).not()
+    }
+
+    /// Fails once the printed term would nest deeper than the QL parser
+    /// admits; `path` is the RA node being lowered.
+    fn fits(self, path: &[u32]) -> Result<Lowered, RaError> {
+        if self.depth > recdb_qlhs::MAX_DEPTH {
+            return Err(RaError::new(
+                recdb_qlhs::DEPTH_CODE,
+                path.to_vec(),
+                format!(
+                    "lowers to a QL term nested more than {} levels deep",
+                    recdb_qlhs::MAX_DEPTH
+                ),
+            ));
+        }
+        Ok(self)
+    }
+}
+
 /// `eq(m)`: the rank-`m` relation `{t : t[0] = t[m-1]}`, `m ≥ 2`.
-fn eq_first_last(m: usize) -> Term {
+fn eq_first_last(m: usize) -> Lowered {
     assert!(m >= 2);
-    let mut t = Term::E;
+    let mut t = Lowered::leaf(Term::E);
     for _ in 2..m {
         t = t.up().swap();
     }
@@ -86,39 +186,40 @@ fn eq_first_last(m: usize) -> Term {
 }
 
 /// Rotate-left on rank `k`: `(x₀, x₁, …) ↦ (x₁, …, x₀)`.
-fn rot_left(e: Term, k: usize) -> Term {
+fn rot_left(e: Lowered, k: usize) -> Lowered {
     if k <= 1 {
         return e;
     }
     e.up().and(eq_first_last(k + 1)).down()
 }
 
-fn rot_left_n(e: Term, k: usize, n: usize) -> Term {
+/// `n` left rotations, each checked against the depth limit.
+fn rot_left_n(e: Lowered, k: usize, n: usize, path: &[u32]) -> Result<Lowered, RaError> {
     if k <= 1 {
-        return e;
+        return Ok(e);
     }
     let mut t = e;
     for _ in 0..(n % k) {
-        t = rot_left(t, k);
+        t = rot_left(t, k).fits(path)?;
     }
-    t
+    Ok(t)
 }
 
-fn rot_right_n(e: Term, k: usize, n: usize) -> Term {
+fn rot_right_n(e: Lowered, k: usize, n: usize, path: &[u32]) -> Result<Lowered, RaError> {
     if k <= 1 {
-        return e;
+        return Ok(e);
     }
-    rot_left_n(e, k, (k - n % k) % k)
+    rot_left_n(e, k, (k - n % k) % k, path)
 }
 
 /// Applies the coordinate permutation `perm` (target → source:
 /// result coordinate `i` reads source coordinate `perm[i]`) using
 /// only rotations and `swap`.
-fn apply_perm(e: Term, perm: &[usize]) -> Term {
+fn apply_perm(e: Lowered, perm: &[usize], path: &[u32]) -> Result<Lowered, RaError> {
     let k = perm.len();
     let mut arr: Vec<usize> = (0..k).collect();
     if arr == perm {
-        return e;
+        return Ok(e);
     }
     let mut t = e;
     // Selection sort by adjacent transpositions: bring perm[i] into
@@ -136,28 +237,28 @@ fn apply_perm(e: Term, perm: &[usize]) -> Term {
             // Transpose positions (p, p+1): rotate them onto the two
             // rightmost slots, swap there, rotate back.
             let n = (p + 2) % k;
-            t = rot_left_n(t, k, n);
-            t = t.swap();
-            t = rot_left_n(t, k, (k - n) % k);
+            t = rot_left_n(t, k, n, path)?.swap();
+            t = rot_left_n(t, k, (k - n) % k, path)?;
             arr.swap(p, p + 1);
         }
     }
-    t
+    Ok(t)
 }
 
 /// Lowers one expression to a term over sorted-attribute coordinates.
 ///
 /// # Errors
-/// `RA01`/`RA02` on unknown names or attributes — ill-typed input
-/// only; `compile_program` typechecks first, so these never surface
-/// through the public entry point.
+/// [`recdb_qlhs::DEPTH_CODE`] once the term would nest deeper than the
+/// QL parser admits. `RA01`/`RA02` on unknown names or attributes —
+/// ill-typed input only; `compile_program` typechecks first, so these
+/// never surface through the public entry point.
 fn lower(
     e: &RaExpr,
     schema: &RaSchema,
     view_attrs: &BTreeMap<String, Vec<String>>,
     view_vars: &BTreeMap<String, usize>,
     path: &[u32],
-) -> Result<Term, RaError> {
+) -> Result<Lowered, RaError> {
     let child = |i: u32| -> Vec<u32> {
         let mut p = path.to_vec();
         p.push(i);
@@ -166,15 +267,19 @@ fn lower(
     let attrs = |x: &RaExpr, i: u32| -> Result<Vec<String>, RaError> {
         attrs_of(x, schema, view_attrs, &child(i))
     };
-    Ok(match e {
+    let lowered = match e {
         RaExpr::Name(n) => {
             if let Some(&v) = view_vars.get(n) {
-                return Ok(Term::Var(v));
+                return Ok(Lowered::leaf(Term::Var(v)));
             }
             let i = schema.index_of(n).ok_or_else(|| {
                 RaError::new("RA01", path.to_vec(), format!("unknown name {n:?}"))
             })?;
-            apply_perm(Term::Rel(i), &sort_perm(schema.attrs(i)))
+            apply_perm(
+                Lowered::leaf(Term::Rel(i)),
+                &sort_perm(schema.attrs(i)),
+                path,
+            )?
         }
         RaExpr::Select(pred, inner) => {
             let a = attrs(inner, 0)?;
@@ -194,12 +299,12 @@ fn lower(
                         return Ok(t);
                     }
                     let m = j - i + 1;
-                    let cyl = rot_right_n(eq_first_last(m).up_n(k - m), k, i);
+                    let cyl = rot_right_n(eq_first_last(m).up_n(k - m), k, i, path)?;
                     t.and(cyl)
                 }
                 Pred::AttrEqConst(x, c) => {
                     let i = pos(x)?;
-                    let cyl = rot_right_n(Term::Const(*c).up_n(k - 1), k, i);
+                    let cyl = rot_right_n(Lowered::leaf(Term::Const(*c)).up_n(k - 1), k, i, path)?;
                     t.and(cyl)
                 }
             }
@@ -220,7 +325,7 @@ fn lower(
             let eaten = dropped.len();
             let mut perm = dropped;
             perm.extend(kept);
-            apply_perm(t, &perm).down_n(eaten)
+            apply_perm(t, &perm, path)?.down_n(eaten)
         }
         RaExpr::Rename(pairs, inner) => {
             let a = attrs(inner, 0)?;
@@ -235,7 +340,7 @@ fn lower(
                         .unwrap_or_else(|| x.clone())
                 })
                 .collect();
-            apply_perm(t, &sort_perm(&renamed))
+            apply_perm(t, &sort_perm(&renamed), path)?
         }
         RaExpr::Join(l, r) => {
             let la = attrs(l, 0)?;
@@ -249,7 +354,7 @@ fn lower(
             g.sort();
             let tl = lower(l, schema, view_attrs, view_vars, &child(0))?;
             let tr = lower(r, schema, view_attrs, view_vars, &child(1))?;
-            let side = |t: Term, own: &[String]| -> Term {
+            let side = |t: Lowered, own: &[String]| -> Result<Lowered, RaError> {
                 // After `up`-padding, the arrangement is `own` followed
                 // by the missing attributes in sorted order; `g` is
                 // exactly the sorted set of the arrangement's names, so
@@ -260,9 +365,9 @@ fn lower(
                     .iter()
                     .filter_map(|x| arrangement.iter().position(|y| y == x))
                     .collect();
-                apply_perm(t.up_n(g.len() - own.len()), &perm)
+                apply_perm(t.up_n(g.len() - own.len()), &perm, path)
             };
-            side(tl, &la).and(side(tr, &ra))
+            side(tl, &la)?.and(side(tr, &ra)?)
         }
         RaExpr::Union(l, r) => {
             let tl = lower(l, schema, view_attrs, view_vars, &child(0))?;
@@ -275,7 +380,8 @@ fn lower(
             tl.minus(tr)
         }
         RaExpr::Not(inner) => lower(inner, schema, view_attrs, view_vars, &child(0))?.not(),
-    })
+    };
+    lowered.fits(path)
 }
 
 fn term_nodes(t: &Term) -> u64 {
@@ -422,6 +528,84 @@ mod tests {
         assert_eq!(stmts.len(), 3);
         assert!(matches!(stmts[0], Prog::Assign(1, _)));
         assert!(matches!(stmts[2], Prog::Assign(0, _)));
+    }
+
+    /// Runs `f` on a thread with a serve worker's stack: printing,
+    /// parsing and dropping a term at the depth limit recurse about
+    /// 1024 levels, more than a debug test thread's default holds.
+    fn on_worker_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(32 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    /// The tracked `depth` is exactly what the QL parser counts: padded
+    /// with `up(…)` to the limit the printed term parses, and one level
+    /// more is a `DEPTH` error.
+    #[test]
+    fn tracked_depth_is_the_parsers_depth() {
+        on_worker_stack(tracked_depth_matches);
+    }
+
+    fn tracked_depth_matches() {
+        fn random(rng: &mut recdb_core::SplitMix64, budget: usize) -> Lowered {
+            if budget == 0 {
+                return Lowered::leaf(Term::Rel(0));
+            }
+            match rng.gen_range(0, 6) {
+                0 => Lowered::leaf(Term::E),
+                1 => random(rng, budget - 1).not(),
+                2 => random(rng, budget - 1).up(),
+                3 => random(rng, budget - 1).swap(),
+                _ => random(rng, budget - 1).and(random(rng, budget - 1)),
+            }
+        }
+        let mut rng = recdb_core::SplitMix64::seed_from_u64(16);
+        for _ in 0..200 {
+            let t = random(&mut rng, 12);
+            let pad = recdb_qlhs::MAX_DEPTH - t.depth;
+            let padded =
+                |n: usize| format!("Y1 := {}{}{};", "up(".repeat(n), t.term, ")".repeat(n));
+            assert!(
+                recdb_qlhs::parse_program(&padded(pad)).is_ok(),
+                "{}",
+                t.term
+            );
+            let err = recdb_qlhs::parse_program(&padded(pad + 1)).unwrap_err();
+            assert_eq!(err.code, recdb_qlhs::DEPTH_CODE, "{}", t.term);
+        }
+    }
+
+    #[test]
+    fn lowerings_past_the_parsers_depth_are_depth_errors() {
+        on_worker_stack(deep_lowerings_fail);
+    }
+
+    fn deep_lowerings_fail() {
+        let schema =
+            RaSchema::parse("W(a, b, c, d, e, f, g, h); V(i, j, k, l, m, n, o, p)").unwrap();
+        let reverse = "rename #a -> #h, #b -> #g, #c -> #f, #d -> #e, \
+                       #e -> #d, #f -> #c, #g -> #b, #h -> #a";
+        let compiles = |src: &str| {
+            let p = crate::parser::parse_ra(src).unwrap();
+            compile_program(&p, &schema).map(|c| c.prog)
+        };
+        // One reversing rename of the 8-ary relation fits, and prints
+        // as QL the parser accepts.
+        for src in ["W".to_string(), format!("{reverse} (W)")] {
+            let prog = compiles(&src).unwrap();
+            recdb_qlhs::parse_program(&prog.to_string()).unwrap();
+        }
+        // Two nested ones, or a join over 16 attributes, would not: the
+        // error names the RA node whose lowering went too deep.
+        for src in [format!("{reverse} ({reverse} (W))"), "W join V".into()] {
+            let err = compiles(&src).unwrap_err();
+            assert_eq!(err.code, recdb_qlhs::DEPTH_CODE, "{src}: {err}");
+            assert_eq!(err.path, vec![0], "{src}");
+        }
     }
 
     #[test]

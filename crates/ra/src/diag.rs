@@ -12,11 +12,13 @@
 //! | `RA03` | duplicate attribute or view name                   |
 //! | `RA04` | union/difference attribute-set mismatch            |
 //! | `RA05` | unsafe expression (fails range restriction)        |
+//! | `DEPTH`| lowers to a QL term nested deeper than QL admits   |
 
 use recdb_qlhs::ast::NodePath;
 use std::fmt;
 
-/// A frontend diagnostic: typing (`RA01`–`RA04`) or safety (`RA05`).
+/// A frontend diagnostic: typing (`RA01`–`RA04`), safety (`RA05`), or
+/// lowering depth (`DEPTH`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RaError {
     /// Stable diagnostic code.

@@ -40,9 +40,11 @@ use std::fmt;
 /// The deepest nesting an RA program may have (see the module docs).
 /// The serve benchmark's generated RA queries nest up to about 12
 /// levels. Each RA node lowers to many QL nodes (about 17 levels per RA
-/// level there), so this sits far below the QL parser's
-/// [`recdb_qlhs::MAX_DEPTH`]; a lowered program that still nests deeper
-/// than that is rejected when it is re-parsed as QL.
+/// level there, and more on wide relations), so this sits far below
+/// the QL parser's [`recdb_qlhs::MAX_DEPTH`]. Lowering enforces that
+/// one as it builds: a query whose QL term would nest deeper fails
+/// [`compile_program`](crate::compile_program) with code
+/// [`DEPTH_CODE`] at the RA node that went too deep.
 pub const MAX_DEPTH: usize = 64;
 
 /// A parse error with byte offset.

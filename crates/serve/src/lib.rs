@@ -42,4 +42,4 @@ pub use client::{post_once, ClientError, Conn, Response};
 /// The statement layer admitted programs run under, re-exported at
 /// the path downstream code has always imported it from.
 pub use recdb_qlhs::exec;
-pub use server::{ServeConfig, Server, WORKER_STACK};
+pub use server::{ServeConfig, Server};

@@ -83,17 +83,11 @@ impl Default for ServeConfig {
 
 /// Stack size of each worker thread. Admission, lowering, evaluation
 /// and rendering recurse over the program tree, whose nesting the
-/// parser caps at [`recdb_qlhs::MAX_DEPTH`]; a program at that cap
-/// needs under 1 MiB of stack in an optimized build, so workers keep
-/// the platform's usual 2 MiB. Unoptimized frames are about ten times
-/// larger, so a debug build gives its workers 32 MiB. (A 32 MiB stack
-/// in the optimized server measurably slowed admission-heavy
-/// workloads.)
-pub const WORKER_STACK: usize = if cfg!(debug_assertions) {
-    32 << 20
-} else {
-    2 << 20
-};
+/// parsers cap at [`recdb_qlhs::MAX_DEPTH`] (RA programs are lowered
+/// within the same cap). One size serves every build, so the
+/// configuration the tests exercise at that cap is the one that ships:
+/// an unoptimized build, whose frames are the largest, needs it.
+const WORKER_STACK: usize = 32 << 20;
 
 struct Shared {
     cfg: ServeConfig,
@@ -533,10 +527,10 @@ fn ra_rejection(
         d.push_str(&format!(",\"line\":{line},\"col\":{col}"));
     }
     d.push('}');
-    let reason = if e.code == "RA05" {
-        "ra-unsafe"
-    } else {
-        "ra-type"
+    let reason = match e.code {
+        "RA05" => "ra-unsafe",
+        recdb_qlhs::DEPTH_CODE => "ra-depth",
+        _ => "ra-type",
     };
     (
         422,

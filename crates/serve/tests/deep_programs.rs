@@ -1,8 +1,9 @@
-//! Deeply nested programs: past the parsers' nesting limit they are a
-//! 422 with code `DEPTH` and the server keeps answering; at exactly
-//! the limit, admission, lowering, evaluation and rendering fit a
-//! worker's stack (these tests run unoptimized, where frames are
-//! largest).
+//! Deeply nested programs: past the parsers' nesting limit, or past
+//! it once an RA query is lowered to QL, they are a 422 with code
+//! `DEPTH` and the server keeps answering; at exactly the limit,
+//! admission, lowering, evaluation and rendering fit a worker's stack
+//! (in an unoptimized build frames are largest, and the workers have
+//! the same stack in every build).
 
 use recdb_serve::client::Conn;
 use recdb_serve::{ServeConfig, Server};
@@ -97,4 +98,46 @@ fn programs_at_the_depth_limit_run_on_a_worker_stack() {
     let nots = format!("E diff {}E{}", "not (".repeat(n - 1), ")".repeat(n - 1));
     let r = c.post("/v1/ra", &ra(&nots)).unwrap();
     assert_eq!(r.status, 200, "RA complements at the limit: {}", r.body);
+}
+
+/// An 8-ary relation pair: the widest the wire format allows.
+const WIDE_DB: &str = r#"{"kind":"finite","universe":[0,1],"relations":[{"arity":8,"tuples":[[0,1,0,1,0,1,0,1]]},{"arity":8,"tuples":[[1,1,1,1,0,0,0,0]]}]}"#;
+
+fn wide_ra(query: &str) -> String {
+    format!(
+        r#"{{"query":"{query}","schema":"W(a, b, c, d, e, f, g, h); V(i, j, k, l, m, n, o, p)","db":{WIDE_DB}}}"#
+    )
+}
+
+#[test]
+fn ra_queries_that_lower_too_deep_are_422_at_their_ra_node() {
+    let s = server();
+    let mut c = Conn::connect(s.addr()).expect("connect");
+    let reverse = "rename #a -> #h, #b -> #g, #c -> #f, #d -> #e, \
+                   #e -> #d, #f -> #c, #g -> #b, #h -> #a";
+    // One reversing rename of an 8-ary relation lowers to a QL term
+    // close to the limit, and runs.
+    let r = c
+        .post("/v1/ra", &wide_ra(&format!("{reverse} (W)")))
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert!(r.body.contains("[[1,0,1,0,1,0,1,0]]"), "{}", r.body);
+    // Two nested ones, or a join over 16 attributes, would lower past
+    // it: rejected before the QL is built, at the RA node's position.
+    for (query, col) in [
+        (format!("W diff {reverse} ({reverse} (W))"), 8),
+        ("project #a (W join V)".to_string(), 13),
+    ] {
+        let r = c.post("/v1/ra", &wide_ra(&query)).unwrap();
+        assert_eq!(r.status, 422, "{query}: {}", r.body);
+        assert!(r.body.contains("\"code\":\"DEPTH\""), "{}", r.body);
+        assert!(
+            r.body.contains(&format!("\"line\":1,\"col\":{col}}}")),
+            "{query}: {}",
+            r.body
+        );
+        assert!(r.body.contains("\"reasons\":[\"ra-depth\"]"), "{}", r.body);
+    }
+    let r = c.post("/v1/ra", &wide_ra("project #a (W)")).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
 }

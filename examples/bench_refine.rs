@@ -24,7 +24,9 @@
 //! timing points — the "why is it slow" companion to the medians.
 
 use recdb_analyze::analyze_full;
-use recdb_core::{Database, DatabaseBuilder, Elem, FiniteStructure, FnRelation, Fuel, Tuple};
+use recdb_core::{
+    Database, DatabaseBuilder, Elem, FiniteStructure, FnRelation, Fuel, Schema, Tuple,
+};
 use recdb_hsdb::{
     paper_example_graph, partition_by_local_iso, partition_by_local_iso_pairwise, v_n_r,
     IncrementalPartition,
@@ -224,14 +226,24 @@ fn main() {
         op("swap", &mut |i| i.swap(&x, &mut fuel()).expect("fuel"));
     }
 
-    // The same ops on a tiny value (`E7/ops_tiny`): the shape of the
-    // serve benchmark's `fuel_loop` relation, 4 undirected edges over
-    // |D| = 5 (8 rows of rank 2), where `const_and` runs `down(swap(R1))`
-    // thousands of times a request. One call is too fast for the timer,
-    // so each sample times a batch and `median_ns` is per call; `size`
-    // is the row count; `and` intersects `R1` with its swap.
+    // The same ops on a tiny value (`E7/ops_tiny`): the serve
+    // benchmark's `fuel_loop` relation `R1`, which is 4 distinct
+    // directed edges over |D| = 5 (4 rows of rank 2); these are the
+    // edges its generator draws for seed 1's `const_and` request, whose
+    // loop runs `down(swap(R1))` thousands of times a request. One call
+    // is too fast for the timer, so each sample times a batch and
+    // `median_ns` is per call; `size` is the row count; `and`
+    // intersects `R1` with its swap.
     const TINY_BATCH: usize = 1000;
-    let st = FiniteStructure::undirected_graph(0..5, [(0, 1), (1, 2), (1, 3), (3, 4)]);
+    let edges = [(2, 0), (2, 3), (3, 2), (4, 4)];
+    let st = FiniteStructure::new(
+        Schema::new([2]),
+        (0..5).map(Elem),
+        vec![edges
+            .iter()
+            .map(|&(a, b)| Tuple::from_values([a, b]))
+            .collect()],
+    );
     let x = Val::new(2, st.relation(0).iter().cloned());
     let mut fin = FinInterp::new(&st);
     let swapped = fin.swap(&x, &mut Fuel::new(0)).expect("tick-free");
