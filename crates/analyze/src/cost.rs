@@ -35,7 +35,6 @@
 //! never exceed these bounds.
 
 use crate::diag::{Code, Diagnostic};
-use crate::prog::Analysis;
 use crate::rank::AbsRank;
 use crate::terminate::{LoopBound, TerminationAnalysis};
 use recdb_core::Schema;
@@ -742,14 +741,11 @@ impl Walker<'_> {
 
 /// Runs the cost pass. `termination` must come from
 /// [`crate::analyze_termination`] on the same program — the proved
-/// loop bounds drive the unrolling. The `safety` analysis is accepted
-/// for interface symmetry (an `Unsafe` program usually obstructs on
-/// its own); only its presence is required, not its verdict.
+/// loop bounds drive the unrolling.
 pub fn analyze_cost(
     p: &Prog,
     schema: &Schema,
     dialect: Dialect,
-    _safety: &Analysis,
     termination: &TerminationAnalysis,
 ) -> CostAnalysis {
     recdb_obs::count("analyze.cost.programs", 1);
@@ -808,7 +804,7 @@ mod tests {
     fn run(p: &Prog, schema: &Schema, dialect: Dialect) -> CostAnalysis {
         let safety = analyze_prog(p, schema, dialect);
         let termination = analyze_termination(p, schema, dialect, &safety);
-        analyze_cost(p, schema, dialect, &safety, &termination)
+        analyze_cost(p, schema, dialect, &termination)
     }
 
     #[test]

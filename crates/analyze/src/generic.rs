@@ -64,7 +64,7 @@
 use crate::diag::{Code, Diagnostic};
 use crate::prog::{Analysis, Verdict};
 use crate::terminate::{TerminationAnalysis, TerminationVerdict};
-use recdb_core::{Schema, Tuple};
+use recdb_core::Tuple;
 use recdb_qlhs::{Dialect, Prog, Term, Val};
 use std::collections::BTreeSet;
 
@@ -276,7 +276,6 @@ fn exec(p: &Prog, env: &mut GEnv, ctl: &BTreeSet<u64>, guard_taint: &mut BTreeSe
 /// recorder is installed.
 pub fn analyze_genericity(
     p: &Prog,
-    _schema: &Schema,
     dialect: Dialect,
     safety: &Analysis,
     termination: &TerminationAnalysis,
@@ -390,6 +389,7 @@ mod tests {
     use super::*;
     use crate::analyze_prog;
     use crate::terminate::analyze_termination;
+    use recdb_core::Schema;
     use recdb_qlhs::parse_program;
 
     fn s2() -> Schema {
@@ -400,7 +400,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let safety = analyze_prog(&p, &s2(), dialect);
         let term = analyze_termination(&p, &s2(), dialect, &safety);
-        analyze_genericity(&p, &s2(), dialect, &safety, &term)
+        analyze_genericity(&p, dialect, &safety, &term)
     }
 
     fn fixed_of(a: &GenericAnalysis) -> BTreeSet<u64> {

@@ -48,16 +48,17 @@ pub use delta::{analyze_delta, DeltaAnalysis, LoopDelta};
 pub use diag::{Code, Diagnostic, Severity};
 pub use generic::{analyze_genericity, GenericAnalysis, GenericityVerdict};
 pub use logic::{analyze_formula, FormulaReport};
-pub use prog::{analyze_prog, Analysis, Verdict};
+pub use prog::{analyze_prog, Analysis, LoopFacts, Verdict};
 pub use rank::{term_rank, AbsEmpty, AbsRank};
 pub use simplify::simplify_prog_checked;
 pub use terminate::{
-    analyze_termination, LoopBound, LoopInfo, LoopKind, TerminationAnalysis, TerminationVerdict,
+    analyze_termination, LoopBound, LoopInfo, TerminationAnalysis, TerminationVerdict,
 };
 
-/// Safety, termination, and genericity in one call — the three passes
-/// composed in dependency order (termination uses the safety verdict,
-/// genericity uses both).
+/// Every program analysis in one call — the five passes composed in
+/// dependency order (termination reads the safety walk's loop facts
+/// and verdict, genericity uses both, cost uses termination's bounds;
+/// semi-naive eligibility stands alone).
 #[derive(Clone, Debug)]
 pub struct FullAnalysis {
     /// Rank/arity/dialect safety ([`analyze_prog`]).
@@ -72,7 +73,8 @@ pub struct FullAnalysis {
     pub cost: CostAnalysis,
 }
 
-/// Runs all three program analyses on `p`.
+/// Runs all five program analyses on `p`: safety, termination,
+/// genericity, semi-naive eligibility and cost.
 pub fn analyze_full(
     p: &recdb_qlhs::Prog,
     schema: &recdb_core::Schema,
@@ -80,9 +82,9 @@ pub fn analyze_full(
 ) -> FullAnalysis {
     let safety = analyze_prog(p, schema, dialect);
     let termination = analyze_termination(p, schema, dialect, &safety);
-    let genericity = analyze_genericity(p, schema, dialect, &safety, &termination);
+    let genericity = analyze_genericity(p, dialect, &safety, &termination);
     let delta = analyze_delta(p);
-    let cost = analyze_cost(p, schema, dialect, &safety, &termination);
+    let cost = analyze_cost(p, schema, dialect, &termination);
     FullAnalysis {
         safety,
         termination,

@@ -26,18 +26,25 @@
 //!   loop body) or with unprovable ranks.
 //!
 //! The emptiness lattice is deliberately second-class: it powers the
-//! unreachable-/divergent-loop lints (under a non-empty-domain
-//! assumption) and never influences the verdict.
+//! unreachable-/divergent-loop lints and the termination rules (under
+//! a non-empty-domain assumption) and never influences the verdict.
 //!
 //! Loops are analyzed to a fixpoint with diagnostics muted, then the
 //! body is re-walked once at the post-fixpoint environment with
 //! diagnostics on — each statement is diagnosed exactly once, against
 //! an environment that over-approximates every real iteration.
+//!
+//! This walk is the crate's only (rank, emptiness) abstract
+//! interpreter. Its reporting pass also records what termination and
+//! the checked simplifier need, so neither walks the program again:
+//! each loop's [`LoopFacts`] (entry state, loop-head fixpoint, and one
+//! probing iteration), and each assignment's `W0106` rewrite.
 
 use crate::diag::{Code, Diagnostic, Severity};
 use crate::rank::{term_rank, AbsEmpty, AbsRank, Assigned};
 use recdb_core::Schema;
-use recdb_qlhs::{Dialect, NodePath, Prog, Term, VarId};
+use recdb_qlhs::{Dialect, LoopKind, NodePath, Prog, Term, VarId};
+use std::collections::BTreeMap;
 
 /// The analyzer's overall safety classification of a program.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -73,6 +80,47 @@ pub struct Analysis {
     /// a proof that `Yᵢ` holds a rank-`k` value on every completed
     /// run.
     pub exit_ranks: Vec<AbsRank>,
+    /// What the walk proved at each `while`, outer loops before inner
+    /// ones — the facts [`crate::analyze_termination`] reads.
+    pub loops: Vec<LoopFacts>,
+}
+
+/// The guard variable's abstract state at the points of one `while`
+/// that the termination rules read (see [`crate::terminate`]).
+/// Recorded once per loop, by the reporting walk.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LoopFacts {
+    /// Tree path of the `while` statement.
+    pub path: NodePath,
+    /// The guard variable.
+    pub guard: VarId,
+    /// The guard's test.
+    pub kind: LoopKind,
+    /// Is the loop on the program's must-execute spine (not nested in
+    /// any other loop's body)?
+    pub on_spine: bool,
+    /// The guard's rank when the loop is first reached.
+    pub entry_rank: AbsRank,
+    /// The guard's emptiness when the loop is first reached (the
+    /// `W0103` fact).
+    pub entry_empty: AbsEmpty,
+    /// The guard's emptiness at the loop-head fixpoint, which covers
+    /// the start of every iteration, entry included (the `W0104`
+    /// fact).
+    pub head_empty: AbsEmpty,
+    /// The guard's emptiness after one abstract iteration from the
+    /// loop head met with the guard-true constraint; `None` for
+    /// `while finite`, whose constraint the domain cannot state.
+    pub after_one: Option<AbsEmpty>,
+}
+
+/// Does a guard variable with emptiness `e` make the test false?
+pub(crate) fn refutes(kind: LoopKind, e: AbsEmpty) -> bool {
+    match kind {
+        LoopKind::Empty => e == AbsEmpty::NonEmpty,
+        LoopKind::Singleton => e == AbsEmpty::Empty,
+        LoopKind::Finite => false,
+    }
 }
 
 impl Analysis {
@@ -131,6 +179,11 @@ struct Analyzer<'a> {
     /// An error-severity finding holds on every run (see module doc).
     definite_error: bool,
     path: NodePath,
+    /// Facts of each loop the reporting walk reached.
+    loops: Vec<LoopFacts>,
+    /// The `W0106` rewrite of each assignment that has one, keyed by
+    /// the statement's path.
+    rewrites: BTreeMap<NodePath, Term>,
 }
 
 impl Analyzer<'_> {
@@ -145,7 +198,6 @@ impl Analyzer<'_> {
         if let Some(n) = note {
             d = d.with_note(n);
         }
-        d.record();
         self.diags.push(d);
     }
 
@@ -316,101 +368,64 @@ impl Analyzer<'_> {
                     self.path.pop();
                 }
             }
-            Prog::WhileEmpty(v, body) => {
-                let entry = env.get(*v).copied().unwrap_or(VarState::UNSET);
-                if entry.empty == AbsEmpty::NonEmpty {
-                    self.emit(
-                        Code::UnreachableLoop,
-                        format!(
-                            "`Y{}` is provably non-empty here: this loop body never runs",
-                            v + 1
-                        ),
-                        None,
-                        false,
-                    );
-                }
-                self.analyze_loop(body, env);
-                let fixed = env.get(*v).copied().unwrap_or(VarState::UNSET);
-                if fixed.empty == AbsEmpty::Empty {
-                    self.emit(
-                        Code::DivergentLoop,
-                        format!(
-                            "`Y{}` is provably empty at every iteration: `while empty(Y{})` never exits",
-                            v + 1,
-                            v + 1
-                        ),
-                        None,
-                        false,
-                    );
-                } else if *v < env.len() && env[*v].empty == AbsEmpty::Top {
-                    // Normal exit implies the guard went false: |Y| ≠ 0.
-                    env[*v].empty = AbsEmpty::NonEmpty;
-                }
-            }
+            Prog::WhileEmpty(v, body) => self.exec_loop(LoopKind::Empty, *v, body, env, must),
             Prog::WhileSingleton(v, body) => {
-                if !self.dialect.admits_singleton_test() {
-                    self.emit(
-                        Code::IllegalSingletonTest,
-                        format!(
-                            "`while single(Y{})` is not admitted by {}",
-                            v + 1,
-                            self.dialect
-                        ),
-                        Some(format!(
-                            "{} rejects it before running the program",
-                            self.dialect
-                        )),
-                        true,
-                    );
-                }
-                let entry = env.get(*v).copied().unwrap_or(VarState::UNSET);
-                if entry.empty == AbsEmpty::Empty {
-                    self.emit(
-                        Code::UnreachableLoop,
-                        format!(
-                            "`Y{}` is provably empty here, so `|Y{}| = 1` is false: this loop body never runs",
-                            v + 1,
-                            v + 1
-                        ),
-                        None,
-                        false,
-                    );
-                }
-                self.analyze_loop(body, env);
-                // Exit implies |Y| ≠ 1 — no emptiness information.
+                self.exec_loop(LoopKind::Singleton, *v, body, env, must)
             }
-            Prog::WhileFinite(v, body) => {
-                if !self.dialect.admits_finiteness_test() {
-                    self.emit(
-                        Code::IllegalFinitenessTest,
-                        format!(
-                            "`while finite(Y{})` is not admitted by {}",
-                            v + 1,
-                            self.dialect
-                        ),
-                        Some(format!(
-                            "{} rejects it before running the program",
-                            self.dialect
-                        )),
-                        true,
-                    );
-                }
-                self.analyze_loop(body, env);
-                // Exit implies |Y| = ∞, hence non-empty.
-                if *v < env.len() && env[*v].empty == AbsEmpty::Top {
-                    env[*v].empty = AbsEmpty::NonEmpty;
-                }
-            }
+            Prog::WhileFinite(v, body) => self.exec_loop(LoopKind::Finite, *v, body, env, must),
         }
     }
 
-    /// Iterates `body` to a fixpoint with diagnostics muted, then
-    /// re-walks it once, diagnostics on, at the post-fixpoint
-    /// environment. On return `env` is the loop-head fixpoint: a
-    /// sound over-approximation of the state after 0, 1, 2, …
-    /// iterations.
-    fn analyze_loop(&mut self, body: &Prog, env: &mut Env) {
-        let saved_mute = self.mute;
+    /// Diagnoses one `while` and leaves `env` at its exit state. The
+    /// body is iterated to a fixpoint with diagnostics muted, then (in
+    /// the reporting walk only) the loop's [`LoopFacts`] are recorded
+    /// and the body is re-walked once, diagnostics on, at the
+    /// post-fixpoint environment — an over-approximation of the state
+    /// after 0, 1, 2, … iterations.
+    fn exec_loop(&mut self, kind: LoopKind, v: VarId, body: &Prog, env: &mut Env, must: bool) {
+        let illegal = match kind {
+            LoopKind::Empty => None,
+            LoopKind::Singleton => {
+                (!self.dialect.admits_singleton_test()).then_some(Code::IllegalSingletonTest)
+            }
+            LoopKind::Finite => {
+                (!self.dialect.admits_finiteness_test()).then_some(Code::IllegalFinitenessTest)
+            }
+        };
+        if let Some(code) = illegal {
+            self.emit(
+                code,
+                format!(
+                    "`while {}(Y{})` is not admitted by {}",
+                    kind.keyword(),
+                    v + 1,
+                    self.dialect
+                ),
+                Some(format!(
+                    "{} rejects it before running the program",
+                    self.dialect
+                )),
+                true,
+            );
+        }
+        let entry = env[v];
+        if refutes(kind, entry.empty) {
+            let why = match kind {
+                LoopKind::Singleton => format!(
+                    "`Y{}` is provably empty here, so `|Y{}| = 1` is false",
+                    v + 1,
+                    v + 1
+                ),
+                _ => format!("`Y{}` is provably non-empty here", v + 1),
+            };
+            self.emit(
+                Code::UnreachableLoop,
+                format!("{why}: this loop body never runs"),
+                None,
+                false,
+            );
+        }
+        let reporting = !self.mute;
         self.mute = true;
         loop {
             let mut out = env.clone();
@@ -423,11 +438,70 @@ impl Analyzer<'_> {
             }
             *env = joined;
         }
-        self.mute = saved_mute;
-        let mut replay = env.clone();
+        let head = env[v];
+        if reporting {
+            let after_one = self.one_iteration(kind, v, body, env);
+            self.loops.push(LoopFacts {
+                path: self.path.clone(),
+                guard: v,
+                kind,
+                on_spine: must,
+                entry_rank: entry.rank,
+                entry_empty: entry.empty,
+                head_empty: head.empty,
+                after_one,
+            });
+            self.mute = false;
+            let mut replay = env.clone();
+            self.path.push(0);
+            self.exec(body, &mut replay, false);
+            self.path.pop();
+        }
+        self.mute = !reporting;
+        let divergent = kind == LoopKind::Empty && head.empty == AbsEmpty::Empty;
+        if divergent {
+            self.emit(
+                Code::DivergentLoop,
+                format!(
+                    "`Y{}` is provably empty at every iteration: `while empty(Y{})` never exits",
+                    v + 1,
+                    v + 1
+                ),
+                None,
+                false,
+            );
+        }
+        // Leaving `while empty` means the guard went false, i.e.
+        // |Y| ≠ 0; leaving `while finite` means |Y| = ∞, hence
+        // non-empty. Leaving `while single` says nothing about
+        // emptiness.
+        if kind != LoopKind::Singleton && env[v].empty == AbsEmpty::Top {
+            env[v].empty = AbsEmpty::NonEmpty;
+        }
+    }
+
+    /// The probe behind termination's rule B1: one muted pass over
+    /// `body` from the loop-head state `head` met with the guard-true
+    /// constraint (the only states an iteration starts from). Returns
+    /// the guard's emptiness afterwards; `None` for `while finite`,
+    /// whose guard-true constraint the emptiness domain cannot state.
+    fn one_iteration(
+        &mut self,
+        kind: LoopKind,
+        v: VarId,
+        body: &Prog,
+        head: &Env,
+    ) -> Option<AbsEmpty> {
+        let mut env = head.clone();
+        env[v].empty = match kind {
+            LoopKind::Empty => AbsEmpty::Empty,
+            LoopKind::Singleton => AbsEmpty::NonEmpty,
+            LoopKind::Finite => return None,
+        };
         self.path.push(0);
-        self.exec(body, &mut replay, false);
+        self.exec(body, &mut env, false);
         self.path.pop();
+        Some(env[v].empty)
     }
 
     /// Do `a` and `b` provably evaluate to the same value here? True
@@ -464,6 +538,7 @@ impl Analyzer<'_> {
                 Some("double negation, self-intersection, or a rank-provable swap".into()),
                 false,
             );
+            self.rewrites.insert(self.path.clone(), s);
         }
     }
 }
@@ -521,27 +596,19 @@ fn dead_variable_lints(p: &Prog) -> Vec<Diagnostic> {
         .into_iter()
         .filter(|(v, _)| *v != 0 && !reads.contains(v))
         .map(|(v, path)| {
-            let d = Diagnostic::new(
+            Diagnostic::new(
                 Code::DeadVariable,
                 path,
                 format!("`Y{}` is assigned but never read", v + 1),
             )
-            .with_note("Y1 is the output; every other variable should feed it".to_string());
-            d.record();
-            d
+            .with_note("Y1 is the output; every other variable should feed it".to_string())
         })
         .collect()
 }
 
-/// Analyzes `p` against `schema` as a `dialect` program.
-///
-/// This is the front door of the crate: rank/arity inference, dialect
-/// checking, lints, and the [`Verdict`] in one pass. Bumps the
-/// `analyze.programs` and `analyze.diagnostics.<code>` counters when a
-/// `recdb-obs` recorder is installed.
-pub fn analyze_prog(p: &Prog, schema: &Schema, dialect: Dialect) -> Analysis {
-    recdb_obs::count("analyze.programs", 1);
-    let _t = recdb_obs::span("analyze.prog_seconds");
+/// Walks `p` once, reporting: the analyzer's final state and the
+/// exit environment. Bumps no counter.
+fn walk<'a>(p: &Prog, schema: &'a Schema, dialect: Dialect) -> (Analyzer<'a>, Env) {
     let nvars = p.max_var().map_or(1, |m| m + 1).max(1);
     let mut a = Analyzer {
         schema,
@@ -550,10 +617,34 @@ pub fn analyze_prog(p: &Prog, schema: &Schema, dialect: Dialect) -> Analysis {
         mute: false,
         definite_error: false,
         path: Vec::new(),
+        loops: Vec::new(),
+        rewrites: BTreeMap::new(),
     };
     let mut env: Env = vec![VarState::UNSET; nvars];
     a.exec(p, &mut env, true);
+    (a, env)
+}
+
+/// The `W0106` rewrite of every assignment in `p` that has one, keyed
+/// by statement path — what [`crate::simplify_prog_checked`] applies.
+/// Ranks do not depend on the dialect, so neither do the rewrites.
+pub(crate) fn rewrites(p: &Prog, schema: &Schema) -> BTreeMap<NodePath, Term> {
+    walk(p, schema, Dialect::Ql).0.rewrites
+}
+
+/// Analyzes `p` against `schema` as a `dialect` program.
+///
+/// This is the front door of the crate: rank/arity inference, dialect
+/// checking, lints, the [`Verdict`] and the per-loop [`LoopFacts`] in
+/// one walk. Bumps the `analyze.programs` and
+/// `analyze.diagnostics.<code>` counters when a `recdb-obs` recorder
+/// is installed.
+pub fn analyze_prog(p: &Prog, schema: &Schema, dialect: Dialect) -> Analysis {
+    recdb_obs::count("analyze.programs", 1);
+    let _t = recdb_obs::span("analyze.prog_seconds");
+    let (mut a, env) = walk(p, schema, dialect);
     a.diags.extend(dead_variable_lints(p));
+    a.diags.iter().for_each(Diagnostic::record);
     let verdict = if a.definite_error {
         Verdict::Unsafe
     } else if a
@@ -570,6 +661,7 @@ pub fn analyze_prog(p: &Prog, schema: &Schema, dialect: Dialect) -> Analysis {
         verdict,
         diagnostics: a.diags,
         exit_ranks: env.iter().map(|s| s.rank).collect(),
+        loops: a.loops,
     }
 }
 

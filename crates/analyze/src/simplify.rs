@@ -9,104 +9,56 @@
 //! `Known(k)` over-approximates every iteration — so a rewrite fired
 //! inside a loop is valid on the first iteration and the thousandth.
 //!
+//! Those rewrites are exactly the `W0106` lint's: the safety walk
+//! ([`crate::analyze_prog`]) computes each one at its statement, and
+//! this module only rebuilds the program from them.
+//!
 //! The rewrites themselves preserve semantics and errors (see
 //! `recdb_qlhs::optimize`), so simplification can never change the
 //! analyzer's verdict; `verdict_is_invariant_under_simplification`
 //! pins that, and the conformance harness re-checks it on seeded
 //! random programs.
 
-use crate::rank::{term_rank, AbsRank};
 use recdb_core::Schema;
-use recdb_qlhs::{Prog, Term};
+use recdb_qlhs::{NodePath, Prog, Term};
+use std::collections::BTreeMap;
 
-type RankEnv = Vec<AbsRank>;
-
-fn join_env(a: &RankEnv, b: &RankEnv) -> RankEnv {
-    a.iter().zip(b).map(|(x, y)| x.join(*y)).collect()
-}
-
-/// Rank-only transfer over a program (no diagnostics): leaves `env`
-/// at the program's exit state.
-fn rank_exec(p: &Prog, schema: &Schema, env: &mut RankEnv) {
+/// Rebuilds `p` with each assignment's term replaced by its rewrite,
+/// flattening nested sequences.
+fn rebuild(p: &Prog, path: &mut NodePath, rewrites: &mut BTreeMap<NodePath, Term>) -> Prog {
     match p {
-        Prog::Assign(v, t) => {
-            let r = term_rank(t, schema, env);
-            if *v >= env.len() {
-                env.resize(*v + 1, AbsRank::Known(0));
-            }
-            env[*v] = r;
-        }
-        Prog::Seq(ps) => ps.iter().for_each(|q| rank_exec(q, schema, env)),
-        Prog::WhileEmpty(_, body) | Prog::WhileSingleton(_, body) | Prog::WhileFinite(_, body) => {
-            rank_fix(body, schema, env)
-        }
-    }
-}
-
-/// Drives `env` to the loop-head fixpoint of `body`.
-fn rank_fix(body: &Prog, schema: &Schema, env: &mut RankEnv) {
-    loop {
-        let mut out = env.clone();
-        rank_exec(body, schema, &mut out);
-        let joined = join_env(env, &out);
-        if joined == *env {
-            return;
-        }
-        *env = joined;
-    }
-}
-
-fn simplify_at(t: &Term, schema: &Schema, env: &RankEnv) -> Term {
-    let ranks = env.clone();
-    let oracle = move |u: &Term| term_rank(u, schema, &ranks).known();
-    recdb_qlhs::simplify_term_with(t, &oracle)
-}
-
-fn walk(p: &Prog, schema: &Schema, env: &mut RankEnv) -> Prog {
-    match p {
-        Prog::Assign(v, t) => {
-            let s = simplify_at(t, schema, env);
-            // The rewrites are rank-preserving, so tracking the
-            // simplified term keeps the environment faithful to the
-            // original program.
-            let r = term_rank(&s, schema, env);
-            if *v >= env.len() {
-                env.resize(*v + 1, AbsRank::Known(0));
-            }
-            env[*v] = r;
-            Prog::Assign(*v, s)
-        }
+        Prog::Assign(v, t) => Prog::Assign(*v, rewrites.remove(path).unwrap_or_else(|| t.clone())),
         Prog::Seq(ps) => {
             let mut flat = Vec::new();
-            for q in ps {
-                match walk(q, schema, env) {
+            for (i, q) in ps.iter().enumerate() {
+                path.push(i as u32);
+                match rebuild(q, path, rewrites) {
                     Prog::Seq(inner) => flat.extend(inner),
                     other => flat.push(other),
                 }
+                path.pop();
             }
             Prog::Seq(flat)
         }
         Prog::WhileEmpty(v, body) | Prog::WhileSingleton(v, body) | Prog::WhileFinite(v, body) => {
-            rank_fix(body, schema, env);
-            let mut body_env = env.clone();
-            let new_body = walk(body, schema, &mut body_env);
-            let rebuild = match p {
+            path.push(0);
+            let new_body = Box::new(rebuild(body, path, rewrites));
+            path.pop();
+            let while_ = match p {
                 Prog::WhileEmpty(..) => Prog::WhileEmpty,
                 Prog::WhileSingleton(..) => Prog::WhileSingleton,
                 _ => Prog::WhileFinite,
             };
-            rebuild(*v, Box::new(new_body))
+            while_(*v, new_body)
         }
     }
 }
 
 /// Simplifies every term of `p` with the strongest rank oracle the
 /// schema and flow analysis justify, and flattens nested sequences.
-/// Semantics- and verdict-preserving.
+/// Semantics- and verdict-preserving. Bumps no counter.
 pub fn simplify_prog_checked(p: &Prog, schema: &Schema) -> Prog {
-    let nvars = p.max_var().map_or(1, |m| m + 1).max(1);
-    let mut env: RankEnv = vec![AbsRank::Known(0); nvars];
-    walk(p, schema, &mut env)
+    rebuild(p, &mut Vec::new(), &mut crate::prog::rewrites(p, schema))
 }
 
 #[cfg(test)]

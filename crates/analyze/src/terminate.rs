@@ -34,6 +34,11 @@
 //! `while finite(Y)` never gets a bound: the analysis carries no
 //! finiteness domain, and QLf+ loops can genuinely pump.
 //!
+//! B0, B1 and divergence read the [`LoopFacts`](crate::prog::LoopFacts)
+//! the safety walk ([`crate::analyze_prog`]) records at each loop; this
+//! pass runs no abstract interpretation of its own, so it is exactly
+//! as precise as safety (B0 holds exactly where `W0103` is reported).
+//!
 //! ## Divergence
 //!
 //! `while empty(Y)` whose loop-head fixpoint proves `Y` empty at
@@ -51,10 +56,10 @@
 //! bounds against the real interpreters with a counting executor.
 
 use crate::diag::{Code, Diagnostic};
-use crate::prog::{Analysis, Verdict};
+use crate::prog::{refutes, Analysis, Verdict};
 use crate::rank::{AbsEmpty, AbsRank};
 use recdb_core::Schema;
-use recdb_qlhs::{Dialect, NodePath, Prog, Term, VarId};
+use recdb_qlhs::{Dialect, LoopKind, NodePath, Prog, Term, VarId};
 use std::collections::BTreeMap;
 
 /// What the analysis proved about one loop.
@@ -68,17 +73,6 @@ pub enum LoopBound {
     Divergent,
     /// No bound proved.
     Unknown,
-}
-
-/// Which `while` test guards a loop.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LoopKind {
-    /// `while empty(Y)` — all dialects.
-    Empty,
-    /// `while single(Y)` — QLhs.
-    Singleton,
-    /// `while finite(Y)` — QLf+.
-    Finite,
 }
 
 /// One loop of the program, with the bound proved for it.
@@ -141,299 +135,6 @@ impl TerminationAnalysis {
     /// The proved bound of the loop at `path`, if any.
     pub fn bound_at(&self, path: &[u32]) -> Option<&LoopInfo> {
         self.loops.iter().find(|l| l.path == path)
-    }
-}
-
-/// Abstract state of one variable — the same (rank, emptiness) facts
-/// the safety analysis computes, re-derived here without diagnostics.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct VarAbs {
-    rank: AbsRank,
-    empty: AbsEmpty,
-}
-
-impl VarAbs {
-    const UNSET: VarAbs = VarAbs {
-        rank: AbsRank::Known(0),
-        empty: AbsEmpty::Empty,
-    };
-
-    fn join(self, other: VarAbs) -> VarAbs {
-        VarAbs {
-            rank: self.rank.join(other.rank),
-            empty: self.empty.join(other.empty),
-        }
-    }
-}
-
-type TEnv = Vec<VarAbs>;
-
-fn join_env(a: &TEnv, b: &TEnv) -> TEnv {
-    a.iter().zip(b).map(|(x, y)| x.join(*y)).collect()
-}
-
-/// The silent (rank, emptiness) transfer function — the same facts as
-/// the safety analyzer's term walk, with error cases degraded to ⊤
-/// instead of diagnosed (diagnosis is [`crate::analyze_prog`]'s job).
-fn abs_term(t: &Term, schema: &Schema, dialect: Dialect, env: &TEnv) -> VarAbs {
-    match t {
-        Term::E => VarAbs {
-            rank: AbsRank::Known(2),
-            empty: if dialect == Dialect::QlfPlus {
-                AbsEmpty::Top
-            } else {
-                AbsEmpty::NonEmpty
-            },
-        },
-        Term::Rel(i) => VarAbs {
-            rank: if *i < schema.len() {
-                AbsRank::Known(schema.arity(*i))
-            } else {
-                AbsRank::Top
-            },
-            empty: AbsEmpty::Top,
-        },
-        Term::Const(_) => VarAbs {
-            rank: AbsRank::Known(1),
-            empty: AbsEmpty::NonEmpty,
-        },
-        Term::Var(v) => env.get(*v).copied().unwrap_or(VarAbs::UNSET),
-        Term::And(a, b) => {
-            let (x, y) = (
-                abs_term(a, schema, dialect, env),
-                abs_term(b, schema, dialect, env),
-            );
-            let rank = match (x.rank, y.rank) {
-                (AbsRank::Known(p), AbsRank::Known(q)) if p == q => AbsRank::Known(p),
-                _ if a == b => x.rank.join(y.rank),
-                _ => AbsRank::Top,
-            };
-            let empty = if x.empty == AbsEmpty::Empty || y.empty == AbsEmpty::Empty {
-                AbsEmpty::Empty
-            } else {
-                AbsEmpty::Top
-            };
-            VarAbs { rank, empty }
-        }
-        Term::Not(e) => {
-            let x = abs_term(e, schema, dialect, env);
-            let empty = match (x.rank, x.empty) {
-                (AbsRank::Known(0), AbsEmpty::NonEmpty) => AbsEmpty::Empty,
-                (AbsRank::Known(_), AbsEmpty::Empty) => AbsEmpty::NonEmpty,
-                _ => AbsEmpty::Top,
-            };
-            VarAbs {
-                rank: x.rank,
-                empty,
-            }
-        }
-        Term::Up(e) => {
-            let x = abs_term(e, schema, dialect, env);
-            let empty = match x.empty {
-                AbsEmpty::Empty => AbsEmpty::Empty,
-                AbsEmpty::NonEmpty if dialect != Dialect::QlfPlus => AbsEmpty::NonEmpty,
-                _ => AbsEmpty::Top,
-            };
-            VarAbs {
-                rank: x.rank.map(|k| k + 1),
-                empty,
-            }
-        }
-        Term::Down(e) => {
-            let x = abs_term(e, schema, dialect, env);
-            match x.rank {
-                AbsRank::Known(0) => VarAbs {
-                    rank: AbsRank::Known(0),
-                    empty: AbsEmpty::Empty,
-                },
-                r => VarAbs {
-                    rank: r.map(|k| k.saturating_sub(1)),
-                    empty: if x.empty == AbsEmpty::Empty {
-                        AbsEmpty::Empty
-                    } else {
-                        AbsEmpty::Top
-                    },
-                },
-            }
-        }
-        Term::Swap(e) => abs_term(e, schema, dialect, env),
-    }
-}
-
-struct TermAnalyzer<'a> {
-    schema: &'a Schema,
-    dialect: Dialect,
-    loops: Vec<LoopInfo>,
-    diags: Vec<Diagnostic>,
-    path: NodePath,
-}
-
-impl TermAnalyzer<'_> {
-    /// Walks `p`. `record` is off during fixpoint iterations and the
-    /// B1 probe so each loop is classified exactly once, against its
-    /// post-fixpoint entry environment.
-    fn exec(&mut self, p: &Prog, env: &mut TEnv, must: bool, record: bool) {
-        match p {
-            Prog::Assign(v, t) => {
-                let val = abs_term(t, self.schema, self.dialect, env);
-                if *v >= env.len() {
-                    env.resize(*v + 1, VarAbs::UNSET);
-                }
-                env[*v] = val;
-            }
-            Prog::Seq(ps) => {
-                for (i, q) in ps.iter().enumerate() {
-                    self.path.push(i as u32);
-                    self.exec(q, env, must, record);
-                    self.path.pop();
-                }
-            }
-            Prog::WhileEmpty(v, body) => {
-                self.exec_loop(LoopKind::Empty, *v, body, env, must, record)
-            }
-            Prog::WhileSingleton(v, body) => {
-                self.exec_loop(LoopKind::Singleton, *v, body, env, must, record)
-            }
-            Prog::WhileFinite(v, body) => {
-                self.exec_loop(LoopKind::Finite, *v, body, env, must, record)
-            }
-        }
-    }
-
-    fn fixpoint(&mut self, body: &Prog, env: &mut TEnv) {
-        loop {
-            let mut out = env.clone();
-            self.path.push(0);
-            self.exec(body, &mut out, false, false);
-            self.path.pop();
-            let joined = join_env(env, &out);
-            if joined == *env {
-                break;
-            }
-            *env = joined;
-        }
-    }
-
-    fn exec_loop(
-        &mut self,
-        kind: LoopKind,
-        v: VarId,
-        body: &Prog,
-        env: &mut TEnv,
-        must: bool,
-        record: bool,
-    ) {
-        let entry = env.get(v).copied().unwrap_or(VarAbs::UNSET);
-        // B0: guard provably false the first time the loop is reached.
-        let refuted_at_entry = match kind {
-            LoopKind::Empty => entry.empty == AbsEmpty::NonEmpty,
-            LoopKind::Singleton => entry.empty == AbsEmpty::Empty,
-            LoopKind::Finite => false,
-        };
-        self.fixpoint(body, env);
-        let fixed = env.get(v).copied().unwrap_or(VarAbs::UNSET);
-        // The W0104 fact, now load-bearing: guard true at every
-        // iteration (the fixpoint over-approximates every loop-head
-        // state, entry included), so the loop is entered and never
-        // left.
-        let divergent = kind == LoopKind::Empty && fixed.empty == AbsEmpty::Empty;
-        let bound = if refuted_at_entry {
-            LoopBound::Bounded(0)
-        } else if divergent {
-            LoopBound::Divergent
-        } else if let Some(b) = self.one_iteration_bound(kind, v, body, env) {
-            LoopBound::Bounded(b)
-        } else if let Some(b) = rank_growth_bound(self.dialect, kind, v, body, entry.rank) {
-            LoopBound::Bounded(b)
-        } else {
-            LoopBound::Unknown
-        };
-        if record {
-            match bound {
-                LoopBound::Unknown => {
-                    let d = Diagnostic::new(
-                        Code::UnboundedLoop,
-                        self.path.clone(),
-                        format!("no iteration bound proved for this `while` on `Y{}`", v + 1),
-                    )
-                    .with_note(
-                        "neither the guard-refutation rule (B0/B1) nor the QLhs \
-                         refinement bound (B2) applies"
-                            .to_string(),
-                    );
-                    d.record();
-                    self.diags.push(d);
-                }
-                LoopBound::Divergent => {
-                    let d = Diagnostic::new(
-                        Code::ProvedDivergentLoop,
-                        self.path.clone(),
-                        format!(
-                            "`Y{}` is provably empty at every iteration: this loop is \
-                             entered and never exits",
-                            v + 1
-                        ),
-                    );
-                    d.record();
-                    self.diags.push(d);
-                }
-                LoopBound::Bounded(_) => {}
-            }
-            self.loops.push(LoopInfo {
-                path: self.path.clone(),
-                guard: v,
-                kind,
-                bound,
-                on_spine: must,
-            });
-            // Classify the inner loops once, at the post-fixpoint env.
-            let mut replay = env.clone();
-            self.path.push(0);
-            self.exec(body, &mut replay, false, true);
-            self.path.pop();
-        }
-        // Exit refinements (mirroring the safety analyzer): leaving
-        // `while empty` means the guard went false, i.e. non-empty;
-        // leaving `while finite` means |Y| = ∞, hence non-empty.
-        if matches!(kind, LoopKind::Empty | LoopKind::Finite)
-            && !divergent
-            && v < env.len()
-            && env[v].empty == AbsEmpty::Top
-        {
-            env[v].empty = AbsEmpty::NonEmpty;
-        }
-    }
-
-    /// B1: from the loop-head fixpoint met with the guard-true
-    /// constraint, does one abstract pass over the body refute the
-    /// guard? Then no iteration is followed by another.
-    fn one_iteration_bound(
-        &mut self,
-        kind: LoopKind,
-        v: VarId,
-        body: &Prog,
-        fix_env: &TEnv,
-    ) -> Option<u64> {
-        let mut env = fix_env.clone();
-        if v >= env.len() {
-            env.resize(v + 1, VarAbs::UNSET);
-        }
-        // An iteration only starts from a guard-true state.
-        match kind {
-            LoopKind::Empty => env[v].empty = AbsEmpty::Empty,
-            LoopKind::Singleton => env[v].empty = AbsEmpty::NonEmpty,
-            LoopKind::Finite => return None,
-        }
-        self.path.push(0);
-        self.exec(body, &mut env, false, false);
-        self.path.pop();
-        let after = env.get(v).copied().unwrap_or(VarAbs::UNSET);
-        let refuted = match kind {
-            LoopKind::Empty => after.empty == AbsEmpty::NonEmpty,
-            LoopKind::Singleton => after.empty == AbsEmpty::Empty,
-            LoopKind::Finite => false,
-        };
-        refuted.then_some(1)
     }
 }
 
@@ -512,32 +213,101 @@ fn total_bound(p: &Prog, path: &mut NodePath, bounds: &BTreeMap<NodePath, u64>) 
     }
 }
 
+/// The body of the `while` statement at `path` in `p`, if there is one.
+fn loop_body_at<'a>(p: &'a Prog, path: &[u32]) -> Option<&'a Prog> {
+    let (node, rest) = match (p, path.split_first()) {
+        (Prog::Seq(ps), Some((&i, rest))) => (ps.get(i as usize)?, rest),
+        (
+            Prog::WhileEmpty(_, b) | Prog::WhileSingleton(_, b) | Prog::WhileFinite(_, b),
+            Some((0, rest)),
+        ) => (&**b, rest),
+        (Prog::WhileEmpty(_, b) | Prog::WhileSingleton(_, b) | Prog::WhileFinite(_, b), None) => {
+            return Some(b)
+        }
+        _ => return None,
+    };
+    loop_body_at(node, rest)
+}
+
 /// Analyzes the termination behaviour of `p` under `dialect`.
 ///
-/// `safety` is the program's [`crate::analyze_prog`] result — the
-/// `Diverges` verdict leans on [`Verdict::Safe`] to rule out runs that
-/// error their way past a divergent loop. Bumps the
-/// `analyze.terminate.*` counters when a `recdb-obs` recorder is
-/// installed.
+/// `safety` is the program's [`crate::analyze_prog`] result under the
+/// same `dialect`: its per-loop [`LoopFacts`](crate::prog::LoopFacts)
+/// carry the entry states, loop-head fixpoints and one-iteration
+/// probes rules B0, B1 and divergence read, so this pass walks no
+/// abstract state of its own (the `schema` is already folded into
+/// those facts). The `Diverges` verdict also leans on
+/// [`Verdict::Safe`] to rule out runs that error their way past a
+/// divergent loop. Bumps the `analyze.terminate.*` counters when a
+/// `recdb-obs` recorder is installed.
 pub fn analyze_termination(
     p: &Prog,
-    schema: &Schema,
+    _schema: &Schema,
     dialect: Dialect,
     safety: &Analysis,
 ) -> TerminationAnalysis {
     recdb_obs::count("analyze.terminate.programs", 1);
-    let nvars = p.max_var().map_or(1, |m| m + 1).max(1);
-    let mut a = TermAnalyzer {
-        schema,
-        dialect,
-        loops: Vec::new(),
-        diags: Vec::new(),
-        path: Vec::new(),
-    };
-    let mut env: TEnv = vec![VarAbs::UNSET; nvars];
-    a.exec(p, &mut env, true, true);
-    let bounds: BTreeMap<NodePath, u64> = a
-        .loops
+    let mut loops = Vec::with_capacity(safety.loops.len());
+    let mut diagnostics = Vec::new();
+    for f in &safety.loops {
+        let bound = if refutes(f.kind, f.entry_empty) {
+            // B0: guard provably false the first time the loop is
+            // reached.
+            LoopBound::Bounded(0)
+        } else if f.kind == LoopKind::Empty && f.head_empty == AbsEmpty::Empty {
+            // Guard true at every iteration (the fixpoint covers every
+            // loop-head state, entry included), so the loop is entered
+            // and never left.
+            LoopBound::Divergent
+        } else if f.after_one.is_some_and(|e| refutes(f.kind, e)) {
+            LoopBound::Bounded(1)
+        } else if let Some(b) = loop_body_at(p, &f.path)
+            .and_then(|body| rank_growth_bound(dialect, f.kind, f.guard, body, f.entry_rank))
+        {
+            LoopBound::Bounded(b)
+        } else {
+            LoopBound::Unknown
+        };
+        let finding = match bound {
+            LoopBound::Unknown => Some(
+                Diagnostic::new(
+                    Code::UnboundedLoop,
+                    f.path.clone(),
+                    format!(
+                        "no iteration bound proved for this `while` on `Y{}`",
+                        f.guard + 1
+                    ),
+                )
+                .with_note(
+                    "neither the guard-refutation rule (B0/B1) nor the QLhs \
+                     refinement bound (B2) applies"
+                        .to_string(),
+                ),
+            ),
+            LoopBound::Divergent => Some(Diagnostic::new(
+                Code::ProvedDivergentLoop,
+                f.path.clone(),
+                format!(
+                    "`Y{}` is provably empty at every iteration: this loop is \
+                     entered and never exits",
+                    f.guard + 1
+                ),
+            )),
+            LoopBound::Bounded(_) => None,
+        };
+        if let Some(d) = finding {
+            d.record();
+            diagnostics.push(d);
+        }
+        loops.push(LoopInfo {
+            path: f.path.clone(),
+            guard: f.guard,
+            kind: f.kind,
+            bound,
+            on_spine: f.on_spine,
+        });
+    }
+    let bounds: BTreeMap<NodePath, u64> = loops
         .iter()
         .filter_map(|l| match l.bound {
             LoopBound::Bounded(b) => Some((l.path.clone(), b)),
@@ -545,7 +315,7 @@ pub fn analyze_termination(
         })
         .collect();
     let spine_divergence = safety.verdict == Verdict::Safe
-        && a.loops
+        && loops
             .iter()
             .any(|l| l.on_spine && l.bound == LoopBound::Divergent);
     let verdict = if spine_divergence {
@@ -565,8 +335,8 @@ pub fn analyze_termination(
     );
     TerminationAnalysis {
         verdict,
-        loops: a.loops,
-        diagnostics: a.diags,
+        loops,
+        diagnostics,
     }
 }
 
@@ -642,14 +412,29 @@ mod tests {
 
     #[test]
     fn qlhs_refinement_bound_from_rank_zero_is_two() {
-        // !down(down(E)) is the rank-0 singleton {()}. up({()}) can be
+        // down(down(E)) is the rank-0 singleton {()}. up({()}) can be
         // a single class (the infinite clique), so the bound is 2.
         let t = term_of(
-            "Y2 := !down(down(E)); while single(Y2) { Y2 := up(Y2); }",
+            "Y2 := down(down(E)); while single(Y2) { Y2 := up(Y2); }",
             Dialect::Qlhs,
         );
         assert_eq!(t.loops[0].bound, LoopBound::Bounded(2));
         assert_eq!(t.verdict, TerminationVerdict::Terminates { iterations: 2 });
+    }
+
+    #[test]
+    fn down_of_a_non_empty_value_is_non_empty() {
+        // Y2 = E↓ is non-empty, so one iteration flips the guard (B1).
+        let t = term_of("Y2 := E; while empty(Y1) { Y1 := down(Y2); }", Dialect::Ql);
+        assert_eq!(t.verdict, TerminationVerdict::Terminates { iterations: 1 });
+        assert!(t.diagnostics.iter().all(|d| d.code != Code::UnboundedLoop));
+        // ¬ of the non-empty rank-0 value {()} is empty, so `|Y2| = 1`
+        // is false on entry (B0).
+        let t = term_of(
+            "Y2 := !down(down(E)); while single(Y2) { Y2 := up(Y2); }",
+            Dialect::Qlhs,
+        );
+        assert_eq!(t.loops[0].bound, LoopBound::Bounded(0));
     }
 
     #[test]

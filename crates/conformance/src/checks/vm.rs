@@ -30,8 +30,8 @@ use recdb_analyze::analyze_full;
 use recdb_core::{FiniteStructure, Fuel, Schema};
 use recdb_hsdb::FcfDatabase;
 use recdb_qlhs::exec::{run_scheduled, Backend, Budget, ExecEnd, GuardEval};
-use recdb_qlhs::{Dialect, FcfInterp, FinInterp, HsInterp, Prog};
-use recdb_vm::{compile, exec_plain, exec_scheduled, verify, GuardKind, Inst, LowerOpts, VmProg};
+use recdb_qlhs::{Dialect, FcfInterp, FinInterp, HsInterp, LoopKind, Prog};
+use recdb_vm::{compile, exec_plain, exec_scheduled, verify, Inst, LowerOpts, VmProg};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 
@@ -558,9 +558,9 @@ fn mutations(inst: &Inst, frame: usize, nrels: usize) -> Vec<Inst> {
             exit,
         } => {
             let other = match kind {
-                GuardKind::Empty => GuardKind::Single,
-                GuardKind::Single => GuardKind::Finite,
-                GuardKind::Finite => GuardKind::Empty,
+                LoopKind::Empty => LoopKind::Singleton,
+                LoopKind::Singleton => LoopKind::Finite,
+                LoopKind::Finite => LoopKind::Empty,
             };
             out.push(Inst::Guard {
                 loop_id,

@@ -144,6 +144,30 @@ pub enum Prog {
     WhileFinite(VarId, Box<Prog>),
 }
 
+/// Which test guards a `while` loop — the one enum the interpreters,
+/// the analyzer and the VM share.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum LoopKind {
+    /// `while |Y| = 0` — all dialects.
+    Empty,
+    /// `while |Y| = 1` — QLhs only.
+    Singleton,
+    /// `while |Y| < ∞` — QLf+ only.
+    Finite,
+}
+
+impl LoopKind {
+    /// The test's concrete-syntax keyword (`while empty(Y)` …), also
+    /// its name in the VM's `.qlvm` text form.
+    pub fn keyword(self) -> &'static str {
+        match self {
+            LoopKind::Empty => "empty",
+            LoopKind::Singleton => "single",
+            LoopKind::Finite => "finite",
+        }
+    }
+}
+
 impl Prog {
     /// Sequences a list of programs.
     pub fn seq(ps: impl Into<Vec<Prog>>) -> Prog {

@@ -23,9 +23,9 @@
 //! [`crate::iter_count::Counting`] (the `TERMINATE-BOUND` and
 //! `COST-SOUND` replays).
 
-use crate::ast::{NodePath, Prog, Term};
+use crate::ast::{LoopKind, NodePath, Prog, Term};
 use crate::dialect::Dialect;
-use crate::seminaive::{try_loop, DeltaValue, LoopKind};
+use crate::seminaive::{try_loop, DeltaValue};
 use crate::value::RunError;
 use recdb_core::Fuel;
 use std::collections::BTreeMap;

@@ -36,7 +36,7 @@ pub mod permute;
 pub mod seminaive;
 pub mod value;
 
-pub use ast::{NodePath, Prog, Term, VarId};
+pub use ast::{LoopKind, NodePath, Prog, Term, VarId};
 pub use completeness::{theorem_3_1_pipeline, DEncoding, IndexTuple};
 pub use derived::{
     compile_counter, false_term, if_empty, if_nonempty, numeral, rank_program, true_term,
@@ -52,7 +52,7 @@ pub use optimize::{
 };
 pub use parser::{
     parse_program, parse_program_with_spans, ProgParseError, Span, SpanTable, DEPTH_CODE,
-    MAX_DEPTH, PARSE_CODE,
+    MAX_DEPTH, MAX_LOOP_DEPTH, PARSE_CODE,
 };
 pub use permute::Permutation;
 pub use seminaive::{classify_loop, IneligibleLoop, LoopPlan};

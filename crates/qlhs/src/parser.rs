@@ -24,6 +24,14 @@
 //! the limit is what keeps a hostile program from overflowing a
 //! worker's stack; a deeper program is a [`ProgParseError`] with code
 //! [`DEPTH_CODE`].
+//!
+//! `while` blocks are bounded separately, and far lower, by
+//! [`MAX_LOOP_DEPTH`]: every analysis iterates a loop body to a
+//! fixpoint inside each iteration of its enclosing loop's fixpoint, so
+//! admission time grows exponentially with loop nesting long before
+//! the stack is at risk. A program nesting deeper is a
+//! [`ProgParseError`] with code [`DEPTH_CODE`], located at the first
+//! `while` past the limit.
 
 use crate::ast::{NodePath, Prog, Term};
 use std::collections::BTreeMap;
@@ -104,10 +112,16 @@ impl SpanTable {
 /// queries lowered to QL, at about 200 levels.
 pub const MAX_DEPTH: usize = 1024;
 
+/// The deepest `while` nesting a program may have (see the module
+/// docs). Hand-written programs and the conformance generator nest at
+/// most two loops.
+pub const MAX_LOOP_DEPTH: usize = 8;
+
 /// The diagnostic code of a syntax error.
 pub const PARSE_CODE: &str = "PARSE";
 
-/// The diagnostic code of a program nested deeper than [`MAX_DEPTH`].
+/// The diagnostic code of a program nested deeper than [`MAX_DEPTH`]
+/// or [`MAX_LOOP_DEPTH`].
 pub const DEPTH_CODE: &str = "DEPTH";
 
 /// A parse error with byte offset.
@@ -138,6 +152,8 @@ struct P<'a> {
     spans: SpanTable,
     /// Nesting levels open around the current position.
     depth: usize,
+    /// `while` blocks open around the current position.
+    loops: usize,
 }
 
 /// A syntax error at byte `at`.
@@ -335,6 +351,13 @@ impl<'a> P<'a> {
     fn stmt_inner(&mut self) -> Result<Prog, ProgParseError> {
         self.skip_ws();
         if self.src[self.pos..].starts_with(b"while") {
+            if self.loops == MAX_LOOP_DEPTH {
+                return Err(ProgParseError {
+                    at: self.pos,
+                    msg: format!("`while` blocks nested more than {MAX_LOOP_DEPTH} deep"),
+                    code: DEPTH_CODE,
+                });
+            }
             self.pos += 5;
             self.skip_ws();
             let at = self.pos;
@@ -345,7 +368,9 @@ impl<'a> P<'a> {
             let v = self.var_id()?;
             self.require(")")?;
             self.enter()?;
+            self.loops += 1;
             let body = Box::new(self.block()?);
+            self.loops -= 1;
             self.depth -= 1;
             return match kind.as_str() {
                 "empty" => Ok(Prog::WhileEmpty(v, body)),
@@ -378,6 +403,7 @@ pub fn parse_program_with_spans(src: &str) -> Result<(Prog, SpanTable), ProgPars
         path: Vec::new(),
         spans: SpanTable::default(),
         depth: 0,
+        loops: 0,
     };
     let mut stmts = Vec::new();
     loop {
@@ -527,14 +553,14 @@ mod tests {
             };
             let k = |open: &str, close: &str, k: usize| (open.repeat(k), close.repeat(k));
             let (po, pc) = k("(", ")", n - 1);
-            let (wo, wc) = k("while empty(Y1) { ", "}", n - 1);
+            let (wo, wc) = k("while empty(Y1) { ", "}", MAX_LOOP_DEPTH);
             let (uo, uc) = k("up(", ")", n - 1);
             for src in [
                 format!("Y1 := {}E;", "!".repeat(n)),
                 format!("Y1 := E{};", " & E".repeat(n)),
                 format!("Y1 := {po}E & E{pc};"),
                 // The chain's height counts on top of the open levels.
-                format!("{wo}Y1 := E & E;{wc}"),
+                format!("{wo}Y1 := {}E & E;{wc}", "!".repeat(n - MAX_LOOP_DEPTH - 1)),
                 format!("Y1 := {uo}E & E{uc};"),
                 format!("Y1 := {}E & E;", "!".repeat(n - 1)),
             ] {
@@ -543,6 +569,25 @@ mod tests {
         }
         // Syntax errors keep their code.
         assert_eq!(depth_of("Y1 := ;".into()), Err(PARSE_CODE));
+    }
+
+    #[test]
+    fn while_nesting_is_capped_at_max_loop_depth() {
+        let nest = |n: usize| {
+            format!(
+                "{}Y1 := E;{}",
+                "while empty(Y1) { ".repeat(n),
+                "}".repeat(n)
+            )
+        };
+        assert!(parse_program(&nest(MAX_LOOP_DEPTH)).is_ok());
+        // Loops side by side do not nest.
+        let siblings = nest(MAX_LOOP_DEPTH).repeat(2);
+        assert!(parse_program(&siblings).is_ok());
+        let e = parse_program(&nest(MAX_LOOP_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.code, DEPTH_CODE);
+        // Located at the first `while` past the limit.
+        assert_eq!(e.at, "while empty(Y1) { ".len() * MAX_LOOP_DEPTH);
     }
 
     #[test]

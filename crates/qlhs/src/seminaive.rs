@@ -54,7 +54,7 @@
 //! remaining fuel and falls back, so the caller reports the same
 //! `FuelError` the from-scratch loop would.
 
-use crate::ast::{Prog, Term, VarId};
+use crate::ast::{LoopKind, Prog, Term, VarId};
 use crate::exec::GuardEval;
 use crate::value::Rows;
 use recdb_core::Fuel;
@@ -261,17 +261,6 @@ impl DeltaValue for crate::fcf_interp::FcfVal {
             tuples,
         }
     }
-}
-
-/// Which `while` guard the loop uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LoopKind {
-    /// `while |Y| = 0`.
-    Empty,
-    /// `while |Y| = 1`.
-    Singleton,
-    /// `while |Y| < ∞`.
-    Finite,
 }
 
 /// Why [`try_loop`] handed a loop back to the from-scratch executor.

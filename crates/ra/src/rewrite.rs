@@ -57,7 +57,7 @@ fn nominal_cost(compiled: &CompiledRa, schema: &RaSchema) -> u64 {
     let dialect = recdb_qlhs::Dialect::Qlhs;
     let safety = analyze_prog(&compiled.prog, &core, dialect);
     let termination = analyze_termination(&compiled.prog, &core, dialect, &safety);
-    let cost = analyze_cost(&compiled.prog, &core, dialect, &safety, &termination);
+    let cost = analyze_cost(&compiled.prog, &core, dialect, &termination);
     cost.work()
         .map(|w| w.eval(&CostEnv::nominal(&core)))
         .unwrap_or(u64::MAX)

@@ -1,9 +1,9 @@
-//! Deeply nested programs: past the parsers' nesting limit, or past
-//! it once an RA query is lowered to QL, they are a 422 with code
-//! `DEPTH` and the server keeps answering; at exactly the limit,
-//! admission, lowering, evaluation and rendering fit a worker's stack
-//! (in an unoptimized build frames are largest, and the workers have
-//! the same stack in every build).
+//! Deeply nested programs: past the parsers' nesting limit, past it
+//! once an RA query is lowered to QL, or past the `while` nesting cap,
+//! they are a 422 with code `DEPTH` and the server keeps answering; at
+//! exactly the limit, admission, lowering, evaluation and rendering
+//! fit a worker's stack (in an unoptimized build frames are largest,
+//! and the workers have the same stack in every build).
 
 use recdb_serve::client::Conn;
 use recdb_serve::{ServeConfig, Server};
@@ -139,5 +139,41 @@ fn ra_queries_that_lower_too_deep_are_422_at_their_ra_node() {
         assert!(r.body.contains("\"reasons\":[\"ra-depth\"]"), "{}", r.body);
     }
     let r = c.post("/v1/ra", &wide_ra("project #a (W)")).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+}
+
+/// `n` nested `while empty(Yk)` blocks, each run once: the innermost
+/// body copies R1 to the output, and each block then sets its guard.
+fn nested_loops(n: usize) -> String {
+    let open: String = (2..n + 2)
+        .map(|k| format!("while empty(Y{k}) {{ "))
+        .collect();
+    let close: String = (2..n + 2)
+        .rev()
+        .map(|k| format!("Y{k} := E; }} "))
+        .collect();
+    format!("{open}Y1 := R1; {close}")
+}
+
+#[test]
+fn while_nesting_is_capped_at_max_loop_depth() {
+    let s = server();
+    let mut c = Conn::connect(s.addr()).expect("connect");
+    let n = recdb_qlhs::MAX_LOOP_DEPTH;
+    let r = c.post("/v1/query", &query(&nested_loops(n))).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert!(r.body.contains("[[0,1],[1,2],[3,3]]"), "{}", r.body);
+    // One more level is rejected at the innermost `while`.
+    let r = c.post("/v1/query", &query(&nested_loops(n + 1))).unwrap();
+    assert_eq!(r.status, 422, "{}", r.body);
+    assert!(r.body.contains("\"code\":\"DEPTH\""), "{}", r.body);
+    let col = "while empty(Y2) { ".len() * n + 1;
+    assert!(
+        r.body.contains(&format!("\"line\":1,\"col\":{col}}}")),
+        "{}",
+        r.body
+    );
+    // The same server, on the same connection, still answers.
+    let r = c.post("/v1/query", &query(&nested_loops(n))).unwrap();
     assert_eq!(r.status, 200, "{}", r.body);
 }

@@ -13,10 +13,10 @@
 //! assignment. [`exec_plain`] runs it under the fuel-only schedule,
 //! [`exec_scheduled`] under the budget schedule; both monomorphize.
 
-use crate::bytecode::{GuardKind, Inst, VmProg};
+use crate::bytecode::{Inst, VmProg};
 use recdb_core::Fuel;
 use recdb_qlhs::exec::{Backend, Budget, Budgeted, ExecEnd, ExecResult, FuelOnly, Schedule};
-use recdb_qlhs::RunError;
+use recdb_qlhs::{LoopKind, RunError};
 use std::sync::atomic::AtomicBool;
 
 /// The op-level backend trait, under the name VM callers have always
@@ -36,11 +36,11 @@ pub type VmRun<V> = ExecResult<V>;
 const TRAP_MSG: &str = "vm: loop ran past its statically proved bound";
 const PC_MSG: &str = "vm: fell off the instruction stream";
 
-fn guard_go<B: Backend>(kind: GuardKind, v: &B::V) -> bool {
+fn guard_go<B: Backend>(kind: LoopKind, v: &B::V) -> bool {
     match kind {
-        GuardKind::Empty => B::empty(v),
-        GuardKind::Single => B::single(v),
-        GuardKind::Finite => B::finite(v),
+        LoopKind::Empty => B::empty(v),
+        LoopKind::Singleton => B::single(v),
+        LoopKind::Finite => B::finite(v),
     }
 }
 

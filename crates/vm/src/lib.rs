@@ -31,7 +31,7 @@ pub mod exec;
 pub mod lower;
 pub mod verify;
 
-pub use bytecode::{GuardKind, Inst, LoopMeta, VmProg};
+pub use bytecode::{Inst, LoopMeta, VmProg};
 pub use exec::{exec_plain, exec_scheduled, VmBackend, VmBudget, VmEnd, VmRun};
 pub use lower::{compile, LowerOpts, Obstruction, ObstructionKind};
 pub use verify::{verify, Rejection, VerifyReport};

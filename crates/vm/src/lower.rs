@@ -32,11 +32,11 @@
 //!   error-free; the term's static entry ticks survive as pending
 //!   ticks, so fuel accounting is unchanged.
 
-use crate::bytecode::{GuardKind, Inst, LoopMeta, VmProg};
+use crate::bytecode::{Inst, LoopMeta, VmProg};
 use recdb_analyze::dataflow::{analyze_dataflow, RegPool};
 use recdb_analyze::{LoopBound, TerminationAnalysis};
 use recdb_core::Schema;
-use recdb_qlhs::{Dialect, NodePath, Prog, Term};
+use recdb_qlhs::{Dialect, LoopKind, NodePath, Prog, Term};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -597,9 +597,9 @@ impl Lower<'_> {
             | Prog::WhileSingleton(v, body)
             | Prog::WhileFinite(v, body) => {
                 let kind = match p {
-                    Prog::WhileEmpty(..) => GuardKind::Empty,
-                    Prog::WhileSingleton(..) => GuardKind::Single,
-                    _ => GuardKind::Finite,
+                    Prog::WhileEmpty(..) => LoopKind::Empty,
+                    Prog::WhileSingleton(..) => LoopKind::Singleton,
+                    _ => LoopKind::Finite,
                 };
                 let bound = self
                     .termination
@@ -624,7 +624,7 @@ impl Lower<'_> {
     fn peel(
         &mut self,
         v: usize,
-        kind: GuardKind,
+        kind: LoopKind,
         body: &Prog,
         b: u64,
         path: &mut NodePath,
@@ -684,7 +684,7 @@ impl Lower<'_> {
     fn backedge(
         &mut self,
         v: usize,
-        kind: GuardKind,
+        kind: LoopKind,
         body: &Prog,
         path: &mut NodePath,
     ) -> Result<(), Obstruction> {

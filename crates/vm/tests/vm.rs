@@ -5,14 +5,12 @@
 //! full fuel sweep so fuel accounting must agree at every budget, not
 //! just at generous ones.
 
-use recdb_analyze::{
-    analyze_full, LoopBound, LoopInfo, LoopKind, TerminationAnalysis, TerminationVerdict,
-};
+use recdb_analyze::{analyze_full, LoopBound, LoopInfo, TerminationAnalysis, TerminationVerdict};
 use recdb_core::{CoFiniteRelation, FiniteRelation};
 use recdb_core::{Elem, FiniteStructure, Fuel, Tuple};
 use recdb_hsdb::{FcfDatabase, FcfRel, FnEquiv, FnTree, HsDatabase};
 use recdb_logic::finite_as_db;
-use recdb_qlhs::{Dialect, FcfInterp, FinInterp, HsInterp, Prog, Term};
+use recdb_qlhs::{Dialect, FcfInterp, FinInterp, HsInterp, LoopKind, Prog, Term};
 use recdb_vm::{
     compile, exec_plain, exec_scheduled, verify, Inst, LowerOpts, ObstructionKind, VmBudget, VmEnd,
     VmProg,
