@@ -13,7 +13,11 @@
 //!   schedule, must agree on the end event (the server's
 //!   200/408/422/500 decision), the iteration count, the preemption
 //!   response, and — for programs with no elided stores — the
-//!   observed work and the work-cap verdict.
+//!   observed work and the work-cap verdict. The VM legs run through
+//!   `exec_with` under a recording wrapper of the same schedules
+//!   `exec_plain`/`exec_scheduled` use, so the row also counts the runs
+//!   in which the VM really fast-forwarded a cycling loop, and demands
+//!   enough of them.
 //! * **VM-VERIFY** — seeded single-instruction corruptions of
 //!   verifier-accepted bytecode: every register bump, tick skew,
 //!   opcode swap, relation-index change, guard/loop retarget, and
@@ -29,9 +33,9 @@ use crate::ledger::{CheckCtx, CheckDef};
 use recdb_analyze::analyze_full;
 use recdb_core::{FiniteStructure, Fuel, Schema};
 use recdb_hsdb::FcfDatabase;
-use recdb_qlhs::exec::{run_scheduled, Backend, Budget, ExecEnd, GuardEval};
+use recdb_qlhs::exec::{run_scheduled, Backend, Budget, Budgeted, ExecEnd, FuelOnly, GuardEval};
 use recdb_qlhs::{Dialect, FcfInterp, FinInterp, HsInterp, LoopKind, Prog};
-use recdb_vm::{compile, exec_plain, exec_scheduled, verify, Inst, LowerOpts, VmProg};
+use recdb_vm::{compile, exec_plain, exec_with, verify, Inst, LowerOpts, RecordSkips, VmProg};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 
@@ -130,6 +134,8 @@ struct DiffTally {
     done_eq: usize,
     err_eq: usize,
     fuel_eq: usize,
+    /// VM runs, plain and scheduled, that skipped at least one period.
+    fast_forwarded: usize,
     /// Static obstructions by stable code — the tree-walk-fallback
     /// population (the server's 422s live here, and SERVE-DIFF proves
     /// that path byte-identical).
@@ -146,7 +152,9 @@ macro_rules! plain_diff {
             tree.set_seminaive(false);
             let want = tree.run($p, &mut Fuel::new(fuel));
             let mut vm_b = $interp::new($backing);
-            let got = exec_plain(&mut vm_b, $vm, &mut Fuel::new(fuel));
+            let mut s = RecordSkips::new(FuelOnly { seminaive: false });
+            let got = exec_with(&mut vm_b, $vm, &mut Fuel::new(fuel), &mut s);
+            $tally.fast_forwarded += usize::from(!s.granted.is_empty());
             if got != want {
                 return Err(format!(
                     "round {}: plain VM run diverged at fuel {fuel}:\n  tree: {want:?}\n  vm:   {got:?}\n{}\n{}",
@@ -164,6 +172,7 @@ macro_rules! plain_diff {
 
 /// Scheduled-mode differential on one backend instance, under a
 /// serve-shaped budget (and optionally with the preemption flag up).
+/// Returns the end's tag and whether the VM fast-forwarded.
 #[allow(clippy::too_many_arguments)]
 fn sched_diff<B>(
     mk: &mut dyn FnMut() -> B,
@@ -175,7 +184,7 @@ fn sched_diff<B>(
     work_cap: Option<u64>,
     preempt_flag: bool,
     round: usize,
-) -> Result<&'static str, String>
+) -> Result<(&'static str, bool), String>
 where
     B: GuardEval + Backend<V = <B as GuardEval>::V>,
     <B as GuardEval>::V: PartialEq + std::fmt::Debug,
@@ -193,8 +202,10 @@ where
     let preempt = AtomicBool::new(preempt_flag);
     let mut tree_b = mk();
     let tree = run_scheduled(&mut tree_b, dialect, p, &budget, &preempt);
-    let mut vm_b = mk();
-    let got = exec_scheduled(&mut vm_b, vm, &budget, &preempt);
+    let mut s = RecordSkips::new(Budgeted::new(&budget, &preempt));
+    let r = exec_with(&mut mk(), vm, &mut Fuel::new(fuel), &mut s);
+    let skipped = !s.granted.is_empty();
+    let got = s.inner.finish(r);
     // The end event is the server's status-code decision: Done→200,
     // OutOfFuel/Preempted→408, Errored→422, *Exceeded→500.
     if tree.end != got.end {
@@ -215,12 +226,15 @@ where
             tree.work, got.work
         ));
     }
-    Ok(end_tag(&tree.end))
+    Ok((end_tag(&tree.end), skipped))
 }
 
 /// VM-DIFF: see the module docs.
 fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
     const PER_BACKEND: usize = 350;
+    // Runs with a granted fast-forward (50 at the CI seed): without
+    // them the row would compare no skipped period at all.
+    const FAST_FORWARDED: usize = 25;
     let mut tally = DiffTally::default();
     let mut sched: BTreeMap<&'static str, usize> = BTreeMap::new();
     for which in 0..3 {
@@ -272,7 +286,7 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
                 VmCase::Fin(st) => {
                     plain_diff!(FinInterp, st, &p, &vm, &fuels, tally, round);
                     for (fuel, cap) in [(sched_fuel, None), (60_000, work_cap)] {
-                        let tag = sched_diff(
+                        let (tag, skipped) = sched_diff(
                             &mut || FinInterp::new(st),
                             dialect,
                             &p,
@@ -284,13 +298,14 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
                             round,
                         )?;
                         *sched.entry(tag).or_default() += 1;
+                        tally.fast_forwarded += usize::from(skipped);
                     }
                 }
                 VmCase::Hs(st) => {
                     let hs = discrete_hs(st);
                     plain_diff!(HsInterp, &hs, &p, &vm, &fuels, tally, round);
                     for (fuel, cap) in [(sched_fuel, None), (60_000, work_cap)] {
-                        let tag = sched_diff(
+                        let (tag, skipped) = sched_diff(
                             &mut || HsInterp::new(&hs),
                             dialect,
                             &p,
@@ -302,12 +317,13 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
                             round,
                         )?;
                         *sched.entry(tag).or_default() += 1;
+                        tally.fast_forwarded += usize::from(skipped);
                     }
                 }
                 VmCase::Fcf(db) => {
                     plain_diff!(FcfInterp, db, &p, &vm, &fuels, tally, round);
                     for (fuel, cap) in [(sched_fuel, None), (60_000, work_cap)] {
-                        let tag = sched_diff(
+                        let (tag, skipped) = sched_diff(
                             &mut || FcfInterp::new(db),
                             dialect,
                             &p,
@@ -319,6 +335,7 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
                             round,
                         )?;
                         *sched.entry(tag).or_default() += 1;
+                        tally.fast_forwarded += usize::from(skipped);
                     }
                 }
             }
@@ -342,15 +359,17 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
         || sched_tag("out-of-fuel") < 25
         || sched_tag("preempted") < 10
         || sched_tag("work-exceeded") < 10
+        || tally.fast_forwarded < FAST_FORWARDED
     {
         return Err(format!(
             "differential lost its teeth: programs {}, vm-executed {}, done {}, \
-             errors {}, fuel {}, obstructed {:?}, scheduled {:?}",
+             errors {}, fuel {}, fast-forwarded {}, obstructed {:?}, scheduled {:?}",
             tally.programs,
             tally.vm_executed,
             tally.done_eq,
             tally.err_eq,
             tally.fuel_eq,
+            tally.fast_forwarded,
             tally.obstructed,
             sched
         ));

@@ -21,7 +21,9 @@
 //! (the server's [`Budget`]: proved loop bounds, iteration and work
 //! caps, preemption at loop heads), and
 //! [`crate::iter_count::Counting`] (the `TERMINATE-BOUND` and
-//! `COST-SOUND` replays).
+//! `COST-SOUND` replays). The first two grant the VM's loop
+//! fast-forward ([`Schedule::fast_forward`]); `Counting` keeps the
+//! default, so its replays run every iteration.
 
 use crate::ast::{LoopKind, NodePath, Prog, Term};
 use crate::dialect::Dialect;
@@ -36,8 +38,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// ticks belong to the caller ([`eval_term`] or the VM's pre-summed
 /// instruction ticks).
 pub trait Backend {
-    /// The value type the backend computes with.
-    type V: Clone;
+    /// The value type the backend computes with. Equality is on the
+    /// representation: equal values behave identically under every op
+    /// (the VM's loop fast-forward relies on exactly that).
+    type V: Clone + PartialEq;
     /// The value an unassigned variable holds.
     fn unset(&self) -> Self::V;
     /// The diagonal `E` (infallible on every backend).
@@ -190,6 +194,50 @@ pub trait Schedule {
     /// The loop at `path` was left after `here` iterations, normally
     /// or by an error.
     fn loop_exit(&mut self, _path: &[u32], _here: u64) {}
+    /// The loop at `path`, just past its `here`-th [`iteration`] call,
+    /// is back in the state it had one `period` earlier, so every
+    /// further period replays that one exactly. Returns how many whole
+    /// periods k the run skips: the schedule charges k periods to its
+    /// counters and to `fuel`, for the largest k that none of its
+    /// limits would stop. The default never skips.
+    ///
+    /// [`iteration`]: Schedule::iteration
+    fn fast_forward(
+        &mut self,
+        _path: &[u32],
+        _here: u64,
+        _period: &Period,
+        _fuel: &mut Fuel,
+    ) -> u64 {
+        0
+    }
+}
+
+/// What one period of a repeating loop costs (see
+/// [`Schedule::fast_forward`]). Every field but `work` is at least 1.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Period {
+    /// Iterations of the repeating loop itself.
+    pub here: u64,
+    /// [`Schedule::iteration`] calls, nested loops' included.
+    pub iterations: u64,
+    /// Tuples materialized ([`Schedule::assigned`] sizes).
+    pub work: u64,
+    /// Fuel consumed.
+    pub fuel: u64,
+}
+
+/// The periods `fuel` pays for in full.
+fn fuel_periods(period: &Period, fuel: &Fuel) -> u64 {
+    fuel.remaining() / period.fuel.max(1)
+}
+
+/// Charges `k` periods' fuel; `k` is at most [`fuel_periods`], so
+/// this never overdraws.
+fn charge(k: u64, period: &Period, fuel: &mut Fuel) -> u64 {
+    let paid = fuel.consume(k * period.fuel);
+    debug_assert!(paid.is_ok(), "fast-forward overdrew its fuel");
+    k
 }
 
 /// Why a [`Budgeted`] or counting run stopped before completing.
@@ -228,6 +276,9 @@ impl Schedule for FuelOnly {
     type Stop = RunError;
     fn seminaive(&self) -> bool {
         self.seminaive
+    }
+    fn fast_forward(&mut self, _path: &[u32], _here: u64, period: &Period, fuel: &mut Fuel) -> u64 {
+        charge(fuel_periods(period, fuel), period, fuel)
     }
 }
 
@@ -377,6 +428,27 @@ impl Schedule for Budgeted<'_> {
             return Err(Stop::Total);
         }
         Ok(())
+    }
+    /// Skips no period once preemption is requested, so the next
+    /// iteration reports it.
+    fn fast_forward(&mut self, path: &[u32], here: u64, period: &Period, fuel: &mut Fuel) -> u64 {
+        if self.preempt.load(Ordering::Relaxed) {
+            return 0;
+        }
+        // Each limit held at this head (`iteration` and `assigned`
+        // would have stopped the run otherwise); k periods must keep
+        // every one of them.
+        let total_left = self.budget.total_cap.saturating_sub(self.total);
+        let mut k = fuel_periods(period, fuel).min(total_left / period.iterations.max(1));
+        if let Some(&bound) = self.budget.bounds.get(path) {
+            k = k.min(bound.saturating_sub(here) / period.here.max(1));
+        }
+        if let Some(cap) = self.budget.work_cap.filter(|_| period.work > 0) {
+            k = k.min(cap.saturating_sub(self.work) / period.work);
+        }
+        self.total += k * period.iterations;
+        self.work = self.work.saturating_add(k.saturating_mul(period.work));
+        charge(k, period, fuel)
     }
 }
 
@@ -628,6 +700,51 @@ mod tests {
             "{:?}",
             r.end
         );
+    }
+
+    /// Each limit caps the whole periods a fast-forward skips, and
+    /// what is skipped is charged in full.
+    #[test]
+    fn fast_forward_skips_whole_periods_within_every_limit() {
+        let period = Period {
+            here: 2,
+            iterations: 3,
+            work: 5,
+            fuel: 10,
+        };
+        let mut fuel = Fuel::new(105);
+        let k = FuelOnly { seminaive: false }.fast_forward(&[0], 1, &period, &mut fuel);
+        assert_eq!((k, fuel.remaining()), (10, 5));
+
+        let flag = AtomicBool::new(false);
+        // (loop bound, total_cap, work_cap) → periods skipped, with 2
+        // iterations and 3 tuples already counted at `here` = 1.
+        let cases = [
+            (None, u64::MAX, None, 100),
+            (None, 20, None, 6),
+            (None, u64::MAX, Some(23), 4),
+            (Some(8), u64::MAX, None, 3),
+        ];
+        for (bound, total_cap, work_cap, want) in cases {
+            let bounds: BTreeMap<Vec<u32>, u64> = bound.map(|b| (vec![0], b)).into_iter().collect();
+            let budget = Budget {
+                bounds: &bounds,
+                total_cap,
+                fuel: 1_000,
+                work_cap,
+            };
+            let mut s = Budgeted::new(&budget, &flag);
+            (s.total, s.work) = (2, 3);
+            let mut fuel = Fuel::new(1_000);
+            let k = s.fast_forward(&[0], 1, &period, &mut fuel);
+            assert_eq!(k, want, "{budget:?}");
+            assert_eq!((s.total, s.work), (2 + 3 * k, 3 + 5 * k));
+            assert_eq!(fuel.remaining(), 1_000 - 10 * k);
+        }
+
+        let preempted = AtomicBool::new(true);
+        let mut s = Budgeted::new(&fueled(1_000), &preempted);
+        assert_eq!(s.fast_forward(&[0], 1, &period, &mut Fuel::new(1_000)), 0);
     }
 
     /// The caller-env `exec` entry skips the up-front dialect check, so

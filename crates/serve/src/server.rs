@@ -22,7 +22,7 @@ use recdb_hsdb::HsDatabase;
 use recdb_logic::{finite_as_db, LMinusQuery};
 use recdb_qlhs::exec::{run_scheduled, Backend, Budget, ExecEnd, ExecResult, GuardEval};
 use recdb_qlhs::{Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Val};
-use recdb_vm::{compile, exec_scheduled, verify, LowerOpts, VmProg};
+use recdb_vm::{compile, exec_scheduled, verify, LowerOpts, ObstructionKind, VmProg};
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -452,8 +452,19 @@ fn execute_query(req: &QueryRequest, shared: &Shared, ws: &mut WorkerState) -> (
             &adm.analysis.termination,
             &LowerOpts::default(),
         ) {
-            Err(_) => {
+            Err(o) => {
                 recdb_obs::count("serve.vm.fallbacks.compile", 1);
+                match o.kind {
+                    ObstructionKind::Dialect => {
+                        recdb_obs::count("serve.vm.fallbacks.compile.dialect", 1)
+                    }
+                    ObstructionKind::Error => {
+                        recdb_obs::count("serve.vm.fallbacks.compile.error", 1)
+                    }
+                    ObstructionKind::Unprovable => {
+                        recdb_obs::count("serve.vm.fallbacks.compile.unprovable", 1)
+                    }
+                }
                 None
             }
             Ok(vm)

@@ -191,6 +191,24 @@ pub struct VmProg {
     pub loops: Vec<LoopMeta>,
 }
 
+impl Inst {
+    /// The register this instruction writes, if any.
+    pub fn dst(&self) -> Option<usize> {
+        match self {
+            Inst::E { dst, .. }
+            | Inst::Rel { dst, .. }
+            | Inst::Const { dst, .. }
+            | Inst::Copy { dst, .. }
+            | Inst::And { dst, .. }
+            | Inst::Not { dst, .. }
+            | Inst::Up { dst, .. }
+            | Inst::Down { dst, .. }
+            | Inst::Swap { dst, .. } => Some(*dst),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -20,7 +20,9 @@
 //!    [`recdb_qlhs::exec::Backend`] (the three interpreters' value
 //!    domains), driven by the statement layer's fuel-only and budget
 //!    schedules — so results, fuel accounting, and scheduling events
-//!    match the tree walker's exactly, and on any obstruction or
+//!    match the tree walker's exactly (a backedge loop caught repeating
+//!    its head state has its whole periods charged at once, which
+//!    changes none of them), and on any obstruction or
 //!    rejection the caller falls back to the tree walker and the
 //!    difference is unobservable.
 
@@ -32,6 +34,8 @@ pub mod lower;
 pub mod verify;
 
 pub use bytecode::{Inst, LoopMeta, VmProg};
-pub use exec::{exec_plain, exec_scheduled, VmBackend, VmBudget, VmEnd, VmRun};
+pub use exec::{
+    exec_plain, exec_scheduled, exec_with, RecordSkips, VmBackend, VmBudget, VmEnd, VmRun,
+};
 pub use lower::{compile, LowerOpts, Obstruction, ObstructionKind};
 pub use verify::{verify, Rejection, VerifyReport};

@@ -50,9 +50,10 @@ struct Spec {
 /// fourth pins the serving layer's admission win — a statically
 /// rejected request (analyzer says diverges/unsafe, no evaluation)
 /// must stay well ahead of the heavy fueled workload at the same load
-/// level; the last pins the register VM's execution win over the AST
-/// walker on the same verified program.
-const SPECS: [Spec; 5] = [
+/// level; the last two pin the register VM's execution win over the
+/// AST walker on the same verified program, straight-line and on a
+/// cycling fuel-mode loop (loop fast-forward).
+const SPECS: [Spec; 6] = [
     Spec {
         id: "partition.bucketed.4096",
         input: INPUT,
@@ -92,6 +93,14 @@ const SPECS: [Spec; 5] = [
         size: 1024,
         slow: "ast",
         fast: "vm",
+    },
+    Spec {
+        id: "vm.cycle",
+        input: INPUT,
+        group: "E7/vm",
+        size: 1_000_000,
+        slow: "cycle_ast",
+        fast: "cycle_vm",
     },
 ];
 

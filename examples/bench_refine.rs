@@ -9,8 +9,10 @@
 //! the paper's example graph, the semi-naive delta engine against
 //! from-scratch loop evaluation (`E7/fixpoint`), and incremental
 //! partition maintenance against full recomputation under single-tuple
-//! insertion (`E7/incr_vnr`), and the per-op cost of the QL value
-//! layer on mid-sized and tiny values (`E7/ops`, `E7/ops_tiny`).
+//! insertion (`E7/incr_vnr`), the per-op cost of the QL value layer
+//! on mid-sized and tiny values (`E7/ops`, `E7/ops_tiny`), and the
+//! register VM against the tree walker on a straight-line pipeline
+//! and on a cycling fuel-mode loop (`E7/vm`).
 //! Emits the `BENCH_refine.json` schema on stdout:
 //!
 //! ```text
@@ -32,7 +34,7 @@ use recdb_hsdb::{
     IncrementalPartition,
 };
 use recdb_qlhs::exec::Backend;
-use recdb_qlhs::{Dialect, FinInterp, Prog, Term, Val};
+use recdb_qlhs::{parse_program, Dialect, FinInterp, Prog, Term, Val};
 use recdb_vm::{compile, exec_plain, verify, LowerOpts};
 use std::time::Instant;
 
@@ -307,6 +309,60 @@ fn main() {
         });
     }
 
+    // A cycling fuel-mode loop (`E7/vm`, `cycle_*`): `fuel_loop`'s
+    // `while empty(Y3) { Y3 := R2; }` with `R2` empty, next to the same
+    // 4-edge `R1` as `E7/ops_tiny`, at a budget of 1,000,000 fuel. The
+    // walker runs every iteration until the fuel is gone; the VM skips
+    // the whole periods once its loop head repeats (DESIGN.md §6, loop
+    // fast-forward). Both end out of fuel. `size` is the budget; one VM
+    // run is too fast for the timer, so its samples time a batch.
+    const CYCLE_FUEL: u64 = 1_000_000;
+    let st = FiniteStructure::new(
+        Schema::new([2, 2]),
+        (0..5).map(Elem),
+        vec![
+            edges
+                .iter()
+                .map(|&(a, b)| Tuple::from_values([a, b]))
+                .collect(),
+            Default::default(),
+        ],
+    );
+    let p = parse_program("while empty(Y3) { Y3 := R2; }").expect("cycle parses");
+    let full = analyze_full(&p, st.schema(), Dialect::Ql);
+    let vm = compile(
+        &p,
+        st.schema(),
+        Dialect::Ql,
+        &full.termination,
+        &LowerOpts::default(),
+    )
+    .expect("cycle lowers");
+    verify(&vm, &p, st.schema(), Dialect::Ql, &full.termination, None).expect("cycle verifies");
+    points.push(Point {
+        group: "E7/vm",
+        bench: "cycle_vm".into(),
+        size: CYCLE_FUEL as usize,
+        median_ns: median_ns(21, || {
+            (0..TINY_BATCH)
+                .map(|_| {
+                    let r = exec_plain(&mut FinInterp::new(&st), &vm, &mut Fuel::new(CYCLE_FUEL));
+                    usize::from(r.is_err())
+                })
+                .sum()
+        }) / TINY_BATCH as u128,
+    });
+    points.push(Point {
+        group: "E7/vm",
+        bench: "cycle_ast".into(),
+        size: CYCLE_FUEL as usize,
+        median_ns: median_ns(5, || {
+            let mut walker = FinInterp::new(&st);
+            walker.set_seminaive(false);
+            usize::from(walker.run(&p, &mut Fuel::new(CYCLE_FUEL)).is_err())
+        }),
+    });
+
     // Incremental vs from-scratch partition maintenance under
     // single-tuple insertion: the delta-maintained core of the Vⁿᵣ
     // cache. The incremental point is the per-insert median over a
@@ -443,4 +499,13 @@ fn main() {
             );
         }
     }
+    let size = CYCLE_FUEL as usize;
+    let (v, a) = (
+        ns("E7/vm", "cycle_vm", size),
+        ns("E7/vm", "cycle_ast", size),
+    );
+    eprintln!(
+        "vm cycle fuel={size}: ast {a} ns / vm {v} ns = {:.1}x",
+        a as f64 / v.max(1) as f64
+    );
 }
