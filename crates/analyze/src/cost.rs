@@ -35,7 +35,7 @@
 //! never exceed these bounds.
 
 use crate::diag::{Code, Diagnostic};
-use crate::rank::AbsRank;
+use crate::rank::{step, AbsRank};
 use crate::terminate::{LoopBound, TerminationAnalysis};
 use recdb_core::Schema;
 use recdb_qlhs::{Dialect, NodePath, Prog, Term};
@@ -44,8 +44,8 @@ use std::collections::BTreeMap;
 /// Most iterations a single proved loop bound may demand before the
 /// analysis gives up (the B-rules prove at most 2; anything larger
 /// would signal a new prover rule this pass has not been audited
-/// against).
-const UNROLL_CAP: u64 = 8;
+/// against). The VM lowerer unrolls exactly the loops this pass does.
+pub const UNROLL_CAP: u64 = 8;
 
 /// Most abstract statement executions per program — a backstop against
 /// pathological nesting, far above anything the generators produce.
@@ -362,141 +362,74 @@ impl Abs {
 
 /// The dialect-aware transfer function: an upper bound on the stored
 /// size of `t` under `env`. See DESIGN.md §11 for the case table and
-/// its per-backend soundness argument.
+/// its per-backend soundness argument. Ranks come from the shared
+/// per-node transfer [`step`].
 fn term_cost(t: &Term, schema: &Schema, dialect: Dialect, env: &[Abs]) -> Abs {
     let fcf = dialect == Dialect::QlfPlus;
-    match t {
+    let kid = |e: &Term| term_cost(e, schema, dialect, env);
+    // The operands' values (`Abs::unset` where `t` has fewer).
+    let (x, y) = match t {
+        Term::Var(v) => return env.get(*v).cloned().unwrap_or_else(Abs::unset),
+        Term::And(a, b) => (kid(a), kid(b)),
+        Term::Not(e) | Term::Up(e) | Term::Down(e) | Term::Swap(e) => (kid(e), Abs::unset()),
+        Term::E | Term::Rel(_) | Term::Const(_) => (Abs::unset(), Abs::unset()),
+    };
+    let rank = step(t, schema, dialect, &[x.rank.into(), y.rank.into()]).rank;
+    let (bound, finite) = match t {
         // E: the diagonal — n tuples on every backend.
-        Term::E => Abs {
-            rank: AbsRank::Known(2),
-            bound: Bound::Poly(Poly::base()),
-            finite: true,
-        },
+        Term::E => (Bound::Poly(Poly::base()), true),
         // A constant is the rank-1 singleton `{(a)}`.
-        Term::Const(_) => Abs {
-            rank: AbsRank::Known(1),
-            bound: Bound::Poly(Poly::constant(1)),
-            finite: true,
-        },
-        Term::Rel(i) => {
-            if *i < schema.len() {
-                Abs {
-                    rank: AbsRank::Known(schema.arity(*i)),
-                    bound: Bound::Poly(Poly::rel(*i)),
-                    // A QLf⁺ schema relation may be declared co-finite;
-                    // its *stored* size is still rᵢ, but ∩ must not
-                    // treat it as a finite operand.
-                    finite: !fcf,
-                }
-            } else {
-                Abs {
-                    rank: AbsRank::Top,
-                    bound: Bound::Top,
-                    finite: false,
-                }
-            }
-        }
-        Term::Var(v) => env.get(*v).cloned().unwrap_or_else(Abs::unset),
-        Term::And(a, b) => {
-            let (xa, xb) = (
-                term_cost(a, schema, dialect, env),
-                term_cost(b, schema, dialect, env),
-            );
-            let rank = match (xa.rank, xb.rank) {
-                (AbsRank::Known(x), AbsRank::Known(y)) if x == y => AbsRank::Known(x),
-                (AbsRank::Bot, x) | (x, AbsRank::Bot) => x,
-                _ => AbsRank::Top,
-            };
-            let bound = if fcf {
-                // finite ∩ anything ⊆ the finite side's tuples;
-                // co-finite ∩ co-finite stores the union of the two
-                // complements.
-                if xa.finite {
-                    xa.bound.clone()
-                } else if xb.finite {
-                    xb.bound.clone()
-                } else {
-                    xa.bound.add(&xb.bound)
-                }
-            } else {
-                // Set intersection: both operands' bounds are sound;
-                // keep the nominally smaller one.
-                smaller(&xa.bound, &xb.bound, schema)
-            };
-            Abs {
-                rank,
-                bound,
-                finite: xa.finite || xb.finite,
-            }
-        }
-        Term::Not(e) => {
-            let x = term_cost(e, schema, dialect, env);
-            if fcf {
-                // QLf⁺ complement flips the finiteness flag and keeps
-                // the stored tuples verbatim.
-                Abs {
-                    rank: x.rank,
-                    bound: x.bound,
-                    finite: false,
-                }
-            } else {
-                // Complement within rank k: at most n^k stored tuples
-                // — derivable only when the rank is proved.
-                let bound = match x.rank {
-                    AbsRank::Known(k) => {
-                        let mut p = Poly::constant(1);
-                        for _ in 0..k {
-                            p = p.mul(&Poly::base());
-                        }
-                        Bound::capped(p)
-                    }
-                    _ => Bound::Top,
-                };
-                Abs {
-                    rank: x.rank,
-                    bound,
-                    finite: true,
-                }
-            }
-        }
-        Term::Up(e) => {
-            let x = term_cost(e, schema, dialect, env);
-            Abs {
-                rank: x.rank.map(|k| k + 1),
-                bound: x.bound.mul(&Bound::Poly(Poly::base())),
-                // QLf⁺ ↑ errors on infinite input; any produced value
-                // extends finitely many tuples by Df.
-                finite: true,
-            }
-        }
-        Term::Down(e) => {
-            let x = term_cost(e, schema, dialect, env);
-            let rank = x.rank.map(|k| k.saturating_sub(1));
-            // A rank-0 value stores at most one tuple on every backend
-            // (`{()}`, `{}`, or a co-finite representation whose
-            // complement is a subset of `{()}`); otherwise projection
-            // cannot grow a finite store, and the QLf⁺ ↓ of a
-            // co-finite value of rank ≥ 2 is the full co-finite value
-            // with an empty stored complement.
-            let bound = if rank == AbsRank::Known(0) {
-                Bound::Poly(Poly::constant(1))
-            } else {
+        Term::Const(_) => (Bound::Poly(Poly::constant(1)), true),
+        // A QLf⁺ schema relation may be declared co-finite; its
+        // *stored* size is still rᵢ, but ∩ must not treat it as a
+        // finite operand.
+        Term::Rel(i) if *i < schema.len() => (Bound::Poly(Poly::rel(*i)), !fcf),
+        Term::Rel(_) => (Bound::Top, false),
+        // finite ∩ anything ⊆ the finite side's tuples; co-finite ∩
+        // co-finite stores the union of the two complements.
+        Term::And(..) if fcf => {
+            let bound = if x.finite {
                 x.bound
+            } else if y.finite {
+                y.bound
+            } else {
+                x.bound.add(&y.bound)
             };
-            Abs {
-                rank,
-                bound,
-                finite: x.finite,
-            }
+            (bound, x.finite || y.finite)
         }
-        Term::Swap(e) => {
-            let x = term_cost(e, schema, dialect, env);
-            Abs {
-                rank: x.rank,
-                bound: x.bound,
-                finite: x.finite,
+        // Set intersection: both operands' bounds are sound; keep the
+        // nominally smaller one.
+        Term::And(..) => (smaller(&x.bound, &y.bound, schema), x.finite || y.finite),
+        // QLf⁺ complement flips the finiteness flag and keeps the
+        // stored tuples verbatim.
+        Term::Not(_) if fcf => (x.bound, false),
+        // Complement within rank k: at most n^k stored tuples —
+        // derivable only when the rank is proved.
+        Term::Not(_) => match x.rank {
+            AbsRank::Known(k) => {
+                let mut p = Poly::constant(1);
+                for _ in 0..k {
+                    p = p.mul(&Poly::base());
+                }
+                (Bound::capped(p), true)
             }
-        }
+            _ => (Bound::Top, true),
+        },
+        // QLf⁺ ↑ errors on infinite input; any produced value extends
+        // finitely many tuples by Df.
+        Term::Up(_) => (x.bound.mul(&Bound::Poly(Poly::base())), true),
+        // A rank-0 value stores at most one tuple on every backend
+        // (`{()}`, `{}`, or a co-finite representation whose complement
+        // is a subset of `{()}`); otherwise projection cannot grow a
+        // finite store, and the QLf⁺ ↓ of a co-finite value of rank ≥ 2
+        // is the full co-finite value with an empty stored complement.
+        Term::Down(_) if rank == AbsRank::Known(0) => (Bound::Poly(Poly::constant(1)), x.finite),
+        Term::Down(_) | Term::Swap(_) | Term::Var(_) => (x.bound, x.finite),
+    };
+    Abs {
+        rank,
+        bound,
+        finite,
     }
 }
 

@@ -5,8 +5,10 @@
 //!
 //! * **liveness** — backward may-analysis with a fixpoint over loop
 //!   bodies (a body may run zero or more times; the guard variable is
-//!   live at every loop head). `Y1` is live at program exit — it *is*
-//!   the program's result.
+//!   live at every loop head), found by the shared
+//!   [`crate::fix::loop_head`] driver; a widened loop head has every
+//!   variable live that can be (`Y1` and every variable read). `Y1`
+//!   is live at program exit — it *is* the program's result.
 //! * **dead stores** — assignments whose variable is not live
 //!   afterwards. The compiler may drop the materialization (the term's
 //!   statically-counted fuel ticks are preserved by a `nop`), but only
@@ -19,6 +21,7 @@
 //!   values of one proven rank and the frame size is a compile-time
 //!   constant.
 
+use crate::fix::{self, Budget};
 use recdb_qlhs::{NodePath, Prog, Term, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,7 +39,8 @@ pub struct DataflowAnalysis {
     pub stores: usize,
 }
 
-fn term_vars(t: &Term, out: &mut BTreeSet<VarId>) {
+/// Adds the variables `t` reads to `out`.
+pub(crate) fn term_vars(t: &Term, out: &mut BTreeSet<VarId>) {
     match t {
         Term::E | Term::Rel(_) | Term::Const(_) => {}
         Term::Var(v) => {
@@ -50,16 +54,33 @@ fn term_vars(t: &Term, out: &mut BTreeSet<VarId>) {
     }
 }
 
+/// Adds the variables `p` reads, in a term or as a loop guard, to
+/// `out` — with `Y1`, the only variables that can be live in `p`.
+pub(crate) fn prog_reads(p: &Prog, out: &mut BTreeSet<VarId>) {
+    match p {
+        Prog::Assign(_, t) => term_vars(t, out),
+        Prog::Seq(ps) => ps.iter().for_each(|q| prog_reads(q, out)),
+        Prog::WhileEmpty(v, b) | Prog::WhileSingleton(v, b) | Prog::WhileFinite(v, b) => {
+            out.insert(*v);
+            prog_reads(b, out);
+        }
+    }
+}
+
 /// Backward liveness transfer over one statement. `live` is the set
 /// live *after* `p` on entry and the set live *before* `p` on return.
 /// When `record` is set, dead stores are collected (recording runs
-/// only after loop fixpoints converge).
+/// only after loop fixpoints converge). `budget` pays for the
+/// loop-head rounds; a widened head has `all` live — every variable
+/// that can be.
 fn live_prog(
     p: &Prog,
     path: &mut NodePath,
     live: &mut BTreeSet<VarId>,
     record: bool,
     out: &mut DataflowAnalysis,
+    budget: &Budget,
+    all: &BTreeSet<VarId>,
 ) {
     match p {
         Prog::Assign(v, t) => {
@@ -75,33 +96,36 @@ fn live_prog(
         Prog::Seq(ps) => {
             for (i, q) in ps.iter().enumerate().rev() {
                 path.push(i as u32);
-                live_prog(q, path, live, record, out);
+                live_prog(q, path, live, record, out, budget, all);
                 path.pop();
             }
         }
         Prog::WhileEmpty(v, body) | Prog::WhileSingleton(v, body) | Prog::WhileFinite(v, body) => {
             // live(head) = {guard} ∪ live(exit) ∪ transfer(body, live(head))
-            let exit = live.clone();
-            let mut head = exit.clone();
-            head.insert(*v);
-            loop {
-                let mut through = head.clone();
+            let mut through = |head: &BTreeSet<VarId>, record: bool| {
+                let mut next = head.clone();
                 path.push(0);
-                live_prog(body, path, &mut through, false, out);
+                live_prog(body, path, &mut next, record, out, budget, all);
                 path.pop();
-                let mut next = exit.clone();
-                next.insert(*v);
-                next.extend(through);
-                if next == head {
-                    break;
-                }
-                head = next;
+                next
+            };
+            let mut entry = std::mem::take(live);
+            entry.insert(*v);
+            let join = |head: &BTreeSet<VarId>, mut next: BTreeSet<VarId>| {
+                next.extend(head);
+                next
+            };
+            *live = fix::loop_head(
+                budget,
+                body,
+                entry,
+                join,
+                |h| through(h, false),
+                |_| all.clone(),
+            );
+            if record {
+                through(live, true);
             }
-            let mut through = head.clone();
-            path.push(0);
-            live_prog(body, path, &mut through, record, out);
-            path.pop();
-            *live = head;
         }
     }
 }
@@ -115,7 +139,11 @@ pub fn analyze_dataflow(p: &Prog) -> DataflowAnalysis {
         stores: 0,
     };
     let mut live: BTreeSet<VarId> = [0].into_iter().collect();
-    live_prog(p, &mut Vec::new(), &mut live, true, &mut out);
+    let mut all = BTreeSet::from([0]);
+    prog_reads(p, &mut all);
+    let budget = Budget::default();
+    live_prog(p, &mut Vec::new(), &mut live, true, &mut out, &budget, &all);
+    budget.record();
     out.live_in = live;
     out
 }

@@ -25,8 +25,11 @@
 //!   (`{(a)}`), variable copies, `∩`, `↓`, `~`; anything
 //!   domain-dependent (`E`, `Relᵢ`, `¬`, `↑`) degrades to `None`.
 //!
-//! Loops run to a taint/exactness fixpoint with the guard's taint
-//! added to the control context each round.
+//! Loops run to their [`crate::fix::loop_head`] state with the
+//! guard's taint added to the control context each round. A widened
+//! loop head taints its body-written variables with every constant
+//! and forgets their exact values; since its body's inner guards then
+//! go unrecorded, any widening fixes every constant in the verdict.
 //!
 //! ## Verdict soundness
 //!
@@ -62,6 +65,7 @@
 //! replay both proved verdicts against the real interpreters.
 
 use crate::diag::{Code, Diagnostic};
+use crate::fix::{self, Budget, Lattice};
 use crate::prog::{Analysis, Verdict};
 use crate::terminate::{TerminationAnalysis, TerminationVerdict};
 use recdb_core::Tuple;
@@ -143,7 +147,9 @@ impl GVar {
             exact: Some(Val::empty(0)),
         }
     }
+}
 
+impl Lattice for GVar {
     fn join(&self, other: &GVar) -> GVar {
         GVar {
             taint: self.taint.union(&other.taint).cloned().collect(),
@@ -160,10 +166,6 @@ type GEnv = Vec<GVar>;
 /// Renders a constant relation for diagnostics, e.g. `{(3), (7)}`.
 fn fmt_val(v: &Val) -> String {
     format!("{:?}", v.tuples)
-}
-
-fn join_env(a: &GEnv, b: &GEnv) -> GEnv {
-    a.iter().zip(b).map(|(x, y)| x.join(y)).collect()
 }
 
 /// Taint and exactness of a term. Exactness follows the finitary
@@ -231,8 +233,16 @@ fn eval_term(t: &Term, env: &GEnv) -> GVar {
 
 /// Walks `p`, accumulating every loop guard's fixpoint taint into
 /// `guard_taint` (those constants can steer iteration counts and
-/// termination, so any `Generic` claim must fix them too).
-fn exec(p: &Prog, env: &mut GEnv, ctl: &BTreeSet<u64>, guard_taint: &mut BTreeSet<u64>) {
+/// termination, so any `Generic` claim must fix them too). `budget`
+/// pays for the loop-head rounds; a widening taints with `constants`.
+fn exec(
+    p: &Prog,
+    env: &mut GEnv,
+    ctl: &BTreeSet<u64>,
+    guard_taint: &mut BTreeSet<u64>,
+    budget: &Budget,
+    constants: &BTreeSet<u64>,
+) {
     match p {
         Prog::Assign(v, t) => {
             let mut val = eval_term(t, env);
@@ -244,23 +254,23 @@ fn exec(p: &Prog, env: &mut GEnv, ctl: &BTreeSet<u64>, guard_taint: &mut BTreeSe
         }
         Prog::Seq(ps) => {
             for q in ps {
-                exec(q, env, ctl, guard_taint);
+                exec(q, env, ctl, guard_taint, budget, constants);
             }
         }
         Prog::WhileEmpty(v, body) | Prog::WhileSingleton(v, body) | Prog::WhileFinite(v, body) => {
-            // Fixpoint: the guard's taint joins the control context,
-            // and grows monotonically round to round.
-            loop {
-                let guard = env.get(*v).map(|s| s.taint.clone()).unwrap_or_default();
+            // The guard's taint joins the control context, and grows
+            // monotonically round to round.
+            let top = GVar {
+                taint: constants.clone(),
+                exact: None,
+            };
+            *env = fix::var_head(budget, body, std::mem::take(env), top, |head| {
+                let guard = head.get(*v).map(|s| s.taint.clone()).unwrap_or_default();
                 let ctl2: BTreeSet<u64> = ctl.union(&guard).copied().collect();
-                let mut out = env.clone();
-                exec(body, &mut out, &ctl2, guard_taint);
-                let joined = join_env(env, &out);
-                if joined == *env {
-                    break;
-                }
-                *env = joined;
-            }
+                let mut out = head.clone();
+                exec(body, &mut out, &ctl2, guard_taint, budget, constants);
+                out
+            });
             guard_taint.extend(env.get(*v).map(|s| s.taint.clone()).unwrap_or_default());
         }
     }
@@ -305,7 +315,19 @@ pub fn analyze_genericity(
         let nvars = p.max_var().map_or(1, |m| m + 1).max(1);
         let mut env: GEnv = vec![GVar::unset(); nvars];
         let mut guard_taint = BTreeSet::new();
-        exec(p, &mut env, &BTreeSet::new(), &mut guard_taint);
+        let budget = Budget::default();
+        exec(
+            p,
+            &mut env,
+            &BTreeSet::new(),
+            &mut guard_taint,
+            &budget,
+            &constants,
+        );
+        budget.record();
+        if budget.widened() > 0 {
+            guard_taint.clone_from(&constants);
+        }
         let out = env.first().cloned().unwrap_or_else(GVar::unset);
         let observed: BTreeSet<u64> = out.taint.union(&guard_taint).copied().collect();
         let exact_elems: Option<BTreeSet<u64>> = out.exact.as_ref().map(|v| {

@@ -9,6 +9,12 @@
 //!   execution. Detects `&` rank mismatches, out-of-schema `Relᵢ`,
 //!   and use-before-assign, with `while` bodies iterated to a
 //!   fixpoint.
+//! * **One loop-head driver, one term transfer** ([`fix`], [`rank`]) —
+//!   every walk (safety, genericity, liveness, and the VM lowerer's
+//!   (rank, finiteness) walk) reaches its loop-head states through
+//!   [`fix::loop_head`], whose per-call round budget widens to ⊤ once
+//!   spent (`analyze.fixpoint.widened`); every rank comes from the
+//!   per-node transfer [`rank::step`].
 //! * **Dialect checking** — delegated to [`recdb_qlhs::dialect`] (the
 //!   same checker the interpreters run in their `run` entry points),
 //!   surfaced as coded diagnostics `E0003`/`E0004`.
@@ -35,6 +41,7 @@ pub mod cost;
 pub mod dataflow;
 pub mod delta;
 pub mod diag;
+pub mod fix;
 pub mod generic;
 pub mod logic;
 pub mod prog;
@@ -49,7 +56,7 @@ pub use diag::{Code, Diagnostic, Severity};
 pub use generic::{analyze_genericity, GenericAnalysis, GenericityVerdict};
 pub use logic::{analyze_formula, FormulaReport};
 pub use prog::{analyze_prog, Analysis, LoopFacts, Verdict};
-pub use rank::{term_rank, AbsEmpty, AbsRank};
+pub use rank::{term_rank, AbsEmpty, AbsRank, Fin, Shape};
 pub use simplify::simplify_prog_checked;
 pub use terminate::{
     analyze_termination, LoopBound, LoopInfo, TerminationAnalysis, TerminationVerdict,

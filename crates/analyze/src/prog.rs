@@ -29,10 +29,13 @@
 //! unreachable-/divergent-loop lints and the termination rules (under
 //! a non-empty-domain assumption) and never influences the verdict.
 //!
-//! Loops are analyzed to a fixpoint with diagnostics muted, then the
-//! body is re-walked once at the post-fixpoint environment with
-//! diagnostics on — each statement is diagnosed exactly once, against
-//! an environment that over-approximates every real iteration.
+//! Loops are analyzed to their [`crate::fix::loop_head`] state with
+//! diagnostics muted, then the body is re-walked once at that
+//! environment with diagnostics on — each statement is diagnosed
+//! exactly once, against an environment that over-approximates every
+//! real iteration. Ranks come from the shared per-node transfer
+//! [`crate::rank::step`]; this walk adds emptiness, assignment state,
+//! the diagnostics, and the `&` same-value rule.
 //!
 //! This walk is the crate's only (rank, emptiness) abstract
 //! interpreter. Its reporting pass also records what termination and
@@ -41,7 +44,8 @@
 //! probing iteration), and each assignment's `W0106` rewrite.
 
 use crate::diag::{Code, Diagnostic, Severity};
-use crate::rank::{term_rank, AbsEmpty, AbsRank, Assigned};
+use crate::fix::{self, Budget, Lattice};
+use crate::rank::{step, term_rank, AbsEmpty, AbsRank, Assigned};
 use recdb_core::Schema;
 use recdb_qlhs::{Dialect, LoopKind, NodePath, Prog, Term, VarId};
 use std::collections::BTreeMap;
@@ -154,7 +158,16 @@ impl VarState {
         assigned: Assigned::No,
     };
 
-    fn join(self, other: VarState) -> VarState {
+    /// A widened loop head's body-written variables.
+    const TOP: VarState = VarState {
+        rank: AbsRank::Top,
+        empty: AbsEmpty::Top,
+        assigned: Assigned::Maybe,
+    };
+}
+
+impl Lattice for VarState {
+    fn join(&self, other: &VarState) -> VarState {
         VarState {
             rank: self.rank.join(other.rank),
             empty: self.empty.join(other.empty),
@@ -165,13 +178,10 @@ impl VarState {
 
 type Env = Vec<VarState>;
 
-fn join_env(a: &Env, b: &Env) -> Env {
-    a.iter().zip(b).map(|(x, y)| x.join(*y)).collect()
-}
-
 struct Analyzer<'a> {
     schema: &'a Schema,
     dialect: Dialect,
+    budget: &'a Budget,
     diags: Vec<Diagnostic>,
     /// True while iterating a loop body to fixpoint — findings are
     /// suppressed (the post-fixpoint reporting pass emits them once).
@@ -208,38 +218,9 @@ impl Analyzer<'_> {
     /// The abstract value of a term, emitting term-level findings.
     /// `must` marks the must-execute spine (for error definiteness).
     fn eval_term(&mut self, t: &Term, env: &Env, must: bool) -> (AbsRank, AbsEmpty) {
-        match t {
-            Term::E => {
-                // E is the diagonal on D (QL/QLhs) — non-empty under
-                // the non-empty-domain assumption — but on Df for
-                // QLf+, and Df may genuinely be empty.
-                let e = if self.dialect == Dialect::QlfPlus {
-                    AbsEmpty::Top
-                } else {
-                    AbsEmpty::NonEmpty
-                };
-                (AbsRank::Known(2), e)
-            }
-            Term::Rel(i) => {
-                if *i < self.schema.len() {
-                    (AbsRank::Known(self.schema.arity(*i)), AbsEmpty::Top)
-                } else {
-                    self.emit(
-                        Code::NoSuchRelation,
-                        format!(
-                            "`R{}` does not exist: the schema has {} relation(s)",
-                            i + 1,
-                            self.schema.len()
-                        ),
-                        None,
-                        must,
-                    );
-                    (AbsRank::Top, AbsEmpty::Top)
-                }
-            }
-            // `Cₐ` is a rank-1 singleton on every backend (the class of
-            // `a` over C_B representations) — never empty.
-            Term::Const(_) => (AbsRank::Known(1), AbsEmpty::NonEmpty),
+        const NONE: (AbsRank, AbsEmpty) = (AbsRank::Top, AbsEmpty::Top);
+        // The operands' values (`NONE` where `t` has fewer).
+        let ((ra, ea), (rb, eb)) = match t {
             Term::Var(v) => {
                 let s = env.get(*v).copied().unwrap_or(VarState::UNSET);
                 if s.assigned == Assigned::No {
@@ -250,101 +231,106 @@ impl Analyzer<'_> {
                         must,
                     );
                 }
-                (s.rank, s.empty)
+                return (s.rank, s.empty);
+            }
+            Term::And(a, b) => (self.eval_term(a, env, must), self.eval_term(b, env, must)),
+            Term::Not(e) | Term::Up(e) | Term::Down(e) | Term::Swap(e) => {
+                (self.eval_term(e, env, must), NONE)
+            }
+            Term::E | Term::Rel(_) | Term::Const(_) => (NONE, NONE),
+        };
+        let mut rank = step(t, self.schema, self.dialect, &[ra.into(), rb.into()]).rank;
+        let fcf = self.dialect == Dialect::QlfPlus;
+        let empty = match t {
+            // E is the diagonal on D (QL/QLhs) — non-empty under the
+            // non-empty-domain assumption — but on Df for QLf+, and Df
+            // may genuinely be empty.
+            Term::E if fcf => AbsEmpty::Top,
+            // `Cₐ` is a rank-1 singleton on every backend (the class of
+            // `a` over C_B representations) — never empty.
+            Term::E | Term::Const(_) => AbsEmpty::NonEmpty,
+            Term::Rel(i) => {
+                if *i >= self.schema.len() {
+                    self.emit(
+                        Code::NoSuchRelation,
+                        format!(
+                            "`R{}` does not exist: the schema has {} relation(s)",
+                            i + 1,
+                            self.schema.len()
+                        ),
+                        None,
+                        must,
+                    );
+                }
+                AbsEmpty::Top
             }
             Term::And(a, b) => {
-                let (ra, ea) = self.eval_term(a, env, must);
-                let (rb, eb) = self.eval_term(b, env, must);
-                let rank = match (ra, rb) {
-                    (AbsRank::Known(x), AbsRank::Known(y)) if x == y => AbsRank::Known(x),
-                    (AbsRank::Known(x), AbsRank::Known(y)) => {
-                        self.emit(
-                            Code::RankMismatch,
-                            format!("`&` applied to rank {x} and rank {y}"),
-                            Some(format!("in `{t}`: `{a}` has rank {x}, `{b}` has rank {y}")),
-                            must,
-                        );
-                        AbsRank::Top
-                    }
+                match (ra, rb) {
+                    (AbsRank::Known(x), AbsRank::Known(y)) if x != y => self.emit(
+                        Code::RankMismatch,
+                        format!("`&` applied to rank {x} and rank {y}"),
+                        Some(format!("in `{t}`: `{a}` has rank {x}, `{b}` has rank {y}")),
+                        must,
+                    ),
+                    (AbsRank::Known(_), AbsRank::Known(_)) => {}
                     // Operands with the same simplified form denote
                     // the same value on every run, so their ranks
                     // agree even when neither is individually
                     // provable (`Y & Y` at a control-flow join).
-                    _ if self.provably_same_value(a, b, env) => ra.join(rb),
-                    _ => {
-                        self.emit(
-                            Code::UnprovableRank,
-                            format!("cannot prove the operands of `&` in `{t}` have equal ranks"),
-                            Some(
-                                "ranks that disagree across control-flow paths degrade to ⊤".into(),
-                            ),
-                            must,
-                        );
-                        AbsRank::Top
-                    }
-                };
-                let empty = if ea == AbsEmpty::Empty || eb == AbsEmpty::Empty {
+                    _ if self.provably_same_value(a, b, env) => rank = ra.join(rb),
+                    // `step`'s rank is ⊤ here.
+                    _ => self.emit(
+                        Code::UnprovableRank,
+                        format!("cannot prove the operands of `&` in `{t}` have equal ranks"),
+                        Some("ranks that disagree across control-flow paths degrade to ⊤".into()),
+                        must,
+                    ),
+                }
+                if ea == AbsEmpty::Empty || eb == AbsEmpty::Empty {
                     AbsEmpty::Empty
                 } else {
                     AbsEmpty::Top
-                };
-                (rank, empty)
-            }
-            Term::Not(e) => {
-                let (r, em) = self.eval_term(e, env, must);
-                // Complement is exact at rank 0 (the full rank-0 value
-                // {()} is non-empty over ANY domain); at higher proven
-                // ranks, ¬∅ is the full relation — non-empty under the
-                // non-empty-domain assumption.
-                let empty = match (r, em) {
-                    (AbsRank::Known(0), AbsEmpty::Empty) => AbsEmpty::NonEmpty,
-                    (AbsRank::Known(0), AbsEmpty::NonEmpty) => AbsEmpty::Empty,
-                    (AbsRank::Known(_), AbsEmpty::Empty) => AbsEmpty::NonEmpty,
-                    _ => AbsEmpty::Top,
-                };
-                (r, empty)
-            }
-            Term::Up(e) => {
-                let (r, em) = self.eval_term(e, env, must);
-                // e↑ = e × D (or × Df for QLf+, which may be empty).
-                let empty = match em {
-                    AbsEmpty::Empty => AbsEmpty::Empty,
-                    AbsEmpty::NonEmpty if self.dialect != Dialect::QlfPlus => AbsEmpty::NonEmpty,
-                    _ => AbsEmpty::Top,
-                };
-                (r.map(|k| k + 1), empty)
-            }
-            Term::Down(e) => {
-                let (r, em) = self.eval_term(e, env, must);
-                match r {
-                    AbsRank::Known(0) => {
-                        self.emit(
-                            Code::DownOnRankZero,
-                            format!("`down` on the rank-0 term `{e}`"),
-                            Some(
-                                "this always yields the empty rank-0 value (the counter \
-                                 zero-test idiom); it is not an error"
-                                    .into(),
-                            ),
-                            must,
-                        );
-                        (AbsRank::Known(0), AbsEmpty::Empty)
-                    }
-                    AbsRank::Known(k) => (AbsRank::Known(k - 1), em),
-                    other => {
-                        // Rank unknown: a rank-0 operand would make the
-                        // result empty, so only Empty survives.
-                        let empty = if em == AbsEmpty::Empty {
-                            AbsEmpty::Empty
-                        } else {
-                            AbsEmpty::Top
-                        };
-                        (other, empty)
-                    }
                 }
             }
-            Term::Swap(e) => self.eval_term(e, env, must),
-        }
+            // Complement is exact at rank 0 (the full rank-0 value {()}
+            // is non-empty over ANY domain); at higher proven ranks, ¬∅
+            // is the full relation — non-empty under the
+            // non-empty-domain assumption.
+            Term::Not(_) => match (ra, ea) {
+                (AbsRank::Known(0), AbsEmpty::Empty) => AbsEmpty::NonEmpty,
+                (AbsRank::Known(0), AbsEmpty::NonEmpty) => AbsEmpty::Empty,
+                (AbsRank::Known(_), AbsEmpty::Empty) => AbsEmpty::NonEmpty,
+                _ => AbsEmpty::Top,
+            },
+            // e↑ = e × D (or × Df for QLf+, which may be empty).
+            Term::Up(_) => match ea {
+                AbsEmpty::Empty => AbsEmpty::Empty,
+                AbsEmpty::NonEmpty if !fcf => AbsEmpty::NonEmpty,
+                _ => AbsEmpty::Top,
+            },
+            Term::Down(e) => match ra {
+                AbsRank::Known(0) => {
+                    self.emit(
+                        Code::DownOnRankZero,
+                        format!("`down` on the rank-0 term `{e}`"),
+                        Some(
+                            "this always yields the empty rank-0 value (the counter \
+                             zero-test idiom); it is not an error"
+                                .into(),
+                        ),
+                        must,
+                    );
+                    AbsEmpty::Empty
+                }
+                AbsRank::Known(_) => ea,
+                // Rank unknown: a rank-0 operand would make the result
+                // empty, so only Empty survives.
+                _ if ea == AbsEmpty::Empty => AbsEmpty::Empty,
+                _ => AbsEmpty::Top,
+            },
+            Term::Swap(_) | Term::Var(_) => ea,
+        };
+        (rank, empty)
     }
 
     fn exec(&mut self, p: &Prog, env: &mut Env, must: bool) {
@@ -427,17 +413,14 @@ impl Analyzer<'_> {
         }
         let reporting = !self.mute;
         self.mute = true;
-        loop {
-            let mut out = env.clone();
+        let budget = self.budget;
+        *env = fix::var_head(budget, body, std::mem::take(env), VarState::TOP, |head| {
+            let mut out = head.clone();
             self.path.push(0);
             self.exec(body, &mut out, false);
             self.path.pop();
-            let joined = join_env(env, &out);
-            if joined == *env {
-                break;
-            }
-            *env = joined;
-        }
+            out
+        });
         let head = env[v];
         if reporting {
             let after_one = self.one_iteration(kind, v, body, env);
@@ -547,51 +530,31 @@ impl Analyzer<'_> {
 /// a term nor as a loop guard). `Y1` is exempt — it is the program's
 /// output.
 fn dead_variable_lints(p: &Prog) -> Vec<Diagnostic> {
-    use std::collections::BTreeMap;
-    fn term_reads(t: &Term, reads: &mut std::collections::BTreeSet<VarId>) {
-        match t {
-            Term::E | Term::Rel(_) | Term::Const(_) => {}
-            Term::Var(v) => {
-                reads.insert(*v);
-            }
-            Term::And(a, b) => {
-                term_reads(a, reads);
-                term_reads(b, reads);
-            }
-            Term::Not(e) | Term::Up(e) | Term::Down(e) | Term::Swap(e) => term_reads(e, reads),
-        }
-    }
-    fn walk(
-        p: &Prog,
-        path: &mut NodePath,
-        reads: &mut std::collections::BTreeSet<VarId>,
-        writes: &mut BTreeMap<VarId, NodePath>,
-    ) {
+    fn walk(p: &Prog, path: &mut NodePath, writes: &mut BTreeMap<VarId, NodePath>) {
         match p {
-            Prog::Assign(v, t) => {
+            Prog::Assign(v, _) => {
                 writes.entry(*v).or_insert_with(|| path.clone());
-                term_reads(t, reads);
             }
             Prog::Seq(ps) => {
                 for (i, q) in ps.iter().enumerate() {
                     path.push(i as u32);
-                    walk(q, path, reads, writes);
+                    walk(q, path, writes);
                     path.pop();
                 }
             }
-            Prog::WhileEmpty(v, body)
-            | Prog::WhileSingleton(v, body)
-            | Prog::WhileFinite(v, body) => {
-                reads.insert(*v);
+            Prog::WhileEmpty(_, body)
+            | Prog::WhileSingleton(_, body)
+            | Prog::WhileFinite(_, body) => {
                 path.push(0);
-                walk(body, path, reads, writes);
+                walk(body, path, writes);
                 path.pop();
             }
         }
     }
     let mut reads = std::collections::BTreeSet::new();
+    crate::dataflow::prog_reads(p, &mut reads);
     let mut writes = BTreeMap::new();
-    walk(p, &mut Vec::new(), &mut reads, &mut writes);
+    walk(p, &mut Vec::new(), &mut writes);
     writes
         .into_iter()
         .filter(|(v, _)| *v != 0 && !reads.contains(v))
@@ -607,12 +570,19 @@ fn dead_variable_lints(p: &Prog) -> Vec<Diagnostic> {
 }
 
 /// Walks `p` once, reporting: the analyzer's final state and the
-/// exit environment. Bumps no counter.
-fn walk<'a>(p: &Prog, schema: &'a Schema, dialect: Dialect) -> (Analyzer<'a>, Env) {
+/// exit environment. Bumps no counter; `budget` pays for the loop-head
+/// rounds.
+fn walk<'a>(
+    p: &Prog,
+    schema: &'a Schema,
+    dialect: Dialect,
+    budget: &'a Budget,
+) -> (Analyzer<'a>, Env) {
     let nvars = p.max_var().map_or(1, |m| m + 1).max(1);
     let mut a = Analyzer {
         schema,
         dialect,
+        budget,
         diags: Vec::new(),
         mute: false,
         definite_error: false,
@@ -629,7 +599,7 @@ fn walk<'a>(p: &Prog, schema: &'a Schema, dialect: Dialect) -> (Analyzer<'a>, En
 /// by statement path — what [`crate::simplify_prog_checked`] applies.
 /// Ranks do not depend on the dialect, so neither do the rewrites.
 pub(crate) fn rewrites(p: &Prog, schema: &Schema) -> BTreeMap<NodePath, Term> {
-    walk(p, schema, Dialect::Ql).0.rewrites
+    walk(p, schema, Dialect::Ql, &Budget::default()).0.rewrites
 }
 
 /// Analyzes `p` against `schema` as a `dialect` program.
@@ -642,7 +612,9 @@ pub(crate) fn rewrites(p: &Prog, schema: &Schema) -> BTreeMap<NodePath, Term> {
 pub fn analyze_prog(p: &Prog, schema: &Schema, dialect: Dialect) -> Analysis {
     recdb_obs::count("analyze.programs", 1);
     let _t = recdb_obs::span("analyze.prog_seconds");
-    let (mut a, env) = walk(p, schema, dialect);
+    let budget = Budget::default();
+    let (mut a, env) = walk(p, schema, dialect, &budget);
+    budget.record();
     a.diags.extend(dead_variable_lints(p));
     a.diags.iter().for_each(Diagnostic::record);
     let verdict = if a.definite_error {

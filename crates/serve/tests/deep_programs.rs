@@ -177,3 +177,20 @@ fn while_nesting_is_capped_at_max_loop_depth() {
     let r = c.post("/v1/query", &query(&nested_loops(n))).unwrap();
     assert_eq!(r.status, 200, "{}", r.body);
 }
+
+/// `examples/programs/nested_chain.ql`: eight nested loops whose
+/// loop-head fixpoints would multiply out to millions of rounds. Every
+/// analysis and the lowerer widen once the round budget is spent, so
+/// admission finishes and the server answers.
+#[test]
+fn nested_loop_fixpoints_widen_within_the_round_budget() {
+    let rec = recdb_obs::InMemoryRecorder::shared();
+    recdb_obs::install(rec.clone());
+    let s = server();
+    let mut c = Conn::connect(s.addr()).expect("connect");
+    let program = include_str!("../../../examples/programs/nested_chain.ql").replace('\n', "\\n");
+    let r = c.post("/v1/query", &query(&program)).unwrap();
+    recdb_obs::uninstall();
+    assert!(matches!(r.status, 200 | 408 | 422), "{}", r.body);
+    assert!(rec.counter_value("analyze.fixpoint.widened") >= 1);
+}

@@ -24,16 +24,25 @@
 //!   [`Inst::Trap`] that is unreachable unless the prover's bound was
 //!   wrong. Other loops lower to a guard/backedge pair, which
 //!   requires the variable ranks at the loop head to be stable under
-//!   the body's abstract transfer (iterated to a fixpoint, widening
-//!   changed ranks to unknown; a body that then *reads* a widened
-//!   variable obstructs).
+//!   the body: the head is `recdb_analyze::rank::ShapeWalk::loop_head`,
+//!   the shared loop-head driver run over the shared (rank,
+//!   finiteness) transfer, where changed ranks join to unknown (as
+//!   does every body-written variable once the round budget is
+//!   spent); a body that then *reads* such a variable obstructs.
 //! * **Dead stores** found by `recdb_analyze::dataflow` are elided
 //!   when the stored term is tick-free under the dialect and provably
 //!   error-free; the term's static entry ticks survive as pending
 //!   ticks, so fuel accounting is unchanged.
+//!
+//! This module defines no value lattice or term transfer of its own:
+//! every state it types registers with comes from
+//! `recdb_analyze::rank::step`. What it adds is the obstruction checks.
 
 use crate::bytecode::{Inst, LoopMeta, VmProg};
+use recdb_analyze::cost::UNROLL_CAP;
 use recdb_analyze::dataflow::{analyze_dataflow, RegPool};
+use recdb_analyze::fix::{join_vars, Budget};
+use recdb_analyze::rank::{step, Fin, Shape, ShapeWalk};
 use recdb_analyze::{LoopBound, TerminationAnalysis};
 use recdb_core::Schema;
 use recdb_qlhs::{Dialect, LoopKind, NodePath, Prog, Term};
@@ -90,12 +99,11 @@ impl fmt::Display for Obstruction {
     }
 }
 
-/// Compiler knobs.
+/// Compiler knobs. Loops with a proved bound of at most the cost
+/// pass's unroll budget (`recdb_analyze::cost::UNROLL_CAP`) are always
+/// unrolled.
 #[derive(Clone, Debug)]
 pub struct LowerOpts {
-    /// Unroll loops with a proved bound of at most this many
-    /// iterations (matches the cost pass's unroll budget by default).
-    pub peel_cap: u64,
     /// Eliminate dead stores (liveness-killed assignments of tick-free
     /// terms).
     pub dse: bool,
@@ -103,61 +111,13 @@ pub struct LowerOpts {
 
 impl Default for LowerOpts {
     fn default() -> LowerOpts {
-        LowerOpts {
-            peel_cap: 8,
-            dse: true,
-        }
+        LowerOpts { dse: true }
     }
 }
 
-/// Surely-finite lattice for QLf⁺ values (whether the *stored* tuples
-/// are the relation itself, not a complement).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Fin3 {
-    Finite,
-    Infinite,
-    Unknown,
-}
-
-impl Fin3 {
-    fn join(self, other: Fin3) -> Fin3 {
-        if self == other {
-            self
-        } else {
-            Fin3::Unknown
-        }
-    }
-}
-
-/// Per-variable static state. `rank: None` means unknown/poisoned.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct VarState {
-    rank: Option<usize>,
-    fin: Fin3,
-}
-
-impl VarState {
-    fn unset() -> VarState {
-        VarState {
-            rank: Some(0),
-            fin: Fin3::Finite,
-        }
-    }
-
-    fn join(&self, other: &VarState) -> VarState {
-        VarState {
-            rank: match (self.rank, other.rank) {
-                (Some(a), Some(b)) if a == b => Some(a),
-                _ => None,
-            },
-            fin: self.fin.join(other.fin),
-        }
-    }
-}
-
-fn join_vars(a: &[VarState], b: &[VarState]) -> Vec<VarState> {
-    a.iter().zip(b).map(|(x, y)| x.join(y)).collect()
-}
+/// An operator instruction from its `dst`, operand registers (the
+/// second unused by unary operators) and `ticks`.
+type OpInst = fn(usize, usize, usize, u32) -> Inst;
 
 /// Term-node count — the statically-known entry ticks of a term.
 fn term_nodes(t: &Term) -> u32 {
@@ -169,8 +129,7 @@ fn term_nodes(t: &Term) -> u32 {
 }
 
 struct Lower<'a> {
-    schema: &'a Schema,
-    dialect: Dialect,
+    walk: ShapeWalk<'a>,
     termination: &'a TerminationAnalysis,
     dead: BTreeSet<NodePath>,
     opts: LowerOpts,
@@ -178,7 +137,7 @@ struct Lower<'a> {
     loops: Vec<LoopMeta>,
     pool: RegPool,
     pending: u32,
-    vars: Vec<VarState>,
+    vars: Vec<Shape>,
     unrolled: u64,
 }
 
@@ -200,140 +159,13 @@ impl Lower<'_> {
         })
     }
 
-    /// The dialect-aware (rank, finiteness) transfer of a term, total:
-    /// un-typable subterms yield `rank: None` and the *concrete*
-    /// lowering reports the obstruction. Used for loop fixpoints and
-    /// dead-store legality.
-    fn abs_term(&self, t: &Term, vars: &[VarState]) -> VarState {
-        let fcf = self.dialect == Dialect::QlfPlus;
-        match t {
-            Term::E => VarState {
-                rank: Some(2),
-                fin: Fin3::Finite,
-            },
-            Term::Const(_) => VarState {
-                rank: Some(1),
-                fin: Fin3::Finite,
-            },
-            Term::Rel(i) => {
-                if *i < self.schema.len() {
-                    VarState {
-                        rank: Some(self.schema.arity(*i)),
-                        // A QLf⁺ schema relation may be stored co-finite
-                        // — that is per-database data, not schema.
-                        fin: if fcf { Fin3::Unknown } else { Fin3::Finite },
-                    }
-                } else {
-                    VarState {
-                        rank: None,
-                        fin: Fin3::Unknown,
-                    }
-                }
-            }
-            Term::Var(v) => vars.get(*v).cloned().unwrap_or_else(VarState::unset),
-            Term::And(a, b) => {
-                let (xa, xb) = (self.abs_term(a, vars), self.abs_term(b, vars));
-                VarState {
-                    rank: match (xa.rank, xb.rank) {
-                        (Some(x), Some(y)) if x == y => Some(x),
-                        _ => None,
-                    },
-                    fin: match (xa.fin, xb.fin) {
-                        (Fin3::Finite, _) | (_, Fin3::Finite) => Fin3::Finite,
-                        (Fin3::Infinite, Fin3::Infinite) => Fin3::Infinite,
-                        _ => Fin3::Unknown,
-                    },
-                }
-            }
-            Term::Not(e) => {
-                let x = self.abs_term(e, vars);
-                VarState {
-                    rank: x.rank,
-                    fin: if fcf {
-                        match x.fin {
-                            Fin3::Finite => Fin3::Infinite,
-                            Fin3::Infinite => Fin3::Finite,
-                            Fin3::Unknown => Fin3::Unknown,
-                        }
-                    } else {
-                        Fin3::Finite
-                    },
-                }
-            }
-            Term::Up(e) => {
-                let x = self.abs_term(e, vars);
-                VarState {
-                    rank: x.rank.map(|k| k + 1),
-                    fin: Fin3::Finite,
-                }
-            }
-            Term::Down(e) => {
-                let x = self.abs_term(e, vars);
-                let rank = x.rank.map(|k| k.saturating_sub(1));
-                VarState {
-                    rank,
-                    fin: match x.fin {
-                        Fin3::Finite => Fin3::Finite,
-                        // ↓ of a co-finite value of rank ≤ 1 stores
-                        // finitely ({()} or ∅); rank ≥ 2 stays co-finite.
-                        Fin3::Infinite => match x.rank {
-                            Some(k) if k <= 1 => Fin3::Finite,
-                            Some(_) => Fin3::Infinite,
-                            None => Fin3::Unknown,
-                        },
-                        Fin3::Unknown => match x.rank {
-                            Some(0) => Fin3::Finite,
-                            Some(1) => Fin3::Finite,
-                            _ => Fin3::Unknown,
-                        },
-                    },
-                }
-            }
-            Term::Swap(e) => self.abs_term(e, vars),
-        }
-    }
-
-    /// Abstract statement transfer (total, no emission): the loop
-    /// fixpoint driver. Inner loops are themselves join-fixpointed,
-    /// which over-approximates both lowering forms.
-    fn abs_prog(&self, p: &Prog, vars: &mut Vec<VarState>) {
-        match p {
-            Prog::Assign(v, t) => {
-                let s = self.abs_term(t, vars);
-                if *v < vars.len() {
-                    vars[*v] = s;
-                }
-            }
-            Prog::Seq(ps) => {
-                for q in ps {
-                    self.abs_prog(q, vars);
-                }
-            }
-            Prog::WhileEmpty(_, body)
-            | Prog::WhileSingleton(_, body)
-            | Prog::WhileFinite(_, body) => {
-                let mut head = vars.clone();
-                loop {
-                    let mut s = head.clone();
-                    self.abs_prog(body, &mut s);
-                    let next = join_vars(&head, &s);
-                    if next == head {
-                        break;
-                    }
-                    head = next;
-                }
-                *vars = head;
-            }
-        }
-    }
-
     /// Is `t` free of data-dependent fuel under the dialect? (The
     /// dead-store side condition: elision must not change fuel.)
     fn tick_free(&self, t: &Term) -> bool {
         let op_ok = match t {
-            Term::Not(_) => self.dialect != Dialect::Ql,
+            Term::Not(_) => self.walk.dialect != Dialect::Ql,
             Term::Up(_) => false,
-            Term::Down(_) | Term::Swap(_) => self.dialect != Dialect::Qlhs,
+            Term::Down(_) | Term::Swap(_) => self.walk.dialect != Dialect::Qlhs,
             _ => true,
         };
         op_ok
@@ -345,27 +177,29 @@ impl Lower<'_> {
     }
 
     /// Lowers a term in post-order. Returns the register holding the
-    /// value and its static state. `dst` forces the result register
-    /// (the assignment root's home register).
+    /// value and its shape ([`step`] of its operands' shapes). `dst`
+    /// forces the result register (the assignment root's home
+    /// register).
     fn lower_term(
         &mut self,
         t: &Term,
         dst: Option<usize>,
         path: &[u32],
-    ) -> Result<(usize, VarState), Obstruction> {
+    ) -> Result<(usize, Shape), Obstruction> {
         self.pending += 1; // the term node's entry tick
-        let fcf = self.dialect == Dialect::QlfPlus;
-        match t {
+                           // Operand registers and shapes; `n` of them are used.
+        let mut kids = [(0, Shape::TOP); 2];
+        let (inst, n): (OpInst, usize) = match t {
             Term::Var(v) => {
-                let s = self.vars[*v].clone();
-                if s.rank.is_none() {
+                let s = self.vars[*v];
+                if s.rank.known().is_none() {
                     return self.obstruct(
                         ObstructionKind::Unprovable,
                         path,
                         format!("Y{} has no provable rank here", v + 1),
                     );
                 }
-                match dst {
+                return match dst {
                     // Interior Var: the value already lives in its
                     // home register; no instruction, the entry tick
                     // stays pending.
@@ -379,58 +213,38 @@ impl Lower<'_> {
                         });
                         Ok((d, s))
                     }
-                }
-            }
-            Term::E => {
-                let s = VarState {
-                    rank: Some(2),
-                    fin: Fin3::Finite,
                 };
-                let d = self.place(dst, 2);
-                let ticks = self.take_pending();
-                self.code.push(Inst::E { dst: d, ticks });
-                Ok((d, s))
             }
-            Term::Const(c) => {
-                let s = VarState {
-                    rank: Some(1),
-                    fin: Fin3::Finite,
-                };
-                let d = self.place(dst, 1);
+            Term::Rel(i) if *i >= self.walk.schema.len() => {
+                return self.obstruct(
+                    ObstructionKind::Error,
+                    path,
+                    format!("R{} is outside the schema", i + 1),
+                );
+            }
+            Term::E | Term::Rel(_) | Term::Const(_) => {
+                let s = step(t, self.walk.schema, self.walk.dialect, &[]);
+                let d = self.place(dst, s.rank.known().unwrap_or(0));
                 let ticks = self.take_pending();
-                self.code.push(Inst::Const {
-                    dst: d,
-                    val: *c,
-                    ticks,
+                self.code.push(match t {
+                    Term::Rel(i) => Inst::Rel {
+                        dst: d,
+                        rel: *i,
+                        ticks,
+                    },
+                    Term::Const(c) => Inst::Const {
+                        dst: d,
+                        val: *c,
+                        ticks,
+                    },
+                    _ => Inst::E { dst: d, ticks },
                 });
-                Ok((d, s))
-            }
-            Term::Rel(i) => {
-                if *i >= self.schema.len() {
-                    return self.obstruct(
-                        ObstructionKind::Error,
-                        path,
-                        format!("R{} is outside the schema", i + 1),
-                    );
-                }
-                let rank = self.schema.arity(*i);
-                let s = VarState {
-                    rank: Some(rank),
-                    fin: if fcf { Fin3::Unknown } else { Fin3::Finite },
-                };
-                let d = self.place(dst, rank);
-                let ticks = self.take_pending();
-                self.code.push(Inst::Rel {
-                    dst: d,
-                    rel: *i,
-                    ticks,
-                });
-                Ok((d, s))
+                return Ok((d, s));
             }
             Term::And(a, b) => {
-                let (ra, sa) = self.lower_term(a, None, path)?;
-                let (rb, sb) = self.lower_term(b, None, path)?;
-                let (ka, kb) = (sa.rank.unwrap_or(0), sb.rank.unwrap_or(0));
+                kids[0] = self.lower_term(a, None, path)?;
+                kids[1] = self.lower_term(b, None, path)?;
+                let [ka, kb] = kids.map(|k| k.1.rank.known().unwrap_or(0));
                 if ka != kb {
                     return self.obstruct(
                         ObstructionKind::Error,
@@ -438,64 +252,25 @@ impl Lower<'_> {
                         format!("∩ of rank {ka} with rank {kb} always errors"),
                     );
                 }
-                self.pool.release(ra);
-                self.pool.release(rb);
-                let d = self.place(dst, ka);
-                let ticks = self.take_pending();
-                self.code.push(Inst::And {
-                    dst: d,
-                    a: ra,
-                    b: rb,
-                    ticks,
-                });
-                let fin = match (sa.fin, sb.fin) {
-                    (Fin3::Finite, _) | (_, Fin3::Finite) => Fin3::Finite,
-                    (Fin3::Infinite, Fin3::Infinite) => Fin3::Infinite,
-                    _ => Fin3::Unknown,
-                };
-                Ok((
-                    d,
-                    VarState {
-                        rank: Some(ka),
-                        fin,
-                    },
-                ))
+                (|dst, a, b, ticks| Inst::And { dst, a, b, ticks }, 2)
             }
             Term::Not(e) => {
-                let (rx, sx) = self.lower_term(e, None, path)?;
-                let k = sx.rank.unwrap_or(0);
-                self.pool.release(rx);
-                let d = self.place(dst, k);
-                let ticks = self.take_pending();
-                self.code.push(Inst::Not {
-                    dst: d,
-                    src: rx,
-                    ticks,
-                });
-                let fin = if fcf {
-                    match sx.fin {
-                        Fin3::Finite => Fin3::Infinite,
-                        Fin3::Infinite => Fin3::Finite,
-                        Fin3::Unknown => Fin3::Unknown,
-                    }
-                } else {
-                    Fin3::Finite
-                };
-                Ok((d, VarState { rank: Some(k), fin }))
+                kids[0] = self.lower_term(e, None, path)?;
+                (|dst, src, _, ticks| Inst::Not { dst, src, ticks }, 1)
             }
             Term::Up(e) => {
-                let (rx, sx) = self.lower_term(e, None, path)?;
-                if fcf {
-                    match sx.fin {
-                        Fin3::Finite => {}
-                        Fin3::Infinite => {
+                kids[0] = self.lower_term(e, None, path)?;
+                if self.walk.dialect == Dialect::QlfPlus {
+                    match kids[0].1.fin {
+                        Fin::Finite => {}
+                        Fin::Cofinite => {
                             return self.obstruct(
                                 ObstructionKind::Error,
                                 path,
                                 "↑ of a surely co-finite value always errors",
                             )
                         }
-                        Fin3::Unknown => {
+                        Fin::Unknown => {
                             return self.obstruct(
                                 ObstructionKind::Unprovable,
                                 path,
@@ -504,58 +279,30 @@ impl Lower<'_> {
                         }
                     }
                 }
-                let k = sx.rank.unwrap_or(0) + 1;
-                self.pool.release(rx);
-                let d = self.place(dst, k);
-                let ticks = self.take_pending();
-                self.code.push(Inst::Up {
-                    dst: d,
-                    src: rx,
-                    ticks,
-                });
-                Ok((
-                    d,
-                    VarState {
-                        rank: Some(k),
-                        fin: Fin3::Finite,
-                    },
-                ))
+                (|dst, src, _, ticks| Inst::Up { dst, src, ticks }, 1)
             }
             Term::Down(e) => {
-                let (rx, sx) = self.lower_term(e, None, path)?;
-                let k0 = sx.rank.unwrap_or(0);
-                let k = k0.saturating_sub(1);
-                self.pool.release(rx);
-                let d = self.place(dst, k);
-                let ticks = self.take_pending();
-                self.code.push(Inst::Down {
-                    dst: d,
-                    src: rx,
-                    ticks,
-                });
-                let fin = match sx.fin {
-                    Fin3::Finite => Fin3::Finite,
-                    Fin3::Infinite if k0 <= 1 => Fin3::Finite,
-                    Fin3::Infinite => Fin3::Infinite,
-                    Fin3::Unknown if k0 <= 1 => Fin3::Finite,
-                    Fin3::Unknown => Fin3::Unknown,
-                };
-                Ok((d, VarState { rank: Some(k), fin }))
+                kids[0] = self.lower_term(e, None, path)?;
+                (|dst, src, _, ticks| Inst::Down { dst, src, ticks }, 1)
             }
             Term::Swap(e) => {
-                let (rx, sx) = self.lower_term(e, None, path)?;
-                let k = sx.rank.unwrap_or(0);
-                self.pool.release(rx);
-                let d = self.place(dst, k);
-                let ticks = self.take_pending();
-                self.code.push(Inst::Swap {
-                    dst: d,
-                    src: rx,
-                    ticks,
-                });
-                Ok((d, sx))
+                kids[0] = self.lower_term(e, None, path)?;
+                (|dst, src, _, ticks| Inst::Swap { dst, src, ticks }, 1)
             }
+        };
+        let s = step(
+            t,
+            self.walk.schema,
+            self.walk.dialect,
+            &kids.map(|k| k.1)[..n],
+        );
+        for k in &kids[..n] {
+            self.pool.release(k.0);
         }
+        let d = self.place(dst, s.rank.known().unwrap_or(0));
+        let ticks = self.take_pending();
+        self.code.push(inst(d, kids[0].0, kids[1].0, ticks));
+        Ok((d, s))
     }
 
     fn place(&mut self, dst: Option<usize>, rank: usize) -> usize {
@@ -570,8 +317,8 @@ impl Lower<'_> {
         match p {
             Prog::Assign(v, t) => {
                 if self.opts.dse && self.dead.contains(path.as_slice()) && self.tick_free(t) {
-                    let s = self.abs_term(t, &self.vars);
-                    if s.rank.is_some() {
+                    let s = self.walk.term(t, &self.vars);
+                    if s.rank.known().is_some() {
                         // Elide the store: its statically-counted term
                         // ticks stay pending; no value, no commit.
                         self.pending += term_nodes(t);
@@ -606,43 +353,57 @@ impl Lower<'_> {
                     .bound_at(path)
                     .map(|l| l.bound)
                     .unwrap_or(LoopBound::Unknown);
-                match bound {
-                    LoopBound::Bounded(b) if b <= self.opts.peel_cap => {
-                        self.peel(*v, kind, body, b, path)
-                    }
-                    _ => self.backedge(*v, kind, body, path),
-                }
+                let peeled = match bound {
+                    LoopBound::Bounded(b) if b <= UNROLL_CAP => Some(b),
+                    _ => None,
+                };
+                self.lower_loop(*v, kind, body, peeled, path)
             }
         }
     }
 
-    /// Unrolled form: `enter (guard body)ᵇ guard trap`. The trap is
-    /// unreachable unless the prover's bound was wrong; in scheduled
-    /// mode with the bound in the budget, the final guard's counter
-    /// check reports `BoundExceeded` first — exactly the counted
-    /// executor's behavior.
-    fn peel(
+    /// Lowers a loop in one of two forms, both entered by `enter`.
+    ///
+    /// * Unrolled, for a loop `peeled` with a proved bound `b`:
+    ///   `(guard body)ᵇ guard trap`. The trap is unreachable unless the
+    ///   prover's bound was wrong; in scheduled mode with the bound in
+    ///   the budget, the final guard's counter check reports
+    ///   `BoundExceeded` first — exactly the counted executor's
+    ///   behavior. It leaves in the join of the states after 0..=b
+    ///   iterations.
+    /// * Backedge, otherwise: `guard body back`. The body is lowered
+    ///   once, so the variable ranks it is typed under must hold on
+    ///   *every* iteration: the head state is
+    ///   [`ShapeWalk::loop_head`] (changed ranks join to unknown; the
+    ///   body reading such a variable obstructs inside `lower_term`).
+    ///   It leaves at the guard, i.e. in the head state, which the
+    ///   body's concrete transfer stays within.
+    fn lower_loop(
         &mut self,
-        v: usize,
+        var: usize,
         kind: LoopKind,
         body: &Prog,
-        b: u64,
+        peeled: Option<u64>,
         path: &mut NodePath,
     ) -> Result<(), Obstruction> {
         let loop_id = self.loops.len();
         self.loops.push(LoopMeta {
             path: path.clone(),
-            peeled: Some(b),
+            peeled,
         });
         let ticks = self.take_pending();
         self.code.push(Inst::Enter { loop_id, ticks });
+        if peeled.is_none() {
+            self.vars = self.walk.loop_head(body, self.vars.clone());
+        }
+        // Unrolled: the state after 0 iterations; backedge: the head.
         let mut exit_state = self.vars.clone();
         let mut guards = Vec::new();
-        for _ in 0..b {
+        for _ in 0..peeled.unwrap_or(1) {
             guards.push(self.code.len());
             self.code.push(Inst::Guard {
                 loop_id,
-                var: v,
+                var,
                 kind,
                 exit: usize::MAX,
             });
@@ -651,20 +412,31 @@ impl Lower<'_> {
             let r = self.lower_prog(body, path);
             path.pop();
             r?;
-            if self.pending > 0 {
-                let ticks = self.take_pending();
-                self.code.push(Inst::Nop { ticks });
+            if peeled.is_some() {
+                if self.pending > 0 {
+                    let ticks = self.take_pending();
+                    self.code.push(Inst::Nop { ticks });
+                }
+                exit_state = join_vars(&exit_state, &self.vars);
             }
-            exit_state = join_vars(&exit_state, &self.vars);
         }
-        guards.push(self.code.len());
-        self.code.push(Inst::Guard {
-            loop_id,
-            var: v,
-            kind,
-            exit: usize::MAX,
-        });
-        self.code.push(Inst::Trap { loop_id });
+        if peeled.is_some() {
+            guards.push(self.code.len());
+            self.code.push(Inst::Guard {
+                loop_id,
+                var,
+                kind,
+                exit: usize::MAX,
+            });
+            self.code.push(Inst::Trap { loop_id });
+            self.unrolled += 1;
+        } else {
+            let ticks = self.take_pending();
+            self.code.push(Inst::Back {
+                to: guards[0],
+                ticks,
+            });
+        }
         let end = self.code.len();
         for g in guards {
             if let Inst::Guard { exit, .. } = &mut self.code[g] {
@@ -672,65 +444,6 @@ impl Lower<'_> {
             }
         }
         self.vars = exit_state;
-        self.unrolled += 1;
-        Ok(())
-    }
-
-    /// Guard/backedge form. The body is lowered once, so the variable
-    /// ranks it is typed under must hold on *every* iteration: the
-    /// head state is the fixpoint of the body's abstract transfer
-    /// (changed ranks widen to unknown; the body reading a widened
-    /// variable obstructs inside `lower_term`).
-    fn backedge(
-        &mut self,
-        v: usize,
-        kind: LoopKind,
-        body: &Prog,
-        path: &mut NodePath,
-    ) -> Result<(), Obstruction> {
-        let loop_id = self.loops.len();
-        self.loops.push(LoopMeta {
-            path: path.clone(),
-            peeled: None,
-        });
-        let ticks = self.take_pending();
-        self.code.push(Inst::Enter { loop_id, ticks });
-        let mut head = self.vars.clone();
-        loop {
-            let mut s = head.clone();
-            self.abs_prog(body, &mut s);
-            let next = join_vars(&head, &s);
-            if next == head {
-                break;
-            }
-            head = next;
-        }
-        self.vars = head.clone();
-        let guard_at = self.code.len();
-        self.code.push(Inst::Guard {
-            loop_id,
-            var: v,
-            kind,
-            exit: usize::MAX,
-        });
-        self.pending += 1; // the iteration tick
-        path.push(0);
-        let r = self.lower_prog(body, path);
-        path.pop();
-        r?;
-        let ticks = self.take_pending();
-        self.code.push(Inst::Back {
-            to: guard_at,
-            ticks,
-        });
-        let end = self.code.len();
-        if let Inst::Guard { exit, .. } = &mut self.code[guard_at] {
-            *exit = end;
-        }
-        // The loop leaves at the guard, i.e. in the head state (the
-        // fixpoint guarantees the body's concrete transfer stays
-        // within it).
-        self.vars = head;
         Ok(())
     }
 }
@@ -759,8 +472,11 @@ pub fn compile(
         BTreeSet::new()
     };
     let mut l = Lower {
-        schema,
-        dialect,
+        walk: ShapeWalk {
+            schema,
+            dialect,
+            budget: Budget::default(),
+        },
         termination,
         dead,
         opts: opts.clone(),
@@ -768,10 +484,12 @@ pub fn compile(
         loops: Vec::new(),
         pool: RegPool::new(nvars),
         pending: 0,
-        vars: vec![VarState::unset(); nvars],
+        vars: vec![Shape::UNSET; nvars],
         unrolled: 0,
     };
-    l.lower_prog(p, &mut Vec::new())?;
+    let lowered = l.lower_prog(p, &mut Vec::new());
+    l.walk.budget.record();
+    lowered?;
     let ticks = l.take_pending();
     l.code.push(Inst::Halt { ticks });
     recdb_obs::count("vm.compiles", 1);

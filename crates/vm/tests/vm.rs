@@ -217,10 +217,7 @@ fn dead_store_elision_is_verified_and_invisible() {
         st.schema(),
         Dialect::Ql,
         &full.termination,
-        &LowerOpts {
-            dse: false,
-            ..LowerOpts::default()
-        },
+        &LowerOpts { dse: false },
     )
     .unwrap();
     assert!(on.code.len() < off.code.len(), "DSE must drop instructions");

@@ -247,13 +247,14 @@ fn main() {
             .collect()],
     );
     let x = Val::new(2, st.relation(0).iter().cloned());
+    let tiny_rows = x.len();
     let mut fin = FinInterp::new(&st);
     let swapped = fin.swap(&x, &mut Fuel::new(0)).expect("tick-free");
     let mut op = |bench: &str, f: &mut dyn FnMut(&mut FinInterp) -> Val| {
         points.push(Point {
             group: "E7/ops_tiny",
             bench: bench.into(),
-            size: x.len(),
+            size: tiny_rows,
             median_ns: median_ns(21, || (0..TINY_BATCH).map(|_| f(&mut fin).len()).sum())
                 / TINY_BATCH as u128,
         });
@@ -487,9 +488,9 @@ fn main() {
     }
     let line: Vec<String> = ["and", "up", "down", "swap"]
         .iter()
-        .map(|op| format!("{op} {} ns", ns("E7/ops_tiny", op, 8)))
+        .map(|op| format!("{op} {} ns", ns("E7/ops_tiny", op, tiny_rows)))
         .collect();
-    eprintln!("ops_tiny 8 rows: {}", line.join(", "));
+    eprintln!("ops_tiny {tiny_rows} rows: {}", line.join(", "));
     for size in [64usize, 256, 1024] {
         let (v, a) = (ns("E7/vm", "vm", size), ns("E7/vm", "ast", size));
         if v > 0 {
