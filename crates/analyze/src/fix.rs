@@ -17,9 +17,8 @@
 //! the driver for them with a pointwise [`Lattice`] join, widening
 //! the body-written variables to ⊤.
 
-use recdb_qlhs::{Prog, VarId};
+use recdb_qlhs::Prog;
 use std::cell::Cell;
-use std::collections::BTreeSet;
 
 /// Most body statements the loop-head rounds of one analysis or
 /// compile call may walk — the unit of cost's `VISIT_CAP`: each round
@@ -98,7 +97,7 @@ pub fn var_head<T: Lattice>(
     round: impl FnMut(&Vec<T>) -> Vec<T>,
 ) -> Vec<T> {
     let widen = |mut head: Vec<T>| {
-        for v in written(body) {
+        for v in body.written() {
             if let Some(x) = head.get_mut(v) {
                 *x = top.clone();
             }
@@ -126,19 +125,11 @@ fn assignments(p: &Prog) -> u64 {
     }
 }
 
-/// The variables `p` assigns, nested loop bodies included.
-fn written(p: &Prog) -> BTreeSet<VarId> {
-    match p {
-        Prog::Assign(v, _) => BTreeSet::from([*v]),
-        Prog::Seq(ps) => ps.iter().flat_map(written).collect(),
-        Prog::WhileEmpty(_, b) | Prog::WhileSingleton(_, b) | Prog::WhileFinite(_, b) => written(b),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recdb_qlhs::parse_program;
+    use recdb_qlhs::{parse_program, VarId};
+    use std::collections::BTreeSet;
 
     /// Liveness-shaped toy domain: the set of variables reached.
     fn reach(src: &str, budget: &Budget) -> BTreeSet<VarId> {
@@ -150,7 +141,7 @@ mod tests {
             |h, r| h.union(&r).copied().collect(),
             // Each round reaches one variable past the largest so far.
             |h| h.iter().map(|v| (v + 1).min(5)).collect(),
-            |_| written(&body),
+            |_| body.written(),
         )
     }
 
@@ -175,7 +166,7 @@ mod tests {
     #[test]
     fn written_covers_nested_bodies() {
         let p = parse_program("Y2 := E; while empty(Y1) { Y3 := Y4; }").unwrap();
-        assert_eq!(written(&p), BTreeSet::from([1, 2]));
+        assert_eq!(p.written(), BTreeSet::from([1, 2]));
         assert_eq!(assignments(&p), 2);
     }
 }

@@ -5,19 +5,19 @@
 //! * **VM-DIFF** — ≥1000 seeded programs across the three backends
 //!   (finitary QL, QLhs over a discrete hs-wrapping, QLf+ over fcf
 //!   slices). Every program the compiler lowers must be accepted by
-//!   the independent verifier, and the VM run must agree with the
-//!   tree-walker *exactly* — completed values, runtime errors, and
-//!   fuel exhaustion alike — at several fuel budgets including 0.
-//!   The serve scheduling envelope is replayed too: `exec_scheduled`
-//!   versus the tree-walking `run_scheduled`, both under the budget
-//!   schedule, must agree on the end event (the server's
-//!   200/408/422/500 decision), the iteration count, the preemption
-//!   response, and — for programs with no elided stores — the
-//!   observed work and the work-cap verdict. The VM legs run through
-//!   `exec_with` under a recording wrapper of the same schedules
-//!   `exec_plain`/`exec_scheduled` use, so the row also counts the runs
-//!   in which the VM really fast-forwarded a cycling loop, and demands
-//!   enough of them.
+//!   the independent verifier. The reference is the tree walker with
+//!   every loop fast-forward declined, so it runs every iteration;
+//!   the VM and the fast-forwarding walker must agree with it
+//!   *exactly* — completed values, runtime errors, and fuel exhaustion
+//!   alike — at several fuel budgets including 0. The serve scheduling
+//!   envelope is replayed too, under the budget schedule: the end
+//!   event (the server's 200/408/422/500 decision), the iteration
+//!   count, the preemption response, and the observed work and the
+//!   work-cap verdict (for the VM, on programs with no elided stores).
+//!   Both executors run under a recording wrapper of the schedules
+//!   `run`/`run_scheduled`/`exec_plain`/`exec_scheduled` use, so the
+//!   row also counts, per executor, the runs that really
+//!   fast-forwarded a cycling loop, and demands enough of them.
 //! * **VM-VERIFY** — seeded single-instruction corruptions of
 //!   verifier-accepted bytecode: every register bump, tick skew,
 //!   opcode swap, relation-index change, guard/loop retarget, and
@@ -33,9 +33,11 @@ use crate::ledger::{CheckCtx, CheckDef};
 use recdb_analyze::analyze_full;
 use recdb_core::{FiniteStructure, Fuel, Schema};
 use recdb_hsdb::FcfDatabase;
-use recdb_qlhs::exec::{run_scheduled, Backend, Budget, Budgeted, ExecEnd, FuelOnly, GuardEval};
+use recdb_qlhs::exec::{
+    run_with, Backend, Budget, Budgeted, ExecEnd, FuelOnly, GuardEval, RecordSkips,
+};
 use recdb_qlhs::{Dialect, FcfInterp, FinInterp, HsInterp, LoopKind, Prog};
-use recdb_vm::{compile, exec_plain, exec_with, verify, Inst, LowerOpts, RecordSkips, VmProg};
+use recdb_vm::{compile, exec_plain, exec_with, verify, Inst, LowerOpts, VmProg};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 
@@ -136,107 +138,125 @@ struct DiffTally {
     fuel_eq: usize,
     /// VM runs, plain and scheduled, that skipped at least one period.
     fast_forwarded: usize,
+    /// Tree-walker runs, plain and scheduled, that did.
+    walker_fast_forwarded: usize,
     /// Static obstructions by stable code — the tree-walk-fallback
     /// population (the server's 422s live here, and SERVE-DIFF proves
     /// that path byte-identical).
     obstructed: BTreeMap<&'static str, usize>,
+    /// Scheduled runs by end event.
+    sched: BTreeMap<&'static str, usize>,
 }
 
-/// Plain-mode differential on one backend instance: the tree-walker
-/// (semi-naive off — the VM recomputes from scratch) versus
-/// `exec_plain`, at each fuel level.
-macro_rules! plain_diff {
-    ($interp:ident, $backing:expr, $p:expr, $vm:expr, $fuels:expr, $tally:expr, $round:expr) => {{
-        for &fuel in $fuels {
-            let mut tree = $interp::new($backing);
-            tree.set_seminaive(false);
-            let want = tree.run($p, &mut Fuel::new(fuel));
-            let mut vm_b = $interp::new($backing);
-            let mut s = RecordSkips::new(FuelOnly { seminaive: false });
-            let got = exec_with(&mut vm_b, $vm, &mut Fuel::new(fuel), &mut s);
-            $tally.fast_forwarded += usize::from(!s.granted.is_empty());
-            if got != want {
-                return Err(format!(
-                    "round {}: plain VM run diverged at fuel {fuel}:\n  tree: {want:?}\n  vm:   {got:?}\n{}\n{}",
-                    $round, $p, $vm
-                ));
-            }
-            match &want {
-                Ok(_) => $tally.done_eq += 1,
-                Err(recdb_qlhs::RunError::Fuel(_)) => $tally.fuel_eq += 1,
-                Err(_) => $tally.err_eq += 1,
-            }
-        }
-    }};
-}
-
-/// Scheduled-mode differential on one backend instance, under a
-/// serve-shaped budget (and optionally with the preemption flag up).
-/// Returns the end's tag and whether the VM fast-forwarded.
-#[allow(clippy::too_many_arguments)]
-fn sched_diff<B>(
-    mk: &mut dyn FnMut() -> B,
+/// One round's program, its verified bytecode, and the budgets it runs
+/// under.
+struct Round<'a> {
+    n: usize,
     dialect: Dialect,
-    p: &Prog,
-    vm: &VmProg,
+    p: &'a Prog,
+    vm: &'a VmProg,
     elided: usize,
-    fuel: u64,
-    work_cap: Option<u64>,
-    preempt_flag: bool,
-    round: usize,
-) -> Result<(&'static str, bool), String>
+    /// Plain-mode fuel levels.
+    fuels: [u64; 3],
+    /// Budget-schedule (fuel, work cap) pairs.
+    sched: [(u64, Option<u64>); 2],
+    preempt: bool,
+}
+
+/// Both executors, each fast-forwarding, against the reference: the
+/// tree walker under the same schedule with every fast-forward
+/// declined, so it runs every iteration. Plain mode (semi-naive off —
+/// the VM recomputes from scratch) compares the result and, for the
+/// walker, the fuel left; the serve-shaped budget schedule compares the
+/// end event, the iterations and the work.
+fn diff_round<B>(mk: &dyn Fn() -> B, r: &Round<'_>, tally: &mut DiffTally) -> Result<(), String>
 where
     B: GuardEval + Backend<V = <B as GuardEval>::V>,
     <B as GuardEval>::V: PartialEq + std::fmt::Debug,
 {
+    let (p, vm, round) = (r.p, r.vm, r.n);
+    let plain = || FuelOnly { seminaive: false };
+    for &fuel in &r.fuels {
+        let mut ref_fuel = Fuel::new(fuel);
+        let mut reference = RecordSkips::declining(plain());
+        let want = run_with(&mut mk(), r.dialect, p, &mut ref_fuel, &mut reference);
+        let (mut walk_fuel, mut walk) = (Fuel::new(fuel), RecordSkips::new(plain()));
+        let walked = run_with(&mut mk(), r.dialect, p, &mut walk_fuel, &mut walk);
+        let mut s = RecordSkips::new(plain());
+        let got = exec_with(&mut mk(), vm, &mut Fuel::new(fuel), &mut s);
+        tally.fast_forwarded += usize::from(!s.granted.is_empty());
+        tally.walker_fast_forwarded += usize::from(!walk.granted.is_empty());
+        if got != want || walked != want || walk_fuel != ref_fuel {
+            return Err(format!(
+                "round {round}: plain run diverged at fuel {fuel}:\n  reference: {want:?}\n  \
+                 walker:    {walked:?} ({} fuel left, reference {})\n  vm:        {got:?}\n{p}\n{vm}",
+                walk_fuel.remaining(),
+                ref_fuel.remaining()
+            ));
+        }
+        match &want {
+            Ok(_) => tally.done_eq += 1,
+            Err(recdb_qlhs::RunError::Fuel(_)) => tally.fuel_eq += 1,
+            Err(_) => tally.err_eq += 1,
+        }
+    }
     let no_bounds = BTreeMap::new();
-    // Elided dead stores legitimately lower the VM's observed work;
-    // only meter work when the two executors count the same stores.
-    let cap = if elided == 0 { work_cap } else { None };
-    let budget = Budget {
-        bounds: &no_bounds,
-        total_cap: u64::MAX,
-        fuel,
-        work_cap: cap,
-    };
-    let preempt = AtomicBool::new(preempt_flag);
-    let mut tree_b = mk();
-    let tree = run_scheduled(&mut tree_b, dialect, p, &budget, &preempt);
-    let mut s = RecordSkips::new(Budgeted::new(&budget, &preempt));
-    let r = exec_with(&mut mk(), vm, &mut Fuel::new(fuel), &mut s);
-    let skipped = !s.granted.is_empty();
-    let got = s.inner.finish(r);
-    // The end event is the server's status-code decision: Done→200,
-    // OutOfFuel/Preempted→408, Errored→422, *Exceeded→500.
-    if tree.end != got.end {
-        return Err(format!(
-            "round {round}: scheduled end diverged at fuel {fuel} (work_cap {cap:?}, preempt {preempt_flag}):\n  tree: {:?}\n  vm:   {:?}\n{p}\n{vm}",
-            tree.end, got.end
-        ));
+    for &(fuel, work_cap) in &r.sched {
+        // Elided dead stores legitimately lower the VM's observed work;
+        // only meter work when both executors count the same stores.
+        let cap = if r.elided == 0 { work_cap } else { None };
+        let budget = Budget {
+            bounds: &no_bounds,
+            total_cap: u64::MAX,
+            fuel,
+            work_cap: cap,
+        };
+        let preempt = AtomicBool::new(r.preempt);
+        let budgeted = || Budgeted::new(&budget, &preempt);
+        let mut reference = RecordSkips::declining(budgeted());
+        let out = run_with(
+            &mut mk(),
+            r.dialect,
+            p,
+            &mut Fuel::new(fuel),
+            &mut reference,
+        );
+        let want = reference.inner.finish(out);
+        let mut walk = RecordSkips::new(budgeted());
+        let out = run_with(&mut mk(), r.dialect, p, &mut Fuel::new(fuel), &mut walk);
+        tally.walker_fast_forwarded += usize::from(!walk.granted.is_empty());
+        let walked = walk.inner.finish(out);
+        let mut s = RecordSkips::new(budgeted());
+        let out = exec_with(&mut mk(), vm, &mut Fuel::new(fuel), &mut s);
+        tally.fast_forwarded += usize::from(!s.granted.is_empty());
+        let got = s.inner.finish(out);
+        // The end event is the server's status-code decision:
+        // Done→200, OutOfFuel/Preempted→408, Errored→422, *Exceeded→500.
+        for (who, run, counts_work) in [("walker", &walked, true), ("vm", &got, r.elided == 0)] {
+            if run.end != want.end
+                || run.iterations != want.iterations
+                || (counts_work && run.work != want.work)
+            {
+                return Err(format!(
+                    "round {round}: scheduled {who} run diverged at fuel {fuel} \
+                     (work_cap {cap:?}, preempt {}):\n  reference: {want:?}\n  {who}: {run:?}\n{p}\n{vm}",
+                    r.preempt
+                ));
+            }
+        }
+        *tally.sched.entry(end_tag(&want.end)).or_default() += 1;
     }
-    if tree.iterations != got.iterations {
-        return Err(format!(
-            "round {round}: iteration counts diverged at fuel {fuel}: tree {} vs vm {}\n{p}\n{vm}",
-            tree.iterations, got.iterations
-        ));
-    }
-    if elided == 0 && tree.work != got.work {
-        return Err(format!(
-            "round {round}: work counts diverged at fuel {fuel}: tree {} vs vm {}\n{p}\n{vm}",
-            tree.work, got.work
-        ));
-    }
-    Ok((end_tag(&tree.end), skipped))
+    Ok(())
 }
 
 /// VM-DIFF: see the module docs.
 fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
     const PER_BACKEND: usize = 350;
-    // Runs with a granted fast-forward (50 at the CI seed): without
-    // them the row would compare no skipped period at all.
+    // Runs with a granted fast-forward, per executor (50 on the VM
+    // and 51 on the walker at the CI seed): without them the row would
+    // compare no skipped period at all.
     const FAST_FORWARDED: usize = 25;
     let mut tally = DiffTally::default();
-    let mut sched: BTreeMap<&'static str, usize> = BTreeMap::new();
     for which in 0..3 {
         for round in 0..PER_BACKEND {
             let case = match which {
@@ -278,66 +298,26 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
                 }
             };
             tally.vm_executed += 1;
-            let fuels = [0, 5 + ctx.rng().gen_range(0, 40), 60_000];
-            let sched_fuel = 20 + ctx.rng().gen_range(0, 60);
-            let work_cap = Some(1 + ctx.rng().gen_range(0, 8));
-            let preempt = round % 5 == 0;
+            let r = Round {
+                n: round,
+                dialect,
+                p: &p,
+                vm: &vm,
+                elided,
+                fuels: [0, 5 + ctx.rng().gen_range(0, 40), 60_000],
+                sched: [
+                    (20 + ctx.rng().gen_range(0, 60), None),
+                    (60_000, Some(1 + ctx.rng().gen_range(0, 8))),
+                ],
+                preempt: round % 5 == 0,
+            };
             match &case {
-                VmCase::Fin(st) => {
-                    plain_diff!(FinInterp, st, &p, &vm, &fuels, tally, round);
-                    for (fuel, cap) in [(sched_fuel, None), (60_000, work_cap)] {
-                        let (tag, skipped) = sched_diff(
-                            &mut || FinInterp::new(st),
-                            dialect,
-                            &p,
-                            &vm,
-                            elided,
-                            fuel,
-                            cap,
-                            preempt,
-                            round,
-                        )?;
-                        *sched.entry(tag).or_default() += 1;
-                        tally.fast_forwarded += usize::from(skipped);
-                    }
-                }
+                VmCase::Fin(st) => diff_round(&|| FinInterp::new(st), &r, &mut tally)?,
                 VmCase::Hs(st) => {
                     let hs = discrete_hs(st);
-                    plain_diff!(HsInterp, &hs, &p, &vm, &fuels, tally, round);
-                    for (fuel, cap) in [(sched_fuel, None), (60_000, work_cap)] {
-                        let (tag, skipped) = sched_diff(
-                            &mut || HsInterp::new(&hs),
-                            dialect,
-                            &p,
-                            &vm,
-                            elided,
-                            fuel,
-                            cap,
-                            preempt,
-                            round,
-                        )?;
-                        *sched.entry(tag).or_default() += 1;
-                        tally.fast_forwarded += usize::from(skipped);
-                    }
+                    diff_round(&|| HsInterp::new(&hs), &r, &mut tally)?
                 }
-                VmCase::Fcf(db) => {
-                    plain_diff!(FcfInterp, db, &p, &vm, &fuels, tally, round);
-                    for (fuel, cap) in [(sched_fuel, None), (60_000, work_cap)] {
-                        let (tag, skipped) = sched_diff(
-                            &mut || FcfInterp::new(db),
-                            dialect,
-                            &p,
-                            &vm,
-                            elided,
-                            fuel,
-                            cap,
-                            preempt,
-                            round,
-                        )?;
-                        *sched.entry(tag).or_default() += 1;
-                        tally.fast_forwarded += usize::from(skipped);
-                    }
-                }
+                VmCase::Fcf(db) => diff_round(&|| FcfInterp::new(db), &r, &mut tally)?,
             }
         }
     }
@@ -347,7 +327,7 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
     // static obstruction), so the error/422 leg is covered by the
     // obstructed population instead: it must be non-trivial, and the
     // `error`-coded slice of it (definite runtime errors) present.
-    let sched_tag = |tag: &str| sched.get(tag).copied().unwrap_or(0);
+    let sched_tag = |tag: &str| tally.sched.get(tag).copied().unwrap_or(0);
     let obstructed_err = tally.obstructed.get("error").copied().unwrap_or(0);
     if tally.programs < 1000
         || tally.vm_executed < 150
@@ -360,18 +340,20 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
         || sched_tag("preempted") < 10
         || sched_tag("work-exceeded") < 10
         || tally.fast_forwarded < FAST_FORWARDED
+        || tally.walker_fast_forwarded < FAST_FORWARDED
     {
         return Err(format!(
             "differential lost its teeth: programs {}, vm-executed {}, done {}, \
-             errors {}, fuel {}, fast-forwarded {}, obstructed {:?}, scheduled {:?}",
+             errors {}, fuel {}, fast-forwarded {} (walker {}), obstructed {:?}, scheduled {:?}",
             tally.programs,
             tally.vm_executed,
             tally.done_eq,
             tally.err_eq,
             tally.fuel_eq,
             tally.fast_forwarded,
+            tally.walker_fast_forwarded,
             tally.obstructed,
-            sched
+            tally.sched
         ));
     }
     Ok(())

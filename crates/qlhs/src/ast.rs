@@ -219,6 +219,18 @@ impl Prog {
         }
     }
 
+    /// The variables the program assigns, nested loop bodies included:
+    /// of a loop body, the only ones the loop can change.
+    pub fn written(&self) -> std::collections::BTreeSet<VarId> {
+        match self {
+            Prog::Assign(v, _) => [*v].into(),
+            Prog::Seq(ps) => ps.iter().flat_map(Prog::written).collect(),
+            Prog::WhileEmpty(_, p) | Prog::WhileSingleton(_, p) | Prog::WhileFinite(_, p) => {
+                p.written()
+            }
+        }
+    }
+
     /// Every constant symbol mentioned anywhere in the program — the
     /// syntactic upper bound on the set `C` the program's output may
     /// depend on (C-genericity, [CH] §2.5).

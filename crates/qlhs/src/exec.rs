@@ -15,15 +15,20 @@
 //!   statement and per loop iteration; guards are fuel-free. A
 //!   [`Schedule`] sees each assignment, loop iteration and loop exit,
 //!   and may stop the run at the first two.
+//! * [`LoopWatch`] — loop fast-forward (DESIGN.md §6): at each loop
+//!   head, the one detector of a repeated state, which lets the
+//!   schedule charge whole periods at once. `exec_stmt` and the VM's
+//!   dispatch loop both call it.
 //!
 //! The schedules: [`FuelOnly`] (the interpreters' `run`/`exec`, the
 //! only one that tries [`crate::seminaive::try_loop`]), [`Budgeted`]
 //! (the server's [`Budget`]: proved loop bounds, iteration and work
 //! caps, preemption at loop heads), and
 //! [`crate::iter_count::Counting`] (the `TERMINATE-BOUND` and
-//! `COST-SOUND` replays). The first two grant the VM's loop
-//! fast-forward ([`Schedule::fast_forward`]); `Counting` keeps the
-//! default, so its replays run every iteration.
+//! `COST-SOUND` replays). The first two grant fast-forwards
+//! ([`Schedule::fast_forward`]); `Counting` keeps the default, so its
+//! replays run every iteration, and [`RecordSkips::declining`] turns
+//! any schedule into one that does.
 
 use crate::ast::{LoopKind, NodePath, Prog, Term};
 use crate::dialect::Dialect;
@@ -40,7 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub trait Backend {
     /// The value type the backend computes with. Equality is on the
     /// representation: equal values behave identically under every op
-    /// (the VM's loop fast-forward relies on exactly that).
+    /// (loop fast-forward relies on exactly that).
     type V: Clone + PartialEq;
     /// The value an unassigned variable holds.
     fn unset(&self) -> Self::V;
@@ -73,8 +78,9 @@ pub trait Backend {
 
 /// One backend's value operations, as the statement layer needs them.
 pub trait GuardEval {
-    /// The value type the backend computes with.
-    type V: DeltaValue;
+    /// The value type the backend computes with (equality as in
+    /// [`Backend::V`]).
+    type V: DeltaValue + PartialEq;
     /// Term evaluation — [`eval_term`] over the backend's ops.
     fn eval(&mut self, t: &Term, env: &[Self::V], fuel: &mut Fuel) -> Result<Self::V, RunError>;
     /// The value an unassigned variable holds.
@@ -238,6 +244,146 @@ fn charge(k: u64, period: &Period, fuel: &mut Fuel) -> u64 {
     let paid = fuel.consume(k * period.fuel);
     debug_assert!(paid.is_ok(), "fast-forward overdrew its fuel");
     k
+}
+
+/// The run-wide counters a [`Period`] is measured in: the
+/// [`Schedule::iteration`] events and the [`Schedule::assigned`] sizes
+/// so far.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Tally {
+    /// Iteration events, nested loops' included.
+    pub iterations: u64,
+    /// Tuples materialized.
+    pub work: u64,
+}
+
+/// Loop fast-forward at the head of one loop entry (DESIGN.md §6):
+/// Brent's cycle detection over the slots the loop body writes — the
+/// rest of the state is constant while the loop runs — snapshotted at
+/// iterations 1, 2, 4, 8, … of the entry.
+pub struct LoopWatch<V> {
+    slots: Vec<usize>,
+    seen: Vec<Option<V>>,
+    /// The loop's iteration number, the tally and the fuel left where
+    /// the state last equalled `seen`.
+    at: Option<(u64, Tally, u64)>,
+}
+
+impl<V: Clone + PartialEq> LoopWatch<V> {
+    /// A watch over the body-written `slots`, for a fresh loop entry.
+    pub fn new(slots: impl IntoIterator<Item = usize>) -> Self {
+        let mut slots: Vec<usize> = slots.into_iter().collect();
+        slots.sort_unstable();
+        slots.dedup();
+        LoopWatch {
+            slots,
+            seen: Vec::new(),
+            at: None,
+        }
+    }
+
+    /// The loop at `path` passed its `here`-th iteration event, and its
+    /// fuel tick is next. When the watched slots of `state` (a missing
+    /// slot reads as unassigned) repeat the snapshot, execution from
+    /// here replays the last period exactly, so `s` may skip whole
+    /// periods: `here`, `tally` and `fuel` advance by the ones it
+    /// grants. Otherwise the snapshot is re-taken at a power of two.
+    pub fn head<S: Schedule>(
+        &mut self,
+        s: &mut S,
+        path: &[u32],
+        state: &[V],
+        here: &mut u64,
+        tally: &mut Tally,
+        fuel: &mut Fuel,
+    ) {
+        let same = |seen: &[Option<V>]| {
+            (self.slots.iter().zip(seen)).all(|(&i, v)| state.get(i) == v.as_ref())
+        };
+        match self.at {
+            Some((h, t, f)) if same(&self.seen) => {
+                let period = Period {
+                    here: *here - h,
+                    iterations: tally.iterations - t.iterations,
+                    work: tally.work - t.work,
+                    fuel: f - fuel.remaining(),
+                };
+                let k = s.fast_forward(path, *here, &period, fuel);
+                if k > 0 {
+                    *here += k * period.here;
+                    tally.iterations += k * period.iterations;
+                    tally.work = tally.work.saturating_add(k.saturating_mul(period.work));
+                    recdb_obs::count("exec.loop.fast_forwards", 1);
+                    recdb_obs::observe("exec.loop.skipped_iterations", k * period.iterations);
+                }
+            }
+            _ if here.is_power_of_two() => {
+                self.seen.clear();
+                self.seen
+                    .extend(self.slots.iter().map(|&i| state.get(i).cloned()));
+            }
+            _ => return,
+        }
+        self.at = Some((*here, *tally, fuel.remaining()));
+    }
+}
+
+/// A schedule that passes every hook through to `inner` and records
+/// the fast-forwards `inner` grants — the way to tell that a run really
+/// skipped periods, which its outcome never shows — or, built
+/// [`declining`](RecordSkips::declining), grants none: the reference
+/// run that executes every iteration.
+pub struct RecordSkips<S> {
+    /// The schedule that decides.
+    pub inner: S,
+    /// The period of each granted fast-forward.
+    pub granted: Vec<Period>,
+    decline: bool,
+}
+
+impl<S> RecordSkips<S> {
+    /// Records the fast-forwards `inner` grants.
+    pub fn new(inner: S) -> Self {
+        RecordSkips {
+            inner,
+            granted: Vec::new(),
+            decline: false,
+        }
+    }
+
+    /// `inner` with every fast-forward declined.
+    pub fn declining(inner: S) -> Self {
+        RecordSkips {
+            decline: true,
+            ..RecordSkips::new(inner)
+        }
+    }
+}
+
+impl<S: Schedule> Schedule for RecordSkips<S> {
+    type Stop = S::Stop;
+    fn seminaive(&self) -> bool {
+        self.inner.seminaive()
+    }
+    fn assigned(&mut self, path: &[u32], size: u64) -> Result<(), S::Stop> {
+        self.inner.assigned(path, size)
+    }
+    fn iteration(&mut self, path: &[u32], here: u64) -> Result<(), S::Stop> {
+        self.inner.iteration(path, here)
+    }
+    fn loop_exit(&mut self, path: &[u32], here: u64) {
+        self.inner.loop_exit(path, here)
+    }
+    fn fast_forward(&mut self, path: &[u32], here: u64, period: &Period, fuel: &mut Fuel) -> u64 {
+        if self.decline {
+            return 0;
+        }
+        let k = self.inner.fast_forward(path, here, period, fuel);
+        if k > 0 {
+            self.granted.push(*period);
+        }
+        k
+    }
 }
 
 /// Why a [`Budgeted`] or counting run stopped before completing.
@@ -461,20 +607,24 @@ fn guard<B: GuardEval>(kind: LoopKind, v: Option<&B::V>) -> Result<bool, RunErro
 }
 
 /// Executes `p` against `b` in `env` under schedule `s` — the one
-/// statement executor. `path` is `p`'s tree path.
-pub(crate) fn exec_stmt<B: GuardEval, S: Schedule>(
+/// statement executor. `path` is `p`'s tree path; `tally` counts the
+/// run's iteration events and work for loop fast-forward.
+fn exec_stmt<B: GuardEval, S: Schedule>(
     b: &mut B,
     p: &Prog,
     env: &mut Vec<B::V>,
     fuel: &mut Fuel,
     path: &mut NodePath,
+    tally: &mut Tally,
     s: &mut S,
 ) -> Result<(), S::Stop> {
     fuel.tick().map_err(RunError::from)?;
     match p {
         Prog::Assign(v, t) => {
             let val = b.eval(t, env, fuel)?;
-            s.assigned(path, B::size(&val))?;
+            let size = B::size(&val);
+            tally.work = tally.work.saturating_add(size);
+            s.assigned(path, size)?;
             if *v >= env.len() {
                 env.resize(*v + 1, B::unset());
             }
@@ -483,7 +633,7 @@ pub(crate) fn exec_stmt<B: GuardEval, S: Schedule>(
         Prog::Seq(ps) => {
             for (i, q) in ps.iter().enumerate() {
                 path.push(i as u32);
-                let r = exec_stmt(b, q, env, fuel, path, s);
+                let r = exec_stmt(b, q, env, fuel, path, tally, s);
                 path.pop();
                 r?;
             }
@@ -505,13 +655,18 @@ pub(crate) fn exec_stmt<B: GuardEval, S: Schedule>(
             // The closure scopes the early exits, so `loop_exit` sees
             // every way out of the loop.
             let mut here = 0u64;
+            let mut watch = None;
             let r = (|| -> Result<(), S::Stop> {
                 while guard::<B>(kind, env.get(*v))? {
                     here += 1;
+                    tally.iterations += 1;
                     s.iteration(path, here)?;
+                    watch
+                        .get_or_insert_with(|| LoopWatch::new(body.written()))
+                        .head(s, path, env, &mut here, tally, fuel);
                     fuel.tick().map_err(RunError::from)?;
                     path.push(0);
-                    let r = exec_stmt(b, body, env, fuel, path, s);
+                    let r = exec_stmt(b, body, env, fuel, path, tally, s);
                     path.pop();
                     r?;
                 }
@@ -526,7 +681,7 @@ pub(crate) fn exec_stmt<B: GuardEval, S: Schedule>(
 
 /// Checks `p` against `dialect`, then runs it under `s` from a fresh
 /// environment; the result is `Y1`.
-pub(crate) fn run_with<B: GuardEval, S: Schedule>(
+pub fn run_with<B: GuardEval, S: Schedule>(
     b: &mut B,
     dialect: Dialect,
     p: &Prog,
@@ -537,7 +692,15 @@ pub(crate) fn run_with<B: GuardEval, S: Schedule>(
         .check(p)
         .map_err(|v| RunError::DialectViolation(v.message()))?;
     let mut env = vec![B::unset(); p.max_var().map_or(1, |m| m + 1)];
-    exec_stmt(b, p, &mut env, fuel, &mut Vec::new(), s)?;
+    exec_stmt(
+        b,
+        p,
+        &mut env,
+        fuel,
+        &mut Vec::new(),
+        &mut Tally::default(),
+        s,
+    )?;
     Ok(env.into_iter().next().unwrap_or_else(B::unset))
 }
 
@@ -553,7 +716,15 @@ pub fn exec<B: GuardEval>(
     seminaive: bool,
 ) -> Result<(), RunError> {
     let mut s = FuelOnly { seminaive };
-    exec_stmt(b, p, env, fuel, &mut Vec::new(), &mut s)
+    exec_stmt(
+        b,
+        p,
+        env,
+        fuel,
+        &mut Vec::new(),
+        &mut Tally::default(),
+        &mut s,
+    )
 }
 
 /// Runs `p` under `budget`, with term semantics from `b`. The dialect

@@ -52,7 +52,7 @@ pub use optimize::{
 };
 pub use parser::{
     parse_program, parse_program_with_spans, ProgParseError, Span, SpanTable, DEPTH_CODE,
-    MAX_DEPTH, MAX_LOOP_DEPTH, PARSE_CODE,
+    MAX_DEPTH, MAX_LOOP_DEPTH, MAX_VAR, PARSE_CODE,
 };
 pub use permute::Permutation;
 pub use seminaive::{classify_loop, IneligibleLoop, LoopPlan};

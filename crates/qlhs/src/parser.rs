@@ -32,6 +32,9 @@
 //! the stack is at risk. A program nesting deeper is a
 //! [`ProgParseError`] with code [`DEPTH_CODE`], located at the first
 //! `while` past the limit.
+//!
+//! Variable indices are bounded by [`MAX_VAR`]: `Y<k>` past it is a
+//! [`ProgParseError`] with code [`PARSE_CODE`] at the variable.
 
 use crate::ast::{NodePath, Prog, Term};
 use std::collections::BTreeMap;
@@ -117,6 +120,14 @@ pub const MAX_DEPTH: usize = 1024;
 /// most two loops.
 pub const MAX_LOOP_DEPTH: usize = 8;
 
+/// The largest variable index `k` a program may name as `Y<k>`. Every
+/// analysis and executor keeps one slot per variable up to the largest
+/// index mentioned, so the cap is what keeps a short program from
+/// asking for an unbounded state vector. Hand-written programs and the
+/// conformance generator name a handful; RA lowering gives each view
+/// one.
+pub const MAX_VAR: usize = 1024;
+
 /// The diagnostic code of a syntax error.
 pub const PARSE_CODE: &str = "PARSE";
 
@@ -162,6 +173,22 @@ fn syntax(at: usize, msg: impl Into<String>) -> ProgParseError {
         at,
         msg: msg.into(),
         code: PARSE_CODE,
+    }
+}
+
+/// The 0-based id of the variable `id` = `Y<k>` read at byte `at`:
+/// `k` must lie in `1..=MAX_VAR`.
+fn var_index(at: usize, id: &str) -> Result<usize, ProgParseError> {
+    match id[1..].parse::<usize>() {
+        Ok(k @ 1..=MAX_VAR) => Ok(k - 1),
+        Ok(k) if k > MAX_VAR => Err(syntax(
+            at,
+            format!("variable {id} is past Y{MAX_VAR}, the last a program may name"),
+        )),
+        _ => Err(syntax(
+            at,
+            format!("bad variable {id:?} (expected Y1, Y2, …)"),
+        )),
     }
 }
 
@@ -239,11 +266,7 @@ impl<'a> P<'a> {
     fn var_id(&mut self) -> Result<usize, ProgParseError> {
         let at = self.pos;
         match self.ident() {
-            Some(id) if id.starts_with('Y') => id[1..]
-                .parse::<usize>()
-                .ok()
-                .and_then(|k| k.checked_sub(1))
-                .ok_or_else(|| syntax(at, format!("bad variable {id:?} (expected Y1, Y2, …)"))),
+            Some(id) if id.starts_with('Y') => var_index(at, &id),
             other => Err(syntax(at, format!("expected a variable, got {other:?}"))),
         }
     }
@@ -301,12 +324,7 @@ impl<'a> P<'a> {
                 .and_then(|k| k.checked_sub(1))
                 .map(Term::Rel)
                 .ok_or_else(|| syntax(at, format!("bad relation {s:?} (expected R1, R2, …)"))),
-            s if s.starts_with('Y') => s[1..]
-                .parse::<usize>()
-                .ok()
-                .and_then(|k| k.checked_sub(1))
-                .map(Term::Var)
-                .ok_or_else(|| syntax(at, format!("bad variable {s:?}"))),
+            s if s.starts_with('Y') => var_index(at, s).map(Term::Var),
             s if s.starts_with('C') => s[1..]
                 .parse::<u64>()
                 .ok()
@@ -588,6 +606,25 @@ mod tests {
         assert_eq!(e.code, DEPTH_CODE);
         // Located at the first `while` past the limit.
         assert_eq!(e.at, "while empty(Y1) { ".len() * MAX_LOOP_DEPTH);
+    }
+
+    #[test]
+    fn variable_indices_are_capped_at_max_var() {
+        let last = format!("Y{MAX_VAR} := Y{MAX_VAR};");
+        let p = parse_program(&last).unwrap();
+        assert_eq!(p.max_var(), Some(MAX_VAR - 1));
+        // Past the cap, as the assigned variable or in a term, and far
+        // past it: a parse error at the variable.
+        for (src, at) in [
+            (format!("Y{} := E;", MAX_VAR + 1), 0),
+            (format!("Y1 := E & Y{};", MAX_VAR + 1), 10),
+            ("Y1 := Y100000000000;".to_string(), 6),
+            ("while empty(Y100000000000) { }".to_string(), 12),
+        ] {
+            let e = parse_program(&src).unwrap_err();
+            assert_eq!((e.code, e.at), (PARSE_CODE, at), "{src}: {e}");
+            assert!(e.msg.contains("past Y1024"), "{src}: {e}");
+        }
     }
 
     #[test]

@@ -49,19 +49,31 @@ pub struct CompiledRa {
 /// Typechecks, validates, and lowers a program.
 ///
 /// # Errors
-/// Typing errors `RA01`–`RA04`, safety rejections `RA05`, and
+/// Typing errors `RA01`–`RA04`, safety rejections `RA05`, `RA06` at
+/// the first view that would be held past [`recdb_qlhs::MAX_VAR`], and
 /// [`recdb_qlhs::DEPTH_CODE`] for a view or query whose lowered term
 /// would nest deeper than [`recdb_qlhs::MAX_DEPTH`], so that every
 /// compiled program prints as QL the parser accepts.
 pub fn compile_program(p: &RaProgram, schema: &RaSchema) -> Result<CompiledRa, RaError> {
     let typed = typecheck(p, schema)?;
     crate::safety::validate(p, schema)?;
+    // Views live in Y2, Y3, …; Y1 is the query result.
+    if p.views.len() >= recdb_qlhs::MAX_VAR {
+        return Err(RaError::new(
+            "RA06",
+            vec![recdb_qlhs::MAX_VAR as u32 - 1],
+            format!(
+                "more than {} views: QL names at most Y{}",
+                recdb_qlhs::MAX_VAR - 1,
+                recdb_qlhs::MAX_VAR
+            ),
+        ));
+    }
     let mut view_attrs: BTreeMap<String, Vec<String>> = BTreeMap::new();
     let mut view_vars: BTreeMap<String, usize> = BTreeMap::new();
     let mut stmts = Vec::new();
     for (i, (name, body)) in p.views.iter().enumerate() {
         let term = lower(body, schema, &view_attrs, &view_vars, &[i as u32])?;
-        // Views live in Y2, Y3, …; Y1 is the query result.
         let var = i + 1;
         stmts.push(Prog::assign(var, term.term));
         let attrs = attrs_of(body, schema, &view_attrs, &[i as u32])?;
@@ -528,6 +540,24 @@ mod tests {
         assert_eq!(stmts.len(), 3);
         assert!(matches!(stmts[0], Prog::Assign(1, _)));
         assert!(matches!(stmts[2], Prog::Assign(0, _)));
+    }
+
+    #[test]
+    fn views_are_capped_at_the_last_ql_variable() {
+        let (schema, _) = setup();
+        let views = |n: usize| {
+            (0..n).fold(RaProgram::new(rel("R")), |p, i| {
+                p.with_view(format!("V{i}"), rel("R"))
+            })
+        };
+        let last = recdb_qlhs::MAX_VAR - 1;
+        let compiled = compile_program(&views(last), &schema).unwrap();
+        let printed = compiled.prog.to_string();
+        let reparsed = recdb_qlhs::parse_program(&printed).unwrap();
+        assert_eq!(reparsed.max_var(), Some(last));
+        let err = compile_program(&views(last + 1), &schema).unwrap_err();
+        assert_eq!(err.code, "RA06", "{err}");
+        assert_eq!(err.path, vec![last as u32]);
     }
 
     /// Runs `f` on a thread with a serve worker's stack: printing,

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! serve [--addr 127.0.0.1:7171] [--workers N] [--fuel-default N]
-//!       [--fuel-max N] [--no-cache] [--no-vm] [--verify-hits]
+//!       [--fuel-max N] [--no-cache] [--verify-hits]
 //! ```
 
 use recdb_serve::{ServeConfig, Server};
@@ -27,12 +27,11 @@ fn main() {
             "--fuel-default" => cfg.fuel_default = parse(&take("--fuel-default"), "--fuel-default"),
             "--fuel-max" => cfg.fuel_max = parse(&take("--fuel-max"), "--fuel-max"),
             "--no-cache" => cfg.cache = false,
-            "--no-vm" => cfg.vm = false,
             "--verify-hits" => cfg.verify_hits = true,
             "--help" | "-h" => {
                 println!(
                     "serve — analyzer-gated query service\n\
-                     options: --addr A --workers N --fuel-default N --fuel-max N --no-cache --no-vm --verify-hits"
+                     options: --addr A --workers N --fuel-default N --fuel-max N --no-cache --verify-hits"
                 );
                 return;
             }

@@ -20,9 +20,8 @@ use recdb_analyze::{analyze_formula, CostEnv, Diagnostic};
 use recdb_core::{Elem, QueryOutcome};
 use recdb_hsdb::HsDatabase;
 use recdb_logic::{finite_as_db, LMinusQuery};
-use recdb_qlhs::exec::{run_scheduled, Backend, Budget, ExecEnd, ExecResult, GuardEval};
+use recdb_qlhs::exec::{run_scheduled, Budget, ExecEnd, GuardEval};
 use recdb_qlhs::{Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Val};
-use recdb_vm::{compile, exec_scheduled, verify, LowerOpts, ObstructionKind, VmProg};
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -57,11 +56,6 @@ pub struct ServeConfig {
     /// Socket read timeout in milliseconds (bounds how long an idle
     /// keep-alive connection can pin a worker; `0` disables).
     pub read_timeout_ms: u64,
-    /// Execute verifier-accepted programs on the register VM
-    /// (`recdb-vm`). Any compile obstruction or verifier rejection
-    /// falls back to the tree-walkers with byte-identical behavior, so
-    /// this flag only trades speed, never answers.
-    pub vm: bool,
 }
 
 impl Default for ServeConfig {
@@ -76,7 +70,6 @@ impl Default for ServeConfig {
             cache: true,
             verify_hits: false,
             read_timeout_ms: 1_000,
-            vm: true,
         }
     }
 }
@@ -438,68 +431,15 @@ fn execute_query(req: &QueryRequest, shared: &Shared, ws: &mut WorkerState) -> (
 
     let work_cap = predicted_work(&adm, &req.db);
 
-    // Compile + verify for the register VM. The compiler is untrusted;
-    // only verifier-accepted bytecode runs, and any obstruction or
-    // rejection falls back to the tree-walkers (the `VM-DIFF` ledger
-    // check proves the two paths byte-identical, so the fallback is
-    // unobservable from outside).
-    let vm_prog = if shared.cfg.vm {
-        let _t = recdb_obs::span("serve.stage.vm.ns");
-        match compile(
-            &adm.prog,
-            &schema,
-            dialect,
-            &adm.analysis.termination,
-            &LowerOpts::default(),
-        ) {
-            Err(o) => {
-                recdb_obs::count("serve.vm.fallbacks.compile", 1);
-                match o.kind {
-                    ObstructionKind::Dialect => {
-                        recdb_obs::count("serve.vm.fallbacks.compile.dialect", 1)
-                    }
-                    ObstructionKind::Error => {
-                        recdb_obs::count("serve.vm.fallbacks.compile.error", 1)
-                    }
-                    ObstructionKind::Unprovable => {
-                        recdb_obs::count("serve.vm.fallbacks.compile.unprovable", 1)
-                    }
-                }
-                None
-            }
-            Ok(vm)
-                if verify(
-                    &vm,
-                    &adm.prog,
-                    &schema,
-                    dialect,
-                    &adm.analysis.termination,
-                    Some(&adm.analysis.cost.verdict),
-                )
-                .is_err() =>
-            {
-                recdb_obs::count("serve.vm.fallbacks.verify", 1);
-                None
-            }
-            Ok(vm) => Some(vm),
-        }
-    } else {
-        None
-    };
-    if shared.cfg.vm && vm_prog.is_none() {
-        recdb_obs::count("serve.vm.fallbacks", 1);
-    }
-    let vm_prog = vm_prog.as_ref();
-
     let _t = recdb_obs::span("serve.stage.execute.ns");
     match &req.db {
         DbSpec::Finite(st) => {
             let mut interp = FinInterp::new(st);
-            serve(&mut interp, dialect, &adm, vm_prog, shared, &mode, work_cap)
+            serve(&mut interp, dialect, &adm, shared, &mode, work_cap)
         }
         DbSpec::Family(_) | DbSpec::Cells(_) => match worker_hs_interp(ws, &req.db) {
             Some(descr) => match ws.hs.get_mut(&descr) {
-                Some(interp) => serve(interp, dialect, &adm, vm_prog, shared, &mode, work_cap),
+                Some(interp) => serve(interp, dialect, &adm, shared, &mode, work_cap),
                 None => internal("worker shard lookup failed"),
             },
             None => {
@@ -507,7 +447,7 @@ fn execute_query(req: &QueryRequest, shared: &Shared, ws: &mut WorkerState) -> (
                 match build_hs(&req.db) {
                     Some(hs) => {
                         let mut interp = HsInterp::new(&hs);
-                        serve(&mut interp, dialect, &adm, vm_prog, shared, &mode, work_cap)
+                        serve(&mut interp, dialect, &adm, shared, &mode, work_cap)
                     }
                     None => internal("family resolution failed after admission"),
                 }
@@ -515,7 +455,7 @@ fn execute_query(req: &QueryRequest, shared: &Shared, ws: &mut WorkerState) -> (
         },
         DbSpec::Fcf(db) => {
             let mut interp = FcfInterp::new(db);
-            serve(&mut interp, dialect, &adm, vm_prog, shared, &mode, work_cap)
+            serve(&mut interp, dialect, &adm, shared, &mode, work_cap)
         }
     }
 }
@@ -540,6 +480,7 @@ fn ra_rejection(
     d.push('}');
     let reason = match e.code {
         "RA05" => "ra-unsafe",
+        "RA06" => "ra-size",
         recdb_qlhs::DEPTH_CODE => "ra-depth",
         _ => "ra-type",
     };
@@ -712,29 +653,6 @@ fn predicted_work(adm: &Admission, db: &DbSpec) -> Option<u64> {
     Some(w)
 }
 
-/// Runs an admitted program: on the register VM when a
-/// verifier-accepted compilation is in hand, on the tree-walking
-/// statement executor otherwise. Both run under the same budget
-/// schedule, event for event (same guards, same fuel ticks, same
-/// scheduling ends), so callers never observe which one ran.
-fn run_admitted<B>(
-    b: &mut B,
-    dialect: Dialect,
-    adm: &Admission,
-    vm: Option<&VmProg>,
-    budget: &Budget<'_>,
-    preempt: &AtomicBool,
-) -> ExecResult<<B as GuardEval>::V>
-where
-    B: GuardEval + Backend<V = <B as GuardEval>::V>,
-{
-    let Some(prog) = vm else {
-        return run_scheduled(b, dialect, &adm.prog, budget, preempt);
-    };
-    recdb_obs::count("serve.vm.runs", 1);
-    exec_scheduled(b, prog, budget, preempt)
-}
-
 /// What serving needs from a backend's value type: its cache slot,
 /// its transport through a permutation `π`, and its JSON rendering.
 trait Served: Clone {
@@ -794,50 +712,56 @@ fn serve<V, B>(
     b: &mut B,
     dialect: Dialect,
     adm: &Admission,
-    vm: Option<&VmProg>,
     shared: &Shared,
     mode: &CacheMode<'_>,
     work_cap: Option<u64>,
 ) -> (u16, String)
 where
     V: Served,
-    B: GuardEval<V = V> + Backend<V = V>,
+    B: GuardEval<V = V>,
 {
-    if let CacheMode::Keyed { key, transport } = mode {
-        if let Some(entry) = shared.cache.get(key) {
-            if let Some(qk) = V::cached(&entry) {
-                recdb_obs::count("serve.cache.hits", 1);
-                let answer = match transport {
-                    Some(p) => qk.transport(p, false),
-                    None => qk.clone(),
-                };
-                let rendered = answer.render();
-                if shared.cfg.verify_hits {
-                    let budget = budget_for(&adm.plan, shared.cfg.fuel_max, work_cap);
-                    let fresh = run_admitted(b, dialect, adm, vm, &budget, &shared.preempt);
-                    match fresh.end {
-                        ExecEnd::Done(v) if v.render() == rendered => {
-                            recdb_obs::count("serve.cache.verified", 1);
-                        }
-                        _ => {
-                            recdb_obs::count("serve.soundness_violations", 1);
-                            shared.cache.evict(key);
-                            return (
-                                500,
-                                "{\"error\":\"cache hit failed differential verification\",\
-                                 \"status\":\"error\",\"violation\":\"cache-differential\"}"
-                                    .to_string(),
-                            );
-                        }
-                    }
-                }
-                return (200, ok_body("hit", 0, adm.plan.mode(), &rendered));
-            }
-        }
-        recdb_obs::count("serve.cache.misses", 1);
+    // A cache hit, in this slice's element names.
+    let hit = match mode {
+        CacheMode::Keyed { key, transport } => shared.cache.get(key).and_then(|entry| {
+            let qk = V::cached(&entry)?;
+            let answer = match transport {
+                Some(p) => qk.transport(p, false),
+                None => qk.clone(),
+            };
+            Some((key, answer.render()))
+        }),
+        _ => None,
+    };
+    match (&hit, mode) {
+        (Some(_), _) => recdb_obs::count("serve.cache.hits", 1),
+        (None, CacheMode::Keyed { .. }) => recdb_obs::count("serve.cache.misses", 1),
+        _ => {}
+    }
+    let ok_hit = |rendered: &str| (200, ok_body("hit", 0, adm.plan.mode(), rendered));
+    if let (Some((_, rendered)), false) = (&hit, shared.cfg.verify_hits) {
+        return ok_hit(rendered);
     }
     let budget = budget_for(&adm.plan, shared.cfg.fuel_max, work_cap);
-    let r = run_admitted(b, dialect, adm, vm, &budget, &shared.preempt);
+    let r = run_scheduled(b, dialect, &adm.prog, &budget, &shared.preempt);
+    if let Some((key, rendered)) = hit {
+        // `verify_hits`: the hit must equal the fresh run.
+        return match r.end {
+            ExecEnd::Done(v) if v.render() == rendered => {
+                recdb_obs::count("serve.cache.verified", 1);
+                ok_hit(&rendered)
+            }
+            _ => {
+                recdb_obs::count("serve.soundness_violations", 1);
+                shared.cache.evict(key);
+                (
+                    500,
+                    "{\"error\":\"cache hit failed differential verification\",\
+                     \"status\":\"error\",\"violation\":\"cache-differential\"}"
+                        .to_string(),
+                )
+            }
+        };
+    }
     match r.end {
         ExecEnd::Done(v) => {
             recdb_obs::observe("serve.iterations", r.iterations);

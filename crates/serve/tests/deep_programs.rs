@@ -3,7 +3,8 @@
 //! they are a 422 with code `DEPTH` and the server keeps answering; at
 //! exactly the limit, admission, lowering, evaluation and rendering
 //! fit a worker's stack (in an unoptimized build frames are largest,
-//! and the workers have the same stack in every build).
+//! and the workers have the same stack in every build). Variable
+//! indices are capped the same way, at `MAX_VAR`.
 
 use recdb_serve::client::Conn;
 use recdb_serve::{ServeConfig, Server};
@@ -193,4 +194,37 @@ fn nested_loop_fixpoints_widen_within_the_round_budget() {
     recdb_obs::uninstall();
     assert!(matches!(r.status, 200 | 408 | 422), "{}", r.body);
     assert!(rec.counter_value("analyze.fixpoint.widened") >= 1);
+}
+
+/// Variable indices past `MAX_VAR`: every analysis and executor sizes
+/// its state by the largest index, so before the cap this 21-byte
+/// program made admission ask for terabytes and abort the process.
+/// Now it is a located 422, as is an RA query with more views than QL
+/// has variables, and the server keeps answering.
+#[test]
+fn variable_indices_past_max_var_are_422() {
+    let s = server();
+    let mut c = Conn::connect(s.addr()).expect("connect");
+    let r = c.post("/v1/query", &query("Y1 := Y100000000000;")).unwrap();
+    assert_eq!(r.status, 422, "{}", r.body);
+    assert!(r.body.contains("\"code\":\"PARSE\""), "{}", r.body);
+    assert!(r.body.contains("\"line\":1,\"col\":7"), "{}", r.body);
+    assert!(
+        r.body.contains("\"reasons\":[\"parse-error\"]"),
+        "{}",
+        r.body
+    );
+    let views = |n: usize| -> String { (0..n).map(|i| format!("V{i} := E; ")).collect() };
+    let last = recdb_qlhs::MAX_VAR - 1;
+    let r = c.post("/v1/ra", &ra(&format!("{}E", views(last)))).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    let r = c
+        .post("/v1/ra", &ra(&format!("{}E", views(last + 1))))
+        .unwrap();
+    assert_eq!(r.status, 422, "{}", r.body);
+    assert!(r.body.contains("\"code\":\"RA06\""), "{}", r.body);
+    assert!(r.body.contains("\"reasons\":[\"ra-size\"]"), "{}", r.body);
+    // The same server, on the same connection, still answers.
+    let r = c.post("/v1/query", &query("Y1 := swap(R1);")).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
 }

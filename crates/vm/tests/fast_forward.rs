@@ -1,23 +1,25 @@
 //! Loop fast-forward is exact: on programs whose loops fall into a
-//! cycle, the VM (which skips whole periods) and the tree walker
-//! (which runs every iteration) agree on the end event, the iteration
-//! count, the work and the fuel left, wherever a limit trips.
+//! cycle, the tree walker and the VM (both of which skip whole
+//! periods) agree with the reference — the tree walker with every
+//! fast-forward declined, which runs every iteration — on the result
+//! or end event, the iteration count, the work and the fuel left,
+//! wherever a limit trips.
 //!
 //! Each budget is swept over every value in a window spanning more
-//! than two periods past the point where the VM first skips, so the
-//! trip lands on every instruction of a period. Every case also
-//! demands that the VM really skipped, with the period the program was
-//! written to have.
+//! than two periods past the point where the executors first skip, so
+//! the trip lands on every statement of a period. Every case also
+//! demands that both executors really skipped, with the period the
+//! program was written to have.
 
 use recdb_analyze::analyze_full;
 use recdb_core::{Elem, FiniteRelation, FiniteStructure, Fuel, Schema, Tuple};
 use recdb_hsdb::{FcfDatabase, FcfRel, FnEquiv, FnTree, HsDatabase};
 use recdb_logic::finite_as_db;
-use recdb_qlhs::exec::{run_scheduled, Backend, Budget, Budgeted, FuelOnly, GuardEval, Period};
-use recdb_qlhs::{parse_program, Dialect, FcfInterp, FinInterp, HsInterp, Prog, RunError};
-use recdb_vm::{
-    compile, exec_plain, exec_scheduled, exec_with, verify, LowerOpts, RecordSkips, VmProg,
+use recdb_qlhs::exec::{
+    run_with, Backend, Budget, Budgeted, FuelOnly, GuardEval, Period, RecordSkips,
 };
+use recdb_qlhs::{parse_program, Dialect, FcfInterp, FinInterp, HsInterp, Prog};
+use recdb_vm::{compile, exec_with, verify, LowerOpts, VmProg};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::sync::atomic::AtomicBool;
@@ -154,42 +156,73 @@ fn compiled(c: &Case, schema: &Schema, dialect: Dialect) -> (Prog, VmProg) {
     (p, vm)
 }
 
-/// The first period the VM grants under `budget`, at the budget's
-/// fuel: the probe that places each sweep's window.
-fn first_period<B: Backend>(mk: &dyn Fn() -> B, vm: &VmProg, budget: &Budget<'_>) -> Period {
+/// The first period the walker grants under `budget`, at the budget's
+/// fuel — the probe that places each sweep's window — after checking
+/// the VM grants the same one.
+fn first_period<B>(
+    mk: &dyn Fn() -> B,
+    dialect: Dialect,
+    p: &Prog,
+    vm: &VmProg,
+    budget: &Budget<'_>,
+) -> Period
+where
+    B: GuardEval + Backend<V = <B as GuardEval>::V>,
+{
     let preempt = AtomicBool::new(false);
-    let mut s = RecordSkips::new(Budgeted::new(budget, &preempt));
-    let r = exec_with(&mut mk(), vm, &mut Fuel::new(budget.fuel), &mut s);
+    let mut walk = RecordSkips::new(Budgeted::new(budget, &preempt));
+    let r = run_with(
+        &mut mk(),
+        dialect,
+        p,
+        &mut Fuel::new(budget.fuel),
+        &mut walk,
+    );
     assert!(r.is_err(), "a cyclic program cannot complete");
-    *s.granted.first().expect("the VM never fast-forwarded")
+    let mut s = RecordSkips::new(Budgeted::new(budget, &preempt));
+    let _ = exec_with(&mut mk(), vm, &mut Fuel::new(budget.fuel), &mut s);
+    let first = *walk
+        .granted
+        .first()
+        .expect("the walker never fast-forwarded");
+    assert_eq!(s.granted.first(), Some(&first), "the VM's first period");
+    first
 }
 
-/// One fuel-only run on each executor, compared on the result and the
-/// fuel left; the VM must have fast-forwarded.
-fn plain_pair<B>(mk: &dyn Fn() -> B, p: &Prog, vm: &VmProg, fuel: u64, what: &str)
+/// One fuel-only run (semi-naive off) of the reference, the walker
+/// and the VM: each executor must match the reference's result and
+/// fuel left, and must have fast-forwarded.
+fn plain_runs<B>(mk: &dyn Fn() -> B, dialect: Dialect, p: &Prog, vm: &VmProg, fuel: u64, what: &str)
 where
-    B: GuardEval + Backend<V = <B as GuardEval>::V> + Walk,
+    B: GuardEval + Backend<V = <B as GuardEval>::V>,
     <B as GuardEval>::V: Debug + PartialEq,
 {
-    let mut tree_fuel = Fuel::new(fuel);
-    let want = mk().walk(p, &mut tree_fuel);
-    let mut vm_fuel = Fuel::new(fuel);
-    let got = exec_plain(&mut mk(), vm, &mut vm_fuel);
-    assert_eq!(got, want, "{what}: plain result at fuel {fuel}");
-    assert_eq!(vm_fuel, tree_fuel, "{what}: fuel left at fuel {fuel}");
-    let mut s = RecordSkips::new(FuelOnly { seminaive: false });
-    let again = exec_with(&mut mk(), vm, &mut Fuel::new(fuel), &mut s);
-    assert_eq!(again, got, "{what}: recorded run at fuel {fuel}");
-    assert!(
-        !s.granted.is_empty(),
-        "{what}: no fast-forward at fuel {fuel}"
-    );
+    let plain = || FuelOnly { seminaive: false };
+    let mut want_fuel = Fuel::new(fuel);
+    let mut reference = RecordSkips::declining(plain());
+    let want = run_with(&mut mk(), dialect, p, &mut want_fuel, &mut reference);
+    let (mut walk_fuel, mut walk) = (Fuel::new(fuel), RecordSkips::new(plain()));
+    let walked = run_with(&mut mk(), dialect, p, &mut walk_fuel, &mut walk);
+    let (mut vm_fuel, mut s) = (Fuel::new(fuel), RecordSkips::new(plain()));
+    let got = exec_with(&mut mk(), vm, &mut vm_fuel, &mut s);
+    let runs = [
+        ("walker", walked, walk_fuel, walk.granted),
+        ("vm", got, vm_fuel, s.granted),
+    ];
+    for (who, out, left, skips) in runs {
+        assert_eq!(out, want, "{what}: {who} result at fuel {fuel}");
+        assert_eq!(left, want_fuel, "{what}: {who} fuel left at fuel {fuel}");
+        assert!(
+            !skips.is_empty(),
+            "{what}: {who}: no fast-forward at fuel {fuel}"
+        );
+    }
 }
 
-/// One budget-schedule run on each executor, compared on the end
-/// event, the iterations and the work; the VM must have
-/// fast-forwarded.
-fn sched_pair<B>(
+/// One budget-schedule run of the reference, the walker and the VM,
+/// compared on the end event, the iterations, the work and the fuel
+/// left; each executor must have fast-forwarded.
+fn sched_runs<B>(
     mk: &dyn Fn() -> B,
     dialect: Dialect,
     p: &Prog,
@@ -201,46 +234,30 @@ fn sched_pair<B>(
     <B as GuardEval>::V: Debug + PartialEq,
 {
     let preempt = AtomicBool::new(false);
-    let want = run_scheduled(&mut mk(), dialect, p, budget, &preempt);
-    let got = exec_scheduled(&mut mk(), vm, budget, &preempt);
+    let budgeted = || Budgeted::new(budget, &preempt);
+    let mut want_fuel = Fuel::new(budget.fuel);
+    let mut reference = RecordSkips::declining(budgeted());
+    let out = run_with(&mut mk(), dialect, p, &mut want_fuel, &mut reference);
+    let want = reference.inner.finish(out);
+    let (mut walk_fuel, mut walk) = (Fuel::new(budget.fuel), RecordSkips::new(budgeted()));
+    let out = run_with(&mut mk(), dialect, p, &mut walk_fuel, &mut walk);
+    let walked = walk.inner.finish(out);
+    let (mut vm_fuel, mut s) = (Fuel::new(budget.fuel), RecordSkips::new(budgeted()));
+    let out = exec_with(&mut mk(), vm, &mut vm_fuel, &mut s);
+    let got = s.inner.finish(out);
     let at = format!("{what}: {budget:?}");
-    assert_eq!(got.end, want.end, "{at}: end");
-    assert_eq!(got.iterations, want.iterations, "{at}: iterations");
-    assert_eq!(got.work, want.work, "{at}: work");
-    let mut s = RecordSkips::new(Budgeted::new(budget, &preempt));
-    let r = exec_with(&mut mk(), vm, &mut Fuel::new(budget.fuel), &mut s);
-    let again = s.inner.finish(r);
-    assert_eq!(
-        (again.end, again.iterations, again.work),
-        (got.end, got.iterations, got.work),
-        "{at}: recorded run"
-    );
-    assert!(!s.granted.is_empty(), "{at}: no fast-forward");
+    let runs = [
+        ("walker", walked, walk_fuel, walk.granted),
+        ("vm", got, vm_fuel, s.granted),
+    ];
+    for (who, run, left, skips) in runs {
+        assert_eq!(run.end, want.end, "{at}: {who} end");
+        assert_eq!(run.iterations, want.iterations, "{at}: {who} iterations");
+        assert_eq!(run.work, want.work, "{at}: {who} work");
+        assert_eq!(left, want_fuel, "{at}: {who} fuel left");
+        assert!(!skips.is_empty(), "{at}: {who}: no fast-forward");
+    }
 }
-
-/// The interpreters' own from-scratch `run` (semi-naive off: the VM
-/// recomputes every iteration).
-trait Walk: GuardEval {
-    fn walk(&mut self, p: &Prog, fuel: &mut Fuel) -> Result<<Self as GuardEval>::V, RunError>;
-}
-
-macro_rules! walk {
-    ($interp:ident) => {
-        impl Walk for $interp<'_> {
-            fn walk(
-                &mut self,
-                p: &Prog,
-                fuel: &mut Fuel,
-            ) -> Result<<Self as GuardEval>::V, RunError> {
-                self.set_seminaive(false);
-                self.run(p, fuel)
-            }
-        }
-    };
-}
-walk!(FinInterp);
-walk!(HsInterp);
-walk!(FcfInterp);
 
 fn budget(
     fuel: u64,
@@ -257,62 +274,42 @@ fn budget(
 }
 
 /// Sweeps every limit across more than two periods past the first
-/// skip, on one backend, and checks the VM skipped, with the case's
-/// period, in every run.
+/// skip, on one backend, and checks both executors skipped, with the
+/// case's period, in every run.
 fn sweep<B>(c: &Case, mk: &dyn Fn() -> B, schema: &Schema, dialect: Dialect)
 where
-    B: GuardEval + Backend<V = <B as GuardEval>::V> + Walk,
+    B: GuardEval + Backend<V = <B as GuardEval>::V>,
     <B as GuardEval>::V: Debug + PartialEq,
 {
     let what = format!("{} ({dialect})", c.name);
     let (p, vm) = compiled(c, schema, dialect);
     let none = BTreeMap::new();
     const BASE: u64 = 2_000;
-    let period = first_period(mk, &vm, &budget(BASE, u64::MAX, None, &none));
+    let period = first_period(mk, dialect, &p, &vm, &budget(BASE, u64::MAX, None, &none));
     assert_eq!(period.here, c.period, "{what}: {period:?}");
     assert!(period.work > 0, "{what}: the body commits nothing");
+    let sched = |b: &Budget<'_>| sched_runs(mk, dialect, &p, &vm, b, &what);
 
     // Fuel: the plain schedule and the budget schedule with no other
     // limit in reach.
     for fuel in BASE..=BASE + 2 * period.fuel + 1 {
-        plain_pair(mk, &p, &vm, fuel, &what);
-        sched_pair(
-            mk,
-            dialect,
-            &p,
-            &vm,
-            &budget(fuel, u64::MAX, None, &none),
-            &what,
-        );
+        plain_runs(mk, dialect, &p, &vm, fuel, &what);
+        sched(&budget(fuel, u64::MAX, None, &none));
     }
     // The iteration cap, the work cap and the loop's bound, each with
     // fuel to spare.
     const ROOM: u64 = 100_000;
     const AT: u64 = 60;
     for cap in AT..=AT + 2 * period.iterations + 1 {
-        sched_pair(mk, dialect, &p, &vm, &budget(ROOM, cap, None, &none), &what);
+        sched(&budget(ROOM, cap, None, &none));
     }
     let work_at = AT * period.work;
     for cap in work_at..=work_at + 2 * period.work + 1 {
-        sched_pair(
-            mk,
-            dialect,
-            &p,
-            &vm,
-            &budget(ROOM, u64::MAX, Some(cap), &none),
-            &what,
-        );
+        sched(&budget(ROOM, u64::MAX, Some(cap), &none));
     }
     for bound in AT..=AT + 2 * period.here + 1 {
         let bounds: BTreeMap<Vec<u32>, u64> = [(c.cycling.to_vec(), bound)].into_iter().collect();
-        sched_pair(
-            mk,
-            dialect,
-            &p,
-            &vm,
-            &budget(ROOM, u64::MAX, None, &bounds),
-            &what,
-        );
+        sched(&budget(ROOM, u64::MAX, None, &bounds));
     }
 }
 

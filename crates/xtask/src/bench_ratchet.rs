@@ -50,10 +50,12 @@ struct Spec {
 /// fourth pins the serving layer's admission win — a statically
 /// rejected request (analyzer says diverges/unsafe, no evaluation)
 /// must stay well ahead of the heavy fueled workload at the same load
-/// level; the last two pin the register VM's execution win over the
+/// level; the next two pin the register VM's execution win over the
 /// AST walker on the same verified program, straight-line and on a
-/// cycling fuel-mode loop (loop fast-forward).
-const SPECS: [Spec; 6] = [
+/// cycling fuel-mode loop (loop fast-forward); the last pins loop
+/// fast-forward in the statement executor, against the same walker
+/// declining every skip.
+const SPECS: [Spec; 7] = [
     Spec {
         id: "partition.bucketed.4096",
         input: INPUT,
@@ -101,6 +103,14 @@ const SPECS: [Spec; 6] = [
         size: 1_000_000,
         slow: "cycle_ast",
         fast: "cycle_vm",
+    },
+    Spec {
+        id: "exec.cycle",
+        input: INPUT,
+        group: "E7/exec",
+        size: 1_000_000,
+        slow: "cycle_noskip",
+        fast: "cycle",
     },
 ];
 

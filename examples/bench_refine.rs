@@ -33,7 +33,7 @@ use recdb_hsdb::{
     paper_example_graph, partition_by_local_iso, partition_by_local_iso_pairwise, v_n_r,
     IncrementalPartition,
 };
-use recdb_qlhs::exec::Backend;
+use recdb_qlhs::exec::{run_with, Backend, FuelOnly, RecordSkips};
 use recdb_qlhs::{parse_program, Dialect, FinInterp, Prog, Term, Val};
 use recdb_vm::{compile, exec_plain, verify, LowerOpts};
 use std::time::Instant;
@@ -364,6 +364,43 @@ fn main() {
         }),
     });
 
+    // The same loop on the statement executor (`E7/exec`): `run`
+    // fast-forwards the cycle, while under a schedule that declines
+    // every fast-forward the walker runs every iteration until the fuel
+    // is gone. Both end out of fuel; `size` is the budget, and the
+    // skipping run's samples time a batch.
+    points.push(Point {
+        group: "E7/exec",
+        bench: "cycle".into(),
+        size: CYCLE_FUEL as usize,
+        median_ns: median_ns(21, || {
+            (0..TINY_BATCH)
+                .map(|_| {
+                    let mut walker = FinInterp::new(&st);
+                    walker.set_seminaive(false);
+                    usize::from(walker.run(&p, &mut Fuel::new(CYCLE_FUEL)).is_err())
+                })
+                .sum()
+        }) / TINY_BATCH as u128,
+    });
+    points.push(Point {
+        group: "E7/exec",
+        bench: "cycle_noskip".into(),
+        size: CYCLE_FUEL as usize,
+        median_ns: median_ns(5, || {
+            let mut noskip = RecordSkips::declining(FuelOnly { seminaive: false });
+            let mut fuel = Fuel::new(CYCLE_FUEL);
+            let r = run_with(
+                &mut FinInterp::new(&st),
+                Dialect::Ql,
+                &p,
+                &mut fuel,
+                &mut noskip,
+            );
+            usize::from(r.is_err())
+        }),
+    });
+
     // Incremental vs from-scratch partition maintenance under
     // single-tuple insertion: the delta-maintained core of the Vⁿᵣ
     // cache. The incremental point is the per-insert median over a
@@ -508,5 +545,13 @@ fn main() {
     eprintln!(
         "vm cycle fuel={size}: ast {a} ns / vm {v} ns = {:.1}x",
         a as f64 / v.max(1) as f64
+    );
+    let (f, n) = (
+        ns("E7/exec", "cycle", size),
+        ns("E7/exec", "cycle_noskip", size),
+    );
+    eprintln!(
+        "exec cycle fuel={size}: no skip {n} ns / skip {f} ns = {:.1}x",
+        n as f64 / f.max(1) as f64
     );
 }
