@@ -50,12 +50,11 @@ struct Spec {
 /// fourth pins the serving layer's admission win — a statically
 /// rejected request (analyzer says diverges/unsafe, no evaluation)
 /// must stay well ahead of the heavy fueled workload at the same load
-/// level; the next two pin the register VM's execution win over the
-/// AST walker on the same verified program, straight-line and on a
-/// cycling fuel-mode loop (loop fast-forward); the last pins loop
-/// fast-forward in the statement executor, against the same walker
-/// declining every skip.
-const SPECS: [Spec; 7] = [
+/// level; the next pins the register VM's execution win over the AST
+/// walker on the same verified straight-line program; the last pins
+/// loop fast-forward in the statement executor on a cycling fuel-mode
+/// loop, against the same walker declining every skip.
+const SPECS: [Spec; 6] = [
     Spec {
         id: "partition.bucketed.4096",
         input: INPUT,
@@ -95,14 +94,6 @@ const SPECS: [Spec; 7] = [
         size: 1024,
         slow: "ast",
         fast: "vm",
-    },
-    Spec {
-        id: "vm.cycle",
-        input: INPUT,
-        group: "E7/vm",
-        size: 1_000_000,
-        slow: "cycle_ast",
-        fast: "cycle_vm",
     },
     Spec {
         id: "exec.cycle",

@@ -10,9 +10,10 @@
 //! from-scratch loop evaluation (`E7/fixpoint`), and incremental
 //! partition maintenance against full recomputation under single-tuple
 //! insertion (`E7/incr_vnr`), the per-op cost of the QL value layer
-//! on mid-sized and tiny values (`E7/ops`, `E7/ops_tiny`), and the
+//! on mid-sized and tiny values (`E7/ops`, `E7/ops_tiny`), the
 //! register VM against the tree walker on a straight-line pipeline
-//! and on a cycling fuel-mode loop (`E7/vm`).
+//! (`E7/vm`), and loop fast-forward on a cycling fuel-mode loop
+//! (`E7/exec`).
 //! Emits the `BENCH_refine.json` schema on stdout:
 //!
 //! ```text
@@ -265,11 +266,11 @@ fn main() {
     op("down", &mut |i| i.down(&x, &mut fuel()).expect("fuel"));
     op("swap", &mut |i| i.swap(&x, &mut fuel()).expect("fuel"));
 
-    // Verified bytecode vs tree-walking the same admitted program
-    // (`E7/vm`): compilation and verification happen once per
-    // admission in the serving layer, so the timed region is execution
-    // only — flat register dispatch with dead scratch stores elided
-    // against the AST walker that pays for every assignment.
+    // Verified bytecode vs tree-walking the same program (`E7/vm`):
+    // compilation and verification happen once, outside the timed
+    // region, which is execution only — flat register dispatch with
+    // dead scratch stores elided against the AST walker that pays for
+    // every assignment.
     for size in [64u64, 256, 1024] {
         let st = path_graph(size);
         let p = straightline_prog(8);
@@ -310,13 +311,15 @@ fn main() {
         });
     }
 
-    // A cycling fuel-mode loop (`E7/vm`, `cycle_*`): `fuel_loop`'s
-    // `while empty(Y3) { Y3 := R2; }` with `R2` empty, next to the same
-    // 4-edge `R1` as `E7/ops_tiny`, at a budget of 1,000,000 fuel. The
-    // walker runs every iteration until the fuel is gone; the VM skips
-    // the whole periods once its loop head repeats (DESIGN.md §6, loop
-    // fast-forward). Both end out of fuel. `size` is the budget; one VM
-    // run is too fast for the timer, so its samples time a batch.
+    // A cycling fuel-mode loop on the statement executor (`E7/exec`):
+    // `fuel_loop`'s `while empty(Y3) { Y3 := R2; }` with `R2` empty,
+    // next to the same 4-edge `R1` as `E7/ops_tiny`, at a budget of
+    // 1,000,000 fuel. `run` skips the whole periods once the loop head
+    // repeats (DESIGN.md §6, loop fast-forward); under a schedule that
+    // declines every fast-forward the walker runs every iteration until
+    // the fuel is gone. Both end out of fuel. `size` is the budget; one
+    // skipping run is too fast for the timer, so its samples time a
+    // batch.
     const CYCLE_FUEL: u64 = 1_000_000;
     let st = FiniteStructure::new(
         Schema::new([2, 2]),
@@ -330,45 +333,6 @@ fn main() {
         ],
     );
     let p = parse_program("while empty(Y3) { Y3 := R2; }").expect("cycle parses");
-    let full = analyze_full(&p, st.schema(), Dialect::Ql);
-    let vm = compile(
-        &p,
-        st.schema(),
-        Dialect::Ql,
-        &full.termination,
-        &LowerOpts::default(),
-    )
-    .expect("cycle lowers");
-    verify(&vm, &p, st.schema(), Dialect::Ql, &full.termination, None).expect("cycle verifies");
-    points.push(Point {
-        group: "E7/vm",
-        bench: "cycle_vm".into(),
-        size: CYCLE_FUEL as usize,
-        median_ns: median_ns(21, || {
-            (0..TINY_BATCH)
-                .map(|_| {
-                    let r = exec_plain(&mut FinInterp::new(&st), &vm, &mut Fuel::new(CYCLE_FUEL));
-                    usize::from(r.is_err())
-                })
-                .sum()
-        }) / TINY_BATCH as u128,
-    });
-    points.push(Point {
-        group: "E7/vm",
-        bench: "cycle_ast".into(),
-        size: CYCLE_FUEL as usize,
-        median_ns: median_ns(5, || {
-            let mut walker = FinInterp::new(&st);
-            walker.set_seminaive(false);
-            usize::from(walker.run(&p, &mut Fuel::new(CYCLE_FUEL)).is_err())
-        }),
-    });
-
-    // The same loop on the statement executor (`E7/exec`): `run`
-    // fast-forwards the cycle, while under a schedule that declines
-    // every fast-forward the walker runs every iteration until the fuel
-    // is gone. Both end out of fuel; `size` is the budget, and the
-    // skipping run's samples time a batch.
     points.push(Point {
         group: "E7/exec",
         bench: "cycle".into(),
@@ -538,14 +502,6 @@ fn main() {
         }
     }
     let size = CYCLE_FUEL as usize;
-    let (v, a) = (
-        ns("E7/vm", "cycle_vm", size),
-        ns("E7/vm", "cycle_ast", size),
-    );
-    eprintln!(
-        "vm cycle fuel={size}: ast {a} ns / vm {v} ns = {:.1}x",
-        a as f64 / v.max(1) as f64
-    );
     let (f, n) = (
         ns("E7/exec", "cycle", size),
         ns("E7/exec", "cycle_noskip", size),
