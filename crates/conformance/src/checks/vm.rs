@@ -83,13 +83,13 @@ impl VmCase {
     }
 }
 
-/// Compiles and verifies under the round's full analysis, exactly as
-/// the server does. The inner `Err` is a (legitimate) compile
-/// obstruction, tagged with its stable code — those programs take the
-/// tree-walk path on the server, so *runtime-erroring programs never
-/// reach the VM at all* (rank mismatches, out-of-schema relations,
-/// and dialect violations are all static obstructions; the only
-/// runtime failure an accepted program retains is fuel exhaustion).
+/// Compiles and verifies under the round's full analysis. The inner
+/// `Err` is a (legitimate) compile obstruction, tagged with its stable
+/// code — those programs run on the tree walker only, so
+/// *runtime-erroring programs never reach the VM at all* (rank
+/// mismatches, out-of-schema relations, and dialect violations are all
+/// static obstructions; the only runtime failure an accepted program
+/// retains is fuel exhaustion).
 /// A verifier rejection of the compiler's own output is a hard error.
 fn compile_verified(
     p: &Prog,
@@ -140,9 +140,8 @@ struct DiffTally {
     fast_forwarded: usize,
     /// Tree-walker runs, plain and scheduled, that did.
     walker_fast_forwarded: usize,
-    /// Static obstructions by stable code — the tree-walk-fallback
-    /// population (the server's 422s live here, and SERVE-DIFF proves
-    /// that path byte-identical).
+    /// Static obstructions by stable code — the programs only the tree
+    /// walker runs (runtime errors, the server's 422s, live here).
     obstructed: BTreeMap<&'static str, usize>,
     /// Scheduled runs by end event.
     sched: BTreeMap<&'static str, usize>,
@@ -291,8 +290,8 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
             let (vm, elided) = match compile_verified(&p, &schema, dialect)? {
                 Ok(ok) => ok,
                 Err(code) => {
-                    // Obstructed: the server falls back to the
-                    // tree-walker (byte-identically, per SERVE-DIFF).
+                    // Obstructed: the program runs on the tree walker
+                    // only.
                     *tally.obstructed.entry(code).or_default() += 1;
                     continue;
                 }

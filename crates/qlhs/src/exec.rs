@@ -283,11 +283,12 @@ impl<V: Clone + PartialEq> LoopWatch<V> {
     }
 
     /// The loop at `path` passed its `here`-th iteration event, and its
-    /// fuel tick is next. When the watched slots of `state` (a missing
-    /// slot reads as unassigned) repeat the snapshot, execution from
-    /// here replays the last period exactly, so `s` may skip whole
-    /// periods: `here`, `tally` and `fuel` advance by the ones it
-    /// grants. Otherwise the snapshot is re-taken at a power of two.
+    /// fuel tick is next. When the watched slots of `state` repeat the
+    /// snapshot (a slot `state` lacks matches only a lacking one),
+    /// execution from here replays the last period exactly, so `s` may
+    /// skip whole periods: `here`, `tally` and `fuel` advance by the
+    /// ones it grants. Otherwise the snapshot is re-taken at a power of
+    /// two.
     pub fn head<S: Schedule>(
         &mut self,
         s: &mut S,
@@ -297,11 +298,10 @@ impl<V: Clone + PartialEq> LoopWatch<V> {
         tally: &mut Tally,
         fuel: &mut Fuel,
     ) {
-        let same = |seen: &[Option<V>]| {
-            (self.slots.iter().zip(seen)).all(|(&i, v)| state.get(i) == v.as_ref())
-        };
+        let same = self.at.is_some()
+            && (self.slots.iter().zip(&self.seen)).all(|(&i, v)| state.get(i) == v.as_ref());
         match self.at {
-            Some((h, t, f)) if same(&self.seen) => {
+            Some((h, t, f)) if same => {
                 let period = Period {
                     here: *here - h,
                     iterations: tally.iterations - t.iterations,

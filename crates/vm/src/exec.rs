@@ -34,9 +34,6 @@ pub type VmBudget<'a> = Budget<'a>;
 /// How a scheduled VM run ended — the statement layer's [`ExecEnd`]
 /// (alias kept so downstream code compiles unchanged).
 pub type VmEnd<V> = ExecEnd<V>;
-/// A scheduled VM outcome — the statement layer's [`ExecResult`]
-/// (alias kept so downstream code compiles unchanged).
-pub type VmRun<V> = ExecResult<V>;
 
 const TRAP_MSG: &str = "vm: loop ran past its statically proved bound";
 const PC_MSG: &str = "vm: fell off the instruction stream";

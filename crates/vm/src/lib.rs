@@ -34,6 +34,6 @@ pub mod lower;
 pub mod verify;
 
 pub use bytecode::{Inst, LoopMeta, VmProg};
-pub use exec::{exec_plain, exec_scheduled, exec_with, VmBackend, VmBudget, VmEnd, VmRun};
+pub use exec::{exec_plain, exec_scheduled, exec_with, VmBackend, VmBudget, VmEnd};
 pub use lower::{compile, LowerOpts, Obstruction, ObstructionKind};
 pub use verify::{verify, Rejection, VerifyReport};
