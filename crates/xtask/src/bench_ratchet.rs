@@ -51,10 +51,13 @@ struct Spec {
 /// rejected request (analyzer says diverges/unsafe, no evaluation)
 /// must stay well ahead of the heavy fueled workload at the same load
 /// level; the next pins the register VM's execution win over the AST
-/// walker on the same verified straight-line program; the last pins
+/// walker on the same verified straight-line program; the next pins
 /// loop fast-forward in the statement executor on a cycling fuel-mode
-/// loop, against the same walker declining every skip.
-const SPECS: [Spec; 6] = [
+/// loop, against the same walker declining every skip; the last pins
+/// admission against execution through one in-process server on one
+/// keep-alive connection — a request rejected at admission must stay
+/// well ahead of one that evaluates rank-4 value ops.
+const SPECS: [Spec; 7] = [
     Spec {
         id: "partition.bucketed.4096",
         input: INPUT,
@@ -102,6 +105,14 @@ const SPECS: [Spec; 6] = [
         size: 1_000_000,
         slow: "cycle_noskip",
         fast: "cycle",
+    },
+    Spec {
+        id: "serve.reject.10",
+        input: INPUT,
+        group: "E7/serve",
+        size: 10,
+        slow: "exec",
+        fast: "reject",
     },
 ];
 

@@ -12,8 +12,9 @@
 //! insertion (`E7/incr_vnr`), the per-op cost of the QL value layer
 //! on mid-sized and tiny values (`E7/ops`, `E7/ops_tiny`), the
 //! register VM against the tree walker on a straight-line pipeline
-//! (`E7/vm`), and loop fast-forward on a cycling fuel-mode loop
-//! (`E7/exec`).
+//! (`E7/vm`), loop fast-forward on a cycling fuel-mode loop
+//! (`E7/exec`), and admission against execution through an in-process
+//! server (`E7/serve`).
 //! Emits the `BENCH_refine.json` schema on stdout:
 //!
 //! ```text
@@ -36,6 +37,7 @@ use recdb_hsdb::{
 };
 use recdb_qlhs::exec::{run_with, Backend, FuelOnly, RecordSkips};
 use recdb_qlhs::{parse_program, Dialect, FinInterp, Prog, Term, Val};
+use recdb_serve::{Conn, ServeConfig, Server};
 use recdb_vm::{compile, exec_plain, verify, LowerOpts};
 use std::time::Instant;
 
@@ -365,6 +367,47 @@ fn main() {
         }),
     });
 
+    // Admission and execution through the server (`E7/serve`): one
+    // in-process server and one keep-alive connection, so no accept
+    // queue or connect cost is timed. `reject` is a provably divergent
+    // program, answered 422 at admission without evaluation; `exec` is
+    // an admitted straight-line QL join (`value_join`'s `ql_up_swap`
+    // shape) on a fixed |D| = 10 graph with the cache off, so every
+    // request evaluates rank-4 value ops. `size` is |D|; each sample
+    // times a batch and `median_ns` is per round trip.
+    const SERVE_BATCH: usize = 20;
+    let server = Server::start(ServeConfig::default()).expect("bind an ephemeral port");
+    let mut conn = Conn::connect(server.addr()).expect("connect");
+    let reject = r#"{"program":"while empty(Y2) { Y3 := E; }","db":{"kind":"finite","universe":[0,1,2,3,4],"relations":[{"arity":2,"tuples":[[0,1]]}]}}"#;
+    let mut join_edges: Vec<String> = random_tuples(30, 2, 10, 11)
+        .iter()
+        .map(|t| format!("[{},{}]", t[0].value(), t[1].value()))
+        .collect();
+    join_edges.sort();
+    join_edges.dedup();
+    let exec = format!(
+        r#"{{"program":"Y2 := up(up(R1)); Y1 := down(down(!(Y2 & swap(Y2))));","db":{{"kind":"finite","universe":[0,1,2,3,4,5,6,7,8,9],"relations":[{{"arity":2,"tuples":[{}]}}]}},"no_cache":true}}"#,
+        join_edges.join(",")
+    );
+    for (bench, body, status) in [("reject", reject, 422), ("exec", exec.as_str(), 200)] {
+        points.push(Point {
+            group: "E7/serve",
+            bench: bench.into(),
+            size: 10,
+            median_ns: median_ns(21, || {
+                (0..SERVE_BATCH)
+                    .map(|_| {
+                        let r = conn.post("/v1/query", body).expect("round trip");
+                        assert_eq!(r.status, status, "{bench}: {}", r.body);
+                        r.body.len()
+                    })
+                    .sum()
+            }) / SERVE_BATCH as u128,
+        });
+    }
+    drop(conn);
+    server.shutdown();
+
     // Incremental vs from-scratch partition maintenance under
     // single-tuple insertion: the delta-maintained core of the Vⁿᵣ
     // cache. The incremental point is the per-insert median over a
@@ -509,5 +552,10 @@ fn main() {
     eprintln!(
         "exec cycle fuel={size}: no skip {n} ns / skip {f} ns = {:.1}x",
         n as f64 / f.max(1) as f64
+    );
+    let (r, x) = (ns("E7/serve", "reject", 10), ns("E7/serve", "exec", 10));
+    eprintln!(
+        "serve    |D|=10: exec {x} ns / reject {r} ns = {:.1}x",
+        x as f64 / r.max(1) as f64
     );
 }
