@@ -1,6 +1,6 @@
-//! A minimal HTTP/1.1 client for the wire protocol — what the load
-//! generator, the protocol test suite, and the conformance ledger use
-//! to talk to a [`Server`](crate::server::Server).
+//! A minimal HTTP/1.1 client for the wire protocol — what the protocol
+//! test suite, the benchmarks, and the conformance ledger use to talk
+//! to a [`Server`](crate::server::Server).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -26,7 +26,7 @@
 //! layer's budget schedule, re-exported from `recdb-qlhs`: bounded,
 //! preemptible execution) → [`cache`] (canonicalization +
 //! sharded result cache) → [`server`] (accept loop, worker pool,
-//! routing) → [`client`] (the test/loadgen client).
+//! routing) → [`client`] (the client the tests and the ledger use).
 
 #![warn(missing_docs)]
 

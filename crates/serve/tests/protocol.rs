@@ -523,44 +523,206 @@ fn ra_endpoint_optimizes_plans_transparently() {
     );
 }
 
+/// One class of the mixed load: a seeded body generator and the
+/// status admission and execution must produce for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Class {
+    /// `Y1 := R1` over a relabeled copy of one fixed 5-path: one
+    /// ≅-orbit, so all but the first requests hit the cache.
+    ExactOrbit,
+    /// `Y1 := R1` over a fresh random graph: mostly misses.
+    ExactFresh,
+    /// A fuel-mode loop that exits quickly.
+    FuelOk,
+    /// Provably divergent: rejected at admission.
+    RejectDiverge,
+    /// Dialect-unsafe: rejected at admission.
+    RejectUnsafe,
+    /// An exact query against a catalog family (QLhs backend).
+    Family,
+    /// An exact query against an fcf database (QLf+ backend).
+    Fcf,
+    /// A fuel-mode loop whose guard feed `R2` is empty at runtime:
+    /// preempted when its 300-tick budget is gone.
+    FuelExhaust,
+    /// The same loop at 60,000 fuel: fast-forwarded to its budget.
+    Heavy,
+    /// A constant selection on `/v1/ra` over a relabeling fixing 0:
+    /// one `Generic {fixed:{0}}` orbit.
+    RaExact,
+    /// A bare RA complement: rejected by the validator (`RA05`).
+    RaReject,
+}
+
+/// The classes and their weights.
+const MIX: [(Class, usize); 11] = [
+    (Class::ExactOrbit, 25),
+    (Class::ExactFresh, 15),
+    (Class::FuelOk, 15),
+    (Class::RejectDiverge, 10),
+    (Class::RejectUnsafe, 5),
+    (Class::Family, 10),
+    (Class::Fcf, 5),
+    (Class::FuelExhaust, 10),
+    (Class::Heavy, 5),
+    (Class::RaExact, 7),
+    (Class::RaReject, 3),
+];
+
+impl Class {
+    fn pick(rng: &mut SplitMix64) -> Class {
+        let mut roll = rng.gen_usize(MIX.iter().map(|&(_, w)| w).sum());
+        for (class, weight) in MIX {
+            if roll < weight {
+                return class;
+            }
+            roll -= weight;
+        }
+        unreachable!("the roll is below the weights' sum")
+    }
+
+    fn status(self) -> u16 {
+        match self {
+            Class::RejectDiverge | Class::RejectUnsafe | Class::RaReject => 422,
+            Class::FuelExhaust | Class::Heavy => 408,
+            _ => 200,
+        }
+    }
+
+    /// The endpoint, the body, and for the `Y1 := R1` classes the
+    /// edges the answer must hold.
+    fn request(self, rng: &mut SplitMix64) -> (&'static str, String, Option<Vec<(u64, u64)>>) {
+        let two_rel = |program: &str, edges: &str, fuel: u64| {
+            format!(
+                r#"{{"program":"{program}","db":{{"kind":"finite","universe":[0,1,2,3,4],"relations":[{{"arity":2,"tuples":[{edges}]}},{{"arity":2,"tuples":[]}}]}},"fuel":{fuel}}}"#
+            )
+        };
+        let copy = |edges: Vec<(u64, u64)>| {
+            let body = finite_query("Y1 := R1;", &render(&edges), "");
+            ("/v1/query", body, Some(edges))
+        };
+        let query = |body: String| ("/v1/query", body, None);
+        match self {
+            Class::ExactOrbit => {
+                let p = Permutation::random(rng, 5);
+                let at = |i: u64| p.apply(recdb_core::Elem(i)).value();
+                copy((0..4).map(|i| (at(i), at(i + 1))).collect())
+            }
+            Class::ExactFresh => {
+                let mut edges = Vec::new();
+                for a in 0..5 {
+                    for b in 0..5 {
+                        if a != b && rng.gen_bool() && rng.gen_bool() {
+                            edges.push((a, b));
+                        }
+                    }
+                }
+                copy(edges)
+            }
+            Class::FuelOk => query(finite_query(
+                "Y2 := R1; while empty(Y3) { Y3 := Y2; }",
+                "[0,1],[1,2],[2,3]",
+                ",\"fuel\":10000",
+            )),
+            Class::RejectDiverge => {
+                query(finite_query("while empty(Y2) { Y3 := E; }", "[0,1]", ""))
+            }
+            Class::RejectUnsafe => {
+                query(finite_query("while single(Y1) { Y1 := E; }", "[0,1]", ""))
+            }
+            Class::Family => query(
+                r#"{"program":"Y1 := R1;","db":{"kind":"family","name":"clique"}}"#.to_string(),
+            ),
+            Class::Fcf => query(format!(
+                r#"{{"program":"Y1 := R1;","db":{{"kind":"fcf","relations":[{{"cofinite":{{"arity":1,"exceptions":[[{}]]}}}}]}}}}"#,
+                rng.gen_usize(5)
+            )),
+            Class::FuelExhaust => {
+                query(two_rel("while empty(Y3) { Y3 := R2; }", "[0,1],[1,2]", 300))
+            }
+            Class::Heavy => query(two_rel(
+                "while empty(Y3) { Y3 := R2; }",
+                "[0,1],[1,2],[2,3],[3,4]",
+                60_000,
+            )),
+            Class::RaExact => {
+                let p = Permutation::random(rng, 4);
+                let at = |i: u64| p.apply(recdb_core::Elem(i)).value() + 1;
+                let edges: Vec<_> = (0..3).map(|i| (at(i), at(i + 1))).collect();
+                let q = "select #x = 0 (E union rename #x -> #y, #y -> #x (E))";
+                ("/v1/ra", ra_query(q, &render(&edges), ""), None)
+            }
+            Class::RaReject => ("/v1/ra", ra_query("E union not (E)", "[0,1]", ""), None),
+        }
+    }
+}
+
+/// `[a,b],[c,d],…` in the given order.
+fn render(edges: &[(u64, u64)]) -> String {
+    let pairs: Vec<String> = edges.iter().map(|(a, b)| format!("[{a},{b}]")).collect();
+    pairs.join(",")
+}
+
+/// Every class of the mix from 32 client threads, one fresh
+/// connection per request, against 8 workers that verify every cache
+/// hit: each answer has its class's status, none reports a soundness
+/// or work-bound violation, and every `Y1 := R1` answer — cache hits
+/// transported through the relabeling included — is exactly its
+/// request's edges.
 #[test]
 fn concurrent_mixed_load_is_fully_consistent() {
+    const THREADS: u64 = 32;
+    const PER_THREAD: usize = 32;
     let s = Server::start(ServeConfig {
-        workers: 4,
+        workers: 8,
         verify_hits: true,
         read_timeout_ms: 200,
         ..ServeConfig::default()
     })
     .expect("bind");
     let addr = s.addr();
-    let mut handles = Vec::new();
-    for t in 0..8u64 {
-        handles.push(std::thread::spawn(move || {
-            let mut rng = SplitMix64::seed_from_u64(0x5ecd_eb0a ^ t);
-            for _ in 0..25 {
-                let p = Permutation::random(&mut rng, 5);
-                let edges: Vec<String> = (0..4u64)
-                    .map(|i| {
-                        format!(
-                            "[{},{}]",
-                            p.apply(recdb_core::Elem(i)).value(),
-                            p.apply(recdb_core::Elem(i + 1)).value()
-                        )
-                    })
-                    .collect();
-                let body = finite_query("Y1 := R1;", &edges.join(","), "");
-                let r = recdb_serve::post_once(addr, "/v1/query", &body).expect("round trip");
-                assert_eq!(r.status, 200, "{}", r.body);
-                assert!(!r.body.contains("\"violation\""), "{}", r.body);
-            }
-        }));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            std::thread::spawn(move || {
+                let mut rng = SplitMix64::seed_from_u64(0x5ecd_eb0a ^ t);
+                let mut seen = Vec::new();
+                for _ in 0..PER_THREAD {
+                    let class = Class::pick(&mut rng);
+                    let (path, body, edges) = class.request(&mut rng);
+                    let r = recdb_serve::post_once(addr, path, &body).expect("round trip");
+                    assert_eq!(r.status, class.status(), "{class:?}: {}", r.body);
+                    assert!(!r.body.contains("\"violation\""), "{class:?}: {}", r.body);
+                    if let Some(mut edges) = edges {
+                        edges.sort_unstable();
+                        let want =
+                            format!("\"result\":{{\"rank\":2,\"tuples\":[{}]}}", render(&edges));
+                        assert!(
+                            r.body.contains(&want),
+                            "{class:?}: want {want} in {}",
+                            r.body
+                        );
+                    }
+                    seen.push((class, r.body.contains("\"cache\":\"hit\"")));
+                }
+                seen
+            })
+        })
+        .collect();
+    let seen: Vec<(Class, bool)> = handles
+        .into_iter()
+        .flat_map(|h| h.join().expect("client thread"))
+        .collect();
+    assert_eq!(seen.len(), THREADS as usize * PER_THREAD);
+    for (class, _) in MIX {
+        assert!(
+            seen.iter().any(|&(c, _)| c == class),
+            "{class:?} never drawn"
+        );
     }
-    for h in handles {
-        h.join().expect("worker thread");
-    }
-    // Every request was a relabeling of the same path: one orbit,
-    // one cache entry, no matter the interleaving.
-    assert_eq!(s.cache_len(), 1);
+    assert!(
+        seen.iter().any(|&(c, hit)| c == Class::ExactOrbit && hit),
+        "relabeled copies of one path must hit the cache"
+    );
     s.shutdown();
 }
 

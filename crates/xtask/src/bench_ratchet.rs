@@ -1,44 +1,32 @@
 //! The performance ratchet: pinned speedup ratios for the optimized
 //! hot paths.
 //!
-//! `BENCH_refine.json` and `BENCH_SERVE.json` carry absolute medians,
-//! which are useless as CI gates (runner hardware varies wildly). What
-//! *is* stable across machines is the **ratio** between two
-//! implementations of the same work measured in the same process —
-//! bucketed vs pairwise partitioning, semi-naive vs from-scratch loop
-//! evaluation, incremental insertion vs full repartition, statically
-//! rejected vs heavyweight-fueled request service. This task pins
+//! `BENCH_refine.json` carries absolute medians, which are useless as
+//! CI gates (runner hardware varies wildly). What *is* stable across
+//! machines is the **ratio** between two implementations of the same
+//! work measured in the same process — bucketed vs pairwise
+//! partitioning, semi-naive vs from-scratch loop evaluation,
+//! incremental insertion vs full repartition, a request rejected at
+//! admission vs one that evaluates. This task pins
 //! those ratios in `BENCH_RATCHET.json`: each entry says "the fast
 //! path must stay at least `min_speedup`× faster than the slow path at
 //! this size". Baselines are locked at `measured / 2` by
 //! `--update-baseline`, so noise cannot trip the gate but losing more
 //! than half the win fails CI.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 const BASELINE: &str = "BENCH_RATCHET.json";
 const INPUT: &str = "BENCH_refine.json";
-const SERVE_INPUT: &str = "BENCH_SERVE.json";
-
-/// How to (re)produce a given input artifact, for error messages.
-fn produce_hint(input: &str) -> &'static str {
-    if input == SERVE_INPUT {
-        "run `cargo run --release -p recdb-serve --bin loadgen` first"
-    } else {
-        "run scripts/bench_refine.sh first"
-    }
-}
 
 /// Headroom factor applied when locking a baseline: the gate trips
 /// only when a change loses more than half the measured speedup.
 const TOLERANCE: f64 = 2.0;
 
 /// One pinned ratio: `slow`'s median over `fast`'s median within
-/// `group` at `size`, read from the artifact named by `input`.
+/// `group` at `size`.
 struct Spec {
     id: &'static str,
-    input: &'static str,
     group: &'static str,
     size: usize,
     slow: &'static str,
@@ -47,20 +35,16 @@ struct Spec {
 
 /// The ratios under ratchet. The first is the PR-5 partition win; the
 /// next two pin the delta engine and the incremental Vⁿᵣ cache; the
-/// fourth pins the serving layer's admission win — a statically
-/// rejected request (analyzer says diverges/unsafe, no evaluation)
-/// must stay well ahead of the heavy fueled workload at the same load
-/// level; the next pins the register VM's execution win over the AST
-/// walker on the same verified straight-line program; the next pins
+/// next pins the register VM's execution win over the AST walker on
+/// the same verified straight-line program; the next pins
 /// loop fast-forward in the statement executor on a cycling fuel-mode
 /// loop, against the same walker declining every skip; the last pins
 /// admission against execution through one in-process server on one
 /// keep-alive connection — a request rejected at admission must stay
 /// well ahead of one that evaluates rank-4 value ops.
-const SPECS: [Spec; 7] = [
+const SPECS: [Spec; 6] = [
     Spec {
         id: "partition.bucketed.4096",
-        input: INPUT,
         group: "E7/partition",
         size: 4096,
         slow: "pairwise",
@@ -68,7 +52,6 @@ const SPECS: [Spec; 7] = [
     },
     Spec {
         id: "fixpoint.seminaive.256",
-        input: INPUT,
         group: "E7/fixpoint",
         size: 256,
         slow: "scratch",
@@ -76,23 +59,13 @@ const SPECS: [Spec; 7] = [
     },
     Spec {
         id: "incr_vnr.insert.4096",
-        input: INPUT,
         group: "E7/incr_vnr",
         size: 4096,
         slow: "recompute",
         fast: "insert",
     },
     Spec {
-        id: "serve.admission.10000",
-        input: SERVE_INPUT,
-        group: "serve/latency",
-        size: 10000,
-        slow: "heavy",
-        fast: "admit_reject",
-    },
-    Spec {
         id: "vm.exec.1024",
-        input: INPUT,
         group: "E7/vm",
         size: 1024,
         slow: "ast",
@@ -100,7 +73,6 @@ const SPECS: [Spec; 7] = [
     },
     Spec {
         id: "exec.cycle",
-        input: INPUT,
         group: "E7/exec",
         size: 1_000_000,
         slow: "cycle_noskip",
@@ -108,7 +80,6 @@ const SPECS: [Spec; 7] = [
     },
     Spec {
         id: "serve.reject.10",
-        input: INPUT,
         group: "E7/serve",
         size: 10,
         slow: "exec",
@@ -117,8 +88,8 @@ const SPECS: [Spec; 7] = [
 ];
 
 /// Extracts a `"key": value` field from a one-point-per-line JSON row
-/// (both artifacts are machine-written, so line-shape parsing is
-/// exact, mirroring the lint ratchet's reader).
+/// (both files are machine-written, so line-shape parsing is exact,
+/// mirroring the lint ratchet's reader).
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let tag = format!("\"{key}\": ");
     let start = line.find(&tag)? + tag.len();
@@ -167,37 +138,23 @@ fn median_of(points: &[(String, String, usize, u128)], spec: &Spec, bench: &str)
         .map(|&(_, _, _, ns)| ns)
 }
 
-/// Measured speedups for every spec, from the bench artifacts (each
-/// input file is read once, however many specs draw from it).
+/// Measured speedups for every spec, from `BENCH_refine.json`.
 fn measure(root: &Path) -> Result<Vec<(&'static Spec, f64)>, String> {
-    let mut by_input: BTreeMap<&'static str, Vec<(String, String, usize, u128)>> = BTreeMap::new();
-    for spec in &SPECS {
-        if !by_input.contains_key(spec.input) {
-            let text = std::fs::read_to_string(root.join(spec.input)).map_err(|e| {
-                format!(
-                    "bench-ratchet: cannot read {}: {e} — {}",
-                    spec.input,
-                    produce_hint(spec.input)
-                )
-            })?;
-            by_input.insert(spec.input, parse_points(&text));
-        }
-    }
+    let text = std::fs::read_to_string(root.join(INPUT)).map_err(|e| {
+        format!("bench-ratchet: cannot read {INPUT}: {e} — run scripts/bench_refine.sh first")
+    })?;
+    let points = parse_points(&text);
     let mut out = Vec::new();
     for spec in &SPECS {
-        let points = &by_input[spec.input];
-        let slow = median_of(points, spec, spec.slow).ok_or_else(|| {
-            format!(
-                "bench-ratchet: {} has no {}/{} point at size {}",
-                spec.input, spec.group, spec.slow, spec.size
-            )
-        })?;
-        let fast = median_of(points, spec, spec.fast).ok_or_else(|| {
-            format!(
-                "bench-ratchet: {} has no {}/{} point at size {}",
-                spec.input, spec.group, spec.fast, spec.size
-            )
-        })?;
+        let median = |bench: &str| {
+            median_of(&points, spec, bench).ok_or_else(|| {
+                format!(
+                    "bench-ratchet: {INPUT} has no {}/{bench} point at size {}",
+                    spec.group, spec.size
+                )
+            })
+        };
+        let (slow, fast) = (median(spec.slow)?, median(spec.fast)?);
         if fast == 0 {
             return Err(format!("bench-ratchet: zero median for {}", spec.id));
         }
@@ -303,24 +260,18 @@ mod tests {
         }
     }
 
-    /// Writes every spec's slow/fast points into its own input
-    /// artifact (`BENCH_refine.json` and `BENCH_SERVE.json` both).
+    /// Writes every spec's slow/fast points into `BENCH_refine.json`.
     fn write_points(dir: &Path, fast_ns: u64) {
-        let mut files: BTreeMap<&'static str, String> = BTreeMap::new();
+        let mut points = String::new();
         for spec in &SPECS {
-            let buf = files.entry(spec.input).or_default();
-            buf.push_str(&format!(
-                "{{\"group\": \"{}\", \"bench\": \"{}\", \"size\": {}, \"median_ns\": 100}}\n",
-                spec.group, spec.slow, spec.size
-            ));
-            buf.push_str(&format!(
-                "{{\"group\": \"{}\", \"bench\": \"{}\", \"size\": {}, \"median_ns\": {fast_ns}}}\n",
-                spec.group, spec.fast, spec.size
-            ));
+            for (bench, ns) in [(spec.slow, 100), (spec.fast, fast_ns)] {
+                points.push_str(&format!(
+                    "{{\"group\": \"{}\", \"bench\": \"{bench}\", \"size\": {}, \"median_ns\": {ns}}}\n",
+                    spec.group, spec.size
+                ));
+            }
         }
-        for (name, points) in files {
-            std::fs::write(dir.join(name), points).expect("write input");
-        }
+        std::fs::write(dir.join(INPUT), points).expect("write input");
     }
 
     #[test]
