@@ -41,18 +41,19 @@
 //! [`try_loop`] never mutates the environment until the loop has run
 //! to successful completion. On *any* obstruction — ineligible body,
 //! non-finite values, a rank mismatch, an evaluation error, fuel
-//! exhaustion — it abandons its private state and returns `false`, and
-//! the executor runs the untouched from-scratch loop, which
-//! reproduces the exact from-scratch outcome (including which error is
-//! reported). The from-scratch path thus stays live as the
+//! exhaustion — it abandons its private state, restores the entry
+//! fuel and returns `false`, and the executor runs the untouched
+//! from-scratch loop with the same budget, which reproduces the exact
+//! from-scratch outcome (including which error is reported and the
+//! fuel left). The from-scratch path thus stays live as the
 //! differential oracle, exactly like `partition_by_local_iso_pairwise`
 //! in the refinement pipeline; the `SEMI-NAIVE-DIFF` conformance check
 //! drives both paths over random programs.
 //!
 //! A stabilized delta (no new tuples in a round) with the guard still
-//! true means the from-scratch loop diverges; the engine burns the
-//! remaining fuel and falls back, so the caller reports the same
-//! `FuelError` the from-scratch loop would.
+//! true means the from-scratch loop diverges; the engine falls back,
+//! and the from-scratch loop, whose state now repeats, runs out of
+//! fuel through the statement executor's loop fast-forward.
 
 use crate::ast::{LoopKind, Prog, Term, VarId};
 use crate::exec::GuardEval;
@@ -363,8 +364,9 @@ impl Log {
 ///
 /// Returns `true` when the loop ran to completion (the environment now
 /// holds the exact from-scratch result). Returns `false` — with the
-/// environment untouched — when the caller must run the from-scratch
-/// loop instead; the [`Fallback`] reason is counted.
+/// environment and the fuel as they were on entry — when the caller
+/// must run the from-scratch loop instead; the [`Fallback`] reason is
+/// counted.
 pub fn try_loop<B: GuardEval>(
     backend: &mut B,
     kind: LoopKind,
@@ -373,9 +375,30 @@ pub fn try_loop<B: GuardEval>(
     env: &mut Vec<B::V>,
     fuel: &mut Fuel,
 ) -> bool {
-    let Ok(plan) = classify_loop(body) else {
-        return fallback(Fallback::IneligibleBody);
-    };
+    let entry_fuel = *fuel;
+    match delta_loop(backend, kind, guard, body, env, fuel) {
+        Ok(()) => true,
+        Err(reason) => {
+            // The from-scratch loop restarts from the entry state, so
+            // it must get the entry budget back, or it could run out
+            // where it would not have.
+            *fuel = entry_fuel;
+            fallback(reason)
+        }
+    }
+}
+
+/// The delta rounds of [`try_loop`]; on `Err` the environment is
+/// untouched.
+fn delta_loop<B: GuardEval>(
+    backend: &mut B,
+    kind: LoopKind,
+    guard: VarId,
+    body: &Prog,
+    env: &mut Vec<B::V>,
+    fuel: &mut Fuel,
+) -> Result<(), Fallback> {
+    let plan = classify_loop(body).map_err(|_| Fallback::IneligibleBody)?;
     // Entry snapshot: one log per written variable, seeded with the
     // entry value so the first round's per-statement delta is the full
     // entry value — round 1 then reproduces iteration 1 exactly.
@@ -383,7 +406,7 @@ pub fn try_loop<B: GuardEval>(
     for &w in &plan.writes {
         let entry = env.get(w).cloned().unwrap_or_else(B::unset);
         let Some(tuples) = entry.finite_tuples() else {
-            return fallback(Fallback::CofiniteVar);
+            return Err(Fallback::CofiniteVar);
         };
         logs.insert(w, Log::new(entry.rank(), tuples));
     }
@@ -418,14 +441,13 @@ pub fn try_loop<B: GuardEval>(
             break;
         }
         if fuel.tick().is_err() {
-            // The from-scratch loop's next tick fails identically.
-            return fallback(Fallback::Fuel);
+            return Err(Fallback::Fuel);
         }
         rounds += 1;
         let mut progress = false;
         for (i, stmt) in plan.stmts.iter().enumerate() {
             if fuel.tick().is_err() {
-                return fallback(Fallback::Fuel);
+                return Err(Fallback::Fuel);
             }
             let delta: B::V = match stmt.source {
                 Some(src) => {
@@ -447,20 +469,19 @@ pub fn try_loop<B: GuardEval>(
                 }
             };
             scratch_env[plan.scratch] = delta;
-            let contribution = match backend.eval(&stmt.rewritten, &scratch_env, fuel) {
-                Ok(v) => v,
-                Err(_) => return fallback(Fallback::EvalError),
-            };
+            let contribution = backend
+                .eval(&stmt.rewritten, &scratch_env, fuel)
+                .map_err(|_| Fallback::EvalError)?;
             let Some(tuples) = contribution.finite_tuples() else {
-                return fallback(Fallback::CofiniteContribution);
+                return Err(Fallback::CofiniteContribution);
             };
             let Some(log) = logs.get_mut(&stmt.target) else {
-                return fallback(Fallback::UnseededTarget); // unreachable: targets ⊆ writes
+                return Err(Fallback::UnseededTarget); // unreachable: targets ⊆ writes
             };
             if contribution.rank() != log.rank {
                 // The from-scratch union ¬(¬v ∩ ¬s) raises the same
                 // mismatch on its first iteration.
-                return fallback(Fallback::RankMismatch);
+                return Err(Fallback::RankMismatch);
             }
             recdb_obs::observe("fixpoint.delta.size", tuples.len() as u64);
             progress |= log.admit(tuples);
@@ -470,10 +491,9 @@ pub fn try_loop<B: GuardEval>(
         }
         if !progress && continues(&logs, env) {
             // Fixpoint reached with the guard still true: the
-            // from-scratch loop diverges. Burn the budget so the
-            // fallback reports the same FuelError immediately.
-            while fuel.tick().is_ok() {}
-            return fallback(Fallback::Divergent);
+            // from-scratch loop diverges, and its loop fast-forward
+            // spends the budget in whole periods.
+            return Err(Fallback::Divergent);
         }
     }
     if rounds > 0 {
@@ -486,7 +506,7 @@ pub fn try_loop<B: GuardEval>(
     }
     recdb_obs::count("fixpoint.seminaive.loops", 1);
     recdb_obs::observe("fixpoint.delta.rounds", rounds);
-    true
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,19 +1,37 @@
 //! Every semi-naive fallback is counted under its reason code
-//! (`fixpoint.seminaive.fallbacks.<code>`) as well as in the total.
+//! (`fixpoint.seminaive.fallbacks.<code>`) as well as in the total,
+//! and a loop that falls back ends exactly as it does with semi-naive
+//! evaluation off, fuel left included.
 //!
-//! One test per binary: the metrics recorder is process-global.
+//! The metrics recorder is process-global, so the tests serialize on
+//! [`LOCK`].
 
 use recdb_core::{tuple, CoFiniteRelation, FiniteRelation, FiniteStructure, Fuel};
 use recdb_hsdb::{FcfDatabase, FcfRel};
 use recdb_obs::InMemoryRecorder;
-use recdb_qlhs::{FcfInterp, FinInterp, Prog, Term, Val};
+use recdb_qlhs::{parse_program, FcfInterp, FinInterp, Prog, Term, Val};
+use std::sync::Mutex;
+
+static LOCK: Mutex<()> = Mutex::new(());
 
 fn union_assign(v: usize, s: Term) -> Prog {
     Prog::assign(v, Term::Var(v).union(s))
 }
 
+/// The fcf database of the co-finite cases: `R1 = {1}`, `R2 = D ∖ {1}`.
+fn cofinite_db() -> FcfDatabase {
+    FcfDatabase::new(
+        "s",
+        vec![
+            FcfRel::Finite(FiniteRelation::unary([1])),
+            FcfRel::CoFinite(CoFiniteRelation::new(1, [tuple![1]])),
+        ],
+    )
+}
+
 #[test]
 fn each_fallback_is_counted_under_its_reason() {
+    let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let rec = InMemoryRecorder::shared();
     recdb_obs::install(rec.clone());
     let path = FiniteStructure::undirected_graph(0..3, [(0, 1), (1, 2)]);
@@ -47,13 +65,7 @@ fn each_fallback_is_counted_under_its_reason() {
     run(&seeded(union_assign(1, Term::Rel(4).down())), 1_000);
 
     // A co-finite loop variable on entry.
-    let fcf = FcfDatabase::new(
-        "s",
-        vec![
-            FcfRel::Finite(FiniteRelation::unary([1])),
-            FcfRel::CoFinite(CoFiniteRelation::new(1, [tuple![1]])),
-        ],
-    );
+    let fcf = cofinite_db();
     let p = Prog::seq([
         Prog::assign(1, Term::Rel(1)),
         Prog::WhileEmpty(2, Box::new(union_assign(1, Term::Rel(0)))),
@@ -73,4 +85,95 @@ fn each_fallback_is_counted_under_its_reason() {
         assert_eq!(rec.counter_value(&name), 1, "{name}");
     }
     assert_eq!(rec.counter_value("fixpoint.seminaive.fallbacks"), 6);
+}
+
+/// Runs a program with semi-naive evaluation on or off at a budget;
+/// returns the outcome and the fuel left.
+type Run = Box<dyn Fn(bool, u64) -> (String, u64)>;
+
+fn on_fin(st: FiniteStructure, p: Prog) -> Run {
+    Box::new(move |seminaive, budget| {
+        let mut fin = FinInterp::new(&st);
+        fin.set_seminaive(seminaive);
+        let mut fuel = Fuel::new(budget);
+        let r = fin.run(&p, &mut fuel);
+        (format!("{r:?}"), fuel.remaining())
+    })
+}
+
+fn on_fcf(p: Prog) -> Run {
+    Box::new(move |seminaive, budget| {
+        let db = cofinite_db();
+        let mut fcf = FcfInterp::new(&db);
+        fcf.set_seminaive(seminaive);
+        let mut fuel = Fuel::new(budget);
+        let r = fcf.run(&p, &mut fuel);
+        (format!("{r:?}"), fuel.remaining())
+    })
+}
+
+/// One program per reachable fallback reason, each swept over every
+/// budget from 0 to two past what its from-scratch run spends: the
+/// result and the fuel left must not depend on the semi-naive switch,
+/// so a fallback hands the from-scratch loop its entry budget back.
+#[test]
+fn fallbacks_match_the_from_scratch_loop_at_every_budget() {
+    let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    const BIG: u64 = 2_000;
+    let path = || FiniteStructure::undirected_graph(0..4, (0..3).map(|i| (i, i + 1)));
+    let prog = |text: &str| parse_program(text).expect("parses");
+    let succ = "down(up(Y2) & R1)";
+    let cases: Vec<(&str, Run)> = vec![
+        (
+            "ineligible_body",
+            on_fin(path(), prog("Y2 := C1; while empty(Y3) { Y3 := Y2 & C4; Y2 := down(up(Y2) & R1); }")),
+        ),
+        (
+            "rank_mismatch",
+            on_fin(path(), prog("while empty(Y3) { Y2 := !(!Y2 & !R1); }")),
+        ),
+        (
+            "divergent",
+            on_fin(path(), prog(&format!("Y2 := C1; while empty(Y3) {{ Y2 := !(!Y2 & !{succ}); }}"))),
+        ),
+        (
+            "fuel",
+            on_fin(
+                path(),
+                prog(&format!(
+                    "Y2 := C1; while empty(Y3) {{ Y2 := !(!Y2 & !{succ}); Y3 := !(!Y3 & !(Y2 & C4)); }}"
+                )),
+            ),
+        ),
+        (
+            "eval_error",
+            on_fin(path(), prog("Y2 := C1; while empty(Y3) { Y2 := !(!Y2 & !down(R5)); }")),
+        ),
+        (
+            "cofinite_var",
+            on_fcf(prog("Y2 := R2; while empty(Y3) { Y2 := !(!Y2 & !R1); }")),
+        ),
+        (
+            "cofinite_contribution",
+            on_fcf(prog("Y2 := R1; while empty(Y3) { Y2 := !(!Y2 & !R2); }")),
+        ),
+    ];
+    for (code, run) in &cases {
+        let rec = InMemoryRecorder::shared();
+        recdb_obs::install(rec.clone());
+        let (_, left) = run(false, BIG);
+        for budget in 0..=BIG - left + 2 {
+            assert_eq!(
+                run(true, budget),
+                run(false, budget),
+                "{code} at fuel {budget}"
+            );
+        }
+        recdb_obs::uninstall();
+        let name = format!("fixpoint.seminaive.fallbacks.{code}");
+        assert!(
+            rec.counter_value(&name) >= 1,
+            "{code}: the sweep never hits {name}"
+        );
+    }
 }
