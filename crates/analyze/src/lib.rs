@@ -62,10 +62,11 @@ pub use terminate::{
     analyze_termination, LoopBound, LoopInfo, TerminationAnalysis, TerminationVerdict,
 };
 
-/// Every program analysis in one call — the five passes composed in
-/// dependency order (termination reads the safety walk's loop facts
-/// and verdict, genericity uses both, cost uses termination's bounds;
-/// semi-naive eligibility stands alone).
+/// The analyses admission reads, in one call — four passes composed
+/// in dependency order (termination reads the safety walk's loop facts
+/// and verdict, genericity uses both, cost uses termination's bounds).
+/// Semi-naive eligibility ([`analyze_delta`]) stands alone and is not
+/// part of it.
 #[derive(Clone, Debug)]
 pub struct FullAnalysis {
     /// Rank/arity/dialect safety ([`analyze_prog`]).
@@ -74,14 +75,12 @@ pub struct FullAnalysis {
     pub termination: TerminationAnalysis,
     /// The C-genericity verdict ([`analyze_genericity`]).
     pub genericity: GenericAnalysis,
-    /// Per-loop semi-naive eligibility ([`analyze_delta`]).
-    pub delta: DeltaAnalysis,
     /// Cardinality and work upper bounds ([`analyze_cost`]).
     pub cost: CostAnalysis,
 }
 
-/// Runs all five program analyses on `p`: safety, termination,
-/// genericity, semi-naive eligibility and cost.
+/// Runs the four program analyses on `p`: safety, termination,
+/// genericity and cost.
 pub fn analyze_full(
     p: &recdb_qlhs::Prog,
     schema: &recdb_core::Schema,
@@ -90,13 +89,11 @@ pub fn analyze_full(
     let safety = analyze_prog(p, schema, dialect);
     let termination = analyze_termination(p, schema, dialect, &safety);
     let genericity = analyze_genericity(p, dialect, &safety, &termination);
-    let delta = analyze_delta(p);
     let cost = analyze_cost(p, schema, dialect, &termination);
     FullAnalysis {
         safety,
         termination,
         genericity,
-        delta,
         cost,
     }
 }
