@@ -30,7 +30,7 @@ use recdb_analyze::{
     TerminationVerdict, Verdict,
 };
 use recdb_core::Schema;
-use recdb_obs::InMemoryRecorder;
+use recdb_obs::{esc, InMemoryRecorder};
 use recdb_qlhs::{classify, parse_program_with_spans, Dialect};
 use std::io::Read;
 use std::process::ExitCode;
@@ -136,21 +136,6 @@ fn read_input(file: &str) -> Result<String, String> {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// One diagnostic as a JSON object. `line`/`col` come from the span
 /// table when the statement has a recorded span.
@@ -166,7 +151,7 @@ fn diag_json(d: &Diagnostic, src: &str, spans: &recdb_qlhs::SpanTable) -> String
                 .collect::<Vec<_>>()
                 .join(", ")
         ),
-        format!("\"message\": \"{}\"", json_escape(&d.message)),
+        format!("\"message\": \"{}\"", esc(&d.message)),
     ];
     if let Some(span) = spans.enclosing(&d.path) {
         let (line, col) = span.line_col(src);
@@ -174,7 +159,7 @@ fn diag_json(d: &Diagnostic, src: &str, spans: &recdb_qlhs::SpanTable) -> String
         fields.push(format!("\"col\": {col}"));
     }
     if let Some(note) = &d.note {
-        fields.push(format!("\"note\": \"{}\"", json_escape(note)));
+        fields.push(format!("\"note\": \"{}\"", esc(note)));
     }
     format!("{{{}}}", fields.join(", "))
 }
@@ -201,7 +186,7 @@ fn report_json(
         .collect();
     let mut out = String::from("{\n");
     out.push_str("  \"format\": \"ANALYZE-CLI/v1\",\n");
-    out.push_str(&format!("  \"file\": \"{}\",\n", json_escape(name)));
+    out.push_str(&format!("  \"file\": \"{}\",\n", esc(name)));
     out.push_str(&format!("  \"dialect\": \"{dialect}\",\n"));
     out.push_str(&format!(
         "  \"verdict\": \"{}\",\n",
@@ -266,8 +251,8 @@ fn report_json(
         match &c.verdict {
             CostVerdict::Bounded { cardinality, work } => out.push_str(&format!(
                 "\"verdict\": \"bounded\", \"cardinality\": \"{}\", \"work\": \"{}\"",
-                json_escape(&cardinality.to_string()),
-                json_escape(&work.to_string())
+                esc(&cardinality.to_string()),
+                esc(&work.to_string())
             )),
             CostVerdict::Unbounded => out.push_str("\"verdict\": \"unbounded\""),
         }
@@ -284,8 +269,8 @@ fn report_json(
                 format!(
                     "{{\"path\": [{path}], \"executions\": {}, \"cardinality\": \"{}\", \"work\": \"{}\"}}",
                     s.executions,
-                    json_escape(&s.cardinality.to_string()),
-                    json_escape(&s.work.to_string())
+                    esc(&s.cardinality.to_string()),
+                    esc(&s.work.to_string())
                 )
             })
             .collect();

@@ -1,26 +1,7 @@
 //! A minimal JSON writer — enough for `CONFORMANCE.json`, no external
 //! crates (offline builds cannot fetch serde).
 
-use std::fmt::Write as _;
-
-/// Escapes a string per RFC 8259.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use recdb_obs::esc;
 
 /// A `"key": "value"` pair with an escaped string value.
 pub fn kv_str(key: &str, value: &str) -> String {

@@ -277,8 +277,10 @@ pub struct MetricsReport {
     pub histograms: BTreeMap<String, HistSnapshot>,
 }
 
-/// Escapes a string per RFC 8259 (the conformance JSON writer's rules).
-fn esc(s: &str) -> String {
+/// Escapes a string for the inside of a JSON string literal (RFC
+/// 8259): quotes, backslashes and every control character. The one
+/// escaper of the workspace's hand-written JSON.
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

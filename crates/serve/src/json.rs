@@ -125,25 +125,8 @@ impl Json {
     }
 }
 
-/// Escapes a string per RFC 8259 (same rules as the conformance and
-/// metrics writers).
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// The workspace's one JSON string escaper.
+pub use recdb_obs::esc;
 
 /// Where and why parsing failed.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -20,6 +20,7 @@
 
 use recdb_analyze::analyze_full;
 use recdb_core::Schema;
+use recdb_obs::esc;
 use recdb_qlhs::{classify, parse_program, Dialect};
 use recdb_vm::{compile, verify, LowerOpts};
 use std::io::Read;
@@ -90,9 +91,6 @@ fn read_input(file: &str) -> Result<String, String> {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 fn run(opts: &Opts) -> Result<bool, String> {
     let src = read_input(&opts.file)?;
@@ -121,9 +119,9 @@ fn run(opts: &Opts) -> Result<bool, String> {
                 println!(
                     "{{\"format\": \"QLVM-VERIFY/v1\", \"file\": \"{}\", \"accepted\": false, \
                      \"stage\": \"compile\", \"obstruction\": \"{}\", \"detail\": \"{}\"}}",
-                    json_escape(name),
+                    esc(name),
                     o.kind.code(),
-                    json_escape(&o.detail)
+                    esc(&o.detail)
                 );
             } else {
                 eprintln!("{name}: obstructed: {o}");
@@ -146,7 +144,7 @@ fn run(opts: &Opts) -> Result<bool, String> {
                     "{{\"format\": \"QLVM-VERIFY/v1\", \"file\": \"{}\", \"accepted\": true, \
                      \"instructions\": {}, \"frame\": {}, \"loops\": {}, \"elided_stores\": {}, \
                      \"derived_work\": {}, \"derived_cardinality\": {}, \"claim_checked\": {}}}",
-                    json_escape(name),
+                    esc(name),
                     report.instructions,
                     report.frame,
                     report.loops,
@@ -154,11 +152,11 @@ fn run(opts: &Opts) -> Result<bool, String> {
                     report
                         .derived_work
                         .as_deref()
-                        .map_or("null".into(), |p| format!("\"{}\"", json_escape(p))),
+                        .map_or("null".into(), |p| format!("\"{}\"", esc(p))),
                     report
                         .derived_cardinality
                         .as_deref()
-                        .map_or("null".into(), |p| format!("\"{}\"", json_escape(p))),
+                        .map_or("null".into(), |p| format!("\"{}\"", esc(p))),
                     report.claim_checked,
                 );
             } else {
@@ -171,9 +169,9 @@ fn run(opts: &Opts) -> Result<bool, String> {
                 println!(
                     "{{\"format\": \"QLVM-VERIFY/v1\", \"file\": \"{}\", \"accepted\": false, \
                      \"stage\": \"verify\", \"at\": {}, \"reason\": \"{}\"}}",
-                    json_escape(name),
+                    esc(name),
                     r.at,
-                    json_escape(&r.reason)
+                    esc(&r.reason)
                 );
             } else {
                 eprintln!("{name}: {r}");

@@ -61,10 +61,10 @@
 use crate::scan;
 use recdb_analyze::{analyze_full, analyze_prog, GenericityVerdict, Severity, Verdict};
 use recdb_core::Schema;
+use recdb_obs::esc;
 use recdb_qlhs::{classify, parse_program, parse_program_with_spans, Dialect};
 use recdb_ra::{compile_program, parse_ra_with_spans, typecheck, validate, RaSchema};
 use recdb_vm::{compile, verify, LowerOpts, VmProg};
-use std::fmt::Write as _;
 use std::path::Path;
 
 struct Directives {
@@ -243,22 +243,6 @@ fn vm_outcome(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// The string literal argument of each single-line `parse_program("…")`
 /// call in `file`, unescaped, with its 1-based line number.
@@ -451,9 +435,9 @@ pub fn run(root: &Path, report_path: Option<&Path>) -> bool {
                     Err(r) => {
                         corrupt_rows.push(format!(
                             "    {{\"file\": \"{}\", \"rejected_at\": {}, \"reason\": \"{}\"}}",
-                            json_escape(&fixture_name),
+                            esc(&fixture_name),
                             r.at,
-                            json_escape(&r.reason)
+                            esc(&r.reason)
                         ));
                     }
                 },
@@ -470,7 +454,7 @@ pub fn run(root: &Path, report_path: Option<&Path>) -> bool {
                         Severity::Error => "error",
                         Severity::Warning => "warning",
                     },
-                    json_escape(&d.message)
+                    esc(&d.message)
                 )
             })
             .collect();
@@ -478,13 +462,13 @@ pub fn run(root: &Path, report_path: Option<&Path>) -> bool {
             "    {{\"file\": \"{}\", \"dialect\": \"{}\", \"verdict\": \"{}\", \
              \"genericity\": \"{}\", \"termination\": \"{}\", \"cost\": \"{}\", \
              \"vm\": \"{}\", \"diagnostics\": [{}]}}",
-            json_escape(&name),
+            esc(&name),
             dialect,
             analysis.verdict,
-            json_escape(&full.genericity.verdict.to_string()),
-            json_escape(&full.termination.verdict.to_string()),
-            json_escape(&cost_verdict),
-            json_escape(&vm_verdict),
+            esc(&full.genericity.verdict.to_string()),
+            esc(&full.termination.verdict.to_string()),
+            esc(&cost_verdict),
+            esc(&vm_verdict),
             diags.join(", ")
         ));
     }
@@ -572,8 +556,8 @@ pub fn run(root: &Path, report_path: Option<&Path>) -> bool {
         }
         ra_rows.push(format!(
             "    {{\"file\": \"{}\", \"verdict\": \"{}\"}}",
-            json_escape(&name),
-            json_escape(&got)
+            esc(&name),
+            esc(&got)
         ));
     }
 
@@ -599,7 +583,7 @@ pub fn run(root: &Path, report_path: Option<&Path>) -> bool {
                     .collect();
                 literal_rows.push(format!(
                     "    {{\"file\": \"{}\", \"line\": {line}, \"verdict\": \"{}\", \"codes\": [{}]}}",
-                    json_escape(&name),
+                    esc(&name),
                     analysis.verdict,
                     codes.join(", ")
                 ));
