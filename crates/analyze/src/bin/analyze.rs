@@ -136,7 +136,6 @@ fn read_input(file: &str) -> Result<String, String> {
     }
 }
 
-
 /// One diagnostic as a JSON object. `line`/`col` come from the span
 /// table when the statement has a recorded span.
 fn diag_json(d: &Diagnostic, src: &str, spans: &recdb_qlhs::SpanTable) -> String {

@@ -17,7 +17,12 @@
 //!   Both executors run under a recording wrapper of the schedules
 //!   `run`/`run_scheduled`/`exec_plain`/`exec_scheduled` use, so the
 //!   row also counts, per executor, the runs that really
-//!   fast-forwarded a cycling loop, and demands enough of them.
+//!   fast-forwarded a cycling loop, and demands enough of them. The
+//!   random programs' cycling loops are mostly fixed points, where
+//!   watching any subset of the written slots is exact, so the row
+//!   adds seeded loops of period 6 whose largest written slot rotates
+//!   through values of different sizes that no other slot determines,
+//!   and demands enough fast-forwards of those too.
 //! * **VM-VERIFY** — seeded single-instruction corruptions of
 //!   verifier-accepted bytecode: every register bump, tick skew,
 //!   opcode swap, relation-index change, guard/loop retarget, and
@@ -31,12 +36,12 @@ use super::ra::discrete_hs;
 use crate::gen::{self, ProgShape};
 use crate::ledger::{CheckCtx, CheckDef};
 use recdb_analyze::analyze_full;
-use recdb_core::{FiniteStructure, Fuel, Schema};
+use recdb_core::{Elem, FiniteStructure, Fuel, Schema, SplitMix64, Tuple};
 use recdb_hsdb::FcfDatabase;
 use recdb_qlhs::exec::{
     run_with, Backend, Budget, Budgeted, ExecEnd, FuelOnly, GuardEval, RecordSkips,
 };
-use recdb_qlhs::{Dialect, FcfInterp, FinInterp, HsInterp, LoopKind, Prog};
+use recdb_qlhs::{parse_program, Dialect, FcfInterp, FinInterp, HsInterp, LoopKind, Prog};
 use recdb_vm::{compile, exec_plain, exec_with, verify, Inst, LowerOpts, VmProg};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
@@ -140,11 +145,55 @@ struct DiffTally {
     fast_forwarded: usize,
     /// Tree-walker runs, plain and scheduled, that did.
     walker_fast_forwarded: usize,
+    /// VM runs that skipped a period of at least two iterations.
+    long_periods: usize,
+    /// Tree-walker runs that did.
+    walker_long_periods: usize,
     /// Static obstructions by stable code — the programs only the tree
     /// walker runs (runtime errors, the server's 422s, live here).
     obstructed: BTreeMap<&'static str, usize>,
     /// Scheduled runs by end event.
     sched: BTreeMap<&'static str, usize>,
+}
+
+impl DiffTally {
+    /// Counts the fast-forwards one VM run and one walker run made.
+    fn count_skips<S>(&mut self, vm: &RecordSkips<S>, walker: &RecordSkips<S>) {
+        let long = |r: &RecordSkips<S>| usize::from(r.granted.iter().any(|p| p.here >= 2));
+        self.fast_forwarded += usize::from(!vm.granted.is_empty());
+        self.walker_fast_forwarded += usize::from(!walker.granted.is_empty());
+        self.long_periods += long(vm);
+        self.walker_long_periods += long(walker);
+    }
+}
+
+/// A seeded loop of period 6 whose largest written slot carries state
+/// no other slot determines: `Y2` toggles between `R1` and its swap
+/// (period 2) while `Y3` steps through the successor sets `{a}`,
+/// `{b, c}`, `{d}` of `R1 = a→b, a→c, b→d, c→d, d→a` (period 3, of
+/// sizes 1, 2, 1, so the phases differ in fuel and work). `Y1` is never
+/// assigned, so the loop runs until a limit stops it. A watch that
+/// misses `Y3` sees period 2 and skips to the wrong phase. The four
+/// named elements are drawn from a universe of 4–6.
+fn periodic_loop(rng: &mut SplitMix64) -> (FiniteStructure, Prog) {
+    let size = 4 + rng.gen_range(0, 3);
+    let mut labels: Vec<u64> = (0..size).collect();
+    rng.shuffle(&mut labels);
+    let [a, b, c, d] = [labels[0], labels[1], labels[2], labels[3]];
+    let edge = |x: u64, y: u64| Tuple::from_values([x, y]);
+    let st = FiniteStructure::new(
+        Schema::new([2, 1]),
+        (0..size).map(Elem),
+        vec![
+            [edge(a, b), edge(a, c), edge(b, d), edge(c, d), edge(d, a)].into(),
+            [Tuple::from_values([a])].into(),
+        ],
+    );
+    let p = parse_program(
+        "Y2 := R1; Y3 := R2; while empty(Y1) { Y2 := swap(Y2); Y3 := down(up(Y3) & R1); }",
+    )
+    .expect("the periodic loop parses");
+    (st, p)
 }
 
 /// One round's program, its verified bytecode, and the budgets it runs
@@ -183,8 +232,7 @@ where
         let walked = run_with(&mut mk(), r.dialect, p, &mut walk_fuel, &mut walk);
         let mut s = RecordSkips::new(plain());
         let got = exec_with(&mut mk(), vm, &mut Fuel::new(fuel), &mut s);
-        tally.fast_forwarded += usize::from(!s.granted.is_empty());
-        tally.walker_fast_forwarded += usize::from(!walk.granted.is_empty());
+        tally.count_skips(&s, &walk);
         if got != want || walked != want || walk_fuel != ref_fuel {
             return Err(format!(
                 "round {round}: plain run diverged at fuel {fuel}:\n  reference: {want:?}\n  \
@@ -223,12 +271,11 @@ where
         let want = reference.inner.finish(out);
         let mut walk = RecordSkips::new(budgeted());
         let out = run_with(&mut mk(), r.dialect, p, &mut Fuel::new(fuel), &mut walk);
-        tally.walker_fast_forwarded += usize::from(!walk.granted.is_empty());
-        let walked = walk.inner.finish(out);
         let mut s = RecordSkips::new(budgeted());
-        let out = exec_with(&mut mk(), vm, &mut Fuel::new(fuel), &mut s);
-        tally.fast_forwarded += usize::from(!s.granted.is_empty());
-        let got = s.inner.finish(out);
+        let vm_out = exec_with(&mut mk(), vm, &mut Fuel::new(fuel), &mut s);
+        tally.count_skips(&s, &walk);
+        let walked = walk.inner.finish(out);
+        let got = s.inner.finish(vm_out);
         // The end event is the server's status-code decision:
         // Done→200, OutOfFuel/Preempted→408, Errored→422, *Exceeded→500.
         for (who, run, counts_work) in [("walker", &walked, true), ("vm", &got, r.elided == 0)] {
@@ -255,6 +302,10 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
     // and 51 on the walker at the CI seed): without them the row would
     // compare no skipped period at all.
     const FAST_FORWARDED: usize = 25;
+    // Seeded period-6 loops, and the runs per executor that must skip
+    // a period of at least two iterations.
+    const PERIODIC: usize = 40;
+    const LONG_PERIODS: usize = 60;
     let mut tally = DiffTally::default();
     for which in 0..3 {
         for round in 0..PER_BACKEND {
@@ -320,6 +371,41 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
             }
         }
     }
+    // Loops whose period the watch must see in full, on the finite and
+    // the hs backend, run far enough to skip and then hit every limit.
+    for round in 0..PERIODIC {
+        let (st, p) = periodic_loop(ctx.rng());
+        let dialect = if round % 2 == 0 {
+            Dialect::Ql
+        } else {
+            Dialect::Qlhs
+        };
+        let (vm, elided) = compile_verified(&p, st.schema(), dialect)?
+            .map_err(|code| format!("periodic loop obstructed ({code}):\n{p}"))?;
+        let r = Round {
+            n: round,
+            dialect,
+            p: &p,
+            vm: &vm,
+            elided,
+            fuels: [
+                0,
+                40 + ctx.rng().gen_range(0, 200),
+                3_000 + ctx.rng().gen_range(0, 3_000),
+            ],
+            sched: [
+                (3_000 + ctx.rng().gen_range(0, 3_000), None),
+                (60_000, Some(200 + ctx.rng().gen_range(0, 2_000))),
+            ],
+            preempt: false,
+        };
+        if dialect == Dialect::Ql {
+            diff_round(&|| FinInterp::new(&st), &r, &mut tally)?;
+        } else {
+            let hs = discrete_hs(&st);
+            diff_round(&|| HsInterp::new(&hs), &r, &mut tally)?;
+        }
+    }
     // Teeth: the differential must have actually exercised every
     // outcome class, at scale. Verifier-accepted programs cannot
     // error at runtime except by fuel (every other failure is a
@@ -340,10 +426,13 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
         || sched_tag("work-exceeded") < 10
         || tally.fast_forwarded < FAST_FORWARDED
         || tally.walker_fast_forwarded < FAST_FORWARDED
+        || tally.long_periods < LONG_PERIODS
+        || tally.walker_long_periods < LONG_PERIODS
     {
         return Err(format!(
             "differential lost its teeth: programs {}, vm-executed {}, done {}, \
-             errors {}, fuel {}, fast-forwarded {} (walker {}), obstructed {:?}, scheduled {:?}",
+             errors {}, fuel {}, fast-forwarded {} (walker {}), periods ≥ 2 skipped {} \
+             (walker {}), obstructed {:?}, scheduled {:?}",
             tally.programs,
             tally.vm_executed,
             tally.done_eq,
@@ -351,6 +440,8 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
             tally.fuel_eq,
             tally.fast_forwarded,
             tally.walker_fast_forwarded,
+            tally.long_periods,
+            tally.walker_long_periods,
             tally.obstructed,
             tally.sched
         ));

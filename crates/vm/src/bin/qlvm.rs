@@ -91,7 +91,6 @@ fn read_input(file: &str) -> Result<String, String> {
     }
 }
 
-
 fn run(opts: &Opts) -> Result<bool, String> {
     let src = read_input(&opts.file)?;
     let name = if opts.file == "-" {

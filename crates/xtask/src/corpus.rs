@@ -243,7 +243,6 @@ fn vm_outcome(
     }
 }
 
-
 /// The string literal argument of each single-line `parse_program("…")`
 /// call in `file`, unescaped, with its 1-based line number.
 fn embedded_programs(raw: &str) -> Vec<(usize, String)> {
