@@ -271,34 +271,36 @@ fn main() {
     // Verified bytecode vs tree-walking the same program (`E7/vm`):
     // compilation and verification happen once, outside the timed
     // region, which is execution only — flat register dispatch with
-    // dead scratch stores elided against the AST walker that pays for
-    // every assignment.
+    // dead scratch stores elided (`vm`) or kept (`vm_nodse`, dispatch
+    // alone) against the AST walker that pays for every assignment.
     for size in [64u64, 256, 1024] {
         let st = path_graph(size);
         let p = straightline_prog(8);
         let full = analyze_full(&p, st.schema(), Dialect::Ql);
-        let vm = compile(
-            &p,
-            st.schema(),
-            Dialect::Ql,
-            &full.termination,
-            &LowerOpts::default(),
-        )
-        .expect("straight-line pipeline lowers");
-        verify(&vm, &p, st.schema(), Dialect::Ql, &full.termination, None)
-            .expect("bytecode verifies");
-        points.push(Point {
-            group: "E7/vm",
-            bench: "vm".into(),
-            size: size as usize,
-            median_ns: median_ns(5, || {
-                let mut i = FinInterp::new(&st);
-                exec_plain(&mut i, &vm, &mut Fuel::new(1 << 40))
-                    .expect("bytecode run terminates")
-                    .tuples
-                    .len()
-            }),
-        });
+        for (bench, dse) in [("vm", true), ("vm_nodse", false)] {
+            let vm = compile(
+                &p,
+                st.schema(),
+                Dialect::Ql,
+                &full.termination,
+                &LowerOpts { dse },
+            )
+            .expect("straight-line pipeline lowers");
+            verify(&vm, &p, st.schema(), Dialect::Ql, &full.termination, None)
+                .expect("bytecode verifies");
+            points.push(Point {
+                group: "E7/vm",
+                bench: bench.into(),
+                size: size as usize,
+                median_ns: median_ns(5, || {
+                    let mut i = FinInterp::new(&st);
+                    exec_plain(&mut i, &vm, &mut Fuel::new(1 << 40))
+                        .expect("bytecode run terminates")
+                        .tuples
+                        .len()
+                }),
+            });
+        }
         points.push(Point {
             group: "E7/vm",
             bench: "ast".into(),
@@ -537,10 +539,12 @@ fn main() {
     eprintln!("ops_tiny {tiny_rows} rows: {}", line.join(", "));
     for size in [64usize, 256, 1024] {
         let (v, a) = (ns("E7/vm", "vm", size), ns("E7/vm", "ast", size));
-        if v > 0 {
+        let d = ns("E7/vm", "vm_nodse", size);
+        if v > 0 && d > 0 {
             eprintln!(
-                "vm       n={size:>5}: ast {a} ns / vm {v} ns = {:.1}x",
-                a as f64 / v as f64
+                "vm       n={size:>5}: ast {a} ns / vm {v} ns = {:.1}x, / vm without DSE {d} ns = {:.2}x",
+                a as f64 / v as f64,
+                a as f64 / d as f64
             );
         }
     }
