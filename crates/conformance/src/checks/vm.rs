@@ -175,7 +175,7 @@ impl DiffTally {
 /// assigned, so the loop runs until a limit stops it. A watch that
 /// misses `Y3` sees period 2 and skips to the wrong phase. The four
 /// named elements are drawn from a universe of 4–6.
-fn periodic_loop(rng: &mut SplitMix64) -> (FiniteStructure, Prog) {
+fn periodic_loop(rng: &mut SplitMix64) -> Result<(FiniteStructure, Prog), String> {
     let size = 4 + rng.gen_range(0, 3);
     let mut labels: Vec<u64> = (0..size).collect();
     rng.shuffle(&mut labels);
@@ -192,8 +192,8 @@ fn periodic_loop(rng: &mut SplitMix64) -> (FiniteStructure, Prog) {
     let p = parse_program(
         "Y2 := R1; Y3 := R2; while empty(Y1) { Y2 := swap(Y2); Y3 := down(up(Y3) & R1); }",
     )
-    .expect("the periodic loop parses");
-    (st, p)
+    .map_err(|e| format!("the periodic loop does not parse: {}", e.msg))?;
+    Ok((st, p))
 }
 
 /// One round's program, its verified bytecode, and the budgets it runs
@@ -374,7 +374,7 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
     // Loops whose period the watch must see in full, on the finite and
     // the hs backend, run far enough to skip and then hit every limit.
     for round in 0..PERIODIC {
-        let (st, p) = periodic_loop(ctx.rng());
+        let (st, p) = periodic_loop(ctx.rng())?;
         let dialect = if round % 2 == 0 {
             Dialect::Ql
         } else {
