@@ -31,10 +31,10 @@ use crate::gen::{self, ProgShape};
 use crate::ledger::{CheckCtx, CheckDef};
 use recdb_core::{FiniteStructure, Schema};
 use recdb_hsdb::{unary_cells, CellSize};
+use recdb_obs::esc;
 use recdb_qlhs::{Dialect, FinInterp, HsInterp, Permutation, Val};
 use recdb_serve::admit::{admit, Admission, AdmitLimits, AdmitOutcome, Plan};
 use recdb_serve::exec::{run_scheduled, Budget, ExecEnd, GuardEval};
-use recdb_serve::json::esc;
 use recdb_serve::proto::result_json;
 use recdb_serve::{post_once, Response, ServeConfig, Server};
 use std::collections::BTreeMap;

@@ -1,7 +1,7 @@
 //! A minimal JSON writer — enough for `CONFORMANCE.json`, no external
 //! crates (offline builds cannot fetch serde).
 
-pub use recdb_obs::esc;
+use recdb_obs::esc;
 
 /// A `"key": "value"` pair with an escaped string value.
 pub fn kv_str(key: &str, value: &str) -> String {
