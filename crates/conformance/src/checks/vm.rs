@@ -298,12 +298,12 @@ where
 /// VM-DIFF: see the module docs.
 fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
     const PER_BACKEND: usize = 350;
-    // Runs with a granted fast-forward, per executor (50 on the VM
-    // and 51 on the walker at the CI seed): without them the row would
-    // compare no skipped period at all.
+    // Random-program runs with a granted fast-forward, per executor
+    // (50 on the VM and 51 on the walker at the CI seed): without them
+    // the row would compare no skipped period at all.
     const FAST_FORWARDED: usize = 25;
     // Seeded period-6 loops, and the runs per executor that must skip
-    // a period of at least two iterations.
+    // a period of at least two iterations (120 each at the CI seed).
     const PERIODIC: usize = 40;
     const LONG_PERIODS: usize = 60;
     let mut tally = DiffTally::default();
@@ -371,6 +371,7 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
             }
         }
     }
+    let random_skips = (tally.fast_forwarded, tally.walker_fast_forwarded);
     // Loops whose period the watch must see in full, on the finite and
     // the hs backend, run far enough to skip and then hit every limit.
     for round in 0..PERIODIC {
@@ -424,8 +425,8 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
         || sched_tag("out-of-fuel") < 25
         || sched_tag("preempted") < 10
         || sched_tag("work-exceeded") < 10
-        || tally.fast_forwarded < FAST_FORWARDED
-        || tally.walker_fast_forwarded < FAST_FORWARDED
+        || random_skips.0 < FAST_FORWARDED
+        || random_skips.1 < FAST_FORWARDED
         || tally.long_periods < LONG_PERIODS
         || tally.walker_long_periods < LONG_PERIODS
     {
@@ -438,8 +439,8 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
             tally.done_eq,
             tally.err_eq,
             tally.fuel_eq,
-            tally.fast_forwarded,
-            tally.walker_fast_forwarded,
+            random_skips.0,
+            random_skips.1,
             tally.long_periods,
             tally.walker_long_periods,
             tally.obstructed,
