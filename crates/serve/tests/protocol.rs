@@ -663,31 +663,26 @@ fn render(edges: &[(u64, u64)]) -> String {
     pairs.join(",")
 }
 
-/// Every class of the mix from 32 client threads, one fresh
-/// connection per request, against 8 workers that verify every cache
-/// hit: each answer has its class's status, none reports a soundness
-/// or work-bound violation, and every `Y1 := R1` answer — cache hits
+/// Posts `per_thread` requests from each of `threads` client threads,
+/// one fresh connection per request, each class drawn by `pick`:
+/// every answer has its class's status, none reports a soundness or
+/// work-bound violation, and every `Y1 := R1` answer — cache hits
 /// transported through the relabeling included — is exactly its
-/// request's edges.
-#[test]
-fn concurrent_mixed_load_is_fully_consistent() {
-    const THREADS: u64 = 32;
-    const PER_THREAD: usize = 32;
-    let s = Server::start(ServeConfig {
-        workers: 8,
-        verify_hits: true,
-        read_timeout_ms: 200,
-        ..ServeConfig::default()
-    })
-    .expect("bind");
-    let addr = s.addr();
-    let handles: Vec<_> = (0..THREADS)
+/// request's edges. Returns each request's class and whether it hit
+/// the cache.
+fn drive(
+    addr: std::net::SocketAddr,
+    threads: u64,
+    per_thread: usize,
+    pick: fn(&mut SplitMix64) -> Class,
+) -> Vec<(Class, bool)> {
+    let handles: Vec<_> = (0..threads)
         .map(|t| {
             std::thread::spawn(move || {
                 let mut rng = SplitMix64::seed_from_u64(0x5ecd_eb0a ^ t);
                 let mut seen = Vec::new();
-                for _ in 0..PER_THREAD {
-                    let class = Class::pick(&mut rng);
+                for _ in 0..per_thread {
+                    let class = pick(&mut rng);
                     let (path, body, edges) = class.request(&mut rng);
                     let r = recdb_serve::post_once(addr, path, &body).expect("round trip");
                     assert_eq!(r.status, class.status(), "{class:?}: {}", r.body);
@@ -712,7 +707,29 @@ fn concurrent_mixed_load_is_fully_consistent() {
         .into_iter()
         .flat_map(|h| h.join().expect("client thread"))
         .collect();
-    assert_eq!(seen.len(), THREADS as usize * PER_THREAD);
+    assert_eq!(seen.len(), threads as usize * per_thread);
+    seen
+}
+
+/// Against 8 workers that verify every cache hit: first relabelings
+/// of one path from 8 threads at once, which must leave one cache
+/// entry whatever the interleaving; then every class of the mix from
+/// 32 client threads.
+#[test]
+fn concurrent_mixed_load_is_fully_consistent() {
+    let s = Server::start(ServeConfig {
+        workers: 8,
+        verify_hits: true,
+        read_timeout_ms: 200,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = s.addr();
+    let orbit = drive(addr, 8, 25, |_| Class::ExactOrbit);
+    assert!(orbit.iter().any(|&(_, hit)| hit), "no relabeling hit");
+    // One orbit, one cache entry, no matter the interleaving.
+    assert_eq!(s.cache_len(), 1);
+    let seen = drive(addr, 32, 32, Class::pick);
     for (class, _) in MIX {
         assert!(
             seen.iter().any(|&(c, _)| c == class),
