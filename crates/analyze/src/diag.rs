@@ -90,7 +90,6 @@ codes! {
     GenericityUnknown = ("W0302", Warning, "genericity of the program could not be decided"),
     UnboundedLoop = ("W0401", Warning, "no iteration bound could be proved for this loop"),
     ProvedDivergentLoop = ("W0402", Warning, "loop is proved to never exit once entered"),
-    SemiNaiveIneligible = ("W0501", Warning, "loop body is outside the provable semi-naive fragment; the interpreter falls back to from-scratch evaluation"),
     CostUnbounded = ("W0601", Warning, "no cost bound could be derived for this program point"),
     MalformedAtom = ("E0201", Error, "relation atom does not match the schema"),
     QuantifierInLMinus = ("E0202", Error, "L⁻ bodies must be quantifier-free"),

@@ -39,7 +39,6 @@
 
 pub mod cost;
 pub mod dataflow;
-pub mod delta;
 pub mod diag;
 pub mod fix;
 pub mod generic;
@@ -51,7 +50,6 @@ pub mod terminate;
 
 pub use cost::{analyze_cost, Bound, CostAnalysis, CostEnv, CostVerdict, Poly, StmtCost};
 pub use dataflow::{analyze_dataflow, DataflowAnalysis, RegPool};
-pub use delta::{analyze_delta, DeltaAnalysis, LoopDelta};
 pub use diag::{Code, Diagnostic, Severity};
 pub use generic::{analyze_genericity, GenericAnalysis, GenericityVerdict};
 pub use logic::{analyze_formula, FormulaReport};
@@ -65,8 +63,6 @@ pub use terminate::{
 /// The analyses admission reads, in one call — four passes composed
 /// in dependency order (termination reads the safety walk's loop facts
 /// and verdict, genericity uses both, cost uses termination's bounds).
-/// Semi-naive eligibility ([`analyze_delta`]) stands alone and is not
-/// part of it.
 #[derive(Clone, Debug)]
 pub struct FullAnalysis {
     /// Rank/arity/dialect safety ([`analyze_prog`]).

@@ -34,66 +34,83 @@ pub struct CatalogEntry {
     pub info: FamilyInfo,
 }
 
-/// Builds the full catalog. Constructions are cheap (lazy oracles);
-/// the tree levels are only materialized when callers enumerate them.
+/// The cataloged families: metadata and constructor, in catalog order.
+/// Constructions are cheap (lazy oracles); the tree levels are only
+/// materialized when callers enumerate them.
+static FAMILIES: [(FamilyInfo, fn() -> HsDatabase); 6] = [
+    (
+        FamilyInfo {
+            name: "clique",
+            description: "the full infinite clique (§3.1) — class counts are Bell numbers",
+            expected_levels: &[1, 2, 5, 15],
+            practical_depth: usize::MAX,
+        },
+        infinite_clique,
+    ),
+    (
+        FamilyInfo {
+            name: "star",
+            description: "hub + infinitely many leaves — two node orbits, bounded distances",
+            expected_levels: &[2, 5],
+            practical_depth: usize::MAX,
+        },
+        infinite_star,
+    ),
+    (
+        FamilyInfo {
+            name: "paper-example",
+            description: "the §3.1 worked example: sym-pair and arrow components, two edge classes",
+            expected_levels: &[3, 15],
+            practical_depth: usize::MAX,
+        },
+        paper_example_graph,
+    ),
+    (
+        FamilyInfo {
+            name: "cells-2inf",
+            description: "two infinite unary cells — every unary r-db is highly symmetric",
+            expected_levels: &[2, 6, 22],
+            practical_depth: usize::MAX,
+        },
+        || unary_cells(vec![CellSize::Infinite, CellSize::Infinite]),
+    ),
+    (
+        FamilyInfo {
+            name: "rado",
+            description: "the Rado graph via BIT (Prop 3.2) — ≅_A = ≅ₗ",
+            expected_levels: &[1, 3, 15],
+            practical_depth: 3,
+        },
+        rado_graph,
+    ),
+    (
+        FamilyInfo {
+            name: "random-digraph",
+            description: "random directed graph with loops (Prop 3.2), base-4 coding",
+            expected_levels: &[2, 18],
+            practical_depth: 2,
+        },
+        random_digraph,
+    ),
+];
+
+/// Builds the full catalog.
 pub fn catalog() -> Vec<CatalogEntry> {
-    vec![
-        CatalogEntry {
-            hs: infinite_clique(),
-            info: FamilyInfo {
-                name: "clique",
-                description: "the full infinite clique (§3.1) — class counts are Bell numbers",
-                expected_levels: &[1, 2, 5, 15],
-                practical_depth: usize::MAX,
-            },
-        },
-        CatalogEntry {
-            hs: infinite_star(),
-            info: FamilyInfo {
-                name: "star",
-                description: "hub + infinitely many leaves — two node orbits, bounded distances",
-                expected_levels: &[2, 5],
-                practical_depth: usize::MAX,
-            },
-        },
-        CatalogEntry {
-            hs: paper_example_graph(),
-            info: FamilyInfo {
-                name: "paper-example",
-                description:
-                    "the §3.1 worked example: sym-pair and arrow components, two edge classes",
-                expected_levels: &[3, 15],
-                practical_depth: usize::MAX,
-            },
-        },
-        CatalogEntry {
-            hs: unary_cells(vec![CellSize::Infinite, CellSize::Infinite]),
-            info: FamilyInfo {
-                name: "cells-2inf",
-                description: "two infinite unary cells — every unary r-db is highly symmetric",
-                expected_levels: &[2, 6, 22],
-                practical_depth: usize::MAX,
-            },
-        },
-        CatalogEntry {
-            hs: rado_graph(),
-            info: FamilyInfo {
-                name: "rado",
-                description: "the Rado graph via BIT (Prop 3.2) — ≅_A = ≅ₗ",
-                expected_levels: &[1, 3, 15],
-                practical_depth: 3,
-            },
-        },
-        CatalogEntry {
-            hs: random_digraph(),
-            info: FamilyInfo {
-                name: "random-digraph",
-                description: "random directed graph with loops (Prop 3.2), base-4 coding",
-                expected_levels: &[2, 18],
-                practical_depth: 2,
-            },
-        },
-    ]
+    FAMILIES
+        .iter()
+        .map(|(info, build)| CatalogEntry {
+            hs: build(),
+            info: info.clone(),
+        })
+        .collect()
+}
+
+/// Builds the one family named `name`, or `None` for an unknown name.
+pub fn family(name: &str) -> Option<HsDatabase> {
+    FAMILIES
+        .iter()
+        .find(|(info, _)| info.name == name)
+        .map(|(_, build)| build())
 }
 
 /// The deep-tree subset (practical depth unbounded) — what experiments
@@ -141,6 +158,21 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(names.len(), dedup.len());
+    }
+
+    #[test]
+    fn family_builds_the_named_entry() {
+        for entry in catalog() {
+            let hs = family(entry.info.name).expect("cataloged name resolves");
+            let depth = entry.info.expected_levels.len();
+            assert_eq!(
+                level_sizes(hs.tree(), depth),
+                entry.info.expected_levels,
+                "{}",
+                entry.info.name
+            );
+        }
+        assert!(family("no-such-family").is_none());
     }
 
     #[test]

@@ -185,7 +185,7 @@ fn flatten<'p>(body: &'p Prog, out: &mut Vec<(VarId, &'p Term)>) -> Result<(), I
 
 /// Compiles a loop body into a [`LoopPlan`], or reports why it is
 /// outside the provable fragment. Purely syntactic — shared by the
-/// three interpreters and by the `recdb-analyze` delta pass.
+/// three interpreters and by the `SEMI-NAIVE-DIFF` ledger check.
 pub fn classify_loop(body: &Prog) -> Result<LoopPlan, IneligibleLoop> {
     let mut assigns = Vec::new();
     flatten(body, &mut assigns)?;

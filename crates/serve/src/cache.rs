@@ -171,9 +171,16 @@ pub enum CachedResult {
     Fcf(FcfVal),
 }
 
+/// Most entries one cache shard holds. A new key arriving at a full
+/// shard evicts one of that shard's entries first, so the cache never
+/// holds more than `shards × SHARD_CAP` entries, however many distinct
+/// programs clients send.
+pub const SHARD_CAP: usize = 4096;
+
 /// The sharded cross-tenant result cache. Reads and writes take one
 /// shard mutex each; entries are immutable `Arc`s, so a hit clones a
-/// pointer, not a value.
+/// pointer, not a value. Each shard holds at most [`SHARD_CAP`]
+/// entries.
 pub struct ResultCache {
     shards: Vec<Mutex<HashMap<String, Arc<CachedResult>>>>,
 }
@@ -203,12 +210,18 @@ impl ResultCache {
     }
 
     /// Stores `value` under `key` (last writer wins; all writers hold
-    /// byte-identical values by the soundness argument).
+    /// byte-identical values by the soundness argument). A new key in
+    /// a full shard first evicts one entry of that shard; which one is
+    /// unspecified.
     pub fn put(&self, key: &str, value: CachedResult) {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key.to_string(), Arc::new(value));
+        let mut shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
+        if shard.len() >= SHARD_CAP && !shard.contains_key(key) {
+            if let Some(victim) = shard.keys().next().cloned() {
+                shard.remove(&victim);
+                recdb_obs::count("serve.cache.evictions", 1);
+            }
+        }
+        shard.insert(key.to_string(), Arc::new(value));
     }
 
     /// Removes `key` (hit-verification failure path).
@@ -320,5 +333,20 @@ mod tests {
         assert!(cache.get("k2").is_none());
         cache.evict("k1");
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_full_shard_evicts_to_stay_at_its_cap() {
+        let cache = ResultCache::new(1);
+        let v = CachedResult::Rel(Val::empty(0));
+        for i in 0..2 * SHARD_CAP {
+            cache.put(&format!("Y1 := C{i};"), v.clone());
+        }
+        assert_eq!(cache.len(), SHARD_CAP);
+        let last = format!("Y1 := C{};", 2 * SHARD_CAP - 1);
+        assert_eq!(cache.get(&last).as_deref(), Some(&v));
+        // Re-putting a present key in a full shard evicts nothing.
+        cache.put(&last, v.clone());
+        assert_eq!(cache.len(), SHARD_CAP);
     }
 }

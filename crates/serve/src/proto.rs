@@ -20,7 +20,7 @@
 
 use crate::json::Json;
 use recdb_core::{CoFiniteRelation, Elem, FiniteStructure, Schema, Tuple};
-use recdb_hsdb::{catalog, unary_cells, CellSize, FcfDatabase, FcfRel, HsDatabase};
+use recdb_hsdb::{family, unary_cells, CellSize, FcfDatabase, FcfRel, HsDatabase};
 use recdb_qlhs::{Dialect, FcfVal, Val};
 use std::collections::BTreeSet;
 
@@ -67,7 +67,7 @@ impl DbSpec {
     pub fn schema(&self) -> Result<Schema, BadRequest> {
         Ok(match self {
             DbSpec::Finite(st) => st.schema().clone(),
-            DbSpec::Family(name) => resolve_family(name)
+            DbSpec::Family(name) => family(name)
                 .ok_or_else(|| bad(format!("unknown catalog family {name:?}")))?
                 .schema()
                 .clone(),
@@ -150,14 +150,6 @@ pub fn finite_descriptor(st: &FiniteStructure) -> String {
         push_tuples(&mut s, st.relation(i).iter());
     }
     s
-}
-
-/// Looks up a catalog family by its stable name.
-pub fn resolve_family(name: &str) -> Option<HsDatabase> {
-    catalog()
-        .into_iter()
-        .find(|e| e.info.name == name)
-        .map(|e| e.hs)
 }
 
 /// One `/v1/query` request, decoded and validated.
@@ -264,7 +256,7 @@ pub fn decode_db(j: &Json) -> Result<DbSpec, BadRequest> {
         "finite" => decode_finite(j).map(DbSpec::Finite),
         "family" => {
             let name = str_field(j, "name")?;
-            if resolve_family(&name).is_none() {
+            if family(&name).is_none() {
                 return Err(bad(format!("unknown catalog family {name:?}")));
             }
             Ok(DbSpec::Family(name))
@@ -392,7 +384,7 @@ fn decode_fcf(j: &Json) -> Result<FcfDatabase, BadRequest> {
 /// non-QLhs specs.
 pub fn build_hs(db: &DbSpec) -> Option<HsDatabase> {
     match db {
-        DbSpec::Family(name) => resolve_family(name),
+        DbSpec::Family(name) => family(name),
         DbSpec::Cells(cells) => Some(unary_cells(cells.clone())),
         _ => None,
     }

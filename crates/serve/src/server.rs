@@ -4,10 +4,10 @@
 //! Threading model: one accept thread pushes connections onto an mpsc
 //! channel; `workers` threads pull connections and drive them to
 //! completion (keep-alive requests run back-to-back on one worker).
-//! Each worker owns a private shard of `HsInterp` instances — the
-//! interpreter's canonical-representative caches are per-worker, so
-//! the hot read path takes no locks at all. The only shared mutable
-//! state is the sharded cross-tenant [`ResultCache`].
+//! Every request builds its own interpreter (for family/cells slices,
+//! its own `HsDatabase` and `HsInterp`), so no request sees state an
+//! earlier one left behind. The only shared mutable state is the
+//! sharded cross-tenant [`ResultCache`].
 
 use crate::admit::{admit, Admission, AdmitLimits, AdmitOutcome, Plan};
 use crate::cache::{canonicalize_finite, CachedResult, ResultCache};
@@ -18,17 +18,16 @@ use crate::proto::{
 };
 use recdb_analyze::{analyze_formula, CostEnv, Diagnostic};
 use recdb_core::{Elem, QueryOutcome};
-use recdb_hsdb::HsDatabase;
 use recdb_logic::{finite_as_db, LMinusQuery};
 use recdb_qlhs::exec::{run_scheduled, Budget, ExecEnd, GuardEval};
 use recdb_qlhs::{Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Val};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -204,15 +203,7 @@ fn accept_loop(listener: &TcpListener, tx: &Sender<Accepted>, stop: &AtomicBool,
     }
 }
 
-/// Per-worker interpreter shard: `HsInterp` canonical caches persist
-/// across requests, keyed by the database descriptor, with lock-free
-/// access (the worker owns them outright).
-struct WorkerState {
-    hs: HashMap<String, HsInterp<'static>>,
-}
-
 fn worker_loop(rx: &Arc<Mutex<Receiver<Accepted>>>, shared: &Arc<Shared>) {
-    let mut ws = WorkerState { hs: HashMap::new() };
     loop {
         let stream = {
             let guard = match rx.lock() {
@@ -224,14 +215,14 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Accepted>>>, shared: &Arc<Shared>) {
         match stream {
             Ok((s, accepted)) => {
                 recdb_obs::observe_since("serve.stage.queue.ns", accepted);
-                handle_connection(s, shared, &mut ws);
+                handle_connection(s, shared);
             }
             Err(_) => return, // sender dropped: shutting down
         }
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared, ws: &mut WorkerState) {
+fn handle_connection(stream: TcpStream, shared: &Shared) {
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -271,7 +262,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, ws: &mut WorkerState) {
         let keep = !req.wants_close();
         let _t = recdb_obs::span("serve.request.ns");
         recdb_obs::count("serve.requests", 1);
-        let (status, body) = match catch_unwind(AssertUnwindSafe(|| route(&req, shared, ws))) {
+        let (status, body) = match catch_unwind(AssertUnwindSafe(|| route(&req, shared))) {
             Ok(ok) => ok,
             Err(_) => {
                 recdb_obs::count("serve.panics", 1);
@@ -292,11 +283,11 @@ fn handle_connection(stream: TcpStream, shared: &Shared, ws: &mut WorkerState) {
     }
 }
 
-fn route(req: &Request, shared: &Shared, ws: &mut WorkerState) -> (u16, String) {
+fn route(req: &Request, shared: &Shared) -> (u16, String) {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/v1/health") => (200, "{\"status\":\"ok\"}".to_string()),
-        ("POST", "/v1/query") => handle_query(&req.body, shared, ws),
-        ("POST", "/v1/ra") => handle_ra(&req.body, shared, ws),
+        ("POST", "/v1/query") => handle_query(&req.body, shared),
+        ("POST", "/v1/ra") => handle_ra(&req.body, shared),
         ("POST", "/v1/formula") => handle_formula(&req.body),
         ("GET", "/v1/query")
         | ("GET", "/v1/ra")
@@ -356,7 +347,7 @@ fn ok_body(cache: &str, iterations: u64, mode: &str, result: &str) -> String {
     )
 }
 
-fn handle_query(body: &[u8], shared: &Shared, ws: &mut WorkerState) -> (u16, String) {
+fn handle_query(body: &[u8], shared: &Shared) -> (u16, String) {
     let json = match decode_body(body) {
         Ok(j) => j,
         Err(resp) => return resp,
@@ -365,12 +356,12 @@ fn handle_query(body: &[u8], shared: &Shared, ws: &mut WorkerState) -> (u16, Str
         Ok(r) => r,
         Err(e) => return bad_request(&e.0),
     };
-    execute_query(&req, shared, ws)
+    execute_query(&req, shared)
 }
 
 /// Admission, cache participation, and execution for one decoded
 /// query — shared by `/v1/query` and (after RA compilation) `/v1/ra`.
-fn execute_query(req: &QueryRequest, shared: &Shared, ws: &mut WorkerState) -> (u16, String) {
+fn execute_query(req: &QueryRequest, shared: &Shared) -> (u16, String) {
     let dialect = req.db.dialect();
     let schema = match req.db.schema() {
         Ok(s) => s,
@@ -437,21 +428,12 @@ fn execute_query(req: &QueryRequest, shared: &Shared, ws: &mut WorkerState) -> (
             let mut interp = FinInterp::new(st);
             serve(&mut interp, dialect, &adm, shared, &mode, work_cap)
         }
-        DbSpec::Family(_) | DbSpec::Cells(_) => match worker_hs_interp(ws, &req.db) {
-            Some(descr) => match ws.hs.get_mut(&descr) {
-                Some(interp) => serve(interp, dialect, &adm, shared, &mode, work_cap),
-                None => internal("worker shard lookup failed"),
-            },
-            None => {
-                // Registry full: build a throwaway database.
-                match build_hs(&req.db) {
-                    Some(hs) => {
-                        let mut interp = HsInterp::new(&hs);
-                        serve(&mut interp, dialect, &adm, shared, &mode, work_cap)
-                    }
-                    None => internal("family resolution failed after admission"),
-                }
+        DbSpec::Family(_) | DbSpec::Cells(_) => match build_hs(&req.db) {
+            Some(hs) => {
+                let mut interp = HsInterp::new(&hs);
+                serve(&mut interp, dialect, &adm, shared, &mode, work_cap)
             }
+            None => internal("family resolution failed after admission"),
         },
         DbSpec::Fcf(db) => {
             let mut interp = FcfInterp::new(db);
@@ -490,7 +472,7 @@ fn ra_rejection(
     )
 }
 
-fn handle_ra(body: &[u8], shared: &Shared, ws: &mut WorkerState) -> (u16, String) {
+fn handle_ra(body: &[u8], shared: &Shared) -> (u16, String) {
     let json = match decode_body(body) {
         Ok(j) => j,
         Err(resp) => return resp,
@@ -563,7 +545,7 @@ fn handle_ra(body: &[u8], shared: &Shared, ws: &mut WorkerState) -> (u16, String
         fuel: req.fuel,
         no_cache: req.no_cache,
     };
-    let (status, body) = execute_query(&qreq, shared, ws);
+    let (status, body) = execute_query(&qreq, shared);
     if status == 200 {
         let attrs: Vec<String> = compiled
             .attrs
@@ -851,47 +833,6 @@ fn error_response<V>(end: &ExecEnd<V>, iterations: u64, plan: &Plan) -> (u16, St
             )
         }
     }
-}
-
-// --- per-worker HsInterp shards over a process-global leaked registry ---
-
-/// Cap on distinct `HsDatabase` slices the process will pin for the
-/// lifetime-erased worker shards. Beyond it, requests fall back to a
-/// per-request database (correct, just cold).
-const HS_REGISTRY_CAP: usize = 64;
-
-fn hs_registry() -> &'static Mutex<HashMap<String, &'static HsDatabase>> {
-    static REG: OnceLock<Mutex<HashMap<String, &'static HsDatabase>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Ensures the worker has a persistent `HsInterp` shard for this
-/// slice, returning its descriptor key, or `None` when the registry is
-/// full and the caller should build a throwaway database.
-fn worker_hs_interp(ws: &mut WorkerState, db: &DbSpec) -> Option<String> {
-    let descr = db.descriptor();
-    if ws.hs.contains_key(&descr) {
-        return Some(descr);
-    }
-    let leaked: Option<&'static HsDatabase> = {
-        let mut reg = match hs_registry().lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        match reg.get(&descr) {
-            Some(&hs) => Some(hs),
-            None if reg.len() < HS_REGISTRY_CAP => {
-                let hs = build_hs(db)?;
-                let leaked: &'static HsDatabase = Box::leak(Box::new(hs));
-                reg.insert(descr.clone(), leaked);
-                Some(leaked)
-            }
-            None => None,
-        }
-    };
-    let hs = leaked?;
-    ws.hs.insert(descr.clone(), HsInterp::new(hs));
-    Some(descr)
 }
 
 // --- /v1/formula ---

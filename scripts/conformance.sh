@@ -5,7 +5,9 @@
 # (the serial run's report; `"parallel": false` distinguishes it) and a
 # METRICS.json hot-path counter report per mode; the serial and
 # parallel metric *key sets* must match (values legitimately differ —
-# thread fan-out changes chunk counts, not which metrics exist).
+# thread fan-out changes chunk counts, not which metrics exist). It
+# also runs the SERVE checks twice and requires equal qlhs.canon_*
+# counters in the two runs.
 #
 # Usage:
 #   scripts/conformance.sh                 fixed seed, both modes, diff
@@ -54,12 +56,32 @@ if skipped:
 print(f"ledger complete: {len(checks)} checks, none skipped")
 PY
 
+# The server builds one interpreter per request, so the canonical-rep
+# cache counters of the SERVE checks must not depend on which worker
+# served what before: two runs must report the same qlhs.canon_* values.
+mkdir -p target
+for run in 1 2; do
+    cargo run --release -q -p recdb-conformance --bin conformance -- \
+        --seed "$SEED" --filter SERVE --out "target/CONFORMANCE.serve$run.json" \
+        --metrics-out "target/METRICS.serve$run.json" > /dev/null
+done
+python3 - target/METRICS.serve1.json target/METRICS.serve2.json <<'PY'
+import json, sys
+
+a, b = ({k: v for k, v in json.load(open(p))["counters"].items()
+         if k.startswith("qlhs.canon_")} for p in sys.argv[1:3])
+if not a:
+    sys.exit("the SERVE checks recorded no qlhs.canon_* counter")
+if a != b:
+    sys.exit(f"qlhs.canon_* differ between two SERVE runs: {a} vs {b}")
+print(f"qlhs.canon_* agree across two SERVE runs: {a}")
+PY
+
 if [[ "$SERIAL_ONLY" == 1 ]]; then
     echo "serial-only run complete; wrote $OUT and $METRICS"
     exit 0
 fi
 
-mkdir -p target
 cargo run --release -p recdb-conformance --features parallel --bin conformance -- \
     --seed "$SEED" --out "$PAR_OUT" --metrics-out "$PAR_METRICS"
 

@@ -360,6 +360,43 @@ fn serve_metric_key_sets_match_across_worker_shards() {
     );
 }
 
+/// Every request builds its own `HsInterp`, so the canonical-rep cache
+/// counters a request bumps depend on the request alone: the same
+/// uncached cells request, sent twice on one keep-alive connection
+/// (hence to one worker), must report the same `qlhs.canon_*` deltas
+/// both times.
+#[test]
+fn canon_counters_do_not_depend_on_an_earlier_request() {
+    let _g = serial();
+    let rec = InMemoryRecorder::shared();
+    recdb_obs::install(rec.clone());
+    let s = serve_server(1);
+    let mut c = recdb_serve::Conn::connect(s.addr()).expect("connect");
+    let body = r#"{"program":"Y2 := up(C3); Y1 := swap(Y2) & down(up(Y2));","db":{"kind":"cells","cells":[[0,1,2,3],"inf"]},"no_cache":true}"#;
+    let canon = || {
+        (
+            rec.counter_value("qlhs.canon_hits"),
+            rec.counter_value("qlhs.canon_misses"),
+        )
+    };
+    let mut deltas = Vec::new();
+    for _ in 0..2 {
+        let (hits, misses) = canon();
+        let r = c.post("/v1/query", body).expect("cells round trip");
+        assert_eq!(r.status, 200, "{}", r.body);
+        let (hits_after, misses_after) = canon();
+        deltas.push((hits_after - hits, misses_after - misses));
+    }
+    drop(c);
+    s.shutdown();
+    recdb_obs::uninstall();
+    assert!(deltas[0].1 > 0, "the request must canonicalize: {deltas:?}");
+    assert_eq!(
+        deltas[0], deltas[1],
+        "(canon_hits, canon_misses) deltas differ between identical requests"
+    );
+}
+
 // --- cost analysis & RA rewriter (ISSUE 9, satellite 3) ---
 
 /// `analyze_full`'s cost pass and the RA optimizer emit
