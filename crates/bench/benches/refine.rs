@@ -5,8 +5,8 @@
 //!
 //! The `E7/partition` group is the before/after record for the
 //! fingerprint rewrite: `pairwise/<t>` is the old algorithm (kept as
-//! a test oracle), `bucketed/<t>` is the shipping one. Distill the
-//! medians with `scripts/bench_refine.sh`.
+//! a test oracle), `bucketed/<t>` is the shipping one. The ratcheted
+//! record is the std-timer harness's (`scripts/bench_refine.sh`).
 
 use recdb_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use recdb_bench::{infinite_db_zoo, random_tuples};

@@ -11,8 +11,8 @@
 //! their import line. Statistics are deliberately simple: per sample,
 //! the mean ns/iter of a batch sized to fill the measurement budget;
 //! per benchmark, the median of those samples, printed as one stable
-//! line (`bench <group>/<id> median_ns <t> samples <k>`) that
-//! `scripts/bench_refine.sh`-style scrapers can parse.
+//! line (`bench <group>/<id> median_ns <t> samples <k>`) that a
+//! scraper can parse.
 
 use std::time::{Duration, Instant};
 

@@ -225,7 +225,6 @@ fn serve_diff(ctx: &mut CheckCtx) -> Result<(), String> {
         let direct = match admit(&src, st.schema(), Dialect::Ql, Some(ROUND_FUEL), &LIMITS) {
             AdmitOutcome::Admitted(a) => {
                 let mut interp = FinInterp::new(&st);
-                interp.set_seminaive(true);
                 Some(direct_run(&mut interp, Dialect::Ql, &a))
             }
             AdmitOutcome::Rejected { .. } => None,
@@ -261,7 +260,6 @@ fn serve_diff(ctx: &mut CheckCtx) -> Result<(), String> {
             AdmitOutcome::Admitted(a) => {
                 let hs = unary_cells(cells.clone());
                 let mut interp = HsInterp::new(&hs);
-                interp.set_seminaive(true);
                 Some(direct_run(&mut interp, Dialect::Qlhs, &a))
             }
             AdmitOutcome::Rejected { .. } => None,
@@ -311,7 +309,6 @@ fn serve_cache_generic(ctx: &mut CheckCtx) -> Result<(), String> {
             continue;
         };
         let mut interp = FinInterp::new(&st);
-        interp.set_seminaive(true);
         let ExecEnd::Done(q_of_b) = direct_run(&mut interp, Dialect::Ql, &a) else {
             continue;
         };

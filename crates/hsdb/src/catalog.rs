@@ -113,6 +113,11 @@ pub fn family(name: &str) -> Option<HsDatabase> {
         .map(|(_, build)| build())
 }
 
+/// Whether `name` is a cataloged family (nothing is constructed).
+pub fn is_family(name: &str) -> bool {
+    FAMILIES.iter().any(|(info, _)| info.name == name)
+}
+
 /// The deep-tree subset (practical depth unbounded) — what experiments
 /// needing ranks > 3 should iterate.
 pub fn deep_catalog() -> Vec<CatalogEntry> {
@@ -173,6 +178,8 @@ mod tests {
             );
         }
         assert!(family("no-such-family").is_none());
+        assert!(catalog().iter().all(|e| is_family(e.info.name)));
+        assert!(!is_family("no-such-family"));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use backforth::{
     back_and_forth, combine, combine_hs, CombinedDb, PartialAutomorphism, COMBINED_A, COMBINED_B,
 };
 pub use build::{CandidateSource, DedupTree, FnCandidates, ScanCandidates};
-pub use catalog::{catalog, deep_catalog, family, CatalogEntry, FamilyInfo};
+pub use catalog::{catalog, deep_catalog, family, is_family, CatalogEntry, FamilyInfo};
 pub use constructions::{
     assemble, infinite_clique, infinite_line_db, infinite_star, line_equiv, paper_example_graph,
     two_lines_db, unary_cells, CellSize, ComponentGraph, Coords,

@@ -33,7 +33,7 @@
 
 use crate::ast::{Pred, RaExpr, RaProgram};
 use crate::diag::RaError;
-use crate::schema::{attrs_of, sort_perm, typecheck, RaSchema};
+use crate::schema::{attrs_of, sort_perm, typecheck, RaSchema, Typed};
 use recdb_qlhs::ast::{Prog, Term};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,6 +57,19 @@ pub struct CompiledRa {
 pub fn compile_program(p: &RaProgram, schema: &RaSchema) -> Result<CompiledRa, RaError> {
     let typed = typecheck(p, schema)?;
     crate::safety::validate(p, schema)?;
+    lower_program(p, schema, &typed)
+}
+
+/// Lowers a program that [`typecheck`] (which produced `typed`) and
+/// [`validate`](crate::safety::validate) have accepted.
+///
+/// # Errors
+/// `RA06` and [`recdb_qlhs::DEPTH_CODE`], as for [`compile_program`].
+pub(crate) fn lower_program(
+    p: &RaProgram,
+    schema: &RaSchema,
+    typed: &Typed,
+) -> Result<CompiledRa, RaError> {
     // Views live in Y2, Y3, …; Y1 is the query result.
     if p.views.len() >= recdb_qlhs::MAX_VAR {
         return Err(RaError::new(
@@ -93,7 +106,7 @@ pub fn compile_program(p: &RaProgram, schema: &RaSchema) -> Result<CompiledRa, R
     recdb_obs::observe("ra.compile.term_nodes", prog_nodes(&prog));
     Ok(CompiledRa {
         prog,
-        attrs: typed.query_attrs,
+        attrs: typed.query_attrs.clone(),
     })
 }
 

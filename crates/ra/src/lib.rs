@@ -15,9 +15,11 @@
 //! * [`eval`] — the direct finite-model semantics the compiler is
 //!   differentially tested against;
 //! * [`compile`] — lowering to straight-line QLhs programs over the
-//!   paper's rank-`k` encoding, so every RA query flows through
-//!   `recdb_analyze::analyze_full` admission, the semi-naive engine,
-//!   and the serve cache unchanged.
+//!   paper's rank-`k` encoding, so every RA query goes through
+//!   `recdb_analyze::analyze_full` admission and the serve cache
+//!   unchanged;
+//! * [`rewrite`] — the cost-guided optimizer, whose report carries the
+//!   chosen plan's lowering.
 //!
 //! The conformance ledger proves the whole pipeline: `RA-DIFF` runs
 //! ≥500 seeded expressions three ways (direct, compiled-`FinInterp`,

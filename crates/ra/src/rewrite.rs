@@ -14,17 +14,20 @@
 //! demands byte-equal results.
 //!
 //! Plan choice is *cost-minimal by construction*: the candidate set
-//! always contains the original program, every candidate is
-//! re-typechecked and re-validated, each is lowered and priced by the
-//! cost pass ([`recdb_analyze::analyze_cost`]) at the fixed nominal
+//! always contains the original program, each candidate is
+//! typechecked, validated and lowered once and priced by the cost pass
+//! ([`recdb_analyze::analyze_cost`]) at the fixed nominal
 //! instantiation, and the cheapest wins (ties prefer the rewrite —
 //! every rule is structurally non-worsening, so an equal bound means
-//! the rewrite only sharpened intermediate values).
+//! the rewrite only sharpened intermediate values). A rewrite equal to
+//! the original is not priced twice.
 //! An optimized plan can therefore never cost more than the naive
-//! one, and never fails to compile when the original compiles.
+//! one, and never fails to compile when the original compiles. The
+//! report carries the chosen plan's lowering, so a caller that runs
+//! the plan (the `/v1/ra` front end) lowers nothing itself.
 
 use crate::ast::{Pred, RaExpr, RaProgram};
-use crate::compile::{compile_program, CompiledRa};
+use crate::compile::{compile_program, lower_program, CompiledRa};
 use crate::diag::RaError;
 use crate::schema::{attrs_of, typecheck, RaSchema};
 use recdb_analyze::{analyze_cost, analyze_prog, analyze_termination, CostEnv};
@@ -43,6 +46,8 @@ pub struct RewriteReport {
     pub applied: Vec<&'static str>,
     /// Did the chosen program differ from the input?
     pub changed: bool,
+    /// The chosen program, lowered.
+    pub compiled: CompiledRa,
     /// Nominal work bound of the naive plan.
     pub cost_original: u64,
     /// Nominal work bound of the chosen plan (≤ `cost_original`).
@@ -64,19 +69,20 @@ fn nominal_cost(compiled: &CompiledRa, schema: &RaSchema) -> u64 {
 }
 
 /// Optimizes `p`: returns the cost-minimal candidate among the
-/// original and its rewriting. The returned program compiles whenever
-/// `p` does, evaluates identically on every database, and its
-/// nominal cost bound never exceeds the original's.
+/// original and its rewriting, with its lowering. The returned program
+/// compiles whenever `p` does, evaluates identically on every
+/// database, and its nominal cost bound never exceeds the original's.
 ///
 /// # Errors
-/// Exactly when `p` itself fails to typecheck, validate, or lower.
+/// Exactly when `p` itself fails to typecheck, validate, or lower —
+/// the errors [`compile_program`] reports, in the same order.
 pub fn optimize_program(p: &RaProgram, schema: &RaSchema) -> Result<RewriteReport, RaError> {
-    recdb_obs::count("ra.rewrite.programs", 1);
-    // The original must be well-formed; its compilation also prices it.
+    // The original must be well-formed; its lowering also prices it.
     let typed = typecheck(p, schema)?;
     crate::safety::validate(p, schema)?;
-    let original_compiled = compile_program(p, schema)?;
-    let cost_original = nominal_cost(&original_compiled, schema);
+    recdb_obs::count("ra.rewrite.programs", 1);
+    let original = lower_program(p, schema, &typed)?;
+    let cost_original = nominal_cost(&original, schema);
 
     let mut applied: Vec<&'static str> = Vec::new();
     let mut candidate = RaProgram {
@@ -97,18 +103,23 @@ pub fn optimize_program(p: &RaProgram, schema: &RaSchema) -> Result<RewriteRepor
 
     // Guard: a candidate that no longer compiles (which no rule should
     // produce) silently loses to the original.
-    let candidate_cost = match compile_program(&candidate, schema) {
-        Ok(c) => nominal_cost(&c, schema),
-        Err(_) => u64::MAX,
+    let rewritten = if candidate == *p {
+        None
+    } else {
+        compile_program(&candidate, schema)
+            .ok()
+            .map(|c| (nominal_cost(&c, schema), c))
+            .filter(|(cost, _)| *cost <= cost_original)
     };
-    if candidate != *p && candidate_cost <= cost_original {
+    if let Some((cost_chosen, compiled)) = rewritten {
         recdb_obs::count("ra.rewrite.chosen_rewritten", 1);
         Ok(RewriteReport {
             program: candidate,
             applied,
             changed: true,
+            compiled,
             cost_original,
-            cost_chosen: candidate_cost,
+            cost_chosen,
         })
     } else {
         recdb_obs::count("ra.rewrite.chosen_original", 1);
@@ -116,6 +127,7 @@ pub fn optimize_program(p: &RaProgram, schema: &RaSchema) -> Result<RewriteRepor
             program: p.clone(),
             applied: Vec::new(),
             changed: false,
+            compiled: original,
             cost_original,
             cost_chosen: cost_original,
         })
@@ -413,6 +425,12 @@ mod tests {
         let before = eval_program(p, &schema, &st, &dom).unwrap();
         let after = eval_program(&report.program, &schema, &st, &dom).unwrap();
         assert_eq!(before, after, "rewrite changed the result");
+        let lowered = compile_program(&report.program, &schema).unwrap();
+        assert_eq!(
+            report.compiled.prog, lowered.prog,
+            "carries the chosen lowering"
+        );
+        assert_eq!(report.compiled.attrs, lowered.attrs);
         report
     }
 

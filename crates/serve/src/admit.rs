@@ -13,6 +13,11 @@
 //! Rejection responses carry the analyzer's span diagnostics resolved
 //! to `line:col` through the parser's span table — the same data the
 //! `analyze` CLI renders rustc-style.
+//!
+//! [`admit_prog`] is the one entry point for a parsed program, whatever
+//! built it; [`admit`] is the QL front end's way in (parse, then
+//! [`admit_prog`]). [`diag_object`] renders the diagnostics of every
+//! admission and RA rejection the server writes.
 
 use crate::json::esc;
 use recdb_analyze::{
@@ -21,6 +26,7 @@ use recdb_analyze::{
 use recdb_core::Schema;
 use recdb_qlhs::{parse_program_with_spans, Dialect, Prog, Span, SpanTable};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
 
 /// Admission-side limits (from the server config).
 #[derive(Clone, Copy, Debug)]
@@ -92,24 +98,50 @@ pub enum AdmitOutcome {
     },
 }
 
-/// Serializes one diagnostic, resolving its tree path to `line:col`
-/// when the span table covers it.
-fn diag_json(d: &Diagnostic, source: &str, spans: &SpanTable) -> String {
+/// Renders one rejection diagnostic as a JSON object, keys in wire
+/// order: `code`, `severity`, `message`, then `line`/`col` when the
+/// position resolved, then `note` when there is one.
+pub fn diag_object(
+    code: impl Display,
+    severity: impl Display,
+    message: &str,
+    at: Option<(usize, usize)>,
+    note: Option<&str>,
+) -> String {
     let mut s = format!(
-        "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"",
-        d.code,
-        d.severity(),
-        esc(&d.message)
+        "{{\"code\":\"{code}\",\"severity\":\"{severity}\",\"message\":\"{}\"",
+        esc(message)
     );
-    if let Some(Span { start, end }) = spans.enclosing(&d.path) {
-        let (line, col) = Span { start, end }.line_col(source);
+    if let Some((line, col)) = at {
         s.push_str(&format!(",\"line\":{line},\"col\":{col}"));
     }
-    if let Some(note) = &d.note {
+    if let Some(note) = note {
         s.push_str(&format!(",\"note\":\"{}\"", esc(note)));
     }
     s.push('}');
     s
+}
+
+/// The one-element diagnostics array of a parse error at byte `at`.
+pub fn parse_error_json(code: &str, msg: &str, at: usize, source: &str) -> String {
+    let pos = Span {
+        start: at,
+        end: at + 1,
+    }
+    .line_col(source);
+    format!("[{}]", diag_object(code, "error", msg, Some(pos), None))
+}
+
+/// Serializes one diagnostic, resolving its tree path to `line:col`
+/// when the span table covers it.
+fn diag_json(d: &Diagnostic, source: &str, spans: &SpanTable) -> String {
+    diag_object(
+        d.code,
+        d.severity(),
+        &d.message,
+        spans.enclosing(&d.path).map(|s| s.line_col(source)),
+        d.note.as_deref(),
+    )
 }
 
 /// Serializes a diagnostic list as a JSON array.
@@ -128,7 +160,8 @@ pub fn all_diags(a: &FullAnalysis) -> Vec<&Diagnostic> {
         .collect()
 }
 
-/// Runs admission on one program source.
+/// Runs admission on one program source: parses it, then
+/// [`admit_prog`].
 pub fn admit(
     source: &str,
     schema: &Schema,
@@ -136,25 +169,30 @@ pub fn admit(
     requested_fuel: Option<u64>,
     limits: &AdmitLimits,
 ) -> AdmitOutcome {
-    let (prog, spans) = match parse_program_with_spans(source) {
-        Ok(ok) => ok,
-        Err(e) => {
-            let (line, col) = Span {
-                start: e.at,
-                end: e.at + 1,
-            }
-            .line_col(source);
-            return AdmitOutcome::Rejected {
-                reasons: vec!["parse-error"],
-                diagnostics_json: format!(
-                    "[{{\"code\":\"{}\",\"severity\":\"error\",\"message\":\"{}\",\
-                     \"line\":{line},\"col\":{col}}}]",
-                    e.code,
-                    esc(&e.msg)
-                ),
-            };
+    match parse_program_with_spans(source) {
+        Ok((prog, spans)) => {
+            admit_prog(prog, spans, source, schema, dialect, requested_fuel, limits)
         }
-    };
+        Err(e) => AdmitOutcome::Rejected {
+            reasons: vec!["parse-error"],
+            diagnostics_json: parse_error_json(e.code, &e.msg, e.at, source),
+        },
+    }
+}
+
+/// Runs admission on a program a front end has already built: the QL
+/// parser (through [`admit`]) or the RA lowering. Diagnostics resolve
+/// their positions through `spans` into `source`; a lowered program has
+/// no source text and passes an empty table.
+pub fn admit_prog(
+    prog: Prog,
+    spans: SpanTable,
+    source: &str,
+    schema: &Schema,
+    dialect: Dialect,
+    requested_fuel: Option<u64>,
+    limits: &AdmitLimits,
+) -> AdmitOutcome {
     let analysis = analyze_full(&prog, schema, dialect);
     let mut reasons = Vec::new();
     if analysis.safety.verdict == Verdict::Unsafe {

@@ -1,18 +1,16 @@
-//! A hand-rolled JSON layer for the wire protocol — parser and
-//! deterministic writer, zero dependencies.
+//! A hand-rolled JSON parser for the wire protocol, zero
+//! dependencies.
 //!
 //! The protocol only ever carries **non-negative integers** (domain
 //! elements, arities, fuel budgets), strings, booleans, arrays, and
 //! objects, so the value type stores numbers as `u64` and the parser
-//! rejects fractions, exponents, and negative numbers outright. That
-//! restriction is what makes the writer *deterministic*: there is no
-//! float formatting to drift, and objects render with sorted keys, so
-//! the same value always serializes to the same bytes — the property
-//! the `SERVE-DIFF` byte-match differential and the cache-hit
-//! verification lean on.
+//! rejects fractions, exponents, and negative numbers outright.
+//! Responses are not built from [`Json`] values: each is written
+//! directly in a fixed key order (see `proto` and `server`), which is
+//! what keeps equal results byte-equal — the property the `SERVE-DIFF`
+//! byte-match differential and the cache-hit verification lean on.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Maximum nesting depth the parser accepts; deeper input is rejected
 /// as malformed (stack safety on untrusted bodies).
@@ -31,8 +29,7 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object. `BTreeMap` so re-rendering is key-sorted and
-    /// deterministic.
+    /// An object.
     Obj(BTreeMap<String, Json>),
 }
 
@@ -74,53 +71,6 @@ impl Json {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
-        }
-    }
-
-    /// Renders the value deterministically (sorted object keys, no
-    /// whitespace).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&esc(s));
-                out.push('"');
-            }
-            Json::Arr(xs) => {
-                out.push('[');
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    x.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(m) => {
-                out.push('{');
-                for (i, (k, v)) in m.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&esc(k));
-                    out.push_str("\":");
-                    v.write(out);
-                }
-                out.push('}');
-            }
         }
     }
 }
@@ -356,10 +306,16 @@ mod tests {
                 .and_then(Json::as_str),
             Some("finite")
         );
-        // Deterministic re-render: parse(render(v)) == v.
-        let r = v.render();
-        assert_eq!(parse(&r).unwrap(), v);
-        assert_eq!(parse(&r).unwrap().render(), r);
+        let universe: Vec<u64> = v
+            .get("db")
+            .and_then(|d| d.get("universe"))
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(Json::as_u64)
+            .collect();
+        assert_eq!(universe, [0, 1, 2]);
+        assert_eq!(v.get("program").and_then(Json::as_str), Some("Y1 := R1;"));
     }
 
     #[test]
@@ -380,20 +336,15 @@ mod tests {
 
     #[test]
     fn escapes_roundtrip() {
-        let v = Json::Str("a\"b\\c\nd\te\u{1}".into());
-        let r = v.render();
-        assert_eq!(parse(&r).unwrap(), v);
+        // The escaped form `esc` writes decodes back to the string.
+        let v = parse(r#""a\"b\\c\nd\te\u0001""#).unwrap();
+        assert_eq!(v, Json::Str("a\"b\\c\nd\te\u{1}".into()));
+        assert_eq!(esc("a\"b\\c\nd\te\u{1}"), r#"a\"b\\c\nd\te\u0001"#);
     }
 
     #[test]
     fn depth_limit_holds() {
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&deep).is_err());
-    }
-
-    #[test]
-    fn object_keys_sort_on_render() {
-        let v = parse(r#"{"b":1,"a":2}"#).unwrap();
-        assert_eq!(v.render(), r#"{"a":2,"b":1}"#);
     }
 }

@@ -20,7 +20,7 @@
 //!   ≅_B-class fingerprint of the database slice
 //!   ([`cache::canonicalize_finite`]).
 //!
-//! Module map: [`json`] (parser/renderer) → [`http`] (wire framing) →
+//! Module map: [`json`] (request parser) → [`http`] (wire framing) →
 //! [`proto`] (typed requests, validation, deterministic result
 //! rendering) → [`admit`] (analysis → plan) → [`exec`] (the statement
 //! layer's budget schedule, re-exported from `recdb-qlhs`: bounded,

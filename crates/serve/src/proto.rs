@@ -20,7 +20,7 @@
 
 use crate::json::Json;
 use recdb_core::{CoFiniteRelation, Elem, FiniteStructure, Schema, Tuple};
-use recdb_hsdb::{family, unary_cells, CellSize, FcfDatabase, FcfRel, HsDatabase};
+use recdb_hsdb::{family, is_family, unary_cells, CellSize, FcfDatabase, FcfRel, HsDatabase};
 use recdb_qlhs::{Dialect, FcfVal, Val};
 use std::collections::BTreeSet;
 
@@ -222,31 +222,35 @@ impl QueryRequest {
                 )));
             }
         }
-        let fuel = match body.get("fuel") {
-            None => None,
-            Some(f) => Some(
-                f.as_u64()
-                    .ok_or_else(|| bad("field \"fuel\" must be an integer"))?,
-            ),
-        };
-        let no_cache = match body.get("no_cache") {
-            None => false,
-            Some(b) => b
-                .as_bool()
-                .ok_or_else(|| bad("field \"no_cache\" must be a boolean"))?,
-        };
+        let (tenant, fuel, no_cache) = decode_knobs(body)?;
         Ok(QueryRequest {
-            tenant: body
-                .get("tenant")
-                .and_then(Json::as_str)
-                .unwrap_or("anonymous")
-                .to_string(),
+            tenant,
             program,
             db,
             fuel,
             no_cache,
         })
     }
+}
+
+/// The scheduling knobs `/v1/query` and `/v1/ra` share: the tenant
+/// label (default `"anonymous"`), the requested fuel, and `no_cache`.
+fn decode_knobs(body: &Json) -> Result<(String, Option<u64>, bool), BadRequest> {
+    let fuel = match body.get("fuel") {
+        None => None,
+        Some(f) => Some(
+            f.as_u64()
+                .ok_or_else(|| bad("field \"fuel\" must be an integer"))?,
+        ),
+    };
+    let no_cache = match body.get("no_cache") {
+        None => false,
+        Some(b) => b
+            .as_bool()
+            .ok_or_else(|| bad("field \"no_cache\" must be a boolean"))?,
+    };
+    let tenant = body.get("tenant").and_then(Json::as_str);
+    Ok((tenant.unwrap_or("anonymous").to_string(), fuel, no_cache))
 }
 
 /// Decodes a `db` object into a validated [`DbSpec`].
@@ -256,7 +260,7 @@ pub fn decode_db(j: &Json) -> Result<DbSpec, BadRequest> {
         "finite" => decode_finite(j).map(DbSpec::Finite),
         "family" => {
             let name = str_field(j, "name")?;
-            if family(&name).is_none() {
+            if !is_family(&name) {
                 return Err(bad(format!("unknown catalog family {name:?}")));
             }
             Ok(DbSpec::Family(name))
@@ -460,25 +464,9 @@ impl RaRequest {
             DbSpec::Finite(st) => st,
             _ => return Err(bad("/v1/ra runs over finite slices only")),
         };
-        let fuel = match body.get("fuel") {
-            None => None,
-            Some(f) => Some(
-                f.as_u64()
-                    .ok_or_else(|| bad("field \"fuel\" must be an integer"))?,
-            ),
-        };
-        let no_cache = match body.get("no_cache") {
-            None => false,
-            Some(b) => b
-                .as_bool()
-                .ok_or_else(|| bad("field \"no_cache\" must be a boolean"))?,
-        };
+        let (tenant, fuel, no_cache) = decode_knobs(body)?;
         Ok(RaRequest {
-            tenant: body
-                .get("tenant")
-                .and_then(Json::as_str)
-                .unwrap_or("anonymous")
-                .to_string(),
+            tenant,
             query,
             schema,
             db,

@@ -1,6 +1,15 @@
 //! The concurrent server: accept loop, worker pool, routing, and the
 //! admission-gated execution path.
 //!
+//! Request path: `/v1/query` and `/v1/ra` differ only in their front
+//! end. The QL front end hands the program text to [`admit`], which
+//! parses it; the RA front end parses the query and makes one
+//! [`recdb_ra::optimize_program`] call, whose report carries the
+//! chosen plan already lowered, and hands that program to
+//! [`admit_prog`]. From there `execute_query` is the one path:
+//! admission, cache participation, execution, and rendering (with the
+//! RA result's `attrs` when the front end supplied them).
+//!
 //! Threading model: one accept thread pushes connections onto an mpsc
 //! channel; `workers` threads pull connections and drive them to
 //! completion (keep-alive requests run back-to-back on one worker).
@@ -9,18 +18,22 @@
 //! earlier one left behind. The only shared mutable state is the
 //! sharded cross-tenant [`ResultCache`].
 
-use crate::admit::{admit, Admission, AdmitLimits, AdmitOutcome, Plan};
+use crate::admit::{
+    admit, admit_prog, diag_object, parse_error_json, Admission, AdmitLimits, AdmitOutcome, Plan,
+};
 use crate::cache::{canonicalize_finite, CachedResult, ResultCache};
 use crate::http::{await_request, read_request, write_response, HttpError, ReadOutcome, Request};
 use crate::json::{esc, parse, Json};
 use crate::proto::{
-    build_hs, fcf_result_json, result_json, DbSpec, FormulaRequest, QueryRequest, RaRequest,
+    build_hs, fcf_result_json, result_json, BadRequest, DbSpec, FormulaRequest, QueryRequest,
+    RaRequest,
 };
 use recdb_analyze::{analyze_formula, CostEnv, Diagnostic};
 use recdb_core::{Elem, QueryOutcome};
 use recdb_logic::{finite_as_db, LMinusQuery};
 use recdb_qlhs::exec::{run_scheduled, Budget, ExecEnd, GuardEval};
-use recdb_qlhs::{Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Val};
+use recdb_qlhs::{Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, SpanTable, Val};
+use recdb_ra::{CompiledRa, RaError};
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -311,9 +324,16 @@ fn bad_request(msg: &str) -> (u16, String) {
     )
 }
 
-fn decode_body(body: &[u8]) -> Result<Json, (u16, String)> {
+/// Parses a body as JSON and decodes it into one request type; every
+/// failure is a 400.
+fn decode_request<T>(
+    body: &[u8],
+    decode: fn(&Json) -> Result<T, BadRequest>,
+) -> Result<T, (u16, String)> {
     let text = std::str::from_utf8(body).map_err(|_| bad_request("body is not UTF-8"))?;
-    parse(text).map_err(|e| bad_request(&format!("invalid JSON at byte {}: {}", e.at, e.msg)))
+    let json = parse(text)
+        .map_err(|e| bad_request(&format!("invalid JSON at byte {}: {}", e.at, e.msg)))?;
+    decode(&json).map_err(|e| bad_request(&e.0))
 }
 
 /// How the cache participates in one request.
@@ -341,145 +361,51 @@ impl CacheMode<'_> {
     }
 }
 
-fn ok_body(cache: &str, iterations: u64, mode: &str, result: &str) -> String {
-    format!(
-        "{{\"cache\":\"{cache}\",\"iterations\":{iterations},\"mode\":\"{mode}\",\"result\":{result},\"status\":\"ok\"}}"
-    )
-}
-
-fn handle_query(body: &[u8], shared: &Shared) -> (u16, String) {
-    let json = match decode_body(body) {
-        Ok(j) => j,
-        Err(resp) => return resp,
-    };
-    let req = match QueryRequest::decode(&json) {
-        Ok(r) => r,
-        Err(e) => return bad_request(&e.0),
-    };
-    execute_query(&req, shared)
-}
-
-/// Admission, cache participation, and execution for one decoded
-/// query — shared by `/v1/query` and (after RA compilation) `/v1/ra`.
-fn execute_query(req: &QueryRequest, shared: &Shared) -> (u16, String) {
-    let dialect = req.db.dialect();
-    let schema = match req.db.schema() {
-        Ok(s) => s,
-        Err(e) => return bad_request(&e.0),
-    };
-    let limits = AdmitLimits {
-        fuel_default: shared.cfg.fuel_default,
-        fuel_max: shared.cfg.fuel_max,
-    };
-    let admission = {
-        let _t = recdb_obs::span("serve.stage.admit.ns");
-        admit(&req.program, &schema, dialect, req.fuel, &limits)
-    };
-    let adm = match admission {
-        AdmitOutcome::Admitted(a) => a,
-        AdmitOutcome::Rejected {
-            reasons,
-            diagnostics_json,
-        } => {
-            let tags: Vec<String> = reasons.iter().map(|r| format!("\"{r}\"")).collect();
-            return (
-                422,
-                format!(
-                    "{{\"diagnostics\":{diagnostics_json},\"reasons\":[{}],\"status\":\"rejected\"}}",
-                    tags.join(",")
-                ),
-            );
-        }
-    };
-
-    // Decide how the cache participates. A slice is keyed either by
-    // its canonical ≅-form (finite) or its literal descriptor
-    // (family/cells/fcf, whose wire form is already canonical).
-    let canon = match (&adm.cache_fixed, &req.db) {
-        (Some(fixed), DbSpec::Finite(st)) if shared.cfg.cache && !req.no_cache => {
-            Some(canonicalize_finite(st, fixed))
-        }
-        _ => None,
-    };
-    let mode = match (&adm.cache_fixed, &req.db) {
-        _ if !shared.cfg.cache || req.no_cache => CacheMode::Off,
-        (None, _) => CacheMode::Off,
-        (Some(_), DbSpec::Finite(_)) => match &canon {
-            Some(Some(c)) => CacheMode::Keyed {
-                key: cache_key(dialect, &adm, &c.key),
-                transport: Some(&c.to_canon),
-            },
-            _ => {
-                recdb_obs::count("serve.cache.bypass", 1);
-                CacheMode::Bypass
-            }
-        },
-        (Some(_), db) => CacheMode::Keyed {
-            key: cache_key(dialect, &adm, &db.descriptor()),
-            transport: None,
-        },
-    };
-
-    let work_cap = predicted_work(&adm, &req.db);
-
-    let _t = recdb_obs::span("serve.stage.execute.ns");
-    match &req.db {
-        DbSpec::Finite(st) => {
-            let mut interp = FinInterp::new(st);
-            serve(&mut interp, dialect, &adm, shared, &mode, work_cap)
-        }
-        DbSpec::Family(_) | DbSpec::Cells(_) => match build_hs(&req.db) {
-            Some(hs) => {
-                let mut interp = HsInterp::new(&hs);
-                serve(&mut interp, dialect, &adm, shared, &mode, work_cap)
-            }
-            None => internal("family resolution failed after admission"),
-        },
-        DbSpec::Fcf(db) => {
-            let mut interp = FcfInterp::new(db);
-            serve(&mut interp, dialect, &adm, shared, &mode, work_cap)
-        }
-    }
-}
-
-/// A 422 rejection in the `/v1/query` shape, with the RA diagnostic
-/// resolved to a line/col through the RA parser's span table.
-fn ra_rejection(
-    e: &recdb_ra::RaError,
-    source: &str,
-    spans: &recdb_qlhs::SpanTable,
-) -> (u16, String) {
-    recdb_obs::count("serve.ra.rejections", 1);
-    let mut d = format!(
-        "{{\"code\":\"{}\",\"severity\":\"error\",\"message\":\"{}\"",
-        e.code,
-        esc(&e.message)
-    );
-    if let Some(span) = spans.enclosing(&e.path) {
-        let (line, col) = span.line_col(source);
-        d.push_str(&format!(",\"line\":{line},\"col\":{col}"));
-    }
-    d.push('}');
-    let reason = match e.code {
-        "RA05" => "ra-unsafe",
-        "RA06" => "ra-size",
-        recdb_qlhs::DEPTH_CODE => "ra-depth",
-        _ => "ra-type",
-    };
+/// A 422 rejection: the reason tags and the rendered diagnostics.
+fn rejected(reasons: &[&str], diagnostics_json: &str) -> (u16, String) {
+    let tags: Vec<String> = reasons.iter().map(|r| format!("\"{r}\"")).collect();
     (
         422,
-        format!("{{\"diagnostics\":[{d}],\"reasons\":[\"{reason}\"],\"status\":\"rejected\"}}"),
+        format!(
+            "{{\"diagnostics\":{diagnostics_json},\"reasons\":[{}],\"status\":\"rejected\"}}",
+            tags.join(",")
+        ),
     )
 }
 
-fn handle_ra(body: &[u8], shared: &Shared) -> (u16, String) {
-    let json = match decode_body(body) {
-        Ok(j) => j,
+/// A 200 body; `attrs` is `""` or the front end's `"attrs":[…],` field.
+fn ok_body(attrs: &str, cache: &str, iterations: u64, mode: &str, result: &str) -> String {
+    format!(
+        "{{{attrs}\"cache\":\"{cache}\",\"iterations\":{iterations},\"mode\":\"{mode}\",\"result\":{result},\"status\":\"ok\"}}"
+    )
+}
+
+/// What a front end hands to the shared path.
+enum Program<'a> {
+    /// `/v1/query`: QL-family source, parsed at admission.
+    Source(&'a str),
+    /// `/v1/ra`: the chosen plan, already lowered; its result columns
+    /// go into the response as `attrs`.
+    Lowered(CompiledRa),
+}
+
+/// The QL front end: the program text goes to admission as it is.
+fn handle_query(body: &[u8], shared: &Shared) -> (u16, String) {
+    let req = match decode_request(body, QueryRequest::decode) {
+        Ok(r) => r,
         Err(resp) => return resp,
     };
-    let req = match RaRequest::decode(&json) {
+    let program = Program::Source(&req.program);
+    execute_query(program, &req.db, req.fuel, req.no_cache, shared)
+}
+
+/// The RA front end: parse, then one [`recdb_ra::optimize_program`]
+/// call typechecks, validates, rewrites and lowers the query; the
+/// lowered plan then takes the `/v1/query` path.
+fn handle_ra(body: &[u8], shared: &Shared) -> (u16, String) {
+    let req = match decode_request(body, RaRequest::decode) {
         Ok(r) => r,
-        Err(e) => return bad_request(&e.0),
+        Err(resp) => return resp,
     };
     let schema = match recdb_ra::RaSchema::parse(&req.schema) {
         Ok(s) => s,
@@ -501,63 +427,132 @@ fn handle_ra(body: &[u8], shared: &Shared) -> (u16, String) {
         Ok(ok) => ok,
         Err(e) => {
             recdb_obs::count("serve.ra.rejections", 1);
-            let (line, col) = recdb_qlhs::Span {
-                start: e.at,
-                end: e.at + 1,
-            }
-            .line_col(&req.query);
-            return (
-                422,
-                format!(
-                    "{{\"diagnostics\":[{{\"code\":\"{}\",\"severity\":\"error\",\
-                     \"message\":\"{}\",\"line\":{line},\"col\":{col}}}],\
-                     \"reasons\":[\"parse-error\"],\"status\":\"rejected\"}}",
-                    e.code,
-                    esc(&e.msg)
-                ),
-            );
+            let diags = parse_error_json(e.code, &e.msg, e.at, &req.query);
+            return rejected(&["parse-error"], &diags);
         }
     };
-    // Typecheck + safety first, then the cost-guided rewriter: the
-    // plan that actually runs is the cost-minimal equivalent one
+    // The plan that runs is the cost-minimal equivalent one
     // (`RA-REWRITE-DIFF` proves the equivalence over the seeded
     // corpus).
-    let compiled = match recdb_ra::typecheck(&prog, &schema)
-        .and_then(|_| recdb_ra::validate(&prog, &schema))
-        .and_then(|()| recdb_ra::optimize_program(&prog, &schema))
-        .and_then(|opt| {
-            if opt.changed {
-                recdb_obs::count("serve.ra.optimized", 1);
-            }
-            recdb_ra::compile_program(&opt.program, &schema)
-        }) {
-        Ok(c) => c,
+    let opt = match recdb_ra::optimize_program(&prog, &schema) {
+        Ok(opt) => opt,
         Err(e) => return ra_rejection(&e, &req.query, &spans),
     };
+    if opt.changed {
+        recdb_obs::count("serve.ra.optimized", 1);
+    }
     recdb_obs::count("serve.ra.queries", 1);
-    // From here the request is an ordinary straight-line QLhs query:
-    // render the compiled program and reuse the `/v1/query` path
-    // (admission, cache, execution) unchanged.
-    let qreq = QueryRequest {
-        tenant: req.tenant.clone(),
-        program: compiled.prog.to_string(),
-        db: DbSpec::Finite(req.db),
-        fuel: req.fuel,
-        no_cache: req.no_cache,
+    let db = DbSpec::Finite(req.db);
+    let program = Program::Lowered(opt.compiled);
+    execute_query(program, &db, req.fuel, req.no_cache, shared)
+}
+
+/// A 422 rejection of an RA query that failed to typecheck, validate
+/// or lower, resolved to a line/col through the RA parser's span table.
+fn ra_rejection(e: &RaError, source: &str, spans: &SpanTable) -> (u16, String) {
+    recdb_obs::count("serve.ra.rejections", 1);
+    let at = spans.enclosing(&e.path).map(|s| s.line_col(source));
+    let d = diag_object(e.code, "error", &e.message, at, None);
+    let reason = match e.code {
+        "RA05" => "ra-unsafe",
+        "RA06" => "ra-size",
+        recdb_qlhs::DEPTH_CODE => "ra-depth",
+        _ => "ra-type",
     };
-    let (status, body) = execute_query(&qreq, shared);
-    if status == 200 {
-        let attrs: Vec<String> = compiled
-            .attrs
-            .iter()
-            .map(|a| format!("\"{}\"", esc(a)))
-            .collect();
-        (
-            200,
-            format!("{{\"attrs\":[{}],{}", attrs.join(","), &body[1..]),
-        )
-    } else {
-        (status, body)
+    rejected(&[reason], &format!("[{d}]"))
+}
+
+/// Admission, cache participation, execution and rendering for one
+/// request, whichever front end built its program. A family/cells
+/// slice is built once, here, and admission reads its schema from it.
+fn execute_query(
+    program: Program<'_>,
+    db: &DbSpec,
+    fuel: Option<u64>,
+    no_cache: bool,
+    shared: &Shared,
+) -> (u16, String) {
+    let dialect = db.dialect();
+    let hs = build_hs(db);
+    let schema = match &hs {
+        Some(hs) => hs.schema().clone(),
+        None => match db.schema() {
+            Ok(s) => s,
+            Err(e) => return bad_request(&e.0),
+        },
+    };
+    let limits = AdmitLimits {
+        fuel_default: shared.cfg.fuel_default,
+        fuel_max: shared.cfg.fuel_max,
+    };
+    let (admission, attrs) = {
+        let _t = recdb_obs::span("serve.stage.admit.ns");
+        match program {
+            Program::Source(src) => (admit(src, &schema, dialect, fuel, &limits), None),
+            Program::Lowered(c) => {
+                let spans = SpanTable::default();
+                let adm = admit_prog(c.prog, spans, "", &schema, dialect, fuel, &limits);
+                (adm, Some(c.attrs))
+            }
+        }
+    };
+    let adm = match admission {
+        AdmitOutcome::Admitted(a) => a,
+        AdmitOutcome::Rejected {
+            reasons,
+            diagnostics_json,
+        } => return rejected(&reasons, &diagnostics_json),
+    };
+    let attrs = attrs.map_or(String::new(), |names| {
+        let names: Vec<String> = names.iter().map(|a| format!("\"{}\"", esc(a))).collect();
+        format!("\"attrs\":[{}],", names.join(","))
+    });
+
+    // Decide how the cache participates. A slice is keyed either by
+    // its canonical ≅-form (finite) or its literal descriptor
+    // (family/cells/fcf, whose wire form is already canonical).
+    let canon = match (&adm.cache_fixed, db) {
+        (Some(fixed), DbSpec::Finite(st)) if shared.cfg.cache && !no_cache => {
+            Some(canonicalize_finite(st, fixed))
+        }
+        _ => None,
+    };
+    let mode = match (&adm.cache_fixed, db) {
+        _ if !shared.cfg.cache || no_cache => CacheMode::Off,
+        (None, _) => CacheMode::Off,
+        (Some(_), DbSpec::Finite(_)) => match &canon {
+            Some(Some(c)) => CacheMode::Keyed {
+                key: cache_key(dialect, &adm, &c.key),
+                transport: Some(&c.to_canon),
+            },
+            _ => {
+                recdb_obs::count("serve.cache.bypass", 1);
+                CacheMode::Bypass
+            }
+        },
+        (Some(_), db) => CacheMode::Keyed {
+            key: cache_key(dialect, &adm, &db.descriptor()),
+            transport: None,
+        },
+    };
+
+    let work_cap = predicted_work(&adm, db);
+
+    let _t = recdb_obs::span("serve.stage.execute.ns");
+    match (db, &hs) {
+        (_, Some(hs)) => {
+            let mut interp = HsInterp::new(hs);
+            serve(&mut interp, dialect, &adm, shared, &mode, work_cap, &attrs)
+        }
+        (DbSpec::Finite(st), None) => {
+            let mut interp = FinInterp::new(st);
+            serve(&mut interp, dialect, &adm, shared, &mode, work_cap, &attrs)
+        }
+        (DbSpec::Fcf(fcf), None) => {
+            let mut interp = FcfInterp::new(fcf);
+            serve(&mut interp, dialect, &adm, shared, &mode, work_cap, &attrs)
+        }
+        _ => internal("family resolution failed after admission"),
     }
 }
 
@@ -697,6 +692,7 @@ fn serve<V, B>(
     shared: &Shared,
     mode: &CacheMode<'_>,
     work_cap: Option<u64>,
+    attrs: &str,
 ) -> (u16, String)
 where
     V: Served,
@@ -719,7 +715,7 @@ where
         (None, CacheMode::Keyed { .. }) => recdb_obs::count("serve.cache.misses", 1),
         _ => {}
     }
-    let ok_hit = |rendered: &str| (200, ok_body("hit", 0, adm.plan.mode(), rendered));
+    let ok_hit = |rendered: &str| (200, ok_body(attrs, "hit", 0, adm.plan.mode(), rendered));
     if let (Some((_, rendered)), false) = (&hit, shared.cfg.verify_hits) {
         return ok_hit(rendered);
     }
@@ -755,9 +751,10 @@ where
                 };
                 shared.cache.put(key, canonical.into_cached());
             }
+            let label = mode.label(false);
             (
                 200,
-                ok_body(mode.label(false), r.iterations, adm.plan.mode(), &rendered),
+                ok_body(attrs, label, r.iterations, adm.plan.mode(), &rendered),
             )
         }
         end => error_response(&end, r.iterations, &adm.plan),
@@ -839,13 +836,9 @@ fn error_response<V>(end: &ExecEnd<V>, iterations: u64, plan: &Plan) -> (u16, St
 
 fn handle_formula(body: &[u8]) -> (u16, String) {
     recdb_obs::count("serve.formula.requests", 1);
-    let json = match decode_body(body) {
-        Ok(j) => j,
-        Err(resp) => return resp,
-    };
-    let req = match FormulaRequest::decode(&json) {
+    let req = match decode_request(body, FormulaRequest::decode) {
         Ok(r) => r,
-        Err(e) => return bad_request(&e.0),
+        Err(resp) => return resp,
     };
     let schema = req.db.schema().clone();
     let q = match LMinusQuery::parse(&req.formula, &schema) {

@@ -756,3 +756,89 @@ fn shutdown_joins_with_an_idle_keepalive_connection_open() {
     // (the worker's read timeout is the bound).
     s.shutdown();
 }
+
+/// Whole response bodies, byte for byte, for the paths whose bodies are
+/// assembled from several pieces: the RA front end (attrs, rejections
+/// of every kind), family slices, and admission parse errors.
+#[test]
+fn response_bodies_are_golden() {
+    let s = server();
+    let mut c = conn(&s);
+    let wide = r#"{"query":"project #a (W join V)","schema":"W(a, b, c, d, e, f, g, h); V(i, j, k, l, m, n, o, p)","db":{"kind":"finite","universe":[0,1],"relations":[{"arity":8,"tuples":[[0,1,0,1,0,1,0,1]]},{"arity":8,"tuples":[[1,1,1,1,0,0,0,0]]}]}}"#;
+    let ra_ok = ra_query(
+        "project #y (select #x = 2 (E union E))",
+        "[0,1],[2,3],[2,4]",
+        "",
+    );
+    let cases: Vec<(&str, String)> = vec![
+        ("/v1/ra", ra_ok.clone()),
+        ("/v1/ra", ra_ok),
+        (
+            "/v1/ra",
+            ra_query("select #x = 2 (E)", "[0,1],[2,3]", ",\"no_cache\":true"),
+        ),
+        ("/v1/ra", ra_query("E union not (E)", "[0,1]", "")),
+        ("/v1/ra", ra_query("project #nope (E)", "[0,1]", "")),
+        ("/v1/ra", ra_query("project # (E)", "[0,1]", "")),
+        ("/v1/ra", wide.to_string()),
+        (
+            "/v1/query",
+            r#"{"program":"Y1 := R1;","db":{"kind":"family","name":"clique"}}"#.to_string(),
+        ),
+        (
+            "/v1/query",
+            r#"{"program":"Y1 := R1;","db":{"kind":"family","name":"nope"}}"#.to_string(),
+        ),
+        ("/v1/query", finite_query("Y1 := ;", "[0,1]", "")),
+    ];
+    let want: [(u16, &str); 10] = [
+        (
+            200,
+            r#"{"attrs":["y"],"cache":"miss","iterations":0,"mode":"exact","result":{"rank":1,"tuples":[[3],[4]]},"status":"ok"}"#,
+        ),
+        (
+            200,
+            r#"{"attrs":["y"],"cache":"hit","iterations":0,"mode":"exact","result":{"rank":1,"tuples":[[3],[4]]},"status":"ok"}"#,
+        ),
+        (
+            200,
+            r#"{"attrs":["x","y"],"cache":"off","iterations":0,"mode":"exact","result":{"rank":2,"tuples":[[2,3]]},"status":"ok"}"#,
+        ),
+        (
+            422,
+            r#"{"diagnostics":[{"code":"RA05","severity":"error","message":"unsafe expression: the query is not range-restricted (complement outside any bounded guard)","line":1,"col":9}],"reasons":["ra-unsafe"],"status":"rejected"}"#,
+        ),
+        (
+            422,
+            r#"{"diagnostics":[{"code":"RA02","severity":"error","message":"projection mentions unknown attribute #nope","line":1,"col":1}],"reasons":["ra-type"],"status":"rejected"}"#,
+        ),
+        (
+            422,
+            r#"{"diagnostics":[{"code":"PARSE","severity":"error","message":"expected an attribute name after '#'","line":1,"col":10}],"reasons":["parse-error"],"status":"rejected"}"#,
+        ),
+        (
+            422,
+            r#"{"diagnostics":[{"code":"DEPTH","severity":"error","message":"lowers to a QL term nested more than 1024 levels deep","line":1,"col":13}],"reasons":["ra-depth"],"status":"rejected"}"#,
+        ),
+        (
+            200,
+            r#"{"cache":"miss","iterations":0,"mode":"exact","result":{"rank":2,"tuples":[[0,1]]},"status":"ok"}"#,
+        ),
+        (
+            400,
+            r#"{"error":"unknown catalog family \"nope\"","status":"error"}"#,
+        ),
+        (
+            422,
+            r#"{"diagnostics":[{"code":"PARSE","severity":"error","message":"expected a term","line":1,"col":7}],"reasons":["parse-error"],"status":"rejected"}"#,
+        ),
+    ];
+    for ((path, body), (status, bytes)) in cases.iter().zip(want) {
+        let r = c.post(path, body).unwrap();
+        assert_eq!(
+            (r.status, r.body.as_str()),
+            (status, bytes),
+            "{path} {body}"
+        );
+    }
+}

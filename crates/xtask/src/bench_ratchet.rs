@@ -12,7 +12,10 @@
 //! path must stay at least `min_speedup`× faster than the slow path at
 //! this size". Baselines are locked at `measured / 2` by
 //! `--update-baseline`, so noise cannot trip the gate but losing more
-//! than half the win fails CI.
+//! than half the win fails CI. An update only adds rows for specs the
+//! file lacks; a locked row is never rewritten (to re-lock one on
+//! purpose, delete it by hand first), so an update cannot lower a
+//! floor a change fell below.
 
 use std::path::Path;
 
@@ -163,31 +166,71 @@ fn measure(root: &Path) -> Result<Vec<(&'static Spec, f64)>, String> {
     Ok(out)
 }
 
-fn render_baseline(measured: &[(&Spec, f64)]) -> String {
+/// One locked `BENCH_RATCHET.json` row.
+fn render_row(spec: &Spec, speedup: f64) -> String {
+    let min = (speedup / TOLERANCE).max(1.0);
+    format!(
+        "    {{\"id\": \"{}\", \"group\": \"{}\", \"size\": {}, \"slow\": \"{}\", \
+         \"fast\": \"{}\", \"locked_at\": {:.1}, \"min_speedup\": {:.1}}}",
+        spec.id, spec.group, spec.size, spec.slow, spec.fast, speedup, min
+    )
+}
+
+/// A whole `BENCH_RATCHET.json` holding `rows`.
+fn render_baseline(rows: &[String]) -> String {
     let mut s = String::from("{\n  \"schema\": \"BENCH_RATCHET/v1\",\n");
     s.push_str(&format!(
         "  \"policy\": \"min_speedup = measured / {TOLERANCE} at lock time; \
          ratios are machine-stable, absolute ns are not\",\n"
     ));
     s.push_str("  \"ratchets\": [\n");
-    let rows: Vec<String> = measured
-        .iter()
-        .map(|(spec, speedup)| {
-            let min = (speedup / TOLERANCE).max(1.0);
-            format!(
-                "    {{\"id\": \"{}\", \"group\": \"{}\", \"size\": {}, \"slow\": \"{}\", \
-                 \"fast\": \"{}\", \"locked_at\": {:.1}, \"min_speedup\": {:.1}}}",
-                spec.id, spec.group, spec.size, spec.slow, spec.fast, speedup, min
-            )
-        })
-        .collect();
     s.push_str(&rows.join(",\n"));
     s.push_str("\n  ]\n}\n");
     s
 }
 
+/// `existing` with `rows` appended to its `ratchets` array; every
+/// other byte is kept. `None` when the file has no array close
+/// (`\n  ]`) to append before.
+fn add_rows(existing: &str, rows: &[String]) -> Option<String> {
+    let (head, tail) = existing.split_at(existing.rfind("\n  ]")?);
+    let sep = if head.ends_with('}') { ",\n" } else { "\n" };
+    Some(format!("{head}{sep}{}{tail}", rows.join(",\n")))
+}
+
+/// Locks a row for every measured spec `BENCH_RATCHET.json` lacks
+/// (all of them when the file does not exist yet).
+fn lock_missing(path: &Path, measured: &[(&'static Spec, f64)]) -> Result<(), String> {
+    let existing = std::fs::read_to_string(path).ok();
+    let locked = parse_baseline(existing.as_deref().unwrap_or_default());
+    let missing: Vec<&(&Spec, f64)> = measured
+        .iter()
+        .filter(|(spec, _)| !locked.iter().any(|(id, _)| id == spec.id))
+        .collect();
+    if missing.is_empty() {
+        return Ok(());
+    }
+    let rows: Vec<String> = missing.iter().map(|(s, x)| render_row(s, *x)).collect();
+    let text = match existing {
+        None => render_baseline(&rows),
+        Some(t) => add_rows(&t, &rows)
+            .ok_or_else(|| format!("bench-ratchet: {BASELINE} has no ratchets array to extend"))?,
+    };
+    std::fs::write(path, text)
+        .map_err(|e| format!("bench-ratchet: cannot write {BASELINE}: {e}"))?;
+    for (spec, speedup) in missing {
+        println!(
+            "bench-ratchet: locked {} at {:.1}x (min {:.1}x)",
+            spec.id,
+            speedup,
+            (speedup / TOLERANCE).max(1.0)
+        );
+    }
+    Ok(())
+}
+
 /// Runs the perf ratchet; returns `true` when every pinned ratio
-/// holds.
+/// holds. `update` first locks rows for the specs the baseline lacks.
 pub fn run(root: &Path, update: bool) -> bool {
     let measured = match measure(root) {
         Ok(m) => m,
@@ -198,19 +241,10 @@ pub fn run(root: &Path, update: bool) -> bool {
     };
     let baseline_path = root.join(BASELINE);
     if update || !baseline_path.exists() {
-        if let Err(e) = std::fs::write(&baseline_path, render_baseline(&measured)) {
-            eprintln!("bench-ratchet: cannot write {BASELINE}: {e}");
+        if let Err(e) = lock_missing(&baseline_path, &measured) {
+            eprintln!("{e}");
             return false;
         }
-        for (spec, speedup) in &measured {
-            println!(
-                "bench-ratchet: locked {} at {:.1}x (min {:.1}x)",
-                spec.id,
-                speedup,
-                (speedup / TOLERANCE).max(1.0)
-            );
-        }
-        return true;
     }
     let baseline = parse_baseline(&std::fs::read_to_string(&baseline_path).unwrap_or_default());
     let mut ok = true;
@@ -251,8 +285,8 @@ mod tests {
             parsed,
             vec![("E7/fixpoint".into(), "seminaive".into(), 256, 9358883)]
         );
-        let measured: Vec<(&Spec, f64)> = SPECS.iter().map(|s| (s, 10.0)).collect();
-        let rendered = render_baseline(&measured);
+        let rows: Vec<String> = SPECS.iter().map(|s| render_row(s, 10.0)).collect();
+        let rendered = render_baseline(&rows);
         let baseline = parse_baseline(&rendered);
         assert_eq!(baseline.len(), SPECS.len());
         for (_, min) in baseline {
@@ -285,6 +319,40 @@ mod tests {
         // Degrade the fast paths below the bar.
         write_points(&dir, 200);
         assert!(!run(&dir, false), "0.5x must fail the 1.0x bar");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn update_adds_missing_rows_and_keeps_locked_ones() {
+        let dir = std::env::temp_dir().join("bench_ratchet_update_test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        write_points(&dir, 50);
+        // Every spec but the last is locked, the first by hand at a
+        // value no measurement would give; formatting quirks included.
+        let (locked, last) = SPECS.split_at(SPECS.len() - 1);
+        let mut rows = vec![format!(
+            "    {{\"id\": \"{}\",  \"min_speedup\": 1.5, \"note\": \"hand-locked\"}}",
+            locked[0].id
+        )];
+        rows.extend(locked[1..].iter().map(|s| render_row(s, 3.0)));
+        let before = format!(
+            "{{\n  \"schema\": \"BENCH_RATCHET/v1\",\n  \"ratchets\": [\n{}\n  ]\n}}\n",
+            rows.join(",\n")
+        );
+        std::fs::write(dir.join(BASELINE), &before).expect("write baseline");
+        assert!(run(&dir, true), "2.0x clears every floor");
+        let after = std::fs::read_to_string(dir.join(BASELINE)).expect("read baseline");
+        let (head, tail) = before.split_at(before.rfind("\n  ]").unwrap());
+        let added = format!(",\n{}", render_row(&last[0], 2.0));
+        assert_eq!(
+            after,
+            format!("{head}{added}{tail}"),
+            "locked rows kept byte for byte"
+        );
+        // A second update finds nothing missing and writes nothing.
+        assert!(run(&dir, true));
+        let again = std::fs::read_to_string(dir.join(BASELINE)).expect("read baseline");
+        assert_eq!(again, after);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

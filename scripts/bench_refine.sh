@@ -1,17 +1,9 @@
 #!/usr/bin/env bash
-# Benchmark the Vⁿᵣ refinement pipeline and distill the medians into
-# BENCH_refine.json, plus a METRICS_refine.json report of the hot-path
-# counters (buckets probed, fingerprint collisions, fan-out imbalance).
-#
-# Modes:
-#   scripts/bench_refine.sh            std-timer harness
-#                                      (examples/bench_refine.rs); no
-#                                      dev-dependencies — works offline
-#   scripts/bench_refine.sh --bench    microbench harness (cargo bench,
-#                                      refine + local_iso); medians
-#                                      scraped from the harness's
-#                                      `bench <label> median_ns <t>`
-#                                      lines
+# Benchmark the Vⁿᵣ refinement pipeline with the std-timer harness
+# (examples/bench_refine.rs) and write BENCH_refine.json, plus a
+# METRICS_refine.json report of the hot-path counters (buckets probed,
+# fingerprint collisions, fan-out imbalance). `xtask bench-ratchet`
+# reads BENCH_refine.json line by line.
 #
 # Extra args are forwarded to cargo (e.g.
 # `scripts/bench_refine.sh --features parallel`).
@@ -20,52 +12,6 @@ cd "$(dirname "$0")/.."
 
 OUT=BENCH_refine.json
 METRICS_OUT=METRICS_refine.json
-
-# Historical alias: the std harness used to be opt-in via --std and is
-# now the default.
-if [[ "${1:-}" == "--std" ]]; then
-    shift
-fi
-
-if [[ "${1:-}" == "--bench" ]]; then
-    shift
-    mkdir -p target
-    RAW=target/bench_refine.raw
-    cargo bench -p recdb-bench --bench refine "$@" | tee "$RAW"
-    cargo bench -p recdb-bench --bench local_iso "$@" | tee -a "$RAW"
-
-    # The in-tree microbench harness prints one line per benchmark:
-    #   bench <group>/<id> median_ns <t> samples <k>
-    python3 - "$OUT" "$RAW" <<'PY'
-import json, sys
-
-out, raw = sys.argv[1:3]
-points = []
-for line in open(raw):
-    parts = line.split()
-    if len(parts) >= 4 and parts[0] == "bench" and parts[2] == "median_ns":
-        group, _, bench = parts[1].partition("/")
-        points.append(
-            {"group": group, "bench": bench or group, "median_ns": int(parts[3])}
-        )
-if not points:
-    sys.exit("no `bench ... median_ns ...` lines found in harness output")
-with open(out, "w") as f:
-    json.dump(
-        {"schema": "BENCH_refine/v1",
-         "harness": "microbench (median ns per iteration)",
-         "points": points},
-        f, indent=2)
-    f.write("\n")
-print(f"wrote {out} ({len(points)} points, microbench)")
-PY
-    # The bench harness doesn't install a recorder; take the metrics
-    # report from the std harness on the same E7 workload.
-    cargo run --release -p recdb-suite --example bench_refine "$@" -- \
-        --metrics-out "$METRICS_OUT" > /dev/null
-    echo "wrote $METRICS_OUT"
-    exit 0
-fi
 
 cargo run --release -p recdb-suite --example bench_refine "$@" -- \
     --metrics-out "$METRICS_OUT" > "$OUT"
