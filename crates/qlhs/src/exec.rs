@@ -7,7 +7,9 @@
 //!   guard predicates, a stored size. The interpreters implement it;
 //!   the bytecode VM (`recdb-vm`) calls the same methods.
 //! * [`eval_term`] — the one tree walker over a `Backend`: one fuel
-//!   tick per node at entry; ops charge their data-dependent fuel.
+//!   tick per node at entry; ops charge their data-dependent fuel. It
+//!   hands the semijoin, antijoin and division shapes to fused
+//!   `Backend` methods, whose defaults compose the single ops.
 //! * [`GuardEval`] — the statement level: term evaluation, the `while`
 //!   guards (with the dialect's error for a test it lacks), the unset
 //!   value, and the size the cost pass bounds.
@@ -66,6 +68,48 @@ pub trait Backend {
     /// Exchange of the two rightmost coordinates (charges its
     /// data-dependent fuel itself).
     fn swap(&mut self, x: &Self::V, fuel: &mut Fuel) -> Result<Self::V, RunError>;
+
+    // The fused term shapes (DESIGN.md §6). [`eval_term`] hands each
+    // shape to one of these; the defaults compose the ops above in the
+    // walker's own order, and an override must keep the values, errors
+    // and fuel of those compositions.
+
+    /// `↑a ∩ b` (left semijoin), once `a` is `x`: `rhs` evaluates `b`.
+    /// `x↑`'s fuel is due before `rhs` runs.
+    fn semijoin_left<F>(
+        &mut self,
+        x: &Self::V,
+        fuel: &mut Fuel,
+        rhs: F,
+    ) -> Result<Self::V, RunError>
+    where
+        F: FnOnce(&mut Self, &mut Fuel) -> Result<Self::V, RunError>,
+    {
+        let up = self.up(x, fuel)?;
+        let y = rhs(self, fuel)?;
+        self.and(&up, &y)
+    }
+    /// `x ∩ ↑y` (right semijoin).
+    fn semijoin_right(
+        &mut self,
+        x: &Self::V,
+        y: &Self::V,
+        fuel: &mut Fuel,
+    ) -> Result<Self::V, RunError> {
+        let up = self.up(y, fuel)?;
+        self.and(x, &up)
+    }
+    /// `x ∩ ¬y` (antijoin).
+    fn antijoin(&mut self, x: &Self::V, y: &Self::V, fuel: &mut Fuel) -> Result<Self::V, RunError> {
+        let not = self.not(y, fuel)?;
+        self.and(x, &not)
+    }
+    /// `↓¬y` (division).
+    fn division(&mut self, y: &Self::V, fuel: &mut Fuel) -> Result<Self::V, RunError> {
+        let not = self.not(y, fuel)?;
+        self.down(&not, fuel)
+    }
+
     /// The `while |Y|=0` predicate.
     fn empty(x: &Self::V) -> bool;
     /// The `while |Y|=1` predicate (only compiled for QLhs).
@@ -141,6 +185,13 @@ pub(crate) use guard_eval;
 
 /// Evaluates a term over `b`'s ops: one fuel tick per node at entry.
 /// An unassigned variable reads as [`Backend::unset`].
+///
+/// Three shapes go to a fused [`Backend`] method instead of one op per
+/// node, in this order of precedence: `a ∩ ¬b` ([`Backend::antijoin`]),
+/// `↑a ∩ b` and `a ∩ ↑b` ([`Backend::semijoin_left`],
+/// [`Backend::semijoin_right`]), and `↓¬b` ([`Backend::division`]).
+/// The fused node's inner `¬`/`↑` still ticks just before its operand
+/// is evaluated.
 pub fn eval_term<B: Backend>(
     b: &mut B,
     t: &Term,
@@ -153,11 +204,30 @@ pub fn eval_term<B: Backend>(
         Term::Rel(i) => b.rel(*i)?,
         Term::Var(v) => env.get(*v).cloned().unwrap_or_else(|| b.unset()),
         Term::Const(c) => b.constant(*c),
-        Term::And(l, r) => {
-            let x = eval_term(b, l, env, fuel)?;
-            let y = eval_term(b, r, env, fuel)?;
-            b.and(&x, &y)?
-        }
+        Term::And(l, r) => match (&**l, &**r) {
+            (_, Term::Not(rb)) => {
+                let x = eval_term(b, l, env, fuel)?;
+                fuel.tick()?;
+                let y = eval_term(b, rb, env, fuel)?;
+                b.antijoin(&x, &y, fuel)?
+            }
+            (Term::Up(la), _) => {
+                fuel.tick()?;
+                let x = eval_term(b, la, env, fuel)?;
+                b.semijoin_left(&x, fuel, |b, fuel| eval_term(b, r, env, fuel))?
+            }
+            (_, Term::Up(rb)) => {
+                let x = eval_term(b, l, env, fuel)?;
+                fuel.tick()?;
+                let y = eval_term(b, rb, env, fuel)?;
+                b.semijoin_right(&x, &y, fuel)?
+            }
+            _ => {
+                let x = eval_term(b, l, env, fuel)?;
+                let y = eval_term(b, r, env, fuel)?;
+                b.and(&x, &y)?
+            }
+        },
         Term::Not(e) => {
             let x = eval_term(b, e, env, fuel)?;
             b.not(&x, fuel)?
@@ -166,10 +236,17 @@ pub fn eval_term<B: Backend>(
             let x = eval_term(b, e, env, fuel)?;
             b.up(&x, fuel)?
         }
-        Term::Down(e) => {
-            let x = eval_term(b, e, env, fuel)?;
-            b.down(&x, fuel)?
-        }
+        Term::Down(e) => match &**e {
+            Term::Not(nb) => {
+                fuel.tick()?;
+                let y = eval_term(b, nb, env, fuel)?;
+                b.division(&y, fuel)?
+            }
+            _ => {
+                let x = eval_term(b, e, env, fuel)?;
+                b.down(&x, fuel)?
+            }
+        },
         Term::Swap(e) => {
             let x = eval_term(b, e, env, fuel)?;
             b.swap(&x, fuel)?

@@ -48,6 +48,21 @@ impl<'a> FinInterp<'a> {
         self.st.universe()
     }
 
+    /// `x↑`'s fuel: one step per output tuple, `|x|·|D|`.
+    fn up_cost(&self, x: &Val) -> u64 {
+        (x.len() as u64).saturating_mul(self.universe().len() as u64)
+    }
+
+    /// `↑x ∩ y`, ranks checked: the rows of `y` that extend a row of
+    /// `x` by an element of `D`.
+    fn semijoin(&self, x: &Val, y: &Val) -> Val {
+        recdb_obs::count("qlhs.fused.semijoin", 1);
+        Val {
+            rank: y.rank,
+            tuples: y.tuples.semijoin(&x.tuples, self.universe()),
+        }
+    }
+
     /// Runs a program; result is `Y₁`.
     ///
     /// The QL dialect check runs first: a `while |Y|=1` or
@@ -75,6 +90,15 @@ fn complement_cost(d: u64, n: usize) -> u64 {
         total = total.saturating_add(level);
     }
     total
+}
+
+/// The `∩` rank check, `left` and `right` as the operands are written.
+fn rank_check(left: usize, right: usize) -> Result<(), RunError> {
+    if left == right {
+        Ok(())
+    } else {
+        Err(RunError::RankMismatch { left, right })
+    }
 }
 
 impl Backend for FinInterp<'_> {
@@ -117,12 +141,7 @@ impl Backend for FinInterp<'_> {
 
     /// Intersection `x ∩ y`; ranks must agree.
     fn and(&mut self, x: &Val, y: &Val) -> Result<Val, RunError> {
-        if x.rank != y.rank {
-            return Err(RunError::RankMismatch {
-                left: x.rank,
-                right: y.rank,
-            });
-        }
+        rank_check(x.rank, y.rank)?;
         Ok(Val {
             rank: x.rank,
             tuples: x.tuples.intersection(&y.tuples),
@@ -143,7 +162,7 @@ impl Backend for FinInterp<'_> {
     /// Cylindrification `x↑ = x × D`. Charges one step per output
     /// tuple, `|x|·|D|`, before building it.
     fn up(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
-        fuel.consume((x.len() as u64).saturating_mul(self.universe().len() as u64))?;
+        fuel.consume(self.up_cost(x))?;
         Ok(Val {
             rank: x.rank + 1,
             tuples: x.tuples.times(self.universe()),
@@ -167,6 +186,50 @@ impl Backend for FinInterp<'_> {
         Ok(Val {
             rank: x.rank,
             tuples: x.tuples.swap_last_two(),
+        })
+    }
+
+    /// `↑x ∩ y` as `Rows::semijoin`: `x↑`'s fuel is charged before
+    /// `rhs` runs, and `x↑` is never built.
+    fn semijoin_left<F>(&mut self, x: &Val, fuel: &mut Fuel, rhs: F) -> Result<Val, RunError>
+    where
+        F: FnOnce(&mut Self, &mut Fuel) -> Result<Val, RunError>,
+    {
+        fuel.consume(self.up_cost(x))?;
+        let y = rhs(self, fuel)?;
+        rank_check(x.rank + 1, y.rank)?;
+        Ok(self.semijoin(x, &y))
+    }
+
+    /// `x ∩ ↑y` as `Rows::semijoin`, charged as `y↑`.
+    fn semijoin_right(&mut self, x: &Val, y: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
+        fuel.consume(self.up_cost(y))?;
+        rank_check(x.rank, y.rank + 1)?;
+        Ok(self.semijoin(y, x))
+    }
+
+    /// `x ∩ ¬y` as one difference merge restricted to `Dⁿ` (a `Cₐ`
+    /// row may lie outside it), charged as `¬y`.
+    fn antijoin(&mut self, x: &Val, y: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
+        fuel.consume(complement_cost(self.universe().len() as u64, y.rank))?;
+        rank_check(x.rank, y.rank)?;
+        recdb_obs::count("qlhs.fused.antijoin", 1);
+        Ok(Val {
+            rank: x.rank,
+            tuples: x.tuples.difference_within(&y.tuples, self.universe()),
+        })
+    }
+
+    /// `↓¬y` as `Rows::divide`, charged as `¬y`.
+    fn division(&mut self, y: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
+        fuel.consume(complement_cost(self.universe().len() as u64, y.rank))?;
+        if y.rank == 0 {
+            return Ok(Val::empty(0));
+        }
+        recdb_obs::count("qlhs.fused.division", 1);
+        Ok(Val {
+            rank: y.rank - 1,
+            tuples: y.tuples.divide(y.rank, self.universe()),
         })
     }
 

@@ -364,6 +364,192 @@ impl Rows {
             }
         }
     }
+
+    /// `(prefixes × dom) ∩ self` without building the product: the rows
+    /// of `self` (`stride` ≥ 1) whose first `stride − 1` elements form a
+    /// row of `prefixes` and whose last element lies in `dom` (strictly
+    /// increasing). Both sides are walked in order, each galloping from
+    /// its last position to the other's current row, so a side far
+    /// ahead of the other is skipped in logarithmic steps.
+    pub(crate) fn semijoin(&self, prefixes: &Rows, dom: &[Elem]) -> Rows {
+        if self.is_empty() || prefixes.is_empty() {
+            return Rows::new();
+        }
+        let s = self.stride;
+        let p = s - 1;
+        debug_assert_eq!(prefixes.stride, p);
+        let in_dom = InDom::new(dom);
+        let head = |r: usize| &self.data[r * s..r * s + p];
+        let key = |i: usize| &prefixes.data[i * p..(i + 1) * p];
+        let mut data = Vec::new();
+        let (mut i, mut j) = (0, 0);
+        while i < prefixes.len && j < self.len {
+            match head(j).cmp(key(i)) {
+                Ordering::Less => j = gallop(j, self.len, |r| head(r) < key(i)),
+                Ordering::Greater => i = gallop(i, prefixes.len, |r| key(r) < head(j)),
+                Ordering::Equal => {
+                    let k = key(i);
+                    while j < self.len && head(j) == k {
+                        let row = &self.data[j * s..(j + 1) * s];
+                        if in_dom.contains(row[p]) {
+                            data.extend_from_slice(row);
+                        }
+                        j += 1;
+                    }
+                    i += 1;
+                }
+            }
+        }
+        Rows::normalized(s, data.len() / s, data)
+    }
+
+    /// `self ∩ (domⁿ ∖ other)` without building the complement: one
+    /// difference merge of the rows of `self` whose elements all lie in
+    /// `dom` (same rank; `dom` strictly increasing).
+    pub(crate) fn difference_within(&self, other: &Rows, dom: &[Elem]) -> Rows {
+        let s = self.stride;
+        if s == 0 {
+            // `{}` and `{()}` lie in `dom⁰` whatever `dom` is.
+            return self.difference(other);
+        }
+        let in_dom = InDom::new(dom);
+        let inside = |row: &[Elem]| row.iter().all(|&e| in_dom.contains(e));
+        let filtered: Vec<Elem>;
+        let rows = if self.data.chunks_exact(s).all(inside) {
+            &self.data[..]
+        } else {
+            filtered = self
+                .data
+                .chunks_exact(s)
+                .filter(|row| inside(row))
+                .flatten()
+                .copied()
+                .collect();
+            &filtered[..]
+        };
+        let mut data = Vec::new();
+        merge_into(&mut data, rows, &other.data, s, Keep::DIFFERENCE);
+        Rows::normalized(s, data.len() / s, data)
+    }
+
+    /// `↓(domⁿ ∖ self)` for a rank-`n` relation, `n` ≥ 1, without
+    /// building the complement: a tail `t ∈ domⁿ⁻¹` survives unless
+    /// `(a,t) ∈ self` for every `a ∈ dom`, so the result is `domⁿ⁻¹`
+    /// minus the intersection of the tails of `self`'s first-element
+    /// runs for the elements of `dom` (strictly increasing). Runs for
+    /// elements outside `dom` are never visited.
+    pub(crate) fn divide(&self, n: usize, dom: &[Elem]) -> Rows {
+        debug_assert!(n >= 1 && (self.is_empty() || self.stride == n));
+        if dom.is_empty() {
+            return Rows::new();
+        }
+        let w = n - 1;
+        let first = |r: usize| self.data[r * n];
+        // `common` holds the tails every run visited so far shares;
+        // `None` before the first run.
+        let mut common: Option<Vec<Elem>> = None;
+        let mut j = 0;
+        for &a in dom {
+            j = gallop(j, self.len, |r| first(r) < a);
+            let end = gallop(j, self.len, |r| first(r) == a);
+            if j == end {
+                // No row starts with `a`: the intersection is empty.
+                return Rows::new().complement(w, dom);
+            }
+            let run = &self.data[j * n..end * n];
+            j = end;
+            if w == 0 {
+                continue; // the run is the one row `(a)`
+            }
+            let tails = match common {
+                None => run.chunks_exact(n).flat_map(|r| &r[1..]).copied().collect(),
+                Some(acc) => intersect_tails(&acc, run, w),
+            };
+            if tails.is_empty() {
+                return Rows::new().complement(w, dom);
+            }
+            common = Some(tails);
+        }
+        let common = match common {
+            Some(data) => Rows::normalized(w, data.len() / w, data),
+            None => Rows::unit(), // `n` = 1: every `(a)` is in `self`
+        };
+        common.complement(w, dom)
+    }
+}
+
+/// Membership in a strictly increasing universe: a range test when its
+/// elements are consecutive integers, a binary search otherwise.
+#[derive(Clone, Copy)]
+struct InDom<'a> {
+    dom: &'a [Elem],
+    contiguous: bool,
+}
+
+impl<'a> InDom<'a> {
+    fn new(dom: &'a [Elem]) -> Self {
+        let contiguous = match (dom.first(), dom.last()) {
+            (Some(lo), Some(hi)) => hi.0 - lo.0 == dom.len() as u64 - 1,
+            _ => false,
+        };
+        InDom { dom, contiguous }
+    }
+
+    #[inline]
+    fn contains(self, e: Elem) -> bool {
+        if self.contiguous {
+            self.dom[0] <= e && e <= self.dom[self.dom.len() - 1]
+        } else {
+            self.dom.binary_search(&e).is_ok()
+        }
+    }
+}
+
+/// The first index in `lo..hi` where `before` fails, for a `before`
+/// that holds on a prefix of `lo..hi`: steps of 1, 2, 4, … from `lo`,
+/// then a binary search inside the last step.
+fn gallop(mut lo: usize, hi: usize, before: impl Fn(usize) -> bool) -> usize {
+    let mut step = 1;
+    while lo + step < hi && before(lo + step) {
+        lo += step;
+        step *= 2;
+    }
+    if lo >= hi || !before(lo) {
+        return lo;
+    }
+    // `before(lo)` holds; the answer lies in `lo+1..=min(lo+step, hi)`.
+    let mut end = (lo + step).min(hi);
+    lo += 1;
+    while lo < end {
+        let mid = lo + (end - lo) / 2;
+        if before(mid) {
+            lo = mid + 1;
+        } else {
+            end = mid;
+        }
+    }
+    lo
+}
+
+/// The tails (`w` elements) in both `acc` (sorted, width `w`) and the
+/// rows of `run` (sorted, width `w + 1`, one shared first element):
+/// [`merge_into`]'s intersection, reading `run` in place.
+fn intersect_tails(acc: &[Elem], run: &[Elem], w: usize) -> Vec<Elem> {
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < acc.len() && j < run.len() {
+        let (x, y) = (&acc[i..i + w], &run[j + 1..j + 1 + w]);
+        match x.cmp(y) {
+            Ordering::Less => i += w,
+            Ordering::Greater => j += w + 1,
+            Ordering::Equal => {
+                out.extend_from_slice(x);
+                i += w;
+                j += w + 1;
+            }
+        }
+    }
+    out
 }
 
 /// The one merge loop behind every set operation and `↓`'s run

@@ -6,11 +6,15 @@
 //! The metrics recorder is process-global, so the tests serialize on
 //! [`LOCK`].
 
+mod support;
+
 use recdb_core::{tuple, CoFiniteRelation, FiniteRelation, FiniteStructure, Fuel};
 use recdb_hsdb::{FcfDatabase, FcfRel};
 use recdb_obs::InMemoryRecorder;
-use recdb_qlhs::{parse_program, FcfInterp, FinInterp, Prog, Term, Val};
+use recdb_qlhs::exec::{run_with, FuelOnly};
+use recdb_qlhs::{parse_program, Dialect, FcfInterp, FinInterp, Prog, Term, Val};
 use std::sync::Mutex;
+use support::Unfused;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -176,4 +180,83 @@ fn fallbacks_match_the_from_scratch_loop_at_every_budget() {
             "{code}: the sweep never hits {name}"
         );
     }
+}
+
+/// `Y1 := Y1 ∪ ↓(↑Y1 ∩ R1)` — reachability through the semijoin the
+/// walker fuses — swept over every budget from 0 to two past the
+/// from-scratch run's cost, each engine on the fused walker and on the
+/// unfused one ([`Unfused`]):
+/// * on each engine, the fused and the unfused walker end alike, fuel
+///   left included;
+/// * while the guard never holds (`divergent`), semi-naive and
+///   from-scratch end alike, fuel left included;
+/// * once it does (`terminating`), the two engines compute the same
+///   value whenever both complete. Their fuel differs by design — the
+///   delta rounds evaluate the semijoin on the new rows only — so no
+///   fuel pairing is asserted across engines there.
+#[test]
+fn semijoin_reachability_keeps_fuel_identity_at_every_budget() {
+    let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    const BIG: u64 = 2_000;
+    let st = FiniteStructure::undirected_graph(0..6, (0..5).map(|i| (i, i + 1)));
+    let reach = "Y1 := !(!Y1 & !down(up(Y1) & R1))";
+    let cases = [
+        ("divergent", format!("Y1 := C1; while empty(Y3) {{ {reach}; }}")),
+        (
+            "terminating",
+            format!("Y1 := C1; Y3 := C1 & C2; while empty(Y3) {{ {reach}; Y3 := !(!Y3 & !(Y1 & C5)); }}"),
+        ),
+    ];
+    let rec = InMemoryRecorder::shared();
+    recdb_obs::install(rec.clone());
+    for (name, text) in &cases {
+        let p = parse_program(text).expect("parses");
+        let run = |seminaive: bool, fused: bool, budget: u64| {
+            let mut fuel = Fuel::new(budget);
+            let mut s = FuelOnly { seminaive };
+            let r = if fused {
+                run_with(&mut FinInterp::new(&st), Dialect::Ql, &p, &mut fuel, &mut s)
+            } else {
+                run_with(
+                    &mut Unfused(FinInterp::new(&st)),
+                    Dialect::Ql,
+                    &p,
+                    &mut fuel,
+                    &mut s,
+                )
+            };
+            (r, fuel.remaining())
+        };
+        let (_, left) = run(false, true, BIG);
+        for budget in 0..=BIG - left + 2 {
+            let at = |seminaive| {
+                let fused = run(seminaive, true, budget);
+                assert_eq!(
+                    fused,
+                    run(seminaive, false, budget),
+                    "{name}: seminaive {seminaive}, fused vs unfused at fuel {budget}"
+                );
+                fused
+            };
+            let (delta, scratch) = (at(true), at(false));
+            match (&delta, &scratch, *name) {
+                (_, _, "divergent") => assert_eq!(delta, scratch, "{name} at fuel {budget}"),
+                ((Ok(d), _), (Ok(s), _), _) => assert_eq!(d, s, "{name} at fuel {budget}"),
+                _ => {}
+            }
+        }
+        let (full, _) = run(true, true, BIG);
+        if *name == "terminating" {
+            assert_eq!(full.expect("reaches C5").len(), 6, "{name}");
+        }
+    }
+    recdb_obs::uninstall();
+    assert!(
+        rec.counter_value("fixpoint.seminaive.loops") >= 1,
+        "a delta loop completed"
+    );
+    assert!(
+        rec.counter_value("qlhs.fused.semijoin") >= 1,
+        "the semijoin was fused"
+    );
 }

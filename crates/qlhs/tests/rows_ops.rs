@@ -15,11 +15,21 @@
 //! operands shaped to stress that order: `↑` outputs, heavily
 //! overlapping runs, a single run, one row per run, the empty prefix
 //! of rank 2, and ranks up to 6.
+//!
+//! The fused term shapes (`↑x ∩ y`, `y ∩ ↑x`, `x ∩ ¬y`, `↓¬y`) are
+//! checked twice: each kernel against the same reference composed from
+//! `ref_up`/`ref_not` and `∩`/`↓` at every budget, and whole random
+//! terms rich in those shapes through the tree walker against the same
+//! walker over [`Unfused`], which leaves every fused method at its
+//! default.
 
-use recdb_core::{fnv1a, Elem, FiniteStructure, Fuel, FuelError, SplitMix64, Tuple};
-use recdb_qlhs::exec::Backend;
-use recdb_qlhs::{FinInterp, Rows, RunError, Val};
+mod support;
+
+use recdb_core::{fnv1a, Elem, FiniteStructure, Fuel, FuelError, Schema, SplitMix64, Tuple};
+use recdb_qlhs::exec::{eval_term, Backend};
+use recdb_qlhs::{FinInterp, Rows, RunError, Term, Val};
 use std::collections::BTreeSet;
+use support::Unfused;
 
 const CASES: usize = 64;
 
@@ -362,5 +372,315 @@ fn down_and_swap_on_order_stressing_operands() {
             rank,
             &random_set(&mut rng, rank, &dom),
         );
+    }
+}
+
+/// Rank-`rank + 1` rows to semijoin against the rank-`rank` `xs`: some
+/// rows of `xs` extended by an element of `dom` or by the
+/// out-of-universe 99, plus random rows.
+fn extensions(rng: &mut SplitMix64, xs: &Set, rank: usize, dom: &[Elem]) -> Set {
+    let mut last = dom.to_vec();
+    last.push(Elem(99));
+    let mut ys = random_set(rng, rank + 1, dom);
+    for x in xs {
+        for &a in &last {
+            if rng.gen_usize(3) == 0 {
+                ys.insert(x.extend(a));
+            }
+        }
+    }
+    ys
+}
+
+/// A rank-`rank` relation for `↓¬y`: `F × S` for first elements `F`
+/// (all of `dom`, or all but one) and random tails `S`, with a few rows
+/// dropped and random rows added, so some tails lie under every first
+/// element and some do not.
+fn run_heavy(rng: &mut SplitMix64, rank: usize, dom: &[Elem]) -> Set {
+    if rank == 0 {
+        return random_set(rng, 0, dom);
+    }
+    let tails = random_set(rng, rank - 1, dom);
+    let skip = (rng.gen_usize(3) == 0 && !dom.is_empty()).then(|| *rng.pick(dom));
+    let mut ys: Set = dom
+        .iter()
+        .filter(|&&a| Some(a) != skip)
+        .flat_map(|&a| {
+            tails
+                .iter()
+                .map(move |t| Tuple::from_values([a.0]).concat(t))
+        })
+        .filter(|_| rng.gen_usize(8) != 0)
+        .collect();
+    ys.extend(random_set(rng, rank, dom));
+    ys
+}
+
+/// An empty set now and then, else `draw`'s.
+fn sometimes_empty(rng: &mut SplitMix64, draw: impl FnOnce(&mut SplitMix64) -> Set) -> Set {
+    if rng.gen_usize(8) == 0 {
+        Set::new()
+    } else {
+        draw(rng)
+    }
+}
+
+#[test]
+fn fused_shapes_match_the_btreeset_reference_at_every_budget() {
+    let mut rng = rng_for("fused_shapes_match_the_btreeset_reference_at_every_budget");
+    for case in 0..CASES {
+        // `n` is the rank of the `∩` operands and of `↓¬y`'s operand.
+        let n = rng.gen_usize(5);
+        let st = random_structure(&mut rng, [6, 6, 6, 6, 5][n]);
+        let dom = st.universe().to_vec();
+        let mut fin = FinInterp::new(&st);
+        let tag = |op: &str| format!("case {case}: {op} rank {n} |D| {}", dom.len());
+
+        // x ∩ ¬y: out-of-universe rows may sit in either operand.
+        let xs = sometimes_empty(&mut rng, |r| random_set(r, n, &dom));
+        let ys = if rng.gen_bool() {
+            let mut ys = random_set(&mut rng, n, &dom);
+            ys.extend(xs.iter().filter(|_| rng.gen_bool()).cloned());
+            ys
+        } else {
+            random_set(&mut rng, n, &dom)
+        };
+        let ys = sometimes_empty(&mut rng, |_| ys);
+        let (x, y) = (val(n, &xs), val(n, &ys));
+        sweep(
+            &tag("antijoin"),
+            n,
+            |f| fin.antijoin(&x, &y, f),
+            |f| {
+                Ok(xs
+                    .intersection(&ref_not(&ys, n, &dom, f)?)
+                    .cloned()
+                    .collect())
+            },
+        );
+
+        // ↓¬y.
+        let ys = sometimes_empty(&mut rng, |r| run_heavy(r, n, &dom));
+        let y = val(n, &ys);
+        sweep(
+            &tag("division"),
+            n.saturating_sub(1),
+            |f| fin.division(&y, f),
+            |f| Ok(ref_down(&ref_not(&ys, n, &dom, f)?, n)),
+        );
+
+        // ↑p ∩ y and y ∩ ↑p, for a rank-(n−1) p: `semijoin_left`'s
+        // right operand ticks once, after `p↑`'s charge.
+        if n == 0 {
+            continue;
+        }
+        let ps = sometimes_empty(&mut rng, |r| random_set(r, n - 1, &dom));
+        let ys = sometimes_empty(&mut rng, |r| extensions(r, &ps, n - 1, &dom));
+        let (p, y) = (val(n - 1, &ps), val(n, &ys));
+        sweep(
+            &tag("semijoin_left"),
+            n,
+            |f| {
+                fin.semijoin_left(&p, f, |_, f| {
+                    f.tick()?;
+                    Ok(y.clone())
+                })
+            },
+            |f| {
+                let up = ref_up(&ps, &dom, f)?;
+                f.tick()?;
+                Ok(up.intersection(&ys).cloned().collect())
+            },
+        );
+        sweep(
+            &tag("semijoin_right"),
+            n,
+            |f| fin.semijoin_right(&y, &p, f),
+            |f| Ok(ys.intersection(&ref_up(&ps, &dom, f)?).cloned().collect()),
+        );
+    }
+}
+
+/// The fused shapes with operands of the wrong ranks, or a right
+/// operand that fails, each run on `b` from a fresh budget: outcomes
+/// and fuel left.
+fn mismatches<B: Backend<V = Val>>(
+    b: &mut B,
+    dom: &[Elem],
+    budget: u64,
+) -> Vec<(Result<Val, RunError>, u64)> {
+    let rank = |r: usize| {
+        let rows: Set = (0..4)
+            .map(|i| (0..r).map(|j| dom[(i + j) % dom.len()]).collect())
+            .collect();
+        val(r, &rows)
+    };
+    let (r1, r2, r3) = (rank(1), rank(2), rank(3));
+    let mut out = Vec::new();
+    let mut run = |f: &mut dyn FnMut(&mut Fuel) -> Result<Val, RunError>| {
+        let mut fuel = Fuel::new(budget);
+        let r = f(&mut fuel);
+        out.push((r, fuel.remaining()));
+    };
+    run(&mut |f| b.semijoin_left(&r1, f, |_, _| Ok(r3.clone())));
+    run(&mut |f| b.semijoin_left(&r1, f, |_, _| Err(RunError::NoSuchRelation(7))));
+    run(&mut |f| b.semijoin_right(&r3, &r1, f));
+    run(&mut |f| b.antijoin(&r2, &r1, f));
+    run(&mut |f| b.antijoin(&r1, &r2, f));
+    out
+}
+
+#[test]
+fn fused_shapes_keep_the_rank_mismatch_and_its_fuel() {
+    let st = FiniteStructure::undirected_graph([2, 5, 7], []);
+    let dom = st.universe().to_vec();
+    let (mut fin, mut unfused) = (FinInterp::new(&st), Unfused(FinInterp::new(&st)));
+    for budget in 0..=45 {
+        assert_eq!(
+            mismatches(&mut fin, &dom, budget),
+            mismatches(&mut unfused, &dom, budget),
+            "budget {budget}"
+        );
+    }
+    let errors: Vec<RunError> = mismatches(&mut fin, &dom, 1_000)
+        .into_iter()
+        .map(|(r, _)| r.expect_err("every case fails"))
+        .collect();
+    let rank = |left, right| RunError::RankMismatch { left, right };
+    assert_eq!(
+        errors,
+        [
+            rank(2, 3),
+            RunError::NoSuchRelation(7),
+            rank(3, 2),
+            rank(2, 1),
+            rank(1, 2)
+        ]
+    );
+}
+
+/// A random term of rank `rank` (a wrong-rank operand now and then),
+/// weighted toward the fused shapes. Leaves are the variables `Y1`–`Y4`
+/// (ranks 0–3), `R1` (rank 2), `R2` (rank 1), `E` and constants, some
+/// outside the universe.
+fn random_term(rng: &mut SplitMix64, rank: usize, depth: usize, dom: &[Elem]) -> Term {
+    let rank = if rng.gen_usize(12) == 0 {
+        rng.gen_usize(4)
+    } else {
+        rank
+    };
+    if depth == 0 || rng.gen_usize(5) == 0 {
+        return match (rank, rng.gen_usize(3)) {
+            (1, 0) => Term::Rel(1),
+            (1, 1) => Term::Const(dom.first().map_or(99, |e| e.0) + rng.gen_range(0, 3)),
+            (2, 0) => Term::Rel(0),
+            (2, 1) => Term::E,
+            _ => Term::Var(rank.min(3)),
+        };
+    }
+    let pick = rng.gen_usize(10);
+    let mut sub = |r: usize| random_term(rng, r, depth - 1, dom);
+    match pick {
+        0 | 1 if rank >= 1 => sub(rank - 1).up().and(sub(rank)),
+        2 if rank >= 1 => sub(rank).and(sub(rank - 1).up()),
+        3 | 4 => sub(rank).and(sub(rank).not()),
+        5 | 6 if rank < 3 => sub(rank + 1).not().down(),
+        7 => sub(rank).and(sub(rank)),
+        8 if rank < 3 => sub(rank + 1).down(),
+        9 if rank >= 1 => sub(rank - 1).up(),
+        _ => sub(rank).not().swap(),
+    }
+}
+
+/// The fused shapes in `t`, in the walker's precedence: antijoins,
+/// semijoins, divisions.
+fn fused_nodes(t: &Term, counts: &mut [usize; 3]) {
+    match t {
+        Term::And(l, r) => {
+            match (&**l, &**r) {
+                (_, Term::Not(_)) => counts[0] += 1,
+                (Term::Up(_), _) | (_, Term::Up(_)) => counts[1] += 1,
+                _ => {}
+            }
+            fused_nodes(l, counts);
+            fused_nodes(r, counts);
+        }
+        Term::Down(e) => {
+            if matches!(**e, Term::Not(_)) {
+                counts[2] += 1;
+            }
+            fused_nodes(e, counts);
+        }
+        Term::Not(e) | Term::Up(e) | Term::Swap(e) => fused_nodes(e, counts),
+        Term::E | Term::Rel(_) | Term::Var(_) | Term::Const(_) => {}
+    }
+}
+
+/// The tree walker over [`FinInterp`] against the same walker over
+/// [`Unfused`]: every outcome and the fuel left agree at every budget
+/// from 0 to one past the term's cost, on random terms whose fused
+/// nodes evaluate in every combination, errors included.
+#[test]
+fn fused_walker_matches_the_unfused_walker_on_random_terms() {
+    let mut rng = rng_for("fused_walker_matches_the_unfused_walker_on_random_terms");
+    let mut completed = [0usize; 3];
+    for case in 0..4 * CASES {
+        let n = rng.gen_usize(6);
+        let universe: Vec<u64> = (0..n).map(|_| rng.gen_range(0, 12)).collect();
+        let pool: Vec<Elem> = {
+            let mut u = universe.clone();
+            u.sort_unstable();
+            u.dedup();
+            u.into_iter().map(Elem).collect()
+        };
+        let edges = random_set(&mut rng, 2, &pool);
+        let marks = random_set(&mut rng, 1, &pool);
+        let inside = |s: Set| -> BTreeSet<Tuple> {
+            s.into_iter()
+                .filter(|t| t.elems().iter().all(|e| pool.contains(e)))
+                .collect()
+        };
+        let st = FiniteStructure::new(
+            Schema::new([2, 1]),
+            pool.iter().copied(),
+            vec![inside(edges), inside(marks)],
+        );
+        let env: Vec<Val> = (0..4)
+            .map(|r| val(r, &random_set(&mut rng, r, &pool)))
+            .collect();
+        let rank = rng.gen_usize(4);
+        let depth = 1 + rng.gen_usize(3);
+        let t = random_term(&mut rng, rank, depth, &pool);
+        let (mut fin, mut unfused) = (FinInterp::new(&st), Unfused(FinInterp::new(&st)));
+        let mut run = |fused: bool, budget: u64| {
+            let mut fuel = Fuel::new(budget);
+            let r = if fused {
+                eval_term(&mut fin, &t, &env, &mut fuel)
+            } else {
+                eval_term(&mut unfused, &t, &env, &mut fuel)
+            };
+            (r, fuel.remaining())
+        };
+        let (full, left) = run(false, u64::MAX);
+        let cost = u64::MAX - left;
+        for budget in 0..=cost + 1 {
+            assert_eq!(
+                run(true, budget),
+                run(false, budget),
+                "case {case}: {t} at fuel {budget} (|D| {})",
+                pool.len()
+            );
+        }
+        if full.is_ok() {
+            let mut counts = [0; 3];
+            fused_nodes(&t, &mut counts);
+            for (done, c) in completed.iter_mut().zip(counts) {
+                *done += c;
+            }
+        }
+    }
+    // Antijoins, semijoins and divisions that evaluated to a value.
+    for (shape, done) in ["antijoin", "semijoin", "division"].iter().zip(completed) {
+        assert!(done >= 40, "only {done} completed {shape} nodes");
     }
 }

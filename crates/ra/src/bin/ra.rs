@@ -164,7 +164,8 @@ fn main() -> ExitCode {
         prog.views.len(),
         typed.query_attrs.join(", ")
     );
-    let prog = if opts.optimize {
+    // The optimizer lowers the plan it chooses; print that lowering.
+    let compiled = if opts.optimize {
         match optimize_program(&prog, &schema) {
             Ok(r) => {
                 if r.changed {
@@ -181,27 +182,27 @@ fn main() -> ExitCode {
                         r.cost_original
                     );
                 }
-                r.program
+                r.compiled
             }
+            Err(e) => {
+                render(&src, &spans, &e, &opts.file);
+                return ExitCode::from(1);
+            }
+        }
+    } else if opts.cmd == "compile" {
+        match compile_program(&prog, &schema) {
+            Ok(c) => c,
             Err(e) => {
                 render(&src, &spans, &e, &opts.file);
                 return ExitCode::from(1);
             }
         }
     } else {
-        prog
+        return ExitCode::SUCCESS;
     };
     if opts.cmd == "compile" {
-        match compile_program(&prog, &schema) {
-            Ok(c) => {
-                println!("// compiled QLhs ({} result columns)", c.attrs.len());
-                print!("{}", c.prog);
-            }
-            Err(e) => {
-                render(&src, &spans, &e, &opts.file);
-                return ExitCode::from(1);
-            }
-        }
+        println!("// compiled QLhs ({} result columns)", compiled.attrs.len());
+        print!("{}", compiled.prog);
     }
     ExitCode::SUCCESS
 }

@@ -41,11 +41,13 @@ struct Spec {
 /// next pins the register VM's execution win over the AST walker on
 /// the same verified straight-line program; the next pins
 /// loop fast-forward in the statement executor on a cycling fuel-mode
-/// loop, against the same walker declining every skip; the last pins
+/// loop, against the same walker declining every skip; the next pins
 /// admission against execution through one in-process server on one
 /// keep-alive connection — a request rejected at admission must stay
-/// well ahead of one that evaluates rank-4 value ops.
-const SPECS: [Spec; 6] = [
+/// well ahead of one that evaluates rank-4 value ops; the last three
+/// pin the fused term shapes of the tree walker (semijoin, antijoin,
+/// division) against the same ops called one by one, at rank 4.
+const SPECS: [Spec; 9] = [
     Spec {
         id: "partition.bucketed.4096",
         group: "E7/partition",
@@ -87,6 +89,27 @@ const SPECS: [Spec; 6] = [
         size: 10,
         slow: "exec",
         fast: "reject",
+    },
+    Spec {
+        id: "ops.semijoin.4",
+        group: "E7/ops",
+        size: 4,
+        slow: "up_and",
+        fast: "semijoin",
+    },
+    Spec {
+        id: "ops.antijoin.4",
+        group: "E7/ops",
+        size: 4,
+        slow: "not_and",
+        fast: "antijoin",
+    },
+    Spec {
+        id: "ops.division.4",
+        group: "E7/ops",
+        size: 4,
+        slow: "not_down",
+        fast: "division",
     },
 ];
 

@@ -10,9 +10,10 @@
 //! from-scratch loop evaluation (`E7/fixpoint`), and incremental
 //! partition maintenance against full recomputation under single-tuple
 //! insertion (`E7/incr_vnr`), the per-op cost of the QL value layer
-//! on mid-sized and tiny values (`E7/ops`, `E7/ops_tiny`), the
-//! register VM against the tree walker on a straight-line pipeline
-//! (`E7/vm`), loop fast-forward on a cycling fuel-mode loop
+//! on mid-sized and tiny values (`E7/ops`, `E7/ops_tiny`; `E7/ops` also
+//! times the fused term shapes against their one-op-at-a-time
+//! compositions), the register VM against the tree walker on a
+//! straight-line pipeline (`E7/vm`), loop fast-forward on a cycling fuel-mode loop
 //! (`E7/exec`), and admission against execution through an in-process
 //! server (`E7/serve`).
 //! Emits the `BENCH_refine.json` schema on stdout:
@@ -229,6 +230,34 @@ fn main() {
         op("up", &mut |i| i.up(&x, &mut fuel()).expect("fuel"));
         op("down", &mut |i| i.down(&x, &mut fuel()).expect("fuel"));
         op("swap", &mut |i| i.swap(&x, &mut fuel()).expect("fuel"));
+        if rank == 4 {
+            // The fused term shapes (DESIGN.md §6) next to the same
+            // ops called one by one: `↑p ∩ y` for rank-3 `p` (the
+            // rank-3 `x` above), `x ∩ ¬y` and `↓¬x`.
+            let p = Val::new(3, random_tuples(500, 3, 10, 7));
+            op("semijoin", &mut |i| {
+                i.semijoin_left(&p, &mut fuel(), |_, _| Ok(y.clone()))
+                    .expect("ranks agree")
+            });
+            op("up_and", &mut |i| {
+                let up = i.up(&p, &mut fuel()).expect("fuel");
+                i.and(&up, &y).expect("ranks agree")
+            });
+            op("antijoin", &mut |i| {
+                i.antijoin(&x, &y, &mut fuel()).expect("ranks agree")
+            });
+            op("not_and", &mut |i| {
+                let not = i.not(&y, &mut fuel()).expect("fuel");
+                i.and(&x, &not).expect("ranks agree")
+            });
+            op("division", &mut |i| {
+                i.division(&x, &mut fuel()).expect("fuel")
+            });
+            op("not_down", &mut |i| {
+                let not = i.not(&x, &mut fuel()).expect("fuel");
+                i.down(&not, &mut fuel()).expect("fuel")
+            });
+        }
     }
 
     // The same ops on a tiny value (`E7/ops_tiny`): the serve
@@ -531,6 +560,17 @@ fn main() {
             .map(|op| format!("{op} {} ns", ns("E7/ops", op, rank)))
             .collect();
         eprintln!("ops      rank {rank}: {}", line.join(", "));
+    }
+    for (fused, unfused) in [
+        ("semijoin", "up_and"),
+        ("antijoin", "not_and"),
+        ("division", "not_down"),
+    ] {
+        let (f, u) = (ns("E7/ops", fused, 4), ns("E7/ops", unfused, 4));
+        eprintln!(
+            "ops      rank 4: {unfused} {u} ns / {fused} {f} ns = {:.1}x",
+            u as f64 / f.max(1) as f64
+        );
     }
     let line: Vec<String> = ["and", "up", "down", "swap"]
         .iter()
