@@ -118,17 +118,11 @@ pub fn span(name: &'static str) -> SpanTimer {
     }
 }
 
-/// Records the nanoseconds elapsed since `start` into histogram `name`,
-/// for a span whose start was taken on another thread.
-pub fn observe_since(name: &'static str, start: Instant) {
-    let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    observe(name, nanos);
-}
-
 impl Drop for SpanTimer {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            observe_since(self.name, start);
+            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            observe(self.name, nanos);
         }
     }
 }

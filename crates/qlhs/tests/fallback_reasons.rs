@@ -11,8 +11,8 @@ mod support;
 use recdb_core::{tuple, CoFiniteRelation, FiniteRelation, FiniteStructure, Fuel};
 use recdb_hsdb::{FcfDatabase, FcfRel};
 use recdb_obs::InMemoryRecorder;
-use recdb_qlhs::exec::{run_with, FuelOnly};
-use recdb_qlhs::{parse_program, Dialect, FcfInterp, FinInterp, Prog, Term, Val};
+use recdb_qlhs::exec::{run_with, FuelOnly, Schedule};
+use recdb_qlhs::{parse_program, Dialect, FcfInterp, FinInterp, Prog, RunError, Term, Val};
 use std::sync::Mutex;
 use support::Unfused;
 
@@ -116,6 +116,18 @@ fn on_fcf(p: Prog) -> Run {
     })
 }
 
+/// The from-scratch schedule, counting loop iterations.
+#[derive(Default)]
+struct CountIterations(u64);
+
+impl Schedule for CountIterations {
+    type Stop = RunError;
+    fn iteration(&mut self, _path: &[u32], _here: u64) -> Result<(), RunError> {
+        self.0 += 1;
+        Ok(())
+    }
+}
+
 /// One program per reachable fallback reason, each swept over every
 /// budget from 0 to two past what its from-scratch run spends: the
 /// result and the fuel left must not depend on the semi-naive switch,
@@ -127,10 +139,19 @@ fn fallbacks_match_the_from_scratch_loop_at_every_budget() {
     let path = || FiniteStructure::undirected_graph(0..4, (0..3).map(|i| (i, i + 1)));
     let prog = |text: &str| parse_program(text).expect("parses");
     let succ = "down(up(Y2) & R1)";
+    // `Y3` starts empty at rank 1, so its union is well-typed in every
+    // round; `C4` lies outside the path, so the guard never holds and
+    // the loop runs until the fuel does.
+    let fuel_case = prog(&format!(
+        "Y2 := C1; Y3 := C1 & C2; while empty(Y3) {{ Y2 := !(!Y2 & !{succ}); Y3 := !(!Y3 & !(Y2 & C4)); }}"
+    ));
     let cases: Vec<(&str, Run)> = vec![
         (
             "ineligible_body",
-            on_fin(path(), prog("Y2 := C1; while empty(Y3) { Y3 := Y2 & C4; Y2 := down(up(Y2) & R1); }")),
+            on_fin(
+                path(),
+                prog("Y2 := C1; while empty(Y3) { Y3 := Y2 & C4; Y2 := down(up(Y2) & R1); }"),
+            ),
         ),
         (
             "rank_mismatch",
@@ -138,20 +159,20 @@ fn fallbacks_match_the_from_scratch_loop_at_every_budget() {
         ),
         (
             "divergent",
-            on_fin(path(), prog(&format!("Y2 := C1; while empty(Y3) {{ Y2 := !(!Y2 & !{succ}); }}"))),
-        ),
-        (
-            "fuel",
             on_fin(
                 path(),
                 prog(&format!(
-                    "Y2 := C1; while empty(Y3) {{ Y2 := !(!Y2 & !{succ}); Y3 := !(!Y3 & !(Y2 & C4)); }}"
+                    "Y2 := C1; while empty(Y3) {{ Y2 := !(!Y2 & !{succ}); }}"
                 )),
             ),
         ),
+        ("fuel", on_fin(path(), fuel_case.clone())),
         (
             "eval_error",
-            on_fin(path(), prog("Y2 := C1; while empty(Y3) { Y2 := !(!Y2 & !down(R5)); }")),
+            on_fin(
+                path(),
+                prog("Y2 := C1; while empty(Y3) { Y2 := !(!Y2 & !down(R5)); }"),
+            ),
         ),
         (
             "cofinite_var",
@@ -179,6 +200,21 @@ fn fallbacks_match_the_from_scratch_loop_at_every_budget() {
             rec.counter_value(&name) >= 1,
             "{code}: the sweep never hits {name}"
         );
+        if *code == "fuel" {
+            // At the sweep's largest budget the from-scratch run
+            // passes the guard at least three times, so at least two
+            // rounds run to completion before the fuel runs out.
+            let mut rounds = CountIterations::default();
+            let r = run_with(
+                &mut FinInterp::new(&path()),
+                Dialect::Ql,
+                &fuel_case,
+                &mut Fuel::new(BIG - left + 2),
+                &mut rounds,
+            );
+            assert!(matches!(r, Err(RunError::Fuel(_))), "fuel: {r:?}");
+            assert!(rounds.0 >= 3, "fuel: {} guard passes", rounds.0);
+        }
     }
 }
 

@@ -25,8 +25,9 @@
 //! rendering) → [`admit`] (analysis → plan) → [`exec`] (the statement
 //! layer's budget schedule, re-exported from `recdb-qlhs`: bounded,
 //! preemptible execution) → [`cache`] (canonicalization +
-//! sharded result cache) → [`server`] (accept loop, worker pool,
-//! routing) → [`client`] (the client the tests and the ledger use).
+//! sharded result cache) → [`server`] (workers that accept their own
+//! connections, routing) → [`client`] (the client the tests and the
+//! ledger use).
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,4 @@
-//! The concurrent server: accept loop, worker pool, routing, and the
+//! The concurrent server: worker pool, routing, and the
 //! admission-gated execution path.
 //!
 //! Request path: `/v1/query` and `/v1/ra` differ only in their front
@@ -10,9 +10,12 @@
 //! admission, cache participation, execution, and rendering (with the
 //! RA result's `attrs` when the front end supplied them).
 //!
-//! Threading model: one accept thread pushes connections onto an mpsc
-//! channel; `workers` threads pull connections and drive them to
-//! completion (keep-alive requests run back-to-back on one worker).
+//! Threading model: `workers` threads each call `accept()` on the one
+//! listener and drive the connection they get to its close
+//! (keep-alive requests run back-to-back on one worker); connections
+//! beyond the busy workers wait in the kernel's listen backlog.
+//! Shutdown raises the stop flag and makes one wake-up connection per
+//! worker.
 //! Every request builds its own interpreter (for family/cells slices,
 //! its own `HsDatabase` and `HsInterp`), so no request sees state an
 //! earlier one left behind. The only shared mutable state is the
@@ -39,10 +42,9 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -97,54 +99,46 @@ const WORKER_STACK: usize = 32 << 20;
 struct Shared {
     cfg: ServeConfig,
     cache: ResultCache,
-    /// Raised on shutdown: executors stop at the next loop head.
-    preempt: AtomicBool,
+    listener: TcpListener,
+    /// Raised on shutdown: workers stop accepting, and executors stop
+    /// at the next loop head.
+    stop: AtomicBool,
 }
 
 /// A running server. Dropping it shuts it down.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds and starts the accept/worker threads.
+    /// Binds and starts the worker threads.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             cache: ResultCache::new(cfg.workers.max(1) * 4),
-            preempt: AtomicBool::new(false),
+            listener,
+            stop: AtomicBool::new(false),
             cfg,
         });
-        let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx): (Sender<Accepted>, Receiver<Accepted>) = channel();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut threads = Vec::new();
-        for _ in 0..shared.cfg.workers.max(1) {
-            let rx = Arc::clone(&rx);
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .stack_size(WORKER_STACK)
-                    .spawn(move || worker_loop(&rx, &shared))?,
-            );
-        }
-        {
-            let stop = Arc::clone(&stop);
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || {
-                accept_loop(&listener, &tx, &stop, &shared);
-            }));
-        }
-        Ok(Server {
+        let mut server = Server {
             addr,
             shared,
-            stop,
-            threads,
-        })
+            threads: Vec::new(),
+        };
+        for _ in 0..server.shared.cfg.workers.max(1) {
+            let shared = Arc::clone(&server.shared);
+            // A failed spawn drops `server`, which stops and joins the
+            // workers already running.
+            server.threads.push(
+                std::thread::Builder::new()
+                    .stack_size(WORKER_STACK)
+                    .spawn(move || worker_loop(&shared))?,
+            );
+        }
+        Ok(server)
     }
 
     /// The bound address (with the real port when `:0` was requested).
@@ -164,12 +158,15 @@ impl Server {
     }
 
     fn stop_and_join(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
+        if self.shared.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.shared.preempt.store(true, Ordering::SeqCst);
-        // Wake the accept thread out of `accept()`.
-        let _ = TcpStream::connect(self.addr);
+        // One wake-up connection per worker: each worker takes at most
+        // one accept after the flag is up, then exits. A worker still
+        // driving a connection finds its wake-up in the listen backlog.
+        for _ in 0..self.threads.len() {
+            let _ = TcpStream::connect(self.addr);
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -182,64 +179,31 @@ impl Drop for Server {
     }
 }
 
-/// An accepted connection and when it was accepted (the start of its
-/// `serve.stage.queue.ns` span).
-type Accepted = (TcpStream, Instant);
-
-fn accept_loop(listener: &TcpListener, tx: &Sender<Accepted>, stop: &AtomicBool, shared: &Shared) {
+/// Accepts on the shared listener and drives each connection to its
+/// close; connections beyond the busy workers wait in the kernel's
+/// listen backlog.
+fn worker_loop(shared: &Shared) {
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let accepted = Instant::now();
-                if stop.load(Ordering::SeqCst) {
-                    return; // tx drops here; workers drain and exit
-                }
-                recdb_obs::count("serve.connections", 1);
-                // Each response is one write; with Nagle on, one longer
-                // than a segment would still hold its tail until the
-                // client's delayed ACK, ≈40 ms later (DESIGN.md §9).
-                let _ = stream.set_nodelay(true);
-                if shared.cfg.read_timeout_ms > 0 {
-                    let _ = stream
-                        .set_read_timeout(Some(Duration::from_millis(shared.cfg.read_timeout_ms)));
-                }
-                if tx.send((stream, accepted)).is_err() {
-                    return;
-                }
-            }
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
+        let accepted = shared.listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
         }
+        let Ok((stream, _)) = accepted else { continue };
+        recdb_obs::count("serve.connections", 1);
+        // Each response is one write; with Nagle on, one longer than a
+        // segment would still hold its tail until the client's delayed
+        // ACK, ≈40 ms later (DESIGN.md §9).
+        let _ = stream.set_nodelay(true);
+        if shared.cfg.read_timeout_ms > 0 {
+            let _ =
+                stream.set_read_timeout(Some(Duration::from_millis(shared.cfg.read_timeout_ms)));
+        }
+        handle_connection(&stream, shared);
     }
 }
 
-fn worker_loop(rx: &Arc<Mutex<Receiver<Accepted>>>, shared: &Arc<Shared>) {
-    loop {
-        let stream = {
-            let guard = match rx.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            guard.recv()
-        };
-        match stream {
-            Ok((s, accepted)) => {
-                recdb_obs::observe_since("serve.stage.queue.ns", accepted);
-                handle_connection(s, shared);
-            }
-            Err(_) => return, // sender dropped: shutting down
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+fn handle_connection(stream: &TcpStream, shared: &Shared) {
+    let mut reader = BufReader::new(stream);
     let mut writer = stream;
     loop {
         if !await_request(&mut reader) {
@@ -720,7 +684,7 @@ where
         return ok_hit(rendered);
     }
     let budget = budget_for(&adm.plan, shared.cfg.fuel_max, work_cap);
-    let r = run_scheduled(b, dialect, &adm.prog, &budget, &shared.preempt);
+    let r = run_scheduled(b, dialect, &adm.prog, &budget, &shared.stop);
     if let Some((key, rendered)) = hit {
         // `verify_hits`: the hit must equal the fresh run.
         return match r.end {

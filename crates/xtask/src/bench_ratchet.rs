@@ -115,8 +115,9 @@ const SPECS: [Spec; 9] = [
 
 /// Extracts a `"key": value` field from a one-point-per-line JSON row
 /// (both files are machine-written, so line-shape parsing is exact,
-/// mirroring the lint ratchet's reader).
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+/// mirroring the lint ratchet's reader; `pairs` reads servebench
+/// results and `BENCHMARK.json` the same way).
+pub(crate) fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let tag = format!("\"{key}\": ");
     let start = line.find(&tag)? + tag.len();
     let rest = &line[start..];

@@ -4,6 +4,7 @@
 //! cargo run -p xtask -- lint [--update-baseline]
 //! cargo run -p xtask -- bench-ratchet [--update-baseline]
 //! cargo run -p xtask -- analyze-corpus [--report PATH]
+//! cargo run -p xtask -- pairs FILE
 //! ```
 //!
 //! * `lint` — the panic-freedom ratchet (counts `panic!` / `.unwrap()`
@@ -20,10 +21,14 @@
 //!   directives naming its dialect, schema, and expected verdict) and,
 //!   report-only, over single-line `parse_program("…")` literals found
 //!   in `examples/` and `tests/`.
+//! * `pairs` — compares alternating parent/change servebench runs
+//!   metric by metric against the bounds in `BENCHMARK.json` (see
+//!   [`pairs`]).
 
 mod bench_ratchet;
 mod corpus;
 mod metrics_doc;
+mod pairs;
 mod ratchet;
 mod scan;
 
@@ -46,7 +51,9 @@ fn usage() -> &'static str {
        bench-ratchet [--update-baseline]  pinned speedup ratios from\n\
                                           BENCH_refine.json vs BENCH_RATCHET.json\n\
        analyze-corpus [--report PATH]  analyzer over examples/programs and\n\
-                                       embedded program literals"
+                                       embedded program literals\n\
+       pairs FILE                    paired parent/change servebench results\n\
+                                     against the BENCHMARK.json bounds"
 }
 
 fn main() -> ExitCode {
@@ -71,6 +78,7 @@ fn main() -> ExitCode {
                 .map(PathBuf::from);
             corpus::run(&root, report.as_deref())
         }
+        Some("pairs") if args.len() == 2 => pairs::run(&root, Path::new(&args[1])),
         _ => {
             eprintln!("{}", usage());
             return ExitCode::from(2);

@@ -4,8 +4,7 @@
 //! can emit. Documentation tables rot silently, so this check holds
 //! the two in lock-step, both directions:
 //!
-//! * every name passed literally to
-//!   `recdb_obs::{count,observe,observe_since,span}`
+//! * every name passed literally to `recdb_obs::{count,observe,span}`
 //!   in non-test `crates/*/src` code must appear in the table (exactly,
 //!   or covered by a `prefix.*` wildcard row);
 //! * every table name must correspond to a source call site (for
@@ -47,8 +46,7 @@ fn table_names(design: &str) -> BTreeSet<String> {
 }
 
 struct SourceNames {
-    /// Literal names from `count("…"` / `observe("…"` /
-    /// `observe_since("…"` / `span("…"`.
+    /// Literal names from `count("…"` / `observe("…"` / `span("…"`.
     literal: BTreeSet<String>,
     /// `concat!("prefix.", …)` prefixes (dynamic name families).
     prefixes: BTreeSet<String>,
@@ -76,7 +74,7 @@ fn source_names(root: &Path) -> SourceNames {
                 continue;
             };
             let source = scan::non_test_source(&raw, true);
-            for marker in ["count(", "observe(", "observe_since(", "span("] {
+            for marker in ["count(", "observe(", "span("] {
                 literal.extend(scan::literals_after(&source, marker));
             }
             for lit in scan::literals_after(&source, "concat!(") {

@@ -280,9 +280,9 @@ fn serve_burst(addr: std::net::SocketAddr) -> Vec<(u16, String)> {
         c.send_raw(b"POST /v1/query HTTP/1.1\r\ncontent-le")
             .expect("send partial");
     }
-    // A trailing request — accepts are FIFO, so once this response is
-    // back, the dropped connection has passed the accept loop and is
-    // queued for a worker; shutdown's join then guarantees its
+    // A trailing request — the kernel's accept queue is FIFO, so once
+    // this response is back, a worker has accepted the dropped
+    // connection; shutdown's join then guarantees its
     // `serve.conn_drops` tick lands before any snapshot.
     let mut c = Conn::connect(addr).expect("connect");
     let r = c.request("GET", "/v1/health", "", true).expect("health");
@@ -341,11 +341,6 @@ fn serve_metric_key_sets_match_across_worker_shards() {
             "burst must stay violation-free ({workers} workers)"
         );
         let spans = |name: &str| rec.histogram(name).map_or(0, |h| h.count);
-        assert_eq!(
-            spans("serve.stage.queue.ns"),
-            rec.counter_value("serve.connections"),
-            "one queue span per accepted connection ({workers} workers)"
-        );
         assert_eq!(
             spans("serve.stage.write.ns"),
             rec.counter_value("serve.requests"),
