@@ -76,16 +76,22 @@ mod tests {
         let p = parse_program("Y1 := swap(swap(R1));").unwrap();
         let s = simplify_prog_checked(&p, &s2());
         assert_eq!(s, Prog::Seq(vec![Prog::Assign(0, Term::Rel(0))]));
-        // The plain simplifier cannot prove R1's rank and must not fire.
-        let unproven = recdb_qlhs::simplify_prog(&p);
-        assert_eq!(unproven, Prog::Seq(vec![p_inner(&p)]));
+        // Without a proof of R1's rank the rewrite must not fire.
+        let t = Term::Rel(0).swap().swap();
+        assert_eq!(recdb_qlhs::simplify_term_with(&t, &|_: &Term| None), t);
     }
 
-    fn p_inner(p: &Prog) -> Prog {
-        match p {
-            Prog::Seq(ps) => ps[0].clone(),
-            other => other.clone(),
-        }
+    #[test]
+    fn seq_flattening() {
+        let p = Prog::seq([
+            Prog::seq([Prog::assign(0, Term::E.not().not())]),
+            Prog::seq([Prog::seq([Prog::assign(1, Term::E)])]),
+        ]);
+        let s = simplify_prog_checked(&p, &s2());
+        assert_eq!(
+            s,
+            Prog::Seq(vec![Prog::assign(0, Term::E), Prog::assign(1, Term::E)])
+        );
     }
 
     #[test]

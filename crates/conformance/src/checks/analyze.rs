@@ -19,76 +19,9 @@
 
 use crate::gen::{self, ProgShape};
 use crate::ledger::CheckCtx;
+use crate::slice::cycle;
 use recdb_analyze::{analyze_prog, simplify_prog_checked, Verdict};
-use recdb_core::{Fuel, Schema};
-use recdb_qlhs::{Dialect, FcfInterp, FinInterp, HsInterp, Prog, RunError, Term};
-
-/// One interpreter backend for a round: a database matching the
-/// schema, run through the dialect's `run` entry point.
-enum Backend {
-    Fin(recdb_core::FiniteStructure),
-    Hs(recdb_hsdb::HsDatabase),
-    Fcf(recdb_hsdb::FcfDatabase),
-}
-
-impl Backend {
-    fn dialect(&self) -> Dialect {
-        match self {
-            Backend::Fin(_) => Dialect::Ql,
-            Backend::Hs(_) => Dialect::Qlhs,
-            Backend::Fcf(_) => Dialect::QlfPlus,
-        }
-    }
-
-    fn schema(&self) -> Schema {
-        match self {
-            Backend::Fin(st) => st.schema().clone(),
-            Backend::Hs(hs) => hs.database().schema().clone(),
-            Backend::Fcf(db) => db.schema(),
-        }
-    }
-
-    fn run(&self, p: &Prog) -> Result<RunOk, RunError> {
-        match self {
-            Backend::Fin(st) => FinInterp::new(st)
-                .run(p, &mut Fuel::new(200_000))
-                .map(RunOk::Val),
-            Backend::Hs(hs) => HsInterp::new(hs)
-                .run(p, &mut Fuel::new(60_000))
-                .map(RunOk::Val),
-            Backend::Fcf(db) => FcfInterp::new(db)
-                .run(p, &mut Fuel::new(60_000))
-                .map(RunOk::Fcf),
-        }
-    }
-}
-
-/// A successful run's result, comparable across reruns of the same
-/// backend.
-#[derive(PartialEq, Debug)]
-enum RunOk {
-    Val(recdb_qlhs::Val),
-    Fcf(recdb_qlhs::FcfVal),
-}
-
-/// Picks the round's backend, cycling through the three dialects.
-fn backend_for(ctx: &mut CheckCtx, round: usize) -> Backend {
-    match round % 3 {
-        0 => {
-            ctx.family("random-graph");
-            let size = 3 + ctx.rng().gen_range(0, 2);
-            Backend::Fin(gen::random_finite_graph(ctx.rng(), size))
-        }
-        1 => {
-            ctx.family("infinite-clique");
-            Backend::Hs(recdb_hsdb::infinite_clique())
-        }
-        _ => {
-            ctx.family("random-fcf");
-            Backend::Fcf(gen::random_fcf(ctx.rng(), &format!("fcf-{round}")))
-        }
-    }
-}
+use recdb_qlhs::{Prog, RunError, Term};
 
 /// Errors outside the `Safe` claim: the analyzer does not model
 /// termination (fuel) or value finiteness (QLf+ `↑` on co-finite).
@@ -102,18 +35,14 @@ pub fn analyzer_accepts_soundly(ctx: &mut CheckCtx) -> Result<(), String> {
     const ROUNDS: usize = 300;
     let mut safe_runs = 0usize;
     for round in 0..ROUNDS {
-        let backend = backend_for(ctx, round);
-        let dialect = backend.dialect();
-        let schema = backend.schema();
+        let slice = cycle(ctx, round);
+        let dialect = slice.dialect();
+        let schema = slice.schema();
         // Mostly well-formed programs (so plenty reach `Safe`), with
         // a seasoning of out-of-schema relation indices.
         let shape = ProgShape {
             rels: schema.len() + usize::from(ctx.rng().gen_usize(6) == 0),
-            vars: 3,
-            allow_singleton: dialect.admits_singleton_test(),
-            allow_finite: dialect.admits_finiteness_test(),
-            consts: 0,
-            union_bias: false,
+            ..slice.shape(0, false)
         };
         let stmts = 1 + ctx.rng().gen_usize(3);
         let p = gen::random_prog(ctx.rng(), 2, stmts, &shape);
@@ -122,7 +51,7 @@ pub fn analyzer_accepts_soundly(ctx: &mut CheckCtx) -> Result<(), String> {
             continue;
         }
         safe_runs += 1;
-        match backend.run(&p) {
+        match slice.run(&p) {
             Ok(_) => {}
             Err(e) if outside_safe_claim(&e) => {}
             Err(e) => {
@@ -149,9 +78,9 @@ pub fn analyzer_rejects_soundly(ctx: &mut CheckCtx) -> Result<(), String> {
     const ROUNDS: usize = 200;
     let mut unsafe_runs = 0usize;
     for round in 0..ROUNDS {
-        let backend = backend_for(ctx, round);
-        let dialect = backend.dialect();
-        let schema = backend.schema();
+        let slice = cycle(ctx, round);
+        let dialect = slice.dialect();
+        let schema = slice.schema();
         // All test forms and an over-wide relation window: dialect
         // violations and missing relations arise naturally.
         let shape = ProgShape {
@@ -185,7 +114,7 @@ pub fn analyzer_rejects_soundly(ctx: &mut CheckCtx) -> Result<(), String> {
             continue;
         }
         unsafe_runs += 1;
-        if let Ok(v) = backend.run(&p) {
+        if let Ok(v) = slice.run(&p) {
             return Err(format!(
                 "analyzer said Unsafe under {dialect} but the run succeeded \
                  with {v:?} (round {round}):\n{p}"
@@ -206,17 +135,10 @@ pub fn analyzer_rejects_soundly(ctx: &mut CheckCtx) -> Result<(), String> {
 pub fn simplifier_preserves_semantics(ctx: &mut CheckCtx) -> Result<(), String> {
     const ROUNDS: usize = 120;
     for round in 0..ROUNDS {
-        let backend = backend_for(ctx, round);
-        let dialect = backend.dialect();
-        let schema = backend.schema();
-        let shape = ProgShape {
-            rels: schema.len(),
-            vars: 3,
-            allow_singleton: dialect.admits_singleton_test(),
-            allow_finite: dialect.admits_finiteness_test(),
-            consts: 0,
-            union_bias: false,
-        };
+        let slice = cycle(ctx, round);
+        let dialect = slice.dialect();
+        let schema = slice.schema();
+        let shape = slice.shape(0, false);
         let stmts = 1 + ctx.rng().gen_usize(3);
         let p = gen::random_prog(ctx.rng(), 2, stmts, &shape);
         let s = simplify_prog_checked(&p, &schema);
@@ -228,7 +150,7 @@ pub fn simplifier_preserves_semantics(ctx: &mut CheckCtx) -> Result<(), String> 
                  {before:?} → {after:?} (round {round})\nbefore:\n{p}\nafter:\n{s}"
             ));
         }
-        let (ro, rs) = (backend.run(&p), backend.run(&s));
+        let (ro, rs) = (slice.run(&p), slice.run(&s));
         match (ro, rs) {
             (Ok(a), Ok(b)) => {
                 if a != b {

@@ -18,76 +18,15 @@
 //!   with the *unoptimized* direct semantics three ways (direct,
 //!   compiled-`FinInterp`, compiled-`HsInterp`).
 
-use super::ra::{discrete_hs, round_inputs};
-use crate::gen::{self, ProgShape, RaShape};
+use super::ra::round_inputs;
+use crate::gen::{self, RaShape};
 use crate::ledger::{CheckCtx, CheckDef};
-use recdb_analyze::{analyze_full, CostEnv, CostVerdict};
-use recdb_core::{FiniteStructure, Fuel, Schema};
-use recdb_hsdb::FcfDatabase;
-use recdb_qlhs::iter_count::{run_counted, CountedRun};
-use recdb_qlhs::{Dialect, FcfInterp, FinInterp, HsInterp, Prog};
+use crate::slice::{discrete_hs, metered, Out};
+use recdb_analyze::{analyze_full, CostVerdict};
+use recdb_core::Fuel;
+use recdb_qlhs::{FinInterp, HsInterp};
 use recdb_ra::{compile_program, eval_program, optimize_program, RaSchema};
 use std::collections::BTreeMap;
-
-/// One cost-metered backend for a round.
-enum CostBackend {
-    Fin(FiniteStructure),
-    /// The discrete hs-wrapping of a finite structure: reps are
-    /// literal tuples, so counted sizes are comparable and the base
-    /// size is the wrapped universe.
-    Hs(FiniteStructure),
-    Fcf(FcfDatabase),
-}
-
-impl CostBackend {
-    fn dialect(&self) -> Dialect {
-        match self {
-            CostBackend::Fin(_) => Dialect::Ql,
-            CostBackend::Hs(_) => Dialect::Qlhs,
-            CostBackend::Fcf(_) => Dialect::QlfPlus,
-        }
-    }
-
-    fn schema(&self) -> Schema {
-        match self {
-            CostBackend::Fin(st) | CostBackend::Hs(st) => st.schema().clone(),
-            CostBackend::Fcf(db) => db.schema(),
-        }
-    }
-
-    /// The concrete valuation of the symbolic bounds for this slice:
-    /// `n` ↦ the base-set size, `rᵢ` ↦ relation `i`'s stored size —
-    /// the same instantiation the server's admission uses.
-    fn cost_env(&self) -> CostEnv {
-        match self {
-            CostBackend::Fin(st) | CostBackend::Hs(st) => CostEnv::new(
-                st.universe().len() as u64,
-                (0..st.schema().len())
-                    .map(|i| st.relation(i).len() as u64)
-                    .collect(),
-            ),
-            CostBackend::Fcf(db) => CostEnv::new(
-                db.df().len() as u64,
-                db.relations()
-                    .iter()
-                    .map(|r| r.finite_part().len() as u64)
-                    .collect(),
-            ),
-        }
-    }
-
-    fn counted_run(&self, p: &Prog) -> CountedRun {
-        let (d, nb) = (self.dialect(), BTreeMap::new());
-        match self {
-            CostBackend::Fin(st) => run_counted(&mut FinInterp::new(st), d, p, 200_000, 4096, &nb),
-            CostBackend::Hs(st) => {
-                let hs = discrete_hs(st);
-                run_counted(&mut HsInterp::new(&hs), d, p, 60_000, 4096, &nb)
-            }
-            CostBackend::Fcf(db) => run_counted(&mut FcfInterp::new(db), d, p, 60_000, 4096, &nb),
-        }
-    }
-}
 
 /// COST-SOUND: observed work and cardinalities never exceed the
 /// derived bounds, 500 programs on each of the three backends.
@@ -98,32 +37,11 @@ fn cost_bounds_are_sound(ctx: &mut CheckCtx) -> Result<(), String> {
     let mut nonzero_work = 0usize;
     for (which, bounded_here) in bounded.iter_mut().enumerate() {
         for round in 0..PER_BACKEND {
-            let backend = match which {
-                0 => {
-                    ctx.family("cost-fin");
-                    let size = 3 + ctx.rng().gen_range(0, 2);
-                    CostBackend::Fin(gen::random_finite_graph(ctx.rng(), size))
-                }
-                1 => {
-                    ctx.family("cost-hs-discrete");
-                    let size = 3 + ctx.rng().gen_range(0, 2);
-                    CostBackend::Hs(gen::random_finite_graph(ctx.rng(), size))
-                }
-                _ => {
-                    ctx.family("cost-fcf");
-                    CostBackend::Fcf(gen::random_fcf(ctx.rng(), &format!("cost-{round}")))
-                }
-            };
-            let dialect = backend.dialect();
-            let schema = backend.schema();
-            let shape = ProgShape {
-                rels: schema.len(),
-                vars: 3,
-                allow_singleton: dialect.admits_singleton_test(),
-                allow_finite: dialect.admits_finiteness_test(),
-                consts: 3,
-                union_bias: round % 2 == 0,
-            };
+            let families = ["cost-fin", "cost-hs-discrete", "cost-fcf"];
+            let slice = metered(ctx, which, families, &format!("cost-{round}"));
+            let dialect = slice.dialect();
+            let schema = slice.schema();
+            let shape = slice.shape(3, round % 2 == 0);
             let stmts = 1 + ctx.rng().gen_usize(3);
             let p = gen::random_prog(ctx.rng(), 2, stmts, &shape);
             let full = analyze_full(&p, &schema, dialect);
@@ -134,13 +52,15 @@ fn cost_bounds_are_sound(ctx: &mut CheckCtx) -> Result<(), String> {
             if p.to_string().contains("while") {
                 bounded_loops += 1;
             }
-            let env = backend.cost_env();
+            let Some(env) = slice.cost_env() else {
+                return Err(format!("{dialect} slice has no finite cost valuation"));
+            };
             let work_cap = work.eval(&env);
             let card_cap = cardinality.eval(&env);
 
             // The counted run: work is prefix-sound, so the
             // comparison holds however the run ended.
-            let r = backend.counted_run(&p);
+            let r = slice.run_counted(&p, 4096, &BTreeMap::new());
             if r.work > work_cap {
                 return Err(format!(
                     "seed {:#x} ({dialect}, round {round}): materialized {} tuples, \
@@ -170,20 +90,10 @@ fn cost_bounds_are_sound(ctx: &mut CheckCtx) -> Result<(), String> {
             }
             // The final result obeys the whole-program cardinality
             // bound (only comparable when the run completed).
-            let final_size = match &backend {
-                CostBackend::Fin(st) => FinInterp::new(st)
-                    .run(&p, &mut Fuel::new(200_000))
-                    .ok()
-                    .map(|v| v.len() as u64),
-                CostBackend::Hs(st) => HsInterp::new(&discrete_hs(st))
-                    .run(&p, &mut Fuel::new(60_000))
-                    .ok()
-                    .map(|v| v.len() as u64),
-                CostBackend::Fcf(db) => FcfInterp::new(db)
-                    .run(&p, &mut Fuel::new(60_000))
-                    .ok()
-                    .map(|v| v.tuples.len() as u64),
-            };
+            let final_size = slice.run(&p).ok().map(|out| match out {
+                Out::Val(v) => v.len() as u64,
+                Out::Fcf(f) => f.tuples.len() as u64,
+            });
             if let Some(got) = final_size {
                 if got > card_cap {
                     return Err(format!(

@@ -26,15 +26,14 @@
 //!   programs must hit the iteration cap (or exhaust fuel) instead of
 //!   completing.
 
-use crate::gen::{self, ProgShape};
+use crate::gen;
 use crate::ledger::CheckCtx;
+use crate::slice::{cycle, random_graph, HsSource, Out, Slice};
 use recdb_analyze::{analyze_full, GenericityVerdict, LoopBound, TerminationVerdict, Verdict};
-use recdb_core::{CoFiniteRelation, FiniteRelation, FiniteStructure, Fuel, Schema};
-use recdb_hsdb::{unary_cells, CellSize, FcfDatabase, FcfRel, HsDatabase};
-use recdb_qlhs::iter_count::{run_counted, CountedEnd};
-use recdb_qlhs::{
-    Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Prog, Rows, RunError, Term, Val,
-};
+use recdb_core::{CoFiniteRelation, FiniteRelation, FiniteStructure};
+use recdb_hsdb::{CellSize, FcfDatabase, FcfRel};
+use recdb_qlhs::exec::ExecEnd;
+use recdb_qlhs::{Permutation, Prog, Rows, RunError, Term};
 use std::collections::BTreeMap;
 use std::mem::discriminant;
 
@@ -43,116 +42,61 @@ use std::mem::discriminant;
 /// still have room to move something.
 const CONSTS: u64 = 6;
 
-/// One backend instance for a genericity round. The `Hs` variant
-/// keeps its cell layout so the permuted copy can be *constructed*
-/// (π applied to the finite cells) rather than wrapped.
-enum GBackend {
-    Fin(FiniteStructure),
-    Hs {
-        cells: Vec<CellSize>,
-        hs: HsDatabase,
-    },
-    Fcf(FcfDatabase),
-}
-
-/// A successful run's result.
-#[derive(PartialEq, Debug)]
-enum GOut {
-    Val(Val),
-    Fcf(FcfVal),
-}
-
-impl GBackend {
-    fn dialect(&self) -> Dialect {
-        match self {
-            GBackend::Fin(_) => Dialect::Ql,
-            GBackend::Hs { .. } => Dialect::Qlhs,
-            GBackend::Fcf(_) => Dialect::QlfPlus,
-        }
-    }
-
-    fn schema(&self) -> Schema {
-        match self {
-            GBackend::Fin(st) => st.schema().clone(),
-            GBackend::Hs { hs, .. } => hs.database().schema().clone(),
-            GBackend::Fcf(db) => db.schema(),
-        }
-    }
-
-    fn run(&self, p: &Prog) -> Result<GOut, RunError> {
-        match self {
-            GBackend::Fin(st) => FinInterp::new(st)
-                .run(p, &mut Fuel::new(200_000))
-                .map(GOut::Val),
-            GBackend::Hs { hs, .. } => HsInterp::new(hs)
-                .run(p, &mut Fuel::new(60_000))
-                .map(GOut::Val),
-            GBackend::Fcf(db) => FcfInterp::new(db)
-                .run(p, &mut Fuel::new(60_000))
-                .map(GOut::Fcf),
-        }
-    }
-
-    /// The isomorphic copy `π(B)`: relations (and, for `Fin`, the
-    /// universe) mapped element-wise through `perm`.
-    fn permuted(&self, perm: &Permutation) -> GBackend {
-        match self {
-            GBackend::Fin(st) => {
-                let universe = st.universe().iter().map(|&e| perm.apply(e));
-                let relations = (0..st.schema().len())
-                    .map(|i| st.relation(i).iter().map(|t| perm.apply_tuple(t)).collect())
-                    .collect();
-                GBackend::Fin(FiniteStructure::new(
-                    st.schema().clone(),
-                    universe,
-                    relations,
-                ))
-            }
-            GBackend::Hs { cells, .. } => {
-                let moved: Vec<CellSize> = cells
-                    .iter()
-                    .map(|c| match c {
-                        CellSize::Finite(vals) => CellSize::Finite(
-                            vals.iter()
-                                .map(|&v| perm.apply(recdb_core::Elem(v)).value())
-                                .collect(),
-                        ),
-                        CellSize::Infinite => CellSize::Infinite,
-                    })
-                    .collect();
-                let hs = unary_cells(moved.clone());
-                GBackend::Hs { cells: moved, hs }
-            }
-            GBackend::Fcf(db) => {
-                let rels = db
-                    .relations()
-                    .iter()
-                    .map(|r| {
-                        let part = r.finite_part().iter().map(|t| perm.apply_tuple(t));
-                        match r {
-                            FcfRel::Finite(_) => {
-                                FcfRel::Finite(FiniteRelation::new(r.arity(), part))
-                            }
-                            FcfRel::CoFinite(_) => {
-                                FcfRel::CoFinite(CoFiniteRelation::new(r.arity(), part))
-                            }
+/// The isomorphic copy `π(B)`: relations (and, for a finite structure,
+/// the universe) mapped element-wise through `perm`. A cell layout is
+/// rebuilt from its moved cells rather than wrapped; the infinite
+/// clique is its own image under every permutation.
+fn permuted(slice: &Slice, perm: &Permutation) -> Slice {
+    let fin = |st: &FiniteStructure| {
+        let universe = st.universe().iter().map(|&e| perm.apply(e));
+        let relations = (0..st.schema().len())
+            .map(|i| st.relation(i).iter().map(|t| perm.apply_tuple(t)).collect())
+            .collect();
+        FiniteStructure::new(st.schema().clone(), universe, relations)
+    };
+    match slice {
+        Slice::Fin(st) => Slice::Fin(fin(st)),
+        Slice::Hs(_, HsSource::Discrete(st)) => Slice::discrete(fin(st)),
+        Slice::Hs(_, HsSource::Clique) => Slice::clique(),
+        Slice::Hs(_, HsSource::Cells(cells)) => Slice::cells(
+            cells
+                .iter()
+                .map(|c| match c {
+                    CellSize::Finite(vals) => CellSize::Finite(
+                        vals.iter()
+                            .map(|&v| perm.apply(recdb_core::Elem(v)).value())
+                            .collect(),
+                    ),
+                    CellSize::Infinite => CellSize::Infinite,
+                })
+                .collect(),
+        ),
+        Slice::Fcf(db) => {
+            let rels = db
+                .relations()
+                .iter()
+                .map(|r| {
+                    let part = r.finite_part().iter().map(|t| perm.apply_tuple(t));
+                    match r {
+                        FcfRel::Finite(_) => FcfRel::Finite(FiniteRelation::new(r.arity(), part)),
+                        FcfRel::CoFinite(_) => {
+                            FcfRel::CoFinite(CoFiniteRelation::new(r.arity(), part))
                         }
-                    })
-                    .collect();
-                GBackend::Fcf(FcfDatabase::new("fcf-perm", rels))
-            }
+                    }
+                })
+                .collect();
+            Slice::Fcf(FcfDatabase::new("fcf-perm", rels))
         }
     }
 }
 
-/// A fresh seeded backend of the given kind (0 = finitary graph,
+/// A fresh seeded slice of the given kind (0 = finite graph,
 /// 1 = unary-cell hs database, 2 = fcf database).
-fn make_backend(ctx: &mut CheckCtx, kind: usize) -> GBackend {
+fn make_slice(ctx: &mut CheckCtx, kind: usize) -> Slice {
     match kind {
         0 => {
             ctx.family("random-graph");
-            let size = 3 + ctx.rng().gen_range(0, 2);
-            GBackend::Fin(gen::random_finite_graph(ctx.rng(), size))
+            Slice::Fin(random_graph(ctx))
         }
         1 => {
             ctx.family("unary-cells");
@@ -160,44 +104,30 @@ fn make_backend(ctx: &mut CheckCtx, kind: usize) -> GBackend {
             ctx.rng().shuffle(&mut elems);
             let n1 = 1 + ctx.rng().gen_usize(2);
             let n2 = 1 + ctx.rng().gen_usize(2);
-            let cells = vec![
+            Slice::cells(vec![
                 CellSize::Finite(elems[..n1].to_vec()),
                 CellSize::Finite(elems[n1..n1 + n2].to_vec()),
                 CellSize::Infinite,
-            ];
-            let hs = unary_cells(cells.clone());
-            GBackend::Hs { cells, hs }
+            ])
         }
         _ => {
             ctx.family("random-fcf");
-            GBackend::Fcf(gen::random_fcf(ctx.rng(), "fcf-generic"))
+            Slice::Fcf(gen::random_fcf(ctx.rng(), "fcf-generic"))
         }
-    }
-}
-
-fn shape_for(backend: &GBackend, consts: u64) -> ProgShape {
-    let dialect = backend.dialect();
-    ProgShape {
-        rels: backend.schema().len(),
-        vars: 3,
-        allow_singleton: dialect.admits_singleton_test(),
-        allow_finite: dialect.admits_finiteness_test(),
-        consts,
-        union_bias: false,
     }
 }
 
 /// `q(π(B)) ≟ π(q(B))`: compares the permuted run against the
-/// transported base outcome. `moved_backend` is `π(B)` (needed to
+/// transported base outcome. `moved_slice` is `π(B)` (needed to
 /// canonicalize transported hs tuples in *its* representation).
 fn agree(
-    base: &Result<GOut, RunError>,
-    moved: &Result<GOut, RunError>,
+    base: &Result<Out, RunError>,
+    moved: &Result<Out, RunError>,
     perm: &Permutation,
-    moved_backend: &GBackend,
+    moved_slice: &Slice,
 ) -> Result<(), String> {
-    match (moved_backend, base, moved) {
-        (GBackend::Fin(_), Ok(GOut::Val(v1)), Ok(GOut::Val(v2))) => {
+    match (moved_slice, base, moved) {
+        (Slice::Fin(_), Ok(Out::Val(v1)), Ok(Out::Val(v2))) => {
             if perm.apply_val(v1) != *v2 {
                 return Err(format!(
                     "π(q(B)) = {:?} but q(π(B)) = {v2:?}",
@@ -205,7 +135,7 @@ fn agree(
                 ));
             }
         }
-        (GBackend::Hs { hs, .. }, Ok(GOut::Val(v1)), Ok(GOut::Val(v2))) => {
+        (Slice::Hs(hs, _), Ok(Out::Val(v1)), Ok(Out::Val(v2))) => {
             // Transport class-wise: the class of π(u) in π(B),
             // canonicalized in π(B)'s representation.
             let transported: Rows = v1
@@ -220,7 +150,7 @@ fn agree(
                 ));
             }
         }
-        (GBackend::Fcf(_), Ok(GOut::Fcf(f1)), Ok(GOut::Fcf(f2))) => {
+        (Slice::Fcf(_), Ok(Out::Fcf(f1)), Ok(Out::Fcf(f2))) => {
             let transported: Rows = f1.tuples.iter().map(|t| perm.apply_tuple(&t)).collect();
             if f1.finite != f2.finite || f1.rank != f2.rank || transported != f2.tuples {
                 return Err(format!(
@@ -245,23 +175,23 @@ fn agree(
 /// permutation differential executed.
 fn perm_round(ctx: &mut CheckCtx, kind: usize, runs: &mut usize) -> Result<(), String> {
     const PERMS: usize = 6;
-    let backend = make_backend(ctx, kind);
-    let dialect = backend.dialect();
-    let schema = backend.schema();
-    let shape = shape_for(&backend, CONSTS);
+    let slice = make_slice(ctx, kind);
+    let dialect = slice.dialect();
+    let schema = slice.schema();
+    let shape = slice.shape(CONSTS, false);
     let stmts = 1 + ctx.rng().gen_usize(3);
     let p = gen::random_prog(ctx.rng(), 2, stmts, &shape);
     let full = analyze_full(&p, &schema, dialect);
     let GenericityVerdict::Generic { fixed } = &full.genericity.verdict else {
         return Ok(());
     };
-    let base = backend.run(&p);
+    let base = slice.run(&p);
     for _ in 0..PERMS {
         let perm = Permutation::random_fixing(ctx.rng(), gen::WINDOW, fixed);
-        let moved_backend = backend.permuted(&perm);
-        let moved = moved_backend.run(&p);
+        let moved_slice = permuted(&slice, &perm);
+        let moved = moved_slice.run(&p);
         *runs += 1;
-        agree(&base, &moved, &perm, &moved_backend).map_err(|why| {
+        agree(&base, &moved, &perm, &moved_slice).map_err(|why| {
             format!(
                 "Generic {{fixed: {fixed:?}}} verdict refuted under {dialect}: {why}\n\
                  permutation: {perm:?}\nprogram:\n{p}"
@@ -313,10 +243,10 @@ pub fn nongeneric_witnesses_change_the_output(ctx: &mut CheckCtx) -> Result<(), 
     for round in 0..ROUNDS {
         // Fin and Fcf only: exact-value verdicts are not claimed under
         // QLhs (`Cₐ` denotes a class there, not `{(a)}`).
-        let backend = make_backend(ctx, if round % 2 == 0 { 0 } else { 2 });
-        let dialect = backend.dialect();
-        let schema = backend.schema();
-        let shape = shape_for(&backend, 4);
+        let slice = make_slice(ctx, if round % 2 == 0 { 0 } else { 2 });
+        let dialect = slice.dialect();
+        let schema = slice.schema();
+        let shape = slice.shape(4, false);
         let stmts = 1 + ctx.rng().gen_usize(2);
         let mut p = gen::random_prog(ctx.rng(), 2, stmts, &shape);
         let injected = round % 2 == 0;
@@ -349,9 +279,9 @@ pub fn nongeneric_witnesses_change_the_output(ctx: &mut CheckCtx) -> Result<(), 
                  (round {round}):\n{p}"
             ));
         }
-        let same = |r: &Result<GOut, RunError>, which: &str| -> Result<bool, String> {
+        let same = |r: &Result<Out, RunError>, which: &str| -> Result<bool, String> {
             match r {
-                Ok(GOut::Val(v)) => {
+                Ok(Out::Val(v)) => {
                     if v != output {
                         return Err(format!(
                             "claimed constant output {output:?} but {which} computed {v:?} \
@@ -360,7 +290,7 @@ pub fn nongeneric_witnesses_change_the_output(ctx: &mut CheckCtx) -> Result<(), 
                     }
                     Ok(true)
                 }
-                Ok(GOut::Fcf(f)) => {
+                Ok(Out::Fcf(f)) => {
                     if !f.finite || f.rank != output.rank || f.tuples != output.tuples {
                         return Err(format!(
                             "claimed constant output {output:?} but {which} computed {f:?} \
@@ -378,8 +308,8 @@ pub fn nongeneric_witnesses_change_the_output(ctx: &mut CheckCtx) -> Result<(), 
                 )),
             }
         };
-        let ok_base = same(&backend.run(&p), "B")?;
-        let ok_moved = same(&backend.permuted(&perm).run(&p), "π(B)")?;
+        let ok_base = same(&slice.run(&p), "B")?;
+        let ok_moved = same(&permuted(&slice, &perm).run(&p), "π(B)")?;
         if ok_base && ok_moved {
             checked += 1;
         }
@@ -400,27 +330,10 @@ pub fn termination_bounds_hold(ctx: &mut CheckCtx) -> Result<(), String> {
     let mut bounded_checks = 0usize;
     let mut diverges_checked = 0usize;
     for round in 0..ROUNDS {
-        let backend = match round % 3 {
-            0 => {
-                ctx.family("random-graph");
-                let size = 3 + ctx.rng().gen_range(0, 2);
-                GBackend::Fin(gen::random_finite_graph(ctx.rng(), size))
-            }
-            1 => {
-                ctx.family("infinite-clique");
-                GBackend::Hs {
-                    cells: Vec::new(),
-                    hs: recdb_hsdb::infinite_clique(),
-                }
-            }
-            _ => {
-                ctx.family("random-fcf");
-                GBackend::Fcf(gen::random_fcf(ctx.rng(), &format!("fcf-{round}")))
-            }
-        };
-        let dialect = backend.dialect();
-        let schema = backend.schema();
-        let shape = shape_for(&backend, 3);
+        let slice = cycle(ctx, round);
+        let dialect = slice.dialect();
+        let schema = slice.schema();
+        let shape = slice.shape(3, false);
         let stmts = 1 + ctx.rng().gen_usize(3);
         let mut p = gen::random_prog(ctx.rng(), 2, stmts, &shape);
         if round % 4 == 0 {
@@ -446,13 +359,8 @@ pub fn termination_bounds_hold(ctx: &mut CheckCtx) -> Result<(), String> {
             })
             .collect();
         bounded_checks += bounds.len();
-        let (d, bs) = (dialect, &bounds);
-        let counted = match &backend {
-            GBackend::Fin(st) => run_counted(&mut FinInterp::new(st), d, &p, 200_000, CAP, bs),
-            GBackend::Hs { hs, .. } => run_counted(&mut HsInterp::new(hs), d, &p, 60_000, CAP, bs),
-            GBackend::Fcf(db) => run_counted(&mut FcfInterp::new(db), d, &p, 60_000, CAP, bs),
-        };
-        if let CountedEnd::BoundExceeded { path, bound } = &counted.end {
+        let counted = slice.run_counted(&p, CAP, &bounds);
+        if let ExecEnd::BoundExceeded { path, bound } = &counted.end {
             return Err(format!(
                 "proved bound ≤ {bound} for the loop at {path:?} was exceeded under \
                  {dialect} (round {round}):\n{p}"
@@ -460,7 +368,7 @@ pub fn termination_bounds_hold(ctx: &mut CheckCtx) -> Result<(), String> {
         }
         match &full.termination.verdict {
             TerminationVerdict::Terminates { iterations } => {
-                if matches!(counted.end, CountedEnd::CapHit) {
+                if matches!(counted.end, ExecEnd::TotalExceeded { .. }) {
                     return Err(format!(
                         "Terminates (≤ {iterations}) claimed but the run hit the \
                          {CAP}-iteration cap under {dialect} (round {round}):\n{p}"
@@ -477,7 +385,7 @@ pub fn termination_bounds_hold(ctx: &mut CheckCtx) -> Result<(), String> {
             TerminationVerdict::Diverges => {
                 diverges_checked += 1;
                 match &counted.end {
-                    CountedEnd::CapHit | CountedEnd::Errored(RunError::Fuel(_)) => {}
+                    ExecEnd::TotalExceeded { .. } | ExecEnd::OutOfFuel => {}
                     other => {
                         return Err(format!(
                             "Diverges claimed but the run ended with {other:?} under \

@@ -17,14 +17,13 @@
 
 use crate::gen::{self, RaShape};
 use crate::ledger::{CheckCtx, CheckDef};
+use crate::slice::{discrete_hs, FIN_FUEL};
 use recdb_analyze::{analyze_full, GenericityVerdict, TerminationVerdict, Verdict};
 use recdb_core::{Elem, FiniteStructure, Fuel, Tuple};
-use recdb_hsdb::{FnEquiv, FnTree, HsDatabase};
-use recdb_logic::finite_as_db;
+use recdb_hsdb::HsDatabase;
 use recdb_qlhs::{Dialect, FinInterp, HsInterp};
 use recdb_ra::{compile_program, eval_program, validate, RaProgram, RaSchema};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// A random finite structure matching `schema`: universe `0..size`,
 /// each relation filled with random tuples at moderate density.
@@ -60,17 +59,6 @@ fn zoo_slice(db: &HsDatabase, schema: &RaSchema, size: u64) -> FiniteStructure {
         .filter(|t| db.database().query(0, t.elems()))
         .collect();
     FiniteStructure::new(schema.core_schema(), universe, vec![tuples])
-}
-
-/// Wraps a finite structure as a *discrete* hs-r-db: the
-/// characteristic tree's nodes are exactly the tuples over the
-/// universe and `≅_B` is equality, so every class is a singleton and
-/// [`HsInterp`] must agree with [`FinInterp`] tuple-for-tuple.
-pub(super) fn discrete_hs(st: &FiniteStructure) -> HsDatabase {
-    let universe: Vec<Elem> = st.universe().to_vec();
-    let tree = FnTree::new(move |_| universe.clone());
-    let equiv = FnEquiv::new(|u: &Tuple, v: &Tuple| u == v);
-    HsDatabase::with_computed_reps(finite_as_db(st), Arc::new(tree), Arc::new(equiv))
 }
 
 /// The round's schema + structure, cycling random multi-arity
@@ -153,7 +141,7 @@ fn ra_three_way_differential(ctx: &mut CheckCtx) -> Result<(), String> {
 
         // Leg 2: the finite interpreter, rank-exact.
         let fin = FinInterp::new(&st)
-            .run(&compiled.prog, &mut Fuel::new(200_000))
+            .run(&compiled.prog, &mut Fuel::new(FIN_FUEL))
             .map_err(|e| format!("seed {:#x}: FinInterp error {e:?}\n{p}", ctx.seed))?;
         if fin.rank != compiled.attrs.len() {
             return Err(format!(
@@ -170,10 +158,11 @@ fn ra_three_way_differential(ctx: &mut CheckCtx) -> Result<(), String> {
             ));
         }
 
-        // Leg 3: the hs interpreter over the discrete wrapping.
+        // Leg 3: the hs interpreter over the discrete wrapping, at the
+        // finite leg's fuel.
         let hs = discrete_hs(&st);
         let hsv = HsInterp::new(&hs)
-            .run(&compiled.prog, &mut Fuel::new(200_000))
+            .run(&compiled.prog, &mut Fuel::new(FIN_FUEL))
             .map_err(|e| format!("seed {:#x}: HsInterp error {e:?}\n{p}", ctx.seed))?;
         if hsv.rank != fin.rank || hsv.tuples != fin.tuples {
             return Err(format!(

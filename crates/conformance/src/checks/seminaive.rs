@@ -6,87 +6,17 @@
 //! in the provable fragment it must produce the same value — and for
 //! loops it abandons, the same error — as the naive re-evaluation it
 //! replaces. These checks drive that claim with seeded random programs
-//! (biased toward the provable fragment via [`ProgShape::union_bias`])
+//! (biased toward the provable fragment via
+//! [`ProgShape::union_bias`](crate::gen::ProgShape::union_bias))
 //! and seeded random insertion orders.
 
 use crate::differential::norm;
-use crate::gen::{self, ProgShape};
+use crate::gen;
 use crate::ledger::{CheckCtx, CheckDef};
-use recdb_core::{Fuel, Tuple};
+use crate::slice::cycle;
+use recdb_core::Tuple;
 use recdb_hsdb::{v_n_r, v_n_r_over, HsDatabase, VnrCache};
-use recdb_qlhs::{classify_loop, Dialect, FcfInterp, FinInterp, HsInterp, Prog, RunError};
-
-/// One interpreter backend with a switchable delta engine.
-enum Backend {
-    Fin(recdb_core::FiniteStructure),
-    Hs(recdb_hsdb::HsDatabase),
-    Fcf(recdb_hsdb::FcfDatabase),
-}
-
-/// A successful run's result, comparable across engine modes.
-#[derive(PartialEq, Debug)]
-enum RunOk {
-    Val(recdb_qlhs::Val),
-    Fcf(recdb_qlhs::FcfVal),
-}
-
-impl Backend {
-    fn dialect(&self) -> Dialect {
-        match self {
-            Backend::Fin(_) => Dialect::Ql,
-            Backend::Hs(_) => Dialect::Qlhs,
-            Backend::Fcf(_) => Dialect::QlfPlus,
-        }
-    }
-
-    fn schema(&self) -> recdb_core::Schema {
-        match self {
-            Backend::Fin(st) => st.schema().clone(),
-            Backend::Hs(hs) => hs.database().schema().clone(),
-            Backend::Fcf(db) => db.schema(),
-        }
-    }
-
-    /// Runs `p` with the semi-naive engine on or off.
-    fn run(&self, p: &Prog, seminaive: bool) -> Result<RunOk, RunError> {
-        match self {
-            Backend::Fin(st) => {
-                let mut i = FinInterp::new(st);
-                i.set_seminaive(seminaive);
-                i.run(p, &mut Fuel::new(200_000)).map(RunOk::Val)
-            }
-            Backend::Hs(hs) => {
-                let mut i = HsInterp::new(hs);
-                i.set_seminaive(seminaive);
-                i.run(p, &mut Fuel::new(60_000)).map(RunOk::Val)
-            }
-            Backend::Fcf(db) => {
-                let mut i = FcfInterp::new(db);
-                i.set_seminaive(seminaive);
-                i.run(p, &mut Fuel::new(60_000)).map(RunOk::Fcf)
-            }
-        }
-    }
-}
-
-/// Picks the round's backend, cycling through the three dialects.
-fn backend_for(ctx: &mut CheckCtx, round: usize) -> Backend {
-    match round % 3 {
-        0 => {
-            ctx.family("random-graph");
-            let size = 3 + ctx.rng().gen_range(0, 2);
-            Backend::Fin(gen::random_finite_graph(ctx.rng(), size))
-        }
-        1 => {
-            ctx.family("infinite-clique");
-            Backend::Hs(recdb_hsdb::infinite_clique())
-        }
-        _ => {
-            ctx.family("random-fcf");
-            Backend::Fcf(gen::random_fcf(ctx.rng(), &format!("fcf-{round}")))
-        }
-    }
-}
+use recdb_qlhs::{classify_loop, Prog, RunError};
 
 /// The loops of `p`, nested ones included, whose body is in the
 /// provable semi-naive fragment.
@@ -111,22 +41,14 @@ pub fn seminaive_vs_from_scratch(ctx: &mut CheckCtx) -> Result<(), String> {
     let mut eligible_loops = 0usize;
     let mut fuel_skips = 0usize;
     for round in 0..ROUNDS {
-        let backend = backend_for(ctx, round);
-        let dialect = backend.dialect();
-        let schema = backend.schema();
-        let shape = ProgShape {
-            rels: schema.len(),
-            vars: 3,
-            allow_singleton: dialect.admits_singleton_test(),
-            allow_finite: dialect.admits_finiteness_test(),
-            consts: 0,
-            union_bias: true,
-        };
+        let slice = cycle(ctx, round);
+        let dialect = slice.dialect();
+        let shape = slice.shape(0, true);
         let stmts = 1 + ctx.rng().gen_usize(3);
         let p = gen::random_prog(ctx.rng(), 2, stmts, &shape);
         eligible_loops += eligible(&p);
-        let scratch = backend.run(&p, false);
-        let delta = backend.run(&p, true);
+        let scratch = slice.run_seminaive(&p, false);
+        let delta = slice.run_seminaive(&p, true);
         match (&scratch, &delta) {
             (Err(RunError::Fuel(_)), _) | (_, Err(RunError::Fuel(_))) => {
                 if scratch != delta {

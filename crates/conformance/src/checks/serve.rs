@@ -33,11 +33,10 @@ use recdb_core::{FiniteStructure, Schema};
 use recdb_hsdb::{unary_cells, CellSize};
 use recdb_obs::esc;
 use recdb_qlhs::{Dialect, FinInterp, HsInterp, Permutation, Val};
-use recdb_serve::admit::{admit, Admission, AdmitLimits, AdmitOutcome, Plan};
-use recdb_serve::exec::{run_scheduled, Budget, ExecEnd, GuardEval};
+use recdb_serve::admit::{admit, Admission, AdmitLimits, AdmitOutcome};
+use recdb_serve::exec::{run_scheduled, ExecEnd, GuardEval};
 use recdb_serve::proto::result_json;
 use recdb_serve::{post_once, Response, ServeConfig, Server};
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::AtomicBool;
 
@@ -127,16 +126,7 @@ fn cells_db_json(cells: &[CellSize]) -> String {
 /// Runs an admitted program directly, under exactly the budget the
 /// server would grant it.
 fn direct_run<B: GuardEval<V = Val>>(b: &mut B, dialect: Dialect, a: &Admission) -> ExecEnd<Val> {
-    let (bounds, cap, fuel) = match &a.plan {
-        Plan::Exact { iterations, bounds } => (bounds.clone(), *iterations, LIMITS.fuel_max),
-        Plan::Fueled { fuel } => (BTreeMap::new(), u64::MAX, *fuel),
-    };
-    let budget = Budget {
-        bounds: &bounds,
-        total_cap: cap,
-        fuel,
-        work_cap: None,
-    };
+    let budget = a.plan.budget(LIMITS.fuel_max, None);
     run_scheduled(b, dialect, &a.prog, &budget, &AtomicBool::new(false)).end
 }
 

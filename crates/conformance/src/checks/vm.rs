@@ -32,16 +32,17 @@
 //!   fails the row — the verifier, not the compiler, is the trusted
 //!   component, and this row is its teeth.
 
-use super::ra::discrete_hs;
-use crate::gen::{self, ProgShape};
+use crate::gen;
 use crate::ledger::{CheckCtx, CheckDef};
+use crate::slice::{metered, Out, Slice};
 use recdb_analyze::analyze_full;
 use recdb_core::{Elem, FiniteStructure, Fuel, Schema, SplitMix64, Tuple};
-use recdb_hsdb::FcfDatabase;
 use recdb_qlhs::exec::{
     run_with, Backend, Budget, Budgeted, ExecEnd, FuelOnly, GuardEval, RecordSkips,
 };
-use recdb_qlhs::{parse_program, Dialect, FcfInterp, FinInterp, HsInterp, LoopKind, Prog};
+use recdb_qlhs::{
+    parse_program, Dialect, FcfInterp, FinInterp, HsInterp, LoopKind, Prog, RunError,
+};
 use recdb_vm::{compile, exec_plain, exec_with, verify, Inst, LowerOpts, VmProg};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
@@ -62,30 +63,6 @@ pub fn defs() -> Vec<CheckDef> {
             run: vm_verify,
         },
     ]
-}
-
-/// One backend for a round.
-enum VmCase {
-    Fin(FiniteStructure),
-    Hs(FiniteStructure),
-    Fcf(FcfDatabase),
-}
-
-impl VmCase {
-    fn dialect(&self) -> Dialect {
-        match self {
-            VmCase::Fin(_) => Dialect::Ql,
-            VmCase::Hs(_) => Dialect::Qlhs,
-            VmCase::Fcf(_) => Dialect::QlfPlus,
-        }
-    }
-
-    fn schema(&self) -> Schema {
-        match self {
-            VmCase::Fin(st) | VmCase::Hs(st) => st.schema().clone(),
-            VmCase::Fcf(db) => db.schema(),
-        }
-    }
 }
 
 /// Compiles and verifies under the round's full analysis. The inner
@@ -295,6 +272,25 @@ where
     Ok(())
 }
 
+/// [`diff_round`] on `slice`'s interpreter.
+fn diff_slice(slice: &Slice, r: &Round<'_>, tally: &mut DiffTally) -> Result<(), String> {
+    match slice {
+        Slice::Fin(st) => diff_round(&|| FinInterp::new(st), r, tally),
+        Slice::Hs(hs, _) => diff_round(&|| HsInterp::new(hs), r, tally),
+        Slice::Fcf(db) => diff_round(&|| FcfInterp::new(db), r, tally),
+    }
+}
+
+/// Runs verified bytecode on `slice`'s interpreter at `fuel`.
+fn exec_vm(slice: &Slice, vm: &VmProg, fuel: u64) -> Result<Out, RunError> {
+    let mut fuel = Fuel::new(fuel);
+    match slice {
+        Slice::Fin(st) => exec_plain(&mut FinInterp::new(st), vm, &mut fuel).map(Out::Val),
+        Slice::Hs(hs, _) => exec_plain(&mut HsInterp::new(hs), vm, &mut fuel).map(Out::Val),
+        Slice::Fcf(db) => exec_plain(&mut FcfInterp::new(db), vm, &mut fuel).map(Out::Fcf),
+    }
+}
+
 /// VM-DIFF: see the module docs.
 fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
     const PER_BACKEND: usize = 350;
@@ -309,32 +305,11 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
     let mut tally = DiffTally::default();
     for which in 0..3 {
         for round in 0..PER_BACKEND {
-            let case = match which {
-                0 => {
-                    ctx.family("vm-fin");
-                    let size = 3 + ctx.rng().gen_range(0, 2);
-                    VmCase::Fin(gen::random_finite_graph(ctx.rng(), size))
-                }
-                1 => {
-                    ctx.family("vm-hs-discrete");
-                    let size = 3 + ctx.rng().gen_range(0, 2);
-                    VmCase::Hs(gen::random_finite_graph(ctx.rng(), size))
-                }
-                _ => {
-                    ctx.family("vm-fcf");
-                    VmCase::Fcf(gen::random_fcf(ctx.rng(), &format!("vm-{round}")))
-                }
-            };
-            let dialect = case.dialect();
-            let schema = case.schema();
-            let shape = ProgShape {
-                rels: schema.len(),
-                vars: 3,
-                allow_singleton: dialect.admits_singleton_test(),
-                allow_finite: dialect.admits_finiteness_test(),
-                consts: 3,
-                union_bias: round % 2 == 0,
-            };
+            let families = ["vm-fin", "vm-hs-discrete", "vm-fcf"];
+            let slice = metered(ctx, which, families, &format!("vm-{round}"));
+            let dialect = slice.dialect();
+            let schema = slice.schema();
+            let shape = slice.shape(3, round % 2 == 0);
             let stmts = 1 + ctx.rng().gen_usize(3);
             let p = gen::random_prog(ctx.rng(), 2, stmts, &shape);
             tally.programs += 1;
@@ -361,14 +336,7 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
                 ],
                 preempt: round % 5 == 0,
             };
-            match &case {
-                VmCase::Fin(st) => diff_round(&|| FinInterp::new(st), &r, &mut tally)?,
-                VmCase::Hs(st) => {
-                    let hs = discrete_hs(st);
-                    diff_round(&|| HsInterp::new(&hs), &r, &mut tally)?
-                }
-                VmCase::Fcf(db) => diff_round(&|| FcfInterp::new(db), &r, &mut tally)?,
-            }
+            diff_slice(&slice, &r, &mut tally)?;
         }
     }
     let random_skips = (tally.fast_forwarded, tally.walker_fast_forwarded);
@@ -400,12 +368,12 @@ fn vm_diff(ctx: &mut CheckCtx) -> Result<(), String> {
             ],
             preempt: false,
         };
-        if dialect == Dialect::Ql {
-            diff_round(&|| FinInterp::new(&st), &r, &mut tally)?;
+        let slice = if dialect == Dialect::Ql {
+            Slice::Fin(st)
         } else {
-            let hs = discrete_hs(&st);
-            diff_round(&|| HsInterp::new(&hs), &r, &mut tally)?;
-        }
+            Slice::discrete(st)
+        };
+        diff_slice(&slice, &r, &mut tally)?;
     }
     // Teeth: the differential must have actually exercised every
     // outcome class, at scale. Verifier-accepted programs cannot
@@ -715,32 +683,11 @@ fn vm_verify(ctx: &mut CheckCtx) -> Result<(), String> {
     let mut rejected = 0usize;
     let mut accepted_identical = 0usize;
     for round in 0..ROUNDS {
-        let case = match round % 3 {
-            0 => {
-                ctx.family("vm-verify-fin");
-                let size = 3 + ctx.rng().gen_range(0, 2);
-                VmCase::Fin(gen::random_finite_graph(ctx.rng(), size))
-            }
-            1 => {
-                ctx.family("vm-verify-hs");
-                let size = 3 + ctx.rng().gen_range(0, 2);
-                VmCase::Hs(gen::random_finite_graph(ctx.rng(), size))
-            }
-            _ => {
-                ctx.family("vm-verify-fcf");
-                VmCase::Fcf(gen::random_fcf(ctx.rng(), &format!("vm-verify-{round}")))
-            }
-        };
-        let dialect = case.dialect();
-        let schema = case.schema();
-        let shape = ProgShape {
-            rels: schema.len(),
-            vars: 3,
-            allow_singleton: dialect.admits_singleton_test(),
-            allow_finite: dialect.admits_finiteness_test(),
-            consts: 3,
-            union_bias: round % 2 == 0,
-        };
+        let families = ["vm-verify-fin", "vm-verify-hs", "vm-verify-fcf"];
+        let slice = metered(ctx, round % 3, families, &format!("vm-verify-{round}"));
+        let dialect = slice.dialect();
+        let schema = slice.schema();
+        let shape = slice.shape(3, round % 2 == 0);
         let stmts = 1 + ctx.rng().gen_usize(3);
         let p = gen::random_prog(ctx.rng(), 2, stmts, &shape);
         let Ok((vm, _)) = compile_verified(&p, &schema, dialect)? else {
@@ -776,33 +723,7 @@ fn vm_verify(ctx: &mut CheckCtx) -> Result<(), String> {
                 // A corruption the verifier accepts must be
                 // observationally identical to the original.
                 for fuel in [0u64, 13, 50_000] {
-                    let same = match &case {
-                        VmCase::Fin(st) => {
-                            exec_plain(&mut FinInterp::new(st), &vm, &mut Fuel::new(fuel))
-                                == exec_plain(
-                                    &mut FinInterp::new(st),
-                                    &corrupted,
-                                    &mut Fuel::new(fuel),
-                                )
-                        }
-                        VmCase::Hs(st) => {
-                            let hs = discrete_hs(st);
-                            exec_plain(&mut HsInterp::new(&hs), &vm, &mut Fuel::new(fuel))
-                                == exec_plain(
-                                    &mut HsInterp::new(&hs),
-                                    &corrupted,
-                                    &mut Fuel::new(fuel),
-                                )
-                        }
-                        VmCase::Fcf(db) => {
-                            exec_plain(&mut FcfInterp::new(db), &vm, &mut Fuel::new(fuel))
-                                == exec_plain(
-                                    &mut FcfInterp::new(db),
-                                    &corrupted,
-                                    &mut Fuel::new(fuel),
-                                )
-                        }
-                    };
+                    let same = exec_vm(&slice, &vm, fuel) == exec_vm(&slice, &corrupted, fuel);
                     if !same {
                         return Err(format!(
                             "round {round}: verifier accepted a semantics-changing mutation \

@@ -28,6 +28,7 @@ pub mod json;
 pub mod ledger;
 pub mod metamorphic;
 pub mod rng;
+mod slice;
 
 pub use ledger::{
     run_check, run_ledger, CheckCtx, CheckDef, CheckOutcome, CheckStatus, LedgerReport, SKIP_PREFIX,

@@ -303,7 +303,11 @@ impl FiniteStructure {
     }
 }
 
-fn permute(perm: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
+/// Calls `f` on every ordering of `perm[k..]` (with `perm[..k]` held),
+/// by recursive swaps; `perm` is restored before returning. Starting
+/// from the identity, the order is fixed, so callers that keep the
+/// first or least result get the same one every run.
+pub fn permute(perm: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
     if k == perm.len() {
         f(perm);
         return;

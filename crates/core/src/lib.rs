@@ -55,7 +55,7 @@ pub use combinators::{complement, intersect, mapped, product, shared, union};
 pub use database::{Database, DatabaseBuilder};
 pub use domain::Domain;
 pub use elem::{Elem, Tuple};
-pub use fin::FiniteStructure;
+pub use fin::{permute, FiniteStructure};
 pub use fingerprint::Fingerprint;
 pub use fuel::{Fuel, FuelError};
 pub use genericity::{amalgamate, find_local_genericity_violation, GenericityViolation};

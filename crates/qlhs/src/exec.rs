@@ -588,8 +588,8 @@ pub struct ExecResult<V> {
 pub struct Budgeted<'a> {
     budget: Budget<'a>,
     preempt: &'a AtomicBool,
-    pub(crate) total: u64,
-    pub(crate) work: u64,
+    total: u64,
+    work: u64,
 }
 
 impl<'a> Budgeted<'a> {

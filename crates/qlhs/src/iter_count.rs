@@ -9,30 +9,10 @@
 
 use crate::ast::Prog;
 use crate::dialect::Dialect;
-use crate::exec::{run_with, Budget, Budgeted, GuardEval, Schedule, Stop};
-use crate::value::RunError;
+use crate::exec::{run_with, Budget, Budgeted, ExecEnd, GuardEval, Schedule, Stop};
 use recdb_core::Fuel;
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
-
-/// How a counted run ended.
-#[derive(Debug)]
-pub enum CountedEnd {
-    /// The program ran to completion.
-    Completed,
-    /// The interpreter returned an error (fuel included).
-    Errored(RunError),
-    /// A proved per-entry bound was exceeded: the loop at `path`
-    /// passed `bound` iterations in a single entry.
-    BoundExceeded {
-        /// The loop's tree path.
-        path: Vec<u32>,
-        /// The bound it was proved to respect.
-        bound: u64,
-    },
-    /// The global iteration cap was hit (divergence evidence).
-    CapHit,
-}
 
 /// The result of a counted run.
 #[derive(Debug)]
@@ -49,8 +29,10 @@ pub struct CountedRun {
     /// Total materialized tuples across every assignment execution —
     /// the dynamic mirror of the whole-program work bound.
     pub work: u64,
-    /// How the run ended.
-    pub end: CountedEnd,
+    /// How the run ended: the budget schedule's [`ExecEnd`], with the
+    /// iteration cap reported as `TotalExceeded` (divergence evidence)
+    /// and `Y1`'s value dropped.
+    pub end: ExecEnd<()>,
 }
 
 /// The counting schedule: the budget schedule (proved per-entry
@@ -104,20 +86,19 @@ pub fn run_counted<B: GuardEval>(
         per_entry_max: BTreeMap::new(),
         stmt_tuples: BTreeMap::new(),
     };
-    let end = match run_with(b, dialect, p, &mut Fuel::new(fuel), &mut c) {
-        Ok(_) => CountedEnd::Completed,
-        Err(Stop::Run(e)) => CountedEnd::Errored(e),
-        Err(Stop::Bound { path, bound }) => CountedEnd::BoundExceeded { path, bound },
-        // This schedule neither preempts nor caps work: `Total` is
-        // its iteration cap.
-        Err(Stop::Total | Stop::Preempted | Stop::Work) => CountedEnd::CapHit,
-    };
+    let r = run_with(b, dialect, p, &mut Fuel::new(fuel), &mut c).map(drop);
+    let Counting {
+        budget,
+        per_entry_max,
+        stmt_tuples,
+    } = c;
+    let run = budget.finish(r);
     CountedRun {
-        per_entry_max: c.per_entry_max,
-        total: c.budget.total,
-        stmt_tuples: c.stmt_tuples,
-        work: c.budget.work,
-        end,
+        per_entry_max,
+        total: run.iterations,
+        stmt_tuples,
+        work: run.work,
+        end: run.end,
     }
 }
 
@@ -147,7 +128,7 @@ mod tests {
         // The loop runs exactly once: the body flips the guard.
         let p = parse_program("while empty(Y2) { Y2 := E; } Y1 := Y2;").unwrap();
         let r = counted_run_fin(&graph(), &p, 10_000, 100, &BTreeMap::new());
-        assert!(matches!(r.end, CountedEnd::Completed), "{:?}", r.end);
+        assert!(matches!(r.end, ExecEnd::Done(())), "{:?}", r.end);
         assert_eq!(r.per_entry_max.get(&vec![0]), Some(&1));
         assert_eq!(r.total, 1);
     }
@@ -156,7 +137,11 @@ mod tests {
     fn a_divergent_loop_hits_the_cap() {
         let p = parse_program("while empty(Y2) { Y3 := E; }").unwrap();
         let r = counted_run_fin(&graph(), &p, 1_000_000, 50, &BTreeMap::new());
-        assert!(matches!(r.end, CountedEnd::CapHit), "{:?}", r.end);
+        assert!(
+            matches!(r.end, ExecEnd::TotalExceeded { cap: 50 }),
+            "{:?}",
+            r.end
+        );
     }
 
     #[test]
@@ -165,7 +150,7 @@ mod tests {
         let bounds: BTreeMap<Vec<u32>, u64> = [(vec![0], 3u64)].into_iter().collect();
         let r = counted_run_fin(&graph(), &p, 1_000_000, 50, &bounds);
         match r.end {
-            CountedEnd::BoundExceeded { path, bound } => {
+            ExecEnd::BoundExceeded { path, bound } => {
                 assert_eq!(path, vec![0]);
                 assert_eq!(bound, 3);
             }
@@ -184,7 +169,7 @@ mod tests {
         )
         .unwrap();
         let r = counted_run_fin(&graph(), &p, 100_000, 100, &BTreeMap::new());
-        assert!(matches!(r.end, CountedEnd::Completed), "{:?}", r.end);
+        assert!(matches!(r.end, ExecEnd::Done(())), "{:?}", r.end);
         assert_eq!(r.per_entry_max.get(&vec![0]), Some(&2), "{r:?}");
         assert_eq!(r.per_entry_max.get(&vec![0, 0, 0]), Some(&1), "{r:?}");
         assert_eq!(r.total, 4, "{r:?}");
@@ -204,7 +189,7 @@ mod tests {
         let prog = parse_program(&compiled.prog.to_string()).unwrap();
         let st = FiniteStructure::graph(0..4, [(0, 1), (1, 2), (2, 3)]);
         let r = counted_run_fin(&st, &prog, 1_000_000, 100, &BTreeMap::new());
-        assert!(matches!(r.end, CountedEnd::Completed), "{:?}", r.end);
+        assert!(matches!(r.end, ExecEnd::Done(())), "{:?}", r.end);
         // The query compiles to a single binding, so the statement
         // layer materializes exactly once: the two grandparent pairs
         // of the chain (0→2, 1→3), projected to their far endpoints.
@@ -222,7 +207,7 @@ mod tests {
         // re-materializing `E` (3).
         let p = parse_program("Y1 := E; Y2 := Y1 & E; while empty(Y3) { Y3 := E; }").unwrap();
         let r = counted_run_fin(&graph(), &p, 100_000, 100, &BTreeMap::new());
-        assert!(matches!(r.end, CountedEnd::Completed), "{:?}", r.end);
+        assert!(matches!(r.end, ExecEnd::Done(())), "{:?}", r.end);
         assert_eq!(r.stmt_tuples.get(&vec![0]), Some(&3));
         assert_eq!(r.stmt_tuples.get(&vec![1]), Some(&3));
         assert_eq!(r.stmt_tuples.get(&vec![2, 0, 0]), Some(&3));
@@ -234,7 +219,10 @@ mod tests {
         let p = parse_program("while single(Y1) { Y1 := E; }").unwrap();
         let r = counted_run_fin(&graph(), &p, 10_000, 100, &BTreeMap::new());
         assert!(
-            matches!(r.end, CountedEnd::Errored(RunError::DialectViolation(_))),
+            matches!(
+                r.end,
+                ExecEnd::Errored(crate::RunError::DialectViolation(_))
+            ),
             "{:?}",
             r.end
         );

@@ -46,10 +46,7 @@ pub use dialect::{classify, Dialect, DialectViolation, IllegalTest};
 pub use fcf_interp::{FcfInterp, FcfVal};
 pub use fin_interp::FinInterp;
 pub use hs_interp::HsInterp;
-pub use optimize::{
-    simplify_prog, simplify_prog_with, simplify_term, simplify_term_with, term_size, ClosedRanks,
-    RankOracle,
-};
+pub use optimize::{simplify_term_with, term_size, RankOracle};
 pub use parser::{
     parse_program, parse_program_with_spans, ProgParseError, Span, SpanTable, DEPTH_CODE,
     MAX_DEPTH, MAX_LOOP_DEPTH, MAX_VAR, PARSE_CODE,

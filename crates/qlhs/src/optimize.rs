@@ -18,12 +18,10 @@
 //! * constant folding of `E↓↓↓…` chains is left to the interpreters
 //!   (the empty-rank-0 convention is semantic, not syntactic).
 //!
-//! Rank proofs come from a [`RankOracle`]. [`simplify_term`] uses the
-//! built-in [`ClosedRanks`] oracle, which proves ranks of subterms
-//! built without `Relᵢ`/`Yᵢ` (those need a schema and an environment).
-//! The `recdb-analyze` crate supplies a stronger oracle from its
-//! abstract rank-inference engine via [`simplify_term_with`] /
-//! [`simplify_prog_with`], so e.g. `(R1~)~` simplifies once the
+//! Rank proofs come from a [`RankOracle`] passed to
+//! [`simplify_term_with`]. The `recdb-analyze` crate supplies the one
+//! the program simplifier uses, from its abstract rank-inference engine
+//! (`simplify_prog_checked`), so e.g. `(R1~)~` simplifies once the
 //! schema's arity for `R1` is known.
 //!
 //! The simplifier is careful about *errors*: a rewrite must not turn a
@@ -32,7 +30,7 @@
 //! evaluate `e`; `¬¬e → e` likewise; the swap rewrites only drop
 //! error-free nodes (`~` itself never errors).
 
-use crate::ast::{Prog, Term};
+use crate::ast::Term;
 
 /// A source of static rank facts for terms. `term_rank` returns
 /// `Some(k)` only when the term *provably* has rank `k` in every
@@ -47,36 +45,6 @@ impl<F: Fn(&Term) -> Option<usize>> RankOracle for F {
     fn term_rank(&self, t: &Term) -> Option<usize> {
         self(t)
     }
-}
-
-/// The oracle every caller gets for free: ranks of *closed* terms —
-/// those mentioning neither `Relᵢ` (needs a schema) nor `Yᵢ` (needs an
-/// environment). `E` has rank 2, `↑`/`↓` shift by one (with `↓`
-/// clamping at 0, matching the empty-rank-0 convention), `∩` requires
-/// agreeing operands.
-pub struct ClosedRanks;
-
-impl RankOracle for ClosedRanks {
-    fn term_rank(&self, t: &Term) -> Option<usize> {
-        match t {
-            Term::E => Some(2),
-            Term::Const(_) => Some(1),
-            Term::Rel(_) | Term::Var(_) => None,
-            Term::And(a, b) => match (self.term_rank(a), self.term_rank(b)) {
-                (Some(x), Some(y)) if x == y => Some(x),
-                _ => None,
-            },
-            Term::Not(e) | Term::Swap(e) => self.term_rank(e),
-            Term::Up(e) => self.term_rank(e).map(|k| k + 1),
-            Term::Down(e) => self.term_rank(e).map(|k| k.saturating_sub(1)),
-        }
-    }
-}
-
-/// Simplifies a term bottom-up with the closed-term rank oracle.
-/// Idempotent.
-pub fn simplify_term(t: &Term) -> Term {
-    simplify_term_with(t, &ClosedRanks)
 }
 
 /// Simplifies a term bottom-up, consulting `ranks` for the rank proofs
@@ -117,44 +85,6 @@ pub fn simplify_term_with(t: &Term, ranks: &impl RankOracle) -> Term {
     }
 }
 
-/// Simplifies every term in a program (closed-term oracle) and
-/// flattens nested sequences.
-pub fn simplify_prog(p: &Prog) -> Prog {
-    simplify_prog_with(p, &ClosedRanks)
-}
-
-/// Simplifies every term in a program with a caller-supplied rank
-/// oracle and flattens nested sequences.
-///
-/// The oracle is consulted per term *as written*; a flow-sensitive
-/// caller (the analyzer's `simplify_prog_checked`) should instead walk
-/// the program itself so each statement sees the environment at its
-/// own program point.
-pub fn simplify_prog_with(p: &Prog, ranks: &impl RankOracle) -> Prog {
-    match p {
-        Prog::Assign(v, t) => Prog::Assign(*v, simplify_term_with(t, ranks)),
-        Prog::Seq(ps) => {
-            let mut flat = Vec::new();
-            for q in ps {
-                match simplify_prog_with(q, ranks) {
-                    Prog::Seq(inner) => flat.extend(inner),
-                    other => flat.push(other),
-                }
-            }
-            Prog::Seq(flat)
-        }
-        Prog::WhileEmpty(v, body) => {
-            Prog::WhileEmpty(*v, Box::new(simplify_prog_with(body, ranks)))
-        }
-        Prog::WhileSingleton(v, body) => {
-            Prog::WhileSingleton(*v, Box::new(simplify_prog_with(body, ranks)))
-        }
-        Prog::WhileFinite(v, body) => {
-            Prog::WhileFinite(*v, Box::new(simplify_prog_with(body, ranks)))
-        }
-    }
-}
-
 /// Size of a term (AST nodes) — the quantity simplification reduces.
 pub fn term_size(t: &Term) -> usize {
     match t {
@@ -172,27 +102,35 @@ mod tests {
     use recdb_core::Fuel;
     use recdb_hsdb::{infinite_clique, paper_example_graph};
 
+    /// An oracle that proves exactly the listed ranks.
+    fn proves(known: &[(Term, usize)]) -> impl Fn(&Term) -> Option<usize> + '_ {
+        |t| known.iter().find(|(u, _)| u == t).map(|&(_, k)| k)
+    }
+
+    /// The oracle that proves nothing.
+    fn unproven(_: &Term) -> Option<usize> {
+        None
+    }
+
     #[test]
     fn rewrites_fire() {
         let t = Term::Rel(0).not().not();
-        assert_eq!(simplify_term(&t), Term::Rel(0));
+        assert_eq!(simplify_term_with(&t, &unproven), Term::Rel(0));
         let t = Term::Rel(0).and(Term::Rel(0));
-        assert_eq!(simplify_term(&t), Term::Rel(0));
+        assert_eq!(simplify_term_with(&t, &unproven), Term::Rel(0));
         // Nested: ¬¬(e ∩ e) → e.
         let t = Term::Rel(0).and(Term::Rel(0)).not().not();
-        assert_eq!(simplify_term(&t), Term::Rel(0));
-        // Double swap on a closed term: rank of E is proven (2), so
-        // the rewrite fires without any schema.
+        assert_eq!(simplify_term_with(&t, &unproven), Term::Rel(0));
+        // Double swap: with the rank of E proven (2), the rewrite fires.
         let t = Term::E.swap().swap();
-        assert_eq!(simplify_term(&t), Term::E);
+        assert_eq!(simplify_term_with(&t, &proves(&[(Term::E, 2)])), Term::E);
     }
 
     #[test]
     fn double_swap_needs_a_rank_proof() {
-        // `Rel(0)` has unknown rank without a schema: the closed-term
-        // oracle cannot prove ≥ 2 or < 2, so `(R1~)~` must stay.
+        // Without a proof of `Rel(0)`'s rank, `(R1~)~` must stay.
         let t = Term::Rel(0).swap().swap();
-        assert_eq!(simplify_term(&t), t);
+        assert_eq!(simplify_term_with(&t, &unproven), t);
         // With a schema-backed oracle (here: "every relation is
         // binary"), the proof exists and the rewrite fires.
         let binary = |u: &Term| match u {
@@ -205,16 +143,16 @@ mod tests {
 
     #[test]
     fn single_swap_erased_below_rank_two() {
-        // E↓ has proven rank 1, so a lone swap on it is the identity.
+        // E↓ proven rank 1: a lone swap on it is the identity.
         let t = Term::E.down().swap();
-        assert_eq!(simplify_term(&t), Term::E.down());
-        // E↓↓↓ clamps at rank 0 (the empty-rank-0 convention) — still
-        // provably < 2.
+        let ranks = [(Term::E, 2), (Term::E.down(), 1), (Term::E.down_n(3), 0)];
+        assert_eq!(simplify_term_with(&t, &proves(&ranks)), Term::E.down());
+        // E↓↓↓ proven rank 0 (the empty-rank-0 convention): still < 2.
         let t = Term::E.down_n(3).swap();
-        assert_eq!(simplify_term(&t), Term::E.down_n(3));
+        assert_eq!(simplify_term_with(&t, &proves(&ranks)), Term::E.down_n(3));
         // Rank 2: the swap is semantically meaningful and must stay.
         let t = Term::E.swap();
-        assert_eq!(simplify_term(&t), Term::E.swap());
+        assert_eq!(simplify_term_with(&t, &proves(&ranks)), Term::E.swap());
     }
 
     #[test]
@@ -226,8 +164,9 @@ mod tests {
             .swap()
             .swap()
             .up();
-        let s1 = simplify_term(&t);
-        let s2 = simplify_term(&s1);
+        let ranks = proves(&[(Term::E, 2)]);
+        let s1 = simplify_term_with(&t, &ranks);
+        let s2 = simplify_term_with(&s1, &ranks);
         assert_eq!(s1, s2);
         assert!(term_size(&s1) <= term_size(&t));
         assert_eq!(s1, Term::E.up());
@@ -235,11 +174,9 @@ mod tests {
 
     #[test]
     fn semantics_preserved_on_hs_interpreters() {
-        let binary = |u: &Term| {
-            ClosedRanks.term_rank(u).or(match u {
-                Term::Rel(0) => Some(2),
-                _ => None,
-            })
+        let binary = |u: &Term| match u {
+            Term::Rel(0) | Term::E => Some(2),
+            _ => None,
         };
         let terms = [
             Term::Rel(0).not().not(),
@@ -250,7 +187,10 @@ mod tests {
         ];
         for hs in [infinite_clique(), paper_example_graph()] {
             for t in &terms {
-                for s in [simplify_term(t), simplify_term_with(t, &binary)] {
+                for s in [
+                    simplify_term_with(t, &unproven),
+                    simplify_term_with(t, &binary),
+                ] {
                     let mut i1 = HsInterp::new(&hs);
                     let mut i2 = HsInterp::new(&hs);
                     let v1 = eval_term(&mut i1, t, &[], &mut Fuel::new(1_000_000)).unwrap();
@@ -265,26 +205,10 @@ mod tests {
     fn errors_are_preserved() {
         // Rank-mismatch terms still fail after simplification.
         let t = Term::E.and(Term::E.down()).not().not();
-        let s = simplify_term(&t);
+        let s = simplify_term_with(&t, &proves(&[(Term::E, 2), (Term::E.down(), 1)]));
         let hs = infinite_clique();
         let r1 = eval_term(&mut HsInterp::new(&hs), &t, &[], &mut Fuel::new(10_000));
         let r2 = eval_term(&mut HsInterp::new(&hs), &s, &[], &mut Fuel::new(10_000));
         assert!(r1.is_err() && r2.is_err());
-    }
-
-    #[test]
-    fn seq_flattening() {
-        let p = Prog::seq([
-            Prog::seq([Prog::assign(0, Term::E.not().not())]),
-            Prog::seq([Prog::seq([Prog::assign(1, Term::E)])]),
-        ]);
-        let s = simplify_prog(&p);
-        match s {
-            Prog::Seq(items) => {
-                assert_eq!(items.len(), 2);
-                assert_eq!(items[0], Prog::assign(0, Term::E));
-            }
-            other => panic!("expected flat Seq, got {other:?}"),
-        }
     }
 }

@@ -57,7 +57,7 @@
 
 use crate::ast::{LoopKind, Prog, Term, VarId};
 use crate::exec::GuardEval;
-use crate::value::Rows;
+use crate::value::{Rows, RunError};
 use recdb_core::Fuel;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -271,9 +271,9 @@ enum Fallback {
     IneligibleBody,
     /// A loop-written variable held a co-finite value on entry.
     CofiniteVar,
-    /// Fuel ran out mid-loop.
+    /// Fuel ran out mid-loop, between statements or inside a term.
     Fuel,
-    /// A body term raised a runtime error.
+    /// A body term raised a runtime error other than fuel exhaustion.
     EvalError,
     /// A body term produced a co-finite contribution.
     CofiniteContribution,
@@ -471,7 +471,10 @@ fn delta_loop<B: GuardEval>(
             scratch_env[plan.scratch] = delta;
             let contribution = backend
                 .eval(&stmt.rewritten, &scratch_env, fuel)
-                .map_err(|_| Fallback::EvalError)?;
+                .map_err(|e| match e {
+                    RunError::Fuel(_) => Fallback::Fuel,
+                    _ => Fallback::EvalError,
+                })?;
             let Some(tuples) = contribution.finite_tuples() else {
                 return Err(Fallback::CofiniteContribution);
             };

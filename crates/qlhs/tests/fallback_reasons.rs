@@ -136,14 +136,18 @@ impl Schedule for CountIterations {
 fn fallbacks_match_the_from_scratch_loop_at_every_budget() {
     let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     const BIG: u64 = 2_000;
-    let path = || FiniteStructure::undirected_graph(0..4, (0..3).map(|i| (i, i + 1)));
+    let path_of = |n: u64| FiniteStructure::undirected_graph(0..n, (0..n - 1).map(|i| (i, i + 1)));
+    let path = || path_of(4);
     let prog = |text: &str| parse_program(text).expect("parses");
     let succ = "down(up(Y2) & R1)";
     // `Y3` starts empty at rank 1, so its union is well-typed in every
-    // round; `C4` lies outside the path, so the guard never holds and
-    // the loop runs until the fuel does.
+    // round; `C32` lies outside the path, so the guard never holds and
+    // the loop runs until the fuel does. On a path of 32 nodes `Y2`
+    // takes 31 rounds to saturate, so at most budgets of the sweep the
+    // delta engine runs out of fuel before its logs reach a fixpoint.
+    const LONG: u64 = 32;
     let fuel_case = prog(&format!(
-        "Y2 := C1; Y3 := C1 & C2; while empty(Y3) {{ Y2 := !(!Y2 & !{succ}); Y3 := !(!Y3 & !(Y2 & C4)); }}"
+        "Y2 := C1; Y3 := C1 & C2; while empty(Y3) {{ Y2 := !(!Y2 & !{succ}); Y3 := !(!Y3 & !(Y2 & C{LONG})); }}"
     ));
     let cases: Vec<(&str, Run)> = vec![
         (
@@ -166,7 +170,7 @@ fn fallbacks_match_the_from_scratch_loop_at_every_budget() {
                 )),
             ),
         ),
-        ("fuel", on_fin(path(), fuel_case.clone())),
+        ("fuel", on_fin(path_of(LONG), fuel_case.clone())),
         (
             "eval_error",
             on_fin(
@@ -201,12 +205,20 @@ fn fallbacks_match_the_from_scratch_loop_at_every_budget() {
             "{code}: the sweep never hits {name}"
         );
         if *code == "fuel" {
+            let (fuel, divergent) = (
+                rec.counter_value(&name),
+                rec.counter_value("fixpoint.seminaive.fallbacks.divergent"),
+            );
+            assert!(
+                fuel > divergent,
+                "fuel: {fuel} fuel fallbacks against {divergent} divergent"
+            );
             // At the sweep's largest budget the from-scratch run
             // passes the guard at least three times, so at least two
             // rounds run to completion before the fuel runs out.
             let mut rounds = CountIterations::default();
             let r = run_with(
-                &mut FinInterp::new(&path()),
+                &mut FinInterp::new(&path_of(LONG)),
                 Dialect::Ql,
                 &fuel_case,
                 &mut Fuel::new(BIG - left + 2),

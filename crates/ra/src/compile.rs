@@ -35,6 +35,7 @@ use crate::ast::{Pred, RaExpr, RaProgram};
 use crate::diag::RaError;
 use crate::schema::{attrs_of, sort_perm, typecheck, RaSchema, Typed};
 use recdb_qlhs::ast::{Prog, Term};
+use recdb_qlhs::term_size;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A compiled program plus the attribute names of its result columns.
@@ -409,17 +410,9 @@ fn lower(
     lowered.fits(path)
 }
 
-fn term_nodes(t: &Term) -> u64 {
-    match t {
-        Term::E | Term::Rel(_) | Term::Var(_) | Term::Const(_) => 1,
-        Term::And(a, b) => 1 + term_nodes(a) + term_nodes(b),
-        Term::Not(a) | Term::Up(a) | Term::Down(a) | Term::Swap(a) => 1 + term_nodes(a),
-    }
-}
-
 fn prog_nodes(p: &Prog) -> u64 {
     match p {
-        Prog::Assign(_, t) => term_nodes(t),
+        Prog::Assign(_, t) => term_size(t) as u64,
         Prog::Seq(ps) => ps.iter().map(prog_nodes).sum(),
         Prog::WhileEmpty(_, b) | Prog::WhileSingleton(_, b) | Prog::WhileFinite(_, b) => {
             prog_nodes(b)

@@ -24,6 +24,7 @@ use recdb_analyze::{
     analyze_full, Diagnostic, FullAnalysis, LoopBound, TerminationVerdict, Verdict,
 };
 use recdb_core::Schema;
+use recdb_qlhs::exec::Budget;
 use recdb_qlhs::{parse_program_with_spans, Dialect, Prog, Span, SpanTable};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Display;
@@ -60,6 +61,28 @@ impl Plan {
         match self {
             Plan::Exact { .. } => "exact",
             Plan::Fueled { .. } => "fuel",
+        }
+    }
+
+    /// The envelope this plan runs under: an exact plan gets its proved
+    /// iteration budget and per-loop bounds with `fuel_max` as the
+    /// term-evaluation fuel; a fueled plan gets its granted fuel and no
+    /// iteration cap. `work_cap` is the instantiated work bound, if any.
+    pub fn budget(&self, fuel_max: u64, work_cap: Option<u64>) -> Budget<'_> {
+        static NO_BOUNDS: BTreeMap<Vec<u32>, u64> = BTreeMap::new();
+        match self {
+            Plan::Exact { iterations, bounds } => Budget {
+                bounds,
+                total_cap: *iterations,
+                fuel: fuel_max,
+                work_cap,
+            },
+            Plan::Fueled { fuel } => Budget {
+                bounds: &NO_BOUNDS,
+                total_cap: u64::MAX,
+                fuel: *fuel,
+                work_cap,
+            },
         }
     }
 }

@@ -26,7 +26,7 @@
 //! their canonical descriptor with identity transport — their wire
 //! form is already a canonical name, not an element listing.
 
-use recdb_core::{Elem, FiniteStructure, Tuple};
+use recdb_core::{permute, Elem, FiniteStructure, Tuple};
 use recdb_qlhs::{FcfVal, Permutation, Val};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
@@ -71,7 +71,7 @@ pub fn canonicalize_finite(st: &FiniteStructure, fixed: &BTreeSet<u64>) -> Optio
     let k = free.len();
     let mut idx: Vec<usize> = (0..k).collect();
     let mut best: Option<(Vec<Vec<Tuple>>, Vec<usize>)> = None;
-    permute_indices(&mut idx, 0, &mut |assign| {
+    permute(&mut idx, 0, &mut |assign| {
         let relabel = |e: Elem| -> Elem {
             match free.iter().position(|&f| f == e.value()) {
                 Some(i) => Elem(slots[assign[i]]),
@@ -148,18 +148,6 @@ pub fn canonicalize_finite(st: &FiniteStructure, fixed: &BTreeSet<u64>) -> Optio
         key,
         to_canon: Permutation::from_forward(forward),
     })
-}
-
-fn permute_indices(idx: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
-    if k == idx.len() {
-        f(idx);
-        return;
-    }
-    for i in k..idx.len() {
-        idx.swap(k, i);
-        permute_indices(idx, k + 1, f);
-        idx.swap(k, i);
-    }
 }
 
 /// A cached answer, stored in canonical (`q(K)`) coordinates.

@@ -34,10 +34,9 @@ use crate::proto::{
 use recdb_analyze::{analyze_formula, CostEnv, Diagnostic};
 use recdb_core::{Elem, QueryOutcome};
 use recdb_logic::{finite_as_db, LMinusQuery};
-use recdb_qlhs::exec::{run_scheduled, Budget, ExecEnd, GuardEval};
+use recdb_qlhs::exec::{run_scheduled, ExecEnd, GuardEval};
 use recdb_qlhs::{Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, SpanTable, Val};
 use recdb_ra::{CompiledRa, RaError};
-use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -543,24 +542,6 @@ fn cache_key(dialect: Dialect, adm: &Admission, db_key: &str) -> String {
     )
 }
 
-fn budget_for<'a>(plan: &'a Plan, fuel_max: u64, work_cap: Option<u64>) -> Budget<'a> {
-    static NO_BOUNDS: BTreeMap<Vec<u32>, u64> = BTreeMap::new();
-    match plan {
-        Plan::Exact { iterations, bounds } => Budget {
-            bounds,
-            total_cap: *iterations,
-            fuel: fuel_max,
-            work_cap,
-        },
-        Plan::Fueled { fuel } => Budget {
-            bounds: &NO_BOUNDS,
-            total_cap: u64::MAX,
-            fuel: *fuel,
-            work_cap,
-        },
-    }
-}
-
 /// Instantiates the admission's symbolic work bound at the request's
 /// actual database, yielding a hard per-request work cap (DESIGN.md
 /// §11): `n` maps to the backend's base-set size and `rᵢ` to relation
@@ -683,7 +664,7 @@ where
     if let (Some((_, rendered)), false) = (&hit, shared.cfg.verify_hits) {
         return ok_hit(rendered);
     }
-    let budget = budget_for(&adm.plan, shared.cfg.fuel_max, work_cap);
+    let budget = adm.plan.budget(shared.cfg.fuel_max, work_cap);
     let r = run_scheduled(b, dialect, &adm.prog, &budget, &shared.stop);
     if let Some((key, rendered)) = hit {
         // `verify_hits`: the hit must equal the fresh run.

@@ -45,7 +45,7 @@ use recdb_analyze::fix::{join_vars, Budget};
 use recdb_analyze::rank::{step, Fin, Shape, ShapeWalk};
 use recdb_analyze::{LoopBound, TerminationAnalysis};
 use recdb_core::Schema;
-use recdb_qlhs::{Dialect, LoopKind, NodePath, Prog, Term};
+use recdb_qlhs::{term_size, Dialect, LoopKind, NodePath, Prog, Term};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -118,15 +118,6 @@ impl Default for LowerOpts {
 /// An operator instruction from its `dst`, operand registers (the
 /// second unused by unary operators) and `ticks`.
 type OpInst = fn(usize, usize, usize, u32) -> Inst;
-
-/// Term-node count — the statically-known entry ticks of a term.
-fn term_nodes(t: &Term) -> u32 {
-    match t {
-        Term::E | Term::Rel(_) | Term::Var(_) | Term::Const(_) => 1,
-        Term::And(a, b) => 1 + term_nodes(a) + term_nodes(b),
-        Term::Not(e) | Term::Up(e) | Term::Down(e) | Term::Swap(e) => 1 + term_nodes(e),
-    }
-}
 
 struct Lower<'a> {
     walk: ShapeWalk<'a>,
@@ -321,7 +312,7 @@ impl Lower<'_> {
                     if s.rank.known().is_some() {
                         // Elide the store: its statically-counted term
                         // ticks stay pending; no value, no commit.
-                        self.pending += term_nodes(t);
+                        self.pending += term_size(t) as u32;
                         self.vars[*v] = s;
                         return Ok(());
                     }

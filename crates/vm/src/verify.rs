@@ -179,6 +179,9 @@ fn join_cost(a: &[CAbs], b: &[CAbs]) -> Vec<CAbs> {
     a.iter().zip(b).map(|(x, y)| x.join(y)).collect()
 }
 
+/// A term's entry ticks, one per node. The lowerer counts them with
+/// `recdb_qlhs::term_size`; the verifier keeps its own count so that
+/// its tick accounting does not lean on the lowerer's.
 fn term_nodes(t: &Term) -> u32 {
     match t {
         Term::E | Term::Rel(_) | Term::Var(_) | Term::Const(_) => 1,

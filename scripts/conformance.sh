@@ -7,7 +7,10 @@
 # parallel metric *key sets* must match (values legitimately differ —
 # thread fan-out changes chunk counts, not which metrics exist). It
 # also runs the SERVE checks twice and requires equal qlhs.canon_*
-# counters in the two runs.
+# counters in the two runs. At the fixed seed every counter of the
+# fresh serial METRICS.json must equal the one it replaces (the
+# committed file), so an edit that makes any check draw different
+# programs or databases fails here by counter name.
 #
 # Usage:
 #   scripts/conformance.sh                 fixed seed, both modes, diff
@@ -18,7 +21,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SEED=0x5ecdeb0a
+DEFAULT_SEED=0x5ecdeb0a
+SEED=$DEFAULT_SEED
 SERIAL_ONLY=0
 while [[ $# -gt 0 ]]; do
     case "$1" in
@@ -33,8 +37,34 @@ PAR_OUT=target/CONFORMANCE.parallel.json
 METRICS=METRICS.json
 PAR_METRICS=target/METRICS.parallel.json
 
+COMMITTED_METRICS=target/METRICS.committed.json
+mkdir -p target
+cp "$METRICS" "$COMMITTED_METRICS"
+
 cargo run --release -p recdb-conformance --bin conformance -- \
     --seed "$SEED" --out "$OUT" --metrics-out "$METRICS"
+
+# The counters pin what the ledger runs: at the fixed seed they are a
+# pure function of the programs and databases every check draws. Only
+# the qlhs.canon_* pair is exempt (it has been seen to flicker by one
+# between runs of one binary).
+python3 - "$SEED" "$DEFAULT_SEED" "$COMMITTED_METRICS" "$METRICS" <<'PY'
+import json, sys
+
+seed, default, committed, fresh = sys.argv[1:5]
+if int(seed, 0) != int(default, 0):
+    print(f"seed {seed} is not the fixed seed: counters not compared")
+    sys.exit(0)
+exempt = {"qlhs.canon_hits", "qlhs.canon_misses"}
+a, b = (json.load(open(p))["counters"] for p in (committed, fresh))
+moved = sorted(k for k in (a.keys() | b.keys()) - exempt if a.get(k) != b.get(k))
+for k in moved:
+    print(f"  {k}: committed {a.get(k)}, fresh {b.get(k)}", file=sys.stderr)
+if moved:
+    sys.exit(f"{len(moved)} ledger counters differ from the committed METRICS.json "
+             "(the fresh report replaced it; commit it if the change is intended)")
+print(f"ledger counters equal the committed METRICS.json ({len(b)} counters)")
+PY
 
 # The registry must stay complete: every registered check present, none
 # skipped (in particular the permutation differentials — a skipped
@@ -59,7 +89,6 @@ PY
 # The server builds one interpreter per request, so the canonical-rep
 # cache counters of the SERVE checks must not depend on which worker
 # served what before: two runs must report the same qlhs.canon_* values.
-mkdir -p target
 for run in 1 2; do
     cargo run --release -q -p recdb-conformance --bin conformance -- \
         --seed "$SEED" --filter SERVE --out "target/CONFORMANCE.serve$run.json" \
