@@ -4,10 +4,11 @@
 //!
 //! Every check that runs seeded programs on the three kinds of database
 //! (ANALYZE-*, SEMI-NAIVE-DIFF, GENERIC-PERM, NONGENERIC-WITNESS,
-//! TERMINATE-BOUND, COST-SOUND, VM-*) builds its databases here and
-//! runs them through [`Slice::run`] or [`Slice::run_counted`], so all
-//! of them run at the same fuel: [`FIN_FUEL`] on `FinInterp`,
-//! [`INF_FUEL`] on `HsInterp` and `FcfInterp`.
+//! TERMINATE-BOUND, COST-SOUND, VM-*) builds its databases here. All
+//! but the VM rows, which sweep fuel levels of their own, run programs
+//! through [`Slice::run`] or [`Slice::run_counted`], so they run at the
+//! same fuel: [`FIN_FUEL`] on `FinInterp`, [`INF_FUEL`] on `HsInterp`
+//! and `FcfInterp`.
 
 use crate::gen::{self, ProgShape};
 use crate::ledger::CheckCtx;
@@ -92,9 +93,10 @@ pub fn cycle(ctx: &mut CheckCtx, round: usize) -> Slice {
     }
 }
 
-/// A slice whose sizes are all finite, recorded under
-/// `families[kind]`: a random graph (`kind` 0), the discrete hs
-/// wrapping of one (1), or a random fcf-r-db named `fcf_name` (2).
+/// A slice with a finite cost valuation ([`Slice::cost_env`]),
+/// recorded under `families[kind]`: a random graph (`kind` 0), the
+/// discrete hs wrapping of one (1), or a random fcf-r-db named
+/// `fcf_name` (2).
 pub fn metered(ctx: &mut CheckCtx, kind: usize, families: [&str; 3], fcf_name: &str) -> Slice {
     ctx.family(families[kind.min(2)]);
     match kind {
